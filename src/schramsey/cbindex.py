@@ -13,9 +13,11 @@ are provided:
 
   * horizon(H): a depth-first search for a strict-prefix chain of
     length H inside the truncated reduced-word universe, extending by
-    at most `max_block_words` stream words per step.  "Chain found" and
-    "no escape word in the search window" are definite at this horizon;
-    anything else is reported as undecided.
+    at most `max_block_words` stream words per step.  Every candidate is
+    built as a reduction of the stream, so only the family's seeds are
+    ever matched against it.  "Chain found" and "no escape word in the
+    search window" are definite at this horizon; anything else is
+    reported as undecided.
 
   * exact rule "length": sound for families whose level-j survivors are
     exactly the sequences of length <= K - j for some K (the hereditary
@@ -41,6 +43,7 @@ from .words import (
     is_variable_word,
     seq_sort_key,
 )
+from .wxi import match_reduction
 
 
 @dataclass(frozen=True)
@@ -132,6 +135,12 @@ class DerivativeState:
     survivors: tuple[WordSeq, ...]
     _engine: "_Engine" = field(repr=False, default=None)
 
+    @property
+    def nodes(self) -> int:
+        """Chain-search nodes visited so far by the engine behind this
+        state (0 under an exact rule)."""
+        return self._engine.nodes
+
 
 class _Engine:
     def __init__(self, family: CBFamily, stream: VarWordStream, oracle: ChainOracle):
@@ -140,34 +149,37 @@ class _Engine:
         self.oracle = oracle
         self.member_memo: dict[tuple[WordSeq, int], bool] = {}
         self.escape_memo: dict[tuple[WordSeq, int], bool] = {}
-        self.universe_memo: dict[WordSeq, bool] = {}
+        self.universe_memo: dict[WordSeq, int | None] = {}
+        self.step_memo: dict[int, tuple[list[tuple[tuple[str, ...], int]], bool]] = {}
         self.maxlen_memo: dict[int, int] = {}
         self.nodes = 0
 
-    def in_universe(self, seq: WordSeq) -> bool:
-        """Is seq a reduction of the stream (on the family's side)?  The
-        derivative only ever sees the family cut to this universe."""
+    def end_pos(self, seq: WordSeq, known: int | None = None) -> int | None:
+        """Stream words consumed by seq as a reduction of the stream (on
+        the family's side), or None when it is not one: the derivative
+        only ever sees the family cut to this universe.  `known` is the
+        end position of a candidate built as a reduction, which needs no
+        matching."""
         if seq not in self.universe_memo:
-            if not seq:
-                value = True
+            if known is not None:
+                value = known
+            elif not seq:
+                value = 0
             else:
-                from .wxi import match_reduction
-
                 try:
-                    match_reduction(self.stream, seq, self.family.side)
-                    value = True
+                    value = sum(map(len, match_reduction(self.stream, seq, self.family.side)))
                 except (ReductionMismatch, HorizonExceeded):
-                    value = False
+                    value = None
             self.universe_memo[seq] = value
         return self.universe_memo[seq]
 
     # -- membership after `level` passes --------------------------------
-    def member_at(self, seq: WordSeq, level: int) -> bool:
+    def member_at(self, seq: WordSeq, level: int, end: int | None = None) -> bool:
         if level == 0:
-            return self.family.member_fn(seq) and self.in_universe(seq)
+            return self.family.member_fn(seq) and self.end_pos(seq, end) is not None
         key = (seq, level)
         if key not in self.member_memo:
-            value = self.member_at(seq, level - 1) and not self.escapes(seq, level - 1)
+            value = self.member_at(seq, level - 1, end) and not self.escapes(seq, level - 1)
             self.member_memo[key] = value
         return self.member_memo[key]
 
@@ -186,60 +198,64 @@ class _Engine:
         return self.escape_memo[key]
 
     # -- horizon-mode chain search ---------------------------------------
-    def _stream_pos(self, seq: WordSeq) -> int:
-        """Stream words consumed by the member's concatenation."""
-        total = sum(len(w) for w in seq)
-        k = 0
-        used = 0
-        while used < total:
-            k += 1
-            used += len(self.stream.word_at(k))
-        if used != total:
-            raise ValueError(f"{self.family.label}: member does not align with the stream")
-        return k
+    def steps(self, k: int) -> tuple[list[tuple[tuple[str, ...], int]], bool]:
+        """The ways to extend a reduction ending at stream word k: the
+        letters of every side-consistent substitution into stream words
+        k+1..k+b, b <= max_block_words, with its end position k+b; and
+        whether the stream horizon cut the list short."""
+        if k not in self.step_memo:
+            alph = self.stream.alph
+            variable = self.family.side == "variable"
+            pool = alph.full if variable else alph.symbols
+            entries = []
+            cut = False
+            for b in range(1, self.oracle.max_block_words + 1):
+                if k + b > self.stream.horizon:
+                    cut = True
+                    break
+                ws = self.stream.prefix[k : k + b]
+                for assign in product(pool, repeat=b):
+                    if variable and alph.variable not in assign:
+                        continue
+                    chunk = tuple(
+                        letter if ch == alph.variable else ch
+                        for w, letter in zip(ws, assign)
+                        for ch in w.letters
+                    )
+                    entries.append((chunk, k + b))
+            self.step_memo[k] = (entries, cut)
+        return self.step_memo[k]
 
     def _chain_search(self, seq: WordSeq, level: int) -> bool:
+        """Depth-first search for a chain of H escape words above seq,
+        each a strict prefix of the next.  A node is a tail appended to
+        seq; a child extends it by one step and is entered when seq plus
+        the new tail is not a member.  `path` holds the tail and the
+        untried steps of each node on the current path."""
         H = self.oracle.horizon
-        alph = self.stream.alph
-        side = self.family.side
-        pool = alph.symbols if side == "constant" else alph.full
-        k0 = self._stream_pos(seq)
         touched_horizon = False
 
-        def steps(k: int):
+        def enter(k: int):
             nonlocal touched_horizon
-            for b in range(1, self.oracle.max_block_words + 1):
-                try:
-                    ws = [self.stream.word_at(k + j) for j in range(1, b + 1)]
-                except HorizonExceeded:
-                    touched_horizon = True
-                    return
-                for assign in product(pool, repeat=b):
-                    if side == "variable" and alph.variable not in assign:
-                        continue
-                    chunk: tuple[str, ...] = ()
-                    for w, letter in zip(ws, assign):
-                        chunk += tuple(
-                            letter if ch == alph.variable else ch for ch in w.letters
-                        )
-                    yield chunk, b
-
-        def dfs(tail: tuple[str, ...], k: int, depth: int) -> bool:
-            if depth >= H:
-                return True
             self.nodes += 1
             if self.nodes > self.oracle.node_budget:
                 raise BudgetExceeded("chain search exceeded its node budget")
-            for chunk, b in steps(k):
-                new_tail = tail + chunk
-                if not self.member_at(seq + (Word(new_tail),), level):
-                    if dfs(new_tail, k + b, depth + 1):
-                        return True
-            return False
+            entries, cut = self.steps(k)
+            touched_horizon |= cut
+            return iter(entries)
 
-        found = dfs((), k0, 0)
-        if found:
-            return True
+        path = [((), enter(self.end_pos(seq)))]
+        while path:
+            tail, todo = path[-1]
+            for chunk, k in todo:
+                new_tail = tail + chunk
+                if not self.member_at(seq + (Word(new_tail),), level, k):
+                    if len(path) >= H:
+                        return True
+                    path.append((new_tail, enter(k)))
+                    break
+            else:
+                path.pop()
         if touched_horizon:
             raise OracleUndecided(
                 f"no chain of length {H} found but the stream horizon was reached"
@@ -275,6 +291,19 @@ def derivative(state: DerivativeState) -> DerivativeState:
     )
 
 
+def derive_to_empty(
+    family: CBFamily, stream: VarWordStream, oracle: ChainOracle, budget: int = 32
+) -> DerivativeState:
+    """Derive until no seed survives; the returned state is the first
+    empty one."""
+    state = initial_state(family, stream, oracle)
+    for _ in range(budget):
+        state = derivative(state)
+        if not state.survivors:
+            return state
+    raise BudgetExceeded(f"family not empty after {budget} derivative passes")
+
+
 def so_index(
     family: CBFamily, stream: VarWordStream, oracle: ChainOracle, budget: int = 32
 ) -> int:
@@ -282,24 +311,24 @@ def so_index(
     seen after j+1 passes is the level-j derivative, so the returned
     index matches the convention that level 0 is the once-derived family.
     """
-    state = initial_state(family, stream, oracle)
-    for _ in range(budget):
-        state = derivative(state)
-        if not state.survivors:
-            return state.level - 1
-    raise BudgetExceeded(f"family not empty after {budget} derivative passes")
+    return derive_to_empty(family, stream, oracle, budget).level - 1
+
+
+def derive_levels(
+    family: CBFamily, stream: VarWordStream, oracle: ChainOracle, levels: int
+) -> list[DerivativeState]:
+    """The states at levels 0..levels."""
+    states = [initial_state(family, stream, oracle)]
+    for _ in range(levels):
+        states.append(derivative(states[-1]))
+    return states
 
 
 def derivative_profile(
     family: CBFamily, stream: VarWordStream, oracle: ChainOracle, levels: int
 ) -> list[int]:
     """Survivor counts (over the seeds) at levels 0..levels."""
-    state = initial_state(family, stream, oracle)
-    counts = [len(state.survivors)]
-    for _ in range(levels):
-        state = derivative(state)
-        counts.append(len(state.survivors))
-    return counts
+    return [len(s.survivors) for s in derive_levels(family, stream, oracle, levels)]
 
 
 def monotonicity_check(

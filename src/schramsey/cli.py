@@ -8,7 +8,8 @@ engines are deterministic and sequential, the hint is validated and
 recorded only.
 
 Exit codes: 0 found/pass, 1 exhausted/closed/inconsistent, 2 usage
-error, 3 budget exceeded or oracle undecided.
+error, 3 budget exceeded or oracle undecided, 4 internal error (an
+unexpected exception; never read as a negative answer).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ EXIT_FOUND = 0
 EXIT_EXHAUSTED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _parse_finset(text: str):
@@ -309,9 +311,13 @@ def _cmd_cbindex(args) -> int:
         "stream_horizon": stream.horizon,
     }
     if args.levels is not None:
-        report["profile"] = cbindex.derivative_profile(fam, stream, oracle, args.levels)
-        return _emit(report, args, EXIT_FOUND)
-    report["so_index"] = cbindex.so_index(fam, stream, oracle, args.budget)
+        states = cbindex.derive_levels(fam, stream, oracle, args.levels)
+        report["profile"] = [len(s.survivors) for s in states]
+        last = states[-1]
+    else:
+        last = cbindex.derive_to_empty(fam, stream, oracle, args.budget)
+        report["so_index"] = last.level - 1
+    report["nodes"] = last.nodes
     return _emit(report, args, EXIT_FOUND)
 
 
@@ -523,6 +529,10 @@ def main(argv=None) -> int:
     except SchramseyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        detail = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@ import pytest
 
 from schramsey import cbindex as cb
 from schramsey.errors import BudgetExceeded, OracleUndecided
-from schramsey.words import Alphabet, pattern_stream, upsilon_stream, word
+from schramsey.words import Alphabet, Word, pattern_stream, reduce_word, upsilon_stream, word
+from schramsey.wxi import match_reduction
 
 AB = Alphabet(("a", "b"))
 
@@ -150,3 +151,64 @@ def test_profile_matches_direct_recount():
     assert prof[0] == len(seeds)
     assert prof[1] == sum(1 for m in seeds if level1(m))
     assert prof[2] == sum(1 for m in seeds if level2(m))
+
+
+@pytest.mark.parametrize(
+    "alphabet, side, k, stream_words, H, nodes",
+    [
+        ("ab", "constant", 2, None, 4, 182),
+        ("abc", "constant", 3, None, 5, 8590),
+        ("ab", "variable", 3, (["_"], ["__"]), 5, 1502),
+    ],
+)
+def test_chain_search_node_counts_are_pinned(alphabet, side, k, stream_words, H, nodes):
+    # the chain search visits a fixed node set; these counts pin it
+    alph = Alphabet(tuple(alphabet))
+    if stream_words is None:
+        st = upsilon_stream(alph, 40 if k == 2 else 42)
+    else:
+        st = pattern_stream(alph, *stream_words, 40)
+    fam = cb.length_truncation_family(alph, side, k, k)
+    state = cb.derive_to_empty(fam, st, cb.ChainOracle("horizon", horizon=H))
+    assert state.level - 1 == k
+    assert state.nodes == nodes
+
+
+STEP_STREAMS = [
+    ([], ["_"]),
+    (["_"], ["__"]),
+    (["_"], ["a_"]),
+    (["__"], ["_"]),
+    (["_", "_"], ["_", "__"]),
+]
+
+
+@pytest.mark.parametrize("head, repeat", STEP_STREAMS)
+@pytest.mark.parametrize("side", ["constant", "variable"])
+def test_step_table_entries_are_reductions(head, repeat, side):
+    # appended to a universe member ending at stream word k, every entry
+    # of the step table at k is accepted by the stream matcher and ends
+    # where the table says; the table stops exactly at the horizon
+    horizon = 6
+    st = pattern_stream(AB, head, repeat, horizon)
+    fam = cb.length_truncation_family(AB, side, 2, 2)
+    oracle = cb.ChainOracle("horizon", horizon=3)
+    engine = cb._Engine(fam, st, oracle)
+    fill = "_" if side == "variable" else "a"
+    for k in range(horizon + 1):
+        member = (reduce_word(st, Word((fill,) * k)),) if k else ()
+        assert engine.end_pos(member) == k
+        entries, cut = engine.steps(k)
+        assert cut == (k + oracle.max_block_words > horizon)
+        widths = {nxt - k for _, nxt in entries}
+        assert widths == set(range(1, min(oracle.max_block_words, horizon - k) + 1))
+        for letters, nxt in entries:
+            t = match_reduction(st, member + (Word(letters),), side)
+            assert sum(map(len, t)) == nxt
+
+
+def test_deep_chain_search_runs_without_recursion():
+    # a chain far deeper than the interpreter's recursion limit
+    fam = cb.length_truncation_family(AB, "constant", 1, 1)
+    states = cb.derive_levels(fam, upsilon_stream(AB, 1100), cb.ChainOracle("horizon", horizon=1050), 1)
+    assert [len(s.survivors) for s in states] == [3, 1]

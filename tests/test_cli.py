@@ -87,12 +87,42 @@ def test_cbindex_command(capsys):
         ["cbindex", "--family", "len:2", "--stream", "e:40", "--oracle", "exact:length"],
         capsys,
     )
-    assert code == 0 and rep["so_index"] == 2
+    assert code == 0 and rep["so_index"] == 2 and rep["nodes"] == 0
     code, rep = run_json(
         ["cbindex", "--family", "len:1", "--stream", "e:30", "--oracle", "horizon:3", "--levels", "2"],
         capsys,
     )
     assert rep["profile"] == [3, 1, 0]  # seeds, then only the empty sequence, then nothing
+    assert rep["nodes"] > 0
+
+
+def test_deep_horizon_search_does_not_crash(capsys):
+    # chains of 1200 steps nested inside each other's escape tests: the
+    # search runs out of nodes, and says so, rather than out of stack
+    code = cli.main(["cbindex", "--family", "len:1", "--stream", "e:1500", "--oracle", "horizon:1200"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_BUDGET
+    assert captured.err == "error: chain search exceeded its node budget\n"
+
+
+def test_internal_errors_exit_4(capsys):
+    # a successor index in the thousands overflows the membership recursion
+    members = ",".join(str(i) for i in range(1, 2501))
+    code = cli.main(["schreier", "mem", "--xi", "3000", "--set", "{" + members + "}"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_INTERNAL
+    assert err.startswith("internal error: RecursionError: ") and err.count("\n") == 1
+
+
+def test_unexpected_exception_in_handler_exits_4(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "_cmd_ordinal", broken)
+    code = cli.main(["ordinal", "eval", "w"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL and captured.out == ""
+    assert captured.err == "internal error: RuntimeError: boom second line\n"
 
 
 def test_verify_commands(capsys):
