@@ -17,8 +17,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import cbindex, families, ordinal, schreier, verify, words, wxi
 from .errors import (
     BudgetExceeded,
     HorizonExceeded,
@@ -27,6 +27,12 @@ from .errors import (
     ReductionMismatch,
     SchramseyError,
 )
+
+if TYPE_CHECKING:
+    from . import verify, words
+
+# Layer modules are imported by the parsers and handlers that use them,
+# so a job loads only the layers its subcommand runs.
 
 SCHEMA_VERSION = 1
 
@@ -45,10 +51,14 @@ def _parse_finset(text: str):
 
 
 def _parse_alphabet(text: str) -> words.Alphabet:
+    from . import words
+
     return words.Alphabet(tuple(text))
 
 
 def _parse_seq(text: str, alph: words.Alphabet):
+    from . import words
+
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1]
@@ -58,6 +68,8 @@ def _parse_seq(text: str, alph: words.Alphabet):
 
 
 def _parse_stream(text: str, alph: words.Alphabet) -> words.VarWordStream:
+    from . import words
+
     kind, _, rest = text.partition(":")
     if kind == "e":
         return words.upsilon_stream(alph, int(rest))
@@ -86,6 +98,8 @@ _RULE_DOMAINS = {
 
 
 def _parse_coloring(text: str, alph: words.Alphabet | None, domain: str | None = None) -> verify.Coloring:
+    from . import verify
+
     parts = text.split(":")
     rule = parts[0]
     colors = int(parts[1]) if len(parts) > 1 else 2
@@ -133,6 +147,8 @@ def _witness_json(w: verify.Witness | None):
 
 
 def _plain(x):
+    from . import verify, words
+
     if isinstance(x, verify.Coloring):
         return x.to_json()
     if isinstance(x, words.Word):
@@ -148,6 +164,8 @@ def _plain(x):
 
 
 def _cmd_ordinal(args) -> int:
+    from . import ordinal
+
     a = ordinal.parse(args.expr)
     report = {"command": "ordinal", "input": args.expr, "canonical": str(a)}
     if args.action == "classify":
@@ -165,6 +183,8 @@ def _cmd_ordinal(args) -> int:
 
 
 def _cmd_schreier(args) -> int:
+    from . import ordinal, schreier
+
     cfg = schreier.SchreierConfig(args.rule)
     xi = ordinal.parse(args.xi)
     report = {"command": f"schreier {args.action}", "xi": str(xi), "rule": args.rule}
@@ -187,6 +207,8 @@ def _cmd_schreier(args) -> int:
 
 
 def _cmd_words(args) -> int:
+    from . import words
+
     alph = _parse_alphabet(args.alphabet)
     report = {"command": f"words {args.action}", "alphabet": "".join(alph.symbols)}
     if args.action == "reduce":
@@ -211,6 +233,8 @@ def _cmd_words(args) -> int:
 
 
 def _cmd_wxi(args) -> int:
+    from . import ordinal, schreier, words, wxi
+
     cfg = schreier.SchreierConfig(args.rule)
     alph = _parse_alphabet(args.alphabet)
     xi = ordinal.parse(args.xi)
@@ -253,6 +277,8 @@ def _cmd_wxi(args) -> int:
 
 
 def _cmd_family(args) -> int:
+    from . import families, ordinal, words
+
     with open(args.file) as fh:
         fam = families.family_from_json(fh.read())
     report = {"command": f"family {args.action}", "members": len(fam.members), "side": fam.side}
@@ -289,6 +315,8 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_cbindex(args) -> int:
+    from . import cbindex, families
+
     alph = _parse_alphabet(args.alphabet)
     if args.family.startswith("len:"):
         max_len = int(args.family.split(":")[1])
@@ -322,6 +350,8 @@ def _cmd_cbindex(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import ordinal, schreier, verify
+
     cfg = schreier.SchreierConfig(args.rule)
     report = {"command": f"verify {args.action}", "rule": args.rule}
     code = EXIT_FOUND

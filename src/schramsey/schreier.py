@@ -13,12 +13,16 @@ A_0 = {{}}, A_1 = singletons, and
 These families are thin (no member is a proper initial segment of
 another), so a member's block decomposition is unique and the greedy
 left-to-right consumption below decides membership exactly.
+
+The case split of an index is resolved once per (index, limit rule) into
+a `Plan`; membership, enumeration and the transfer index all walk plans.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 from . import ordinal as o
 from .errors import BudgetExceeded, HorizonExceeded
@@ -27,6 +31,8 @@ from .ordinal import Ordinal
 FinSet = tuple[int, ...]
 
 MAX_ENUM_GROUND = 24
+MAX_TRANSFER_TERMS = 10_000
+PLAN_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -59,35 +65,151 @@ def validate_finset(s) -> FinSet:
     return t
 
 
+# --- plans ---------------------------------------------------------------
+
+ZERO, SUCC, POW_SUCC, POW_LIMIT, SUM = "zero", "succ", "pow_succ", "pow_limit", "sum"
+
+
+def _split_finite(a: Ordinal) -> tuple[Ordinal, int]:
+    """(lam, k) with a = lam + k, lam zero or a limit."""
+    if a.terms and a.terms[-1][0] == o.ZERO:
+        return Ordinal(a.terms[:-1]), a.terms[-1][1]
+    return a, 0
+
+
+def _plus(lam: Ordinal, k: int) -> Ordinal:
+    return Ordinal(lam.terms + ((o.ZERO, k),)) if k else lam
+
+
+class Plan:
+    """The case split of A_xi under one limit rule.
+
+    `kind` is one of
+      'zero'       xi = 0: the empty set only;
+      'succ'       xi = lam + k (lam zero or a limit, k >= 1): k popped
+                   minima, then an A_lam member (`base`); `pred` is the
+                   plan of xi - 1;
+      'pow_succ'   xi = w^(lam + k) (lam zero or a limit, k >= 1): n = min s
+                   blocks of A_(w^(lam+k-1)) (`below`); at n = 1 that is
+                   one A_(w^lam) member (`base`);
+      'pow_limit'  xi = w^lam, lam a limit: at min n, an A_(w^(lam_n))
+                   member (`child(n)`);
+      'sum'        any other limit: consecutive blocks, `groups` holding
+                   (power plan, count) pairs in consumption order.
+
+    Sub-plans are built on first use and kept, so a walk never
+    re-derives a case split or hashes an ordinal.  `plan` interns nodes,
+    so they compare and hash by identity.
+    """
+
+    __slots__ = ("xi", "rule", "kind", "k", "lam", "groups", "_sub")
+
+    def __init__(self, xi: Ordinal, rule: str):
+        self.xi, self.rule = xi, rule
+        self.k, self.lam, self.groups = 0, o.ZERO, ()
+        self._sub: dict[str | int, Plan] = {}  # base/pred/below by name, children by n
+        terms = xi.terms
+        if not terms:
+            self.kind = ZERO
+        elif terms[-1][0] == o.ZERO:
+            self.kind = SUCC
+            self.lam, self.k = _split_finite(xi)
+        elif len(terms) == 1 and terms[0][1] == 1:
+            self.lam, self.k = _split_finite(terms[0][0])
+            self.kind = POW_SUCC if self.k else POW_LIMIT
+        else:
+            self.kind = SUM
+            self.groups = tuple((plan(o.omega_pow(exp), rule), count) for exp, count in reversed(terms))
+
+    def _memo(self, name: str, make) -> Plan:
+        p = self._sub.get(name)
+        if p is None:
+            p = self._sub[name] = plan(make(), self.rule)
+        return p
+
+    @property
+    def base(self) -> Plan:
+        if self.kind == SUCC:
+            return self._memo("base", lambda: self.lam)
+        return self._memo("base", lambda: o.omega_pow(self.lam))
+
+    @property
+    def pred(self) -> Plan:
+        return self._memo("pred", lambda: _plus(self.lam, self.k - 1))
+
+    @property
+    def below(self) -> Plan:
+        return self._memo("below", lambda: o.omega_pow(_plus(self.lam, self.k - 1)))
+
+    def child(self, n: int) -> Plan:
+        p = self._sub.get(n)
+        if p is None:
+            step = SchreierConfig(self.rule).step(self.lam, n)
+            p = self._sub[n] = plan(o.omega_pow(step), self.rule)
+        return p
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def plan(xi: Ordinal, rule: str) -> Plan:
+    """The interned plan of A_xi under a limit rule ('fixed' or 'succ').
+
+    The cache is bounded; `plan.cache_info()` reports its hits and misses.
+    """
+    return Plan(xi, rule)
+
+
+def _too_short(p: Plan, n: int, room: int) -> bool:
+    """Whether a member of the 'pow_succ' plan p with min n >= 2 cannot
+    fit in `room` elements: it has at least n^k of them (n blocks, each
+    with min >= n and so, by induction, with n^(k-1) or more)."""
+    return p.k >= 64 or n**p.k > room
+
+
+# --- membership ------------------------------------------------------------
+
+
 def _consume(xi: Ordinal, stream, pos: int, cfg: SchreierConfig) -> int:
     """Greedily consume one A_xi member from stream[pos:]; return the end
-    position.  Raises HorizonExceeded if the stream runs out mid-member."""
-    if not xi.terms:
-        return pos
-    k = o.kind(xi)
-    if k == "successor":
-        if pos >= len(stream):
-            raise HorizonExceeded("stream exhausted while consuming a member")
-        return _consume(o.pred(xi), stream, pos + 1, cfg)
-    terms = xi.terms
-    if len(terms) == 1 and terms[0][1] == 1:
-        e = terms[0][0]
-        if pos >= len(stream):
+    position.  Raises HorizonExceeded if the stream runs out mid-member.
+
+    Walks the plan of xi with an explicit stack of owed blocks, so deep
+    indices never reach the interpreter's recursion limit."""
+    p = plan(xi, cfg.limit_rule)
+    end = len(stream)
+    pending: list[tuple[Plan, int]] = []  # (plan, blocks still owed), innermost last
+    while True:
+        kind = p.kind
+        if kind == SUCC:
+            pos += p.k
+            if pos > end:
+                raise HorizonExceeded("stream exhausted while consuming a member")
+            p = p.base
+            continue
+        if kind == ZERO:
+            if not pending:
+                return pos
+            p, count = pending.pop()
+            if count > 1:
+                pending.append((p, count - 1))
+            continue
+        if pos >= end:
             raise HorizonExceeded("stream exhausted while consuming a member")
         n = stream[pos]
-        if o.kind(e) == "successor":
-            below = o.omega_pow(o.pred(e))
-            end = pos
-            for _ in range(n):
-                end = _consume(below, stream, end, cfg)
-            return end
-        return _consume(o.omega_pow(cfg.step(e, n)), stream, pos, cfg)
-    end = pos
-    for exp, count in reversed(terms):
-        power = o.omega_pow(exp)
-        for _ in range(count):
-            end = _consume(power, stream, end, cfg)
-    return end
+        if kind == POW_LIMIT:
+            p = p.child(n)
+        elif kind == POW_SUCC:
+            if n == 1:
+                p = p.base
+                continue
+            if _too_short(p, n, end - pos):
+                raise HorizonExceeded("stream exhausted while consuming a member")
+            p = p.below
+            pending.append((p, n - 1))
+        else:
+            pending.extend(reversed(p.groups[1:]))
+            p, count = p.groups[0]
+            if count > 1:
+                pending.append((p, count - 1))
 
 
 def initial_segment(xi: Ordinal, stream, cfg: SchreierConfig = DEFAULT_CONFIG) -> FinSet:
@@ -111,81 +233,105 @@ def mem(xi: Ordinal, s, cfg: SchreierConfig = DEFAULT_CONFIG) -> bool:
     return end == len(t)
 
 
-@lru_cache(maxsize=None)
-def _members(xi: Ordinal, lo: int, hi: int, rule: str) -> tuple[FinSet, ...]:
-    """All members of A_xi with min >= lo and max <= hi, lexicographically."""
-    cfg = SchreierConfig(rule)
-    if not xi.terms:
-        return ((),)
-    k = o.kind(xi)
-    out: list[FinSet] = []
-    if k == "successor":
-        below = o.pred(xi)
-        for n in range(lo, hi + 1):
-            for rest in _members(below, n + 1, hi, rule):
-                out.append((n,) + rest)
-        return tuple(sorted(out))
-    terms = xi.terms
-    if len(terms) == 1 and terms[0][1] == 1:
-        e = terms[0][0]
-        if o.kind(e) == "successor":
-            below = o.omega_pow(o.pred(e))
-            for n in range(lo, hi + 1):
-                for first in _members_min_exact(below, n, hi, rule):
-                    for rest in _block_runs(below, n - 1, first[-1] + 1, hi, rule):
-                        out.append(first + rest)
-            return tuple(sorted(out))
-        for n in range(lo, hi + 1):
-            sub = o.omega_pow(cfg.step(e, n))
-            out.extend(_members_min_exact(sub, n, hi, rule))
-        return tuple(sorted(out))
-    groups = []
-    for exp, count in reversed(terms):
-        groups.extend([o.omega_pow(exp)] * count)
-    for combo in _group_runs(tuple(groups), lo, hi, rule):
-        out.append(combo)
-    return tuple(sorted(out))
+# --- enumeration -----------------------------------------------------------
 
 
-def _members_min_exact(xi: Ordinal, n: int, hi: int, rule: str) -> tuple[FinSet, ...]:
-    return tuple(t for t in _members(xi, n, hi, rule) if t and t[0] == n)
+class _Tables:
+    """Members of plans inside {1..hi}, bucketed by minimum, for one
+    enumeration.  Every bucket is in lexicographic order: its members are
+    concatenations f + r with f from a thin family, so ordering by f, then
+    by r, is lexicographic."""
 
+    def __init__(self, hi: int):
+        self.hi = hi
+        self.buckets: dict[tuple, tuple[FinSet, ...]] = {}  # (plan, m): members with min m
+        self.runs: dict[tuple, tuple[FinSet, ...]] = {}  # (plan, c, m): c blocks, the first with min m
+        self.group_runs: dict[tuple, tuple[FinSet, ...]] = {}  # (sum plan, i, m): groups[i:], min m
+        self.after: dict[tuple, tuple[FinSet, ...]] = {}  # (table name, args, lo): min >= lo
 
-def _block_runs(xi: Ordinal, count: int, lo: int, hi: int, rule: str) -> tuple[FinSet, ...]:
-    """Concatenations of `count` consecutive A_xi blocks starting at >= lo."""
-    if count == 0:
-        return ((),)
-    out = []
-    for first in _members(xi, lo, hi, rule):
-        if not first:
-            out.append(())
-            continue
-        for rest in _block_runs(xi, count - 1, first[-1] + 1, hi, rule):
-            out.append(first + rest)
-    return tuple(out)
+    def members(self, p: Plan, lo: int) -> tuple[FinSet, ...]:
+        """Members of p with min >= lo, lexicographically."""
+        if p.kind == ZERO:
+            return ((),)
+        return self._from("bucket", (p,), lo)
 
+    def _from(self, table: str, args: tuple, lo: int) -> tuple[FinSet, ...]:
+        """The entries of `table` at args, over every min m >= lo."""
+        key = (table, args, lo)
+        got = self.after.get(key)
+        if got is None:
+            at = getattr(self, table)
+            got = self.after[key] = tuple(chain.from_iterable(at(*args, m) for m in range(lo, self.hi + 1)))
+        return got
 
-def _group_runs(powers: tuple[Ordinal, ...], lo: int, hi: int, rule: str) -> tuple[FinSet, ...]:
-    if not powers:
-        return ((),)
-    out = []
-    for first in _members(powers[0], lo, hi, rule):
-        nxt = first[-1] + 1 if first else lo
-        for rest in _group_runs(powers[1:], nxt, hi, rule):
-            out.append(first + rest)
-    return tuple(out)
+    def bucket(self, p: Plan, m: int) -> tuple[FinSet, ...]:
+        key = (p, m)
+        got = self.buckets.get(key)
+        if got is None:
+            got = self.buckets[key] = self._bucket(p, m)
+        return got
+
+    def _bucket(self, p: Plan, m: int) -> tuple[FinSet, ...]:
+        room = self.hi - m + 1
+        kind = p.kind
+        if kind == SUCC:
+            if p.k > room:
+                return ()
+            return tuple([(m,) + r for r in self.members(p.pred, m + 1)])
+        if kind == POW_LIMIT:
+            return self.bucket(p.child(m), m)
+        if kind == POW_SUCC:
+            if m == 1:
+                return self.bucket(p.base, 1)
+            if _too_short(p, m, room):
+                return ()
+            return self.run(p.below, m, m)
+        return self.group(p, 0, m)
+
+    def run(self, p: Plan, count: int, m: int) -> tuple[FinSet, ...]:
+        """Concatenations of `count` consecutive blocks of p, the first
+        with min m."""
+        key = (p, count, m)
+        got = self.runs.get(key)
+        if got is None:
+            firsts = self.bucket(p, m)
+            if count == 1:
+                got = firsts
+            elif count > self.hi - m + 1:
+                got = ()
+            else:
+                got = tuple([f + r for f in firsts for r in self._from("run", (p, count - 1), f[-1] + 1)])
+            self.runs[key] = got
+        return got
+
+    def group(self, p: Plan, i: int, m: int) -> tuple[FinSet, ...]:
+        """Concatenations of the block groups p.groups[i:], min m."""
+        key = (p, i, m)
+        got = self.group_runs.get(key)
+        if got is None:
+            q, count = p.groups[i]
+            got = self.run(q, count, m)
+            if i + 1 < len(p.groups):
+                got = tuple([f + r for f in got for r in self._from("group", (p, i + 1), f[-1] + 1)])
+            self.group_runs[key] = got
+        return got
 
 
 def enumerate_members(
-    xi: Ordinal, max_n: int, cfg: SchreierConfig = DEFAULT_CONFIG
+    xi: Ordinal, max_n: int, cfg: SchreierConfig = DEFAULT_CONFIG, min_n: int = 1
 ) -> tuple[FinSet, ...]:
-    """All members of A_xi contained in {1..max_n}, in lexicographic order.
+    """All members of A_xi contained in {min_n..max_n}, in lexicographic
+    order.
 
-    Generated recursively per minimum element; agrees pointwise with mem.
+    Generated per minimum element from the plan of xi, with tables that
+    live for this call only; agrees pointwise with mem.
     """
     if max_n > MAX_ENUM_GROUND:
         raise BudgetExceeded(f"enumeration ground set capped at {MAX_ENUM_GROUND}")
-    return _members(xi, 1, max_n, cfg.limit_rule)
+    return _Tables(max_n).members(plan(xi, cfg.limit_rule), min_n)
+
+
+# --- transfer --------------------------------------------------------------
 
 
 def transfer_index(xi: Ordinal, n: int, cfg: SchreierConfig = DEFAULT_CONFIG) -> Ordinal:
@@ -195,25 +341,31 @@ def transfer_index(xi: Ordinal, n: int, cfg: SchreierConfig = DEFAULT_CONFIG) ->
         raise ValueError("transfer_index needs n >= 1")
     if not xi.terms:
         raise ValueError("transfer_index needs xi >= 1")
-    k = o.kind(xi)
-    if k == "successor":
-        return o.pred(xi)
-    terms = xi.terms
-    if len(terms) == 1 and terms[0][1] == 1:
-        e = terms[0][0]
-        if o.kind(e) == "successor":
-            below = o.omega_pow(o.pred(e))
-            rec = transfer_index(below, n, cfg)
-            if n == 1:
-                return rec
-            return o.add(o.nat_mul(below, n - 1), rec)
-        return transfer_index(o.omega_pow(cfg.step(e, n)), n, cfg)
-    exp_m, coeff_m = terms[-1]
-    if coeff_m == 1:
-        head = Ordinal(terms[:-1])
-    else:
-        head = Ordinal(terms[:-1] + ((exp_m, coeff_m - 1),))
-    return o.add(head, transfer_index(o.omega_pow(exp_m), n, cfg))
+    p = plan(xi, cfg.limit_rule)
+    heads = []  # summands in front of the block holding n, outermost first
+    while p.kind != SUCC:
+        if p.kind == POW_LIMIT:
+            p = p.child(n)
+            continue
+        if p.kind == POW_SUCC:
+            # w^(lam+k) at n: the n-1 further blocks of every w^(lam+j),
+            # j = k-1 .. 0, then the transfer of w^lam
+            if n > 1:
+                if p.k > MAX_TRANSFER_TERMS:
+                    raise BudgetExceeded(f"transfer index would have {p.k} terms (cap {MAX_TRANSFER_TERMS})")
+                terms = tuple((_plus(p.lam, j), n - 1) for j in range(p.k - 1, -1, -1))
+                heads.append(Ordinal(terms))
+            p = p.base
+            continue
+        # sum: every block group but one copy of the smallest power comes after n
+        terms = p.xi.terms
+        exp_m, coeff_m = terms[-1]
+        heads.append(Ordinal(terms[:-1] + (((exp_m, coeff_m - 1),) if coeff_m > 1 else ())))
+        p = p.groups[0][0]
+    out = o.pred(p.xi)
+    for head in reversed(heads):
+        out = o.add(head, out)
+    return out
 
 
 def shifted_members(xi: Ordinal, n: int, max_n: int, cfg: SchreierConfig = DEFAULT_CONFIG):

@@ -184,9 +184,7 @@ def enumerate_wxi(
         for total in range(1, letter_budget + 1):
             out.extend(_fill_words((total,), side, alph))
         return tuple(sorted(out, key=seq_sort_key))
-    for d in schreier._members(xi, 2, letter_budget, cfg.limit_rule):
-        if not d:
-            continue
+    for d in schreier.enumerate_members(xi, letter_budget, cfg, min_n=2):
         starts = (1,) + d
         for total in range(starts[-1], letter_budget + 1):
             shape = tuple(starts[i + 1] - starts[i] for i in range(len(starts) - 1))

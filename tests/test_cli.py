@@ -105,13 +105,12 @@ def test_deep_horizon_search_does_not_crash(capsys):
     assert captured.err == "error: chain search exceeded its node budget\n"
 
 
-def test_internal_errors_exit_4(capsys):
-    # a successor index in the thousands overflows the membership recursion
-    members = ",".join(str(i) for i in range(1, 2501))
-    code = cli.main(["schreier", "mem", "--xi", "3000", "--set", "{" + members + "}"])
-    err = capsys.readouterr().err
-    assert code == cli.EXIT_INTERNAL
-    assert err.startswith("internal error: RecursionError: ") and err.count("\n") == 1
+def test_deep_successor_index_is_answered(capsys):
+    # a successor index in the thousands is decided, not a stack overflow
+    for top, member, code in ((2500, False, cli.EXIT_EXHAUSTED), (3000, True, cli.EXIT_FOUND)):
+        members = ",".join(str(i) for i in range(1, top + 1))
+        got, rep = run_json(["schreier", "mem", "--xi", "3000", "--set", "{" + members + "}"], capsys)
+        assert got == code and rep["member"] is member
 
 
 def test_unexpected_exception_in_handler_exits_4(monkeypatch, capsys):
@@ -196,3 +195,17 @@ def test_thread_hint_does_not_change_output():
             runs.append((proc.returncode, proc.stdout))
         assert runs[0] == runs[1]
         assert runs[0][1]  # some output was produced
+
+
+def test_schreier_jobs_import_only_their_layers():
+    probe = (
+        "import sys\n"
+        "from schramsey import cli\n"
+        "cli.main(['schreier', 'enumerate', '--xi', 'w^2', '--max-n', '6'])\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('schramsey.'))), file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.split())
+    assert "schramsey.schreier" in loaded
+    assert not loaded & {f"schramsey.{m}" for m in ("verify", "cbindex", "wxi", "words", "families")}

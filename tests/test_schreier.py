@@ -1,11 +1,15 @@
+import hashlib
+import json
 import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schramsey import ordinal as o
 from schramsey import schreier as sch
-from schramsey.errors import HorizonExceeded
+from schramsey.verify import mem_direct
+from schramsey.errors import BudgetExceeded, HorizonExceeded
 from schramsey.schreier import SchreierConfig
 
 P = o.parse
@@ -178,3 +182,63 @@ def test_validate_finset():
         sch.mem(o.OMEGA, (0, 1))
     with pytest.raises(ValueError):
         sch.mem(o.OMEGA, (5, 2))
+
+
+# values of the recursion before enumeration was driven by plans
+GOLDEN = [("w^w", 20, 21181, "83ecaa9b7653a3d0"), ("w^w*2", 16, 2012, "751fe7e57f4cc0d9")]
+
+
+@pytest.mark.parametrize("rule", ["fixed", "succ"])
+@pytest.mark.parametrize("xs, max_n, count, digest", GOLDEN)
+def test_enumeration_golden_pins(rule, xs, max_n, count, digest):
+    ms = sch.enumerate_members(P(xs), max_n, SchreierConfig(rule))
+    assert len(ms) == count
+    assert hashlib.sha256(json.dumps([list(m) for m in ms]).encode()).hexdigest().startswith(digest)
+
+
+def test_deep_indices_are_answered():
+    # successor chains and finite exponents in the thousands run without
+    # recursion; transfer indices too long to write out are a budget stop
+    stream = tuple(range(1, 2501))
+    assert not sch.mem(o.from_int(3000), stream)
+    assert sch.mem(o.from_int(3000), tuple(range(1, 3001)))
+    assert sch.initial_segment(o.from_int(2000), tuple(range(1, 2101))) == tuple(range(1, 2001))
+    deep = P("w^3000")
+    assert sch.mem(deep, (1,)) and not sch.mem(deep, stream)
+    assert sch.enumerate_members(deep, 8) == ((1,),)
+    assert sch.transfer_index(deep, 1) == o.ZERO
+    assert sch.transfer_index(deep, 2).terms[0] == (o.from_int(2999), 1)
+    with pytest.raises(BudgetExceeded):
+        sch.transfer_index(P("w^100000"), 2)
+
+
+def _exponent(a, b):
+    """w*a + b, an exponent below w^2."""
+    return o.add(o.nat_mul(o.OMEGA, a) if a else o.ZERO, o.from_int(b))
+
+
+@st.composite
+def small_indices(draw):
+    """An ordinal below w^(w^2): up to three terms w^(w*a+b)*c."""
+    terms = {}
+    for a, b, c in draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(1, 3)), max_size=3)):
+        terms[(a, b)] = c
+    return o.Ordinal(tuple((_exponent(a, b), terms[a, b]) for a, b in sorted(terms, reverse=True)))
+
+
+GROUND = 12
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_indices(), st.sampled_from(["fixed", "succ"]), st.sets(st.integers(1, GROUND), max_size=8), st.integers(1, 6))
+def test_plans_agree_with_independent_paths(xi, rule, s, n):
+    cfg = SchreierConfig(rule)
+    t = tuple(sorted(s))
+    members = sch.enumerate_members(xi, GROUND, cfg)
+    assert sch.mem(xi, t, cfg) == mem_direct(xi, t, cfg) == (t in set(members))
+    assert list(members) == sorted(members)
+    assert all(mem_direct(xi, m, cfg) for m in members[:: max(1, len(members) // 20)])
+    if xi.terms:
+        xin = sch.transfer_index(xi, n, cfg)
+        rhs = tuple(m for m in sch.enumerate_members(xin, GROUND, cfg) if not m or m[0] > n)
+        assert sch.shifted_members(xi, n, GROUND, cfg) == rhs
