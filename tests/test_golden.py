@@ -1,0 +1,198 @@
+"""Golden battery: byte-identical CLI output for a fixed set of jobs.
+
+Each job runs in process through `cli.main`; the exit code and the
+sha256 of stdout and of stderr are pinned.  A refactor that keeps every
+pin keeps every report byte for byte.  To print the current values (for
+example after a deliberate change of a report), run
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+
+import pytest
+
+from schramsey import cli
+
+FAMILIES = {
+    # a constant-side tree
+    "fam_c": {
+        "alphabet": ["a", "b"],
+        "side": "constant",
+        "members": [[], ["a"], ["b"], ["ab"], ["a", "b"], ["ab", "a"], ["a", "b", "a"]],
+    },
+    # a variable-side tree
+    "fam_v": {
+        "alphabet": ["a", "b"],
+        "side": "variable",
+        "members": [[], ["_"], ["a_"], ["__"], ["_", "_"], ["_", "b_"], ["_", "_", "_"]],
+    },
+    # neither thin nor a tree
+    "fam_x": {"alphabet": ["a", "b"], "side": "constant", "members": [["a"], ["a", "b"]]},
+}
+
+JOBS = {
+    "words-reduce": ["words", "reduce", "--alphabet", "ab", "--seq", "(a_,b)", "--stream", "pat:_;a_:6"],
+    "words-reduce-plain": ["--format", "plain", "words", "reduce", "--alphabet", "abc", "--seq", "(_c,ab)",
+                           "--stream", "pat:a_,_b;__:8"],
+    "words-reduce-list": ["words", "reduce", "--alphabet", "ab", "--seq", "(b,a_)", "--stream", "list:a_,_b,__"],
+    "words-d": ["words", "d", "--alphabet", "abc", "--seq", "(ab,_c,a)"],
+    "words-d-csv": ["--format", "csv", "words", "d", "--alphabet", "ab", "--seq", "(ab,ba,aab)"],
+    "words-reductions": ["words", "reductions", "--alphabet", "ab", "--seq", "(_,a_,_)"],
+    "words-reductions-csv": ["--format", "csv", "words", "reductions", "--alphabet", "ab", "--seq", "(_b,_)"],
+    "words-reductions-plain": ["--format", "plain", "words", "reductions", "--alphabet", "abc", "--seq", "(_,_)"],
+    "wxi-member": ["wxi", "member", "--xi", "w", "--alphabet", "ab", "--side", "c", "--seq", "(ab,a,b)"],
+    "wxi-member-base": ["wxi", "member", "--xi", "1", "--alphabet", "ab", "--side", "v", "--seq", "(a_,_b__)",
+                        "--base", "pat:a_;_b,__:8"],
+    "wxi-member-base-c": ["wxi", "member", "--xi", "2", "--alphabet", "ab", "--side", "c", "--seq", "(ab,ba,aab)",
+                          "--base", "e:12"],
+    "wxi-member-base-side": ["wxi", "member", "--xi", "1", "--alphabet", "ab", "--side", "c", "--seq", "(a_,b)",
+                             "--base", "e:8"],
+    "wxi-decompose-c": ["wxi", "decompose", "--xi", "w", "--alphabet", "ab", "--side", "c",
+                        "--seq", "(a,b,ab,a,b,a,b)"],
+    "wxi-decompose-v": ["wxi", "decompose", "--xi", "2", "--alphabet", "ab", "--side", "v",
+                        "--seq", "(_,a_,_,_b,_)"],
+    "wxi-enumerate-c": ["wxi", "enumerate", "--xi", "1", "--alphabet", "ab", "--side", "c", "--letters", "5"],
+    "wxi-enumerate-v": ["--rule", "succ", "wxi", "enumerate", "--xi", "w", "--alphabet", "ab", "--side", "v",
+                        "--letters", "5"],
+    "wxi-enumerate-0": ["wxi", "enumerate", "--xi", "0", "--alphabet", "abc", "--side", "v", "--letters", "3"],
+    "family-close-star": ["family", "close", "--file", "{fam_c}"],
+    "family-close-c": ["family", "close", "--file", "{fam_c}", "--closure", "hereditary"],
+    "family-close-v": ["family", "close", "--file", "{fam_v}", "--closure", "hereditary"],
+    "family-kernel-c": ["family", "kernel", "--file", "{fam_c}"],
+    "family-kernel-v": ["family", "kernel", "--file", "{fam_v}"],
+    "family-thin": ["family", "thin", "--file", "{fam_x}"],
+    "family-tree": ["family", "tree", "--file", "{fam_v}"],
+    "family-dichotomy-c": ["family", "dichotomy", "--file", "{fam_c}", "--xi", "1", "--stream", "e:4",
+                           "--letters", "3"],
+    "family-dichotomy-v": ["family", "dichotomy", "--file", "{fam_v}", "--xi", "w", "--stream", "pat:_;__:4",
+                           "--letters", "4"],
+    "cbindex-horizon": ["cbindex", "--family", "len:2", "--stream", "e:16", "--oracle", "horizon:4"],
+    "cbindex-horizon-v": ["cbindex", "--family", "len:2", "--side-full", "variable", "--stream", "pat:_;a_:20",
+                          "--oracle", "horizon:4", "--levels", "3"],
+    "cbindex-undecided": ["cbindex", "--family", "len:2", "--stream", "e:4", "--oracle", "horizon:4"],
+    "cbindex-exact": ["cbindex", "--family", "len:3", "--alphabet", "abc", "--stream", "e:40",
+                      "--oracle", "exact:length"],
+    "cbindex-explicit": ["cbindex", "--family", "{fam_c}", "--stream", "e:12", "--oracle", "exact:length",
+                         "--levels", "3"],
+    "cbindex-explicit-horizon": ["cbindex", "--family", "{fam_c}", "--stream", "e:12", "--oracle", "horizon:3"],
+    "verify-carlson": ["verify", "carlson", "--xi", "1", "--chi1", "first_letter:2", "--chi2", "first_len_mod:2",
+                       "--stream", "e:10", "--depth", "3"],
+    "verify-carlson-0": ["verify", "carlson", "--xi", "0", "--chi1", "total_len_mod:2", "--chi2", "const:1",
+                         "--stream", "pat:_;a_:8", "--depth", "2"],
+    "verify-subspace": ["verify", "subspace", "--xi", "1", "--chi", "set_size_mod:2", "--stream", "e:7",
+                        "--depth", "2"],
+    "verify-hj": ["verify", "hj", "--r", "2", "--n", "1", "--k", "2", "--xi", "1", "--mmax", "3"],
+    "verify-hj-0": ["verify", "hj", "--r", "2", "--n", "1", "--k", "2", "--xi", "0", "--mmax", "3"],
+    "verify-nw-wide": ["verify", "nw", "--fixture", "wide", "--alphabet", "ab", "--letters", "6"],
+    "verify-nw-narrow": ["verify", "nw", "--fixture", "narrow", "--alphabet", "ab", "--letters", "6"],
+    "verify-ramsey": ["verify", "ramsey", "--xi", "2", "--max-n", "8", "--coloring", "min_mod:2", "--target", "4"],
+    "verify-ramsey-none": ["verify", "ramsey", "--xi", "2", "--max-n", "7", "--coloring", "min_mod:2",
+                           "--target", "6"],
+    "error-letter": ["words", "d", "--alphabet", "ab", "--seq", "(ac)"],
+    "error-horizon": ["words", "reduce", "--alphabet", "ab", "--seq", "(ab,ab)", "--stream", "e:3"],
+    "error-mismatch": ["wxi", "member", "--xi", "1", "--alphabet", "ab", "--side", "c", "--seq", "(bb,a)",
+                       "--base", "pat:a_;_:6"],
+    "error-alphabet": ["words", "d", "--alphabet", "aa", "--seq", "(a)"],
+    "error-constant-word": ["words", "reductions", "--alphabet", "ab", "--seq", "(a,_)"],
+    "error-letter-budget": ["wxi", "enumerate", "--xi", "1", "--alphabet", "ab", "--letters", "17"],
+    "error-stream": ["cbindex", "--family", "len:1", "--stream", "q:3"],
+}
+
+# sha256 of empty output
+NONE = hashlib.sha256(b"").hexdigest()
+
+EXPECTED = {
+    "cbindex-exact": (0, "4d47674b30669ae4a939ec52432c4feeb2dbeb3958c0a3841e884dfab77c62d2", NONE),
+    "cbindex-explicit": (0, "362f72741784f1e28c5f80dbda092c7cbe52fe019baee41541017350d329a248", NONE),
+    "cbindex-explicit-horizon": (0, "c99c7362141438aac19db32864eb736e352ca6cbc7447188a49db07b9c8f21c6", NONE),
+    "cbindex-horizon": (0, "7a1b058baa1e75276088bc8efe36393bc9d5cafceb01276b5d3713d5c9021ce5", NONE),
+    "cbindex-horizon-v": (0, "2e406f4a14b5d0eec56b0021f187f9fe25548de35f8b152e73b18fe9d4fa3ef4", NONE),
+    "cbindex-undecided": (3, NONE, "2624b312e32d2d00ee5351dc045b43de6e0c6dcd5d8be87604e44ae801b1a6c6"),
+    "error-alphabet": (2, NONE, "7e9b3c6b712287aa225096e3a8f71dcddbafa0b531695153238fc72fbc641422"),
+    "error-constant-word": (2, NONE, "c9b9bfbc16562a501a2aeb09c2aaf292714f93276c6bff806210da3d8774acd7"),
+    "error-horizon": (2, NONE, "a6808ab841eac529eb5e02c2bee5e1f1498eb0829d12b7e70584c401a06e0f2b"),
+    "error-letter": (2, NONE, "d7891e2adb69d12b3fd5552c031ea8dde8c2fe4e7655e33c7a827c4b589b4b8e"),
+    "error-letter-budget": (3, NONE, "53ef6fb78ff95f1ebba84e6e72be22a42adeeb6133d557119e45f87b872b8bec"),
+    "error-mismatch": (2, NONE, "61f66c6902b43522cddefded4d0a34f52c444131163099b54ff8a036e6df142f"),
+    "error-stream": (2, NONE, "bf126b75093e76bdcdba027ae2060f8984e1bb3cc1dbddc25ed26537cc266f7d"),
+    "family-close-c": (0, "fd99acd9e98d0365641f31d62751d0b3ed17ae0e305ae045be75007d87580ab6", NONE),
+    "family-close-star": (0, "f6287b0f40d6b832f5ca3c82e88cebeadbc678a0aba2257ce85213d9fe936267", NONE),
+    "family-close-v": (0, "c305e0fabedc3c1cc6376b94b097b1d54e8a0cef7d33b71ac6de8b7a705107f6", NONE),
+    "family-dichotomy-c": (0, "e4e7ecc32838b7b9735c198a7d8ecb9fa09fe9c01c907e178d28ca5419ef5a38", NONE),
+    "family-dichotomy-v": (0, "ee4dfdcab5226b6c44ba86f114b3810b241cf93c8c057f2d31a6c24b9d8639b5", NONE),
+    "family-kernel-c": (0, "79e75874607515aa1de41ae86572cbb45c9cc06636acfa19c34038a7621addec", NONE),
+    "family-kernel-v": (0, "29d01c872850734a8faea6088427196f714a0215645871e543272122d126377c", NONE),
+    "family-thin": (1, "fa9a267df2800f67b343590e4b0acf1aeafada636dde6634413fca75017f6b25", NONE),
+    "family-tree": (0, "2d4b050be5ee0cc7f14e5e85b9f4a845295ba76f10c260ee9fb866cfbef4edbd", NONE),
+    "verify-carlson": (0, "3ad6ce4d9ee090578a52c0fab56c3b5b2d23c1552f73c161d25fec21c74ecb02", NONE),
+    "verify-carlson-0": (0, "ce2903194c99ab5b9ef7238d6315103aaef6225222a945cd332dbcddbc96179a", NONE),
+    "verify-hj": (1, "a5144edb9396318f7e0ca3d86f8ed8a3dc64705cd0198126e6a0c765a9ed4876", NONE),
+    "verify-hj-0": (0, "f09c47272d6462c729eeac7657638005dd4db6f8fc0a9a20f4292dd40f3a2a81", NONE),
+    "verify-nw-narrow": (0, "a8cabd255e36a3c1512ce3a388d7803ab0c2da4659bb6323f19b988de7655dbd", NONE),
+    "verify-nw-wide": (0, "7a877809e540b91b9ffb3936ea99141474a7c9eb6ec246c0bc9da1d1872d6103", NONE),
+    "verify-ramsey": (0, "880223417494f7bd3394191ff5d85800554fbc57fa8adaf7d13cd8ea9810f41b", NONE),
+    "verify-ramsey-none": (1, "b76bda7dfcb4369b23dc1735e2e830bed5dc11f8b54685bfae4420e91df9dc14", NONE),
+    "verify-subspace": (0, "cc3a2fed1e2e941e0090397e2c93a0d03ca6923c7d2bc9705d3e0b495b4ae983", NONE),
+    "words-d": (0, "6ec87a9a0c19859107a54d61658afc6495a69246c0e41c865d9547dd43b406e3", NONE),
+    "words-d-csv": (0, "ec1a784f955893397bcd0b5bd4787833168f048139f3e94e78e6465503080546", NONE),
+    "words-reduce": (0, "97e3116b707b13900f0182404187cb8125016ec08b283a7bf1bf5a324f577073", NONE),
+    "words-reduce-list": (0, "c16b082297d1c42a1c1123f83f4a0964bd8c29f17bf196a07d532ee7a3330d5e", NONE),
+    "words-reduce-plain": (0, "f05e62f4a49d1a4803b164200e584a3dad24a2b6166a34f4ac7a01d8a7f8bddb", NONE),
+    "words-reductions": (0, "b3955b881737074b0752d8d74c81c9b6a1238197a6dd45e1aab1e939681ccf47", NONE),
+    "words-reductions-csv": (0, "599c84101405223cbfe572588baa33b2c91b618339e89b7385857ec9e024885c", NONE),
+    "words-reductions-plain": (0, "f8227cde6e63a09d256df391a0665ad59f49dc6728dc7b8f80b64f5f5506a174", NONE),
+    "wxi-decompose-c": (0, "3dca305adaff64337e4b06a73e146c2708c54ce2d7810e80c62f43c6338ad733", NONE),
+    "wxi-decompose-v": (0, "875186633ddc55b1f9483fe36eb5845bb9c48cc6d067af9f14c72d9295d76b40", NONE),
+    "wxi-enumerate-0": (0, "7a219e9bb38d20f80146a96987c2ef597333bd3cde2aad1bb0b34d2eb83d9503", NONE),
+    "wxi-enumerate-c": (0, "c9c00403fffdd1875f7b864a0a71991dc232e055ddf3337d650af1140c1cd568", NONE),
+    "wxi-enumerate-v": (0, "96d76da59a608cb3a92e986488b9a572317bf6e3f57ea8ac929140e3af42d9fe", NONE),
+    "wxi-member": (1, "3a3622ce93f10b6afb12b82bf6b111d0c2042367f980c6a1dfc219a8af4d693f", NONE),
+    "wxi-member-base": (0, "e511d10268aa4586d9e847178eaf4a225eff198ee62213b07f0230c62ea00341", NONE),
+    "wxi-member-base-c": (0, "a6054c29d83ffc1617d49a7385c8e8afad91d78b945f9cce527ed02e26dac4c4", NONE),
+    "wxi-member-base-side": (1, "155d3439bddc05324948ad4463a0706576a3c19dc60d847efaeea024d5f46f0e", NONE),
+}
+
+
+def run_job(argv, paths):
+    argv = [a.format(**paths) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    digest = lambda s: hashlib.sha256(s.encode()).hexdigest()
+    return code, digest(out.getvalue()), digest(err.getvalue())
+
+
+def write_families(directory):
+    paths = {}
+    for name, data in FAMILIES.items():
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps(data))
+        paths[name] = str(path)
+    return paths
+
+
+@pytest.fixture(scope="module")
+def family_paths(tmp_path_factory):
+    return write_families(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("name", sorted(JOBS))
+def test_golden_job(name, family_paths):
+    assert run_job(JOBS[name], family_paths) == EXPECTED[name]
+
+
+if __name__ == "__main__":
+    import pathlib
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_families(pathlib.Path(tmp))
+        for name in sorted(JOBS):
+            code, out, err = run_job(JOBS[name], paths)
+            quote = lambda h: "NONE" if h == NONE else f'"{h}"'
+            sys.stdout.write(f'    "{name}": ({code}, {quote(out)}, {quote(err)}),\n')
