@@ -31,19 +31,19 @@ finite pass count and reported as budget-exceeded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Callable
 
 from .errors import BudgetExceeded, HorizonExceeded, OracleUndecided, ReductionMismatch
 from .words import (
     Alphabet,
     VarWordStream,
-    Word,
     WordSeq,
+    align,
+    block_reductions,
     is_variable_word,
     seq_sort_key,
+    side_words,
 )
-from .wxi import match_reduction
 
 
 @dataclass(frozen=True)
@@ -84,12 +84,8 @@ def explicit_cb_family(alph: Alphabet, side: str, members, label: str = "explici
 
 
 def _seq_words(alph: Alphabet, side: str, letter_budget: int):
-    pool = alph.symbols if side == "constant" else alph.full
     for length in range(1, letter_budget + 1):
-        for letters in product(pool, repeat=length):
-            if side == "variable" and alph.variable not in letters:
-                continue
-            yield Word(letters)
+        yield from side_words(alph, side, length)
 
 
 def length_truncation_family(
@@ -150,7 +146,7 @@ class _Engine:
         self.member_memo: dict[tuple[WordSeq, int], bool] = {}
         self.escape_memo: dict[tuple[WordSeq, int], bool] = {}
         self.universe_memo: dict[WordSeq, int | None] = {}
-        self.step_memo: dict[int, tuple[list[tuple[tuple[str, ...], int]], bool]] = {}
+        self.step_memo: dict[int, tuple[list[tuple[str, int]], bool]] = {}
         self.maxlen_memo: dict[int, int] = {}
         self.nodes = 0
 
@@ -163,11 +159,11 @@ class _Engine:
         if seq not in self.universe_memo:
             if known is not None:
                 value = known
-            elif not seq:
-                value = 0
             else:
+                value = 0
                 try:
-                    value = sum(map(len, match_reduction(self.stream, seq, self.family.side)))
+                    for u in seq:
+                        _, value = align(self.stream, value, u, self.family.side)
                 except (ReductionMismatch, HorizonExceeded):
                     value = None
             self.universe_memo[seq] = value
@@ -198,32 +194,19 @@ class _Engine:
         return self.escape_memo[key]
 
     # -- horizon-mode chain search ---------------------------------------
-    def steps(self, k: int) -> tuple[list[tuple[tuple[str, ...], int]], bool]:
-        """The ways to extend a reduction ending at stream word k: the
-        letters of every side-consistent substitution into stream words
-        k+1..k+b, b <= max_block_words, with its end position k+b; and
-        whether the stream horizon cut the list short."""
+    def steps(self, k: int) -> tuple[list[tuple[str, int]], bool]:
+        """The ways to extend a reduction ending at stream word k: every
+        side-consistent reduction of stream words k+1..k+b as one block,
+        b <= max_block_words, with its end position k+b; and whether the
+        stream horizon cut the list short."""
         if k not in self.step_memo:
-            alph = self.stream.alph
-            variable = self.family.side == "variable"
-            pool = alph.full if variable else alph.symbols
-            entries = []
-            cut = False
-            for b in range(1, self.oracle.max_block_words + 1):
-                if k + b > self.stream.horizon:
-                    cut = True
-                    break
-                ws = self.stream.prefix[k : k + b]
-                for assign in product(pool, repeat=b):
-                    if variable and alph.variable not in assign:
-                        continue
-                    chunk = tuple(
-                        letter if ch == alph.variable else ch
-                        for w, letter in zip(ws, assign)
-                        for ch in w.letters
-                    )
-                    entries.append((chunk, k + b))
-            self.step_memo[k] = (entries, cut)
+            blocks = min(self.oracle.max_block_words, self.stream.horizon - k)
+            entries = [
+                (chunk, k + b)
+                for b in range(1, blocks + 1)
+                for chunk in block_reductions(self.stream.prefix[k : k + b], self.stream.alph, self.family.side)
+            ]
+            self.step_memo[k] = (entries, blocks < self.oracle.max_block_words)
         return self.step_memo[k]
 
     def _chain_search(self, seq: WordSeq, level: int) -> bool:
@@ -244,12 +227,12 @@ class _Engine:
             touched_horizon |= cut
             return iter(entries)
 
-        path = [((), enter(self.end_pos(seq)))]
+        path = [("", enter(self.end_pos(seq)))]
         while path:
             tail, todo = path[-1]
             for chunk, k in todo:
                 new_tail = tail + chunk
-                if not self.member_at(seq + (Word(new_tail),), level, k):
+                if not self.member_at(seq + (new_tail,), level, k):
                     if len(path) >= H:
                         return True
                     path.append((new_tail, enter(k)))

@@ -147,12 +147,10 @@ def _witness_json(w: verify.Witness | None):
 
 
 def _plain(x):
-    from . import verify, words
+    from . import verify
 
     if isinstance(x, verify.Coloring):
         return x.to_json()
-    if isinstance(x, words.Word):
-        return words.word_text(x)
     if isinstance(x, (list, tuple)):
         return [_plain(i) for i in x]
     if isinstance(x, (frozenset, set)):

@@ -23,14 +23,14 @@ from .schreier import DEFAULT_CONFIG, SchreierConfig
 from .words import (
     Alphabet,
     VarWordStream,
-    Word,
     WordSeq,
+    align,
     finite_reductions,
+    reduce_seq,
     seq_is_prefix,
     seq_sort_key,
     seq_text,
     word,
-    word_text,
 )
 
 EMPTY: WordSeq = ()
@@ -199,34 +199,16 @@ def pointwise_closed_trunc(fam: FamilyOfSeqs, stream: VarWordStream, horizon: in
         if m:
             children.setdefault(m[:-1], set()).add(m[-1])
 
-    def realizable(k: int, x: Word):
-        # x must reduce whole stream words starting after position k
-        total = 0
-        b = 0
-        while total < len(x):
-            b += 1
-            try:
-                total += len(stream.word_at(k + b))
-            except HorizonExceeded:
-                return None
-        if total != len(x):
-            return None
-        try:
-            wxi.match_reduction(
-                VarWordStream(stream.alph, stream.prefix[k : k + b]), (x,), fam.side
-            )
-        except ReductionMismatch:
-            return None
-        return b
-
     def dfs(cur: WordSeq, k: int):
         if len(cur) >= horizon:
             return cur
-        for x in sorted(children.get(cur, ()), key=lambda w: (len(w), w.letters)):
-            b = realizable(k, x)
-            if b is None:
+        for x in sorted(children.get(cur, ()), key=lambda w: (len(w), w)):
+            # x must reduce whole stream words starting after position k
+            try:
+                _, end = align(stream, k, x, fam.side)
+            except (ReductionMismatch, HorizonExceeded):
                 continue
-            hit = dfs(cur + (x,), k + b)
+            hit = dfs(cur + (x,), end)
             if hit is not None:
                 return hit
         return None
@@ -256,14 +238,8 @@ def tree_dichotomy_check(
     """
     if not is_tree(fam):
         raise ValueError("tree_dichotomy_check needs a tree family")
-    side = fam.side
     budget = min(letter_budget, stream.horizon)
-    universe = [EMPTY]
-    for total in range(1, budget + 1):
-        for parts in range(1, total + 1):
-            for shape in wxi._shapes(total, parts):
-                for t in wxi._fill_words(shape, side, stream.alph):
-                    universe.append(_reduce_by(stream, t))
+    universe = [EMPTY] + [reduce_seq(stream, t) for t in wxi.universe(stream.alph, fam.side, budget)]
     a_bad = []
     b_bad = []
     for r in universe:
@@ -289,18 +265,12 @@ def tree_dichotomy_check(
     return report
 
 
-def _reduce_by(stream: VarWordStream, t: WordSeq) -> WordSeq:
-    from .words import reduce_seq
-
-    return reduce_seq(stream, t)
-
-
 def family_to_json(fam: FamilyOfSeqs) -> str:
     return json.dumps(
         {
             "alphabet": list(fam.alph.symbols),
             "side": fam.side,
-            "members": [[word_text(w) for w in m] for m in fam.sorted_members()],
+            "members": [list(m) for m in fam.sorted_members()],
         },
         sort_keys=True,
     )

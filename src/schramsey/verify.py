@@ -16,22 +16,23 @@ from math import comb
 
 from . import ordinal as o
 from . import schreier, wxi
-from .errors import BudgetExceeded, HorizonExceeded
+from .errors import BudgetExceeded
 from .ordinal import Ordinal
 from .schreier import DEFAULT_CONFIG, SchreierConfig
 from .words import (
     Alphabet,
     VarWordStream,
-    Word,
     WordSeq,
-    d_map,
+    block_reductions,
     finite_reductions,
     is_variable_word,
+    pattern_stream,
     reduce_seq,
+    reductions,
     seq_sort_key,
     seq_text,
     upsilon_stream,
-    word_text,
+    word,
 )
 
 MAX_COLORING_SPACE = 1 << 20
@@ -116,12 +117,12 @@ def tuple_or_id(x):
 
 
 def _key_text(x) -> str:
-    if isinstance(x, Word):
-        return word_text(x)
-    if isinstance(x, tuple) and all(isinstance(w, Word) for w in x):
+    if isinstance(x, str):
+        return x
+    if isinstance(x, tuple) and all(isinstance(w, str) for w in x):
         return seq_text(x)
     if isinstance(x, frozenset):
-        return "{" + ",".join(sorted(word_text(w) for w in x)) + "}"
+        return "{" + ",".join(sorted(x)) + "}"
     return str(tuple(x))
 
 
@@ -144,7 +145,7 @@ def apply_coloring(col: Coloring, x) -> int:
     if col.domain == "words":
         if col.rule == "first_letter":
             symbols = col.params[0]
-            return (symbols.index(x.letters[0]) % r) + 1 if x.letters[0] in symbols else 1
+            return (symbols.index(x[0]) % r) + 1 if x[0] in symbols else 1
         if col.rule == "len_mod":
             return (len(x) % r) + 1
     if col.domain == "wordseqs":
@@ -154,7 +155,7 @@ def apply_coloring(col: Coloring, x) -> int:
             return (sum(len(w) for w in x) % r) + 1
         if col.rule == "first_letter":
             symbols = col.params[0]
-            ch = x[0].letters[0] if x else None
+            ch = x[0][0] if x else None
             return (symbols.index(ch) % r) + 1 if ch in symbols else 1
     if col.domain == "wordset":
         if col.rule == "size_mod":
@@ -281,46 +282,11 @@ def _color(c, x) -> int:
     return apply_coloring(c, x) if isinstance(c, Coloring) else c(x)
 
 
-def _prefix_reductions(u: WordSeq, alph: Alphabet, side: str):
-    """Reductions of a stream prefix u: letter-words over at most len(u)
-    letters, block-wise; yields (reduced sequence, letters used)."""
-    m = len(u)
-    pool = alph.symbols if side == "constant" else alph.full
-    for used in range(1, m + 1):
-        for cuts in product([False, True], repeat=used - 1):
-            bounds = [0] + [i + 1 for i, c in enumerate(cuts) if c] + [used]
-            for assign in product(pool, repeat=used):
-                blocks = []
-                ok = True
-                for bi in range(len(bounds) - 1):
-                    lo, hi = bounds[bi], bounds[bi + 1]
-                    seg = assign[lo:hi]
-                    if side == "variable" and alph.variable not in seg:
-                        ok = False
-                        break
-                    letters: tuple[str, ...] = ()
-                    for idx in range(lo, hi):
-                        w = u[idx]
-                        letter = assign[idx]
-                        letters += tuple(
-                            letter if ch == alph.variable else ch for ch in w.letters
-                        )
-                    blocks.append(Word(letters))
-                if ok:
-                    yield tuple(blocks), used
-
-
-def _family_reductions(u: WordSeq, xi: Ordinal, alph: Alphabet, side: str, member_fn):
-    """The level-xi reductions of the prefix u on one side, deduplicated."""
-    seen = {}
-    for seq, _used in _prefix_reductions(u, alph, side):
-        if seq in seen:
-            continue
-        if not xi.terms:
-            seen[seq] = len(seq) == 1
-        else:
-            seen[seq] = len(seq) >= 2 and member_fn(xi, d_map(seq))
-    return tuple(sorted((s for s, m in seen.items() if m), key=seq_sort_key))
+def _family_reductions(u: WordSeq, xi: Ordinal, alph: Alphabet, side: str, mem_fn, cfg: SchreierConfig):
+    """The level-xi reductions on one side of the stream prefix u (of
+    every prefix of u, block-wise), deduplicated."""
+    seen = {seq for used in range(1, len(u) + 1) for seq, _d in reductions(u[:used], alph, side)}
+    return tuple(sorted((s for s in seen if wxi.in_level(xi, s, mem_fn, cfg)), key=seq_sort_key))
 
 
 def carlson_witness_search(
@@ -340,7 +306,6 @@ def carlson_witness_search(
     witness in canonical order (block size, then letters) is returned.
     """
     alph = stream.alph
-    mem_fn = lambda x, d: schreier.mem(x, d, cfg)
     per_step = sum(
         (len(alph.full)) ** b - len(alph.symbols) ** b for b in range(1, block_cap + 1)
     )
@@ -348,26 +313,16 @@ def carlson_witness_search(
     pruned_leaves = 0
 
     def blocks_from(k: int):
-        for b in range(1, block_cap + 1):
-            if k + b > stream.horizon:
-                return
-            ws = [stream.word_at(k + j) for j in range(1, b + 1)]
-            for assign in product(alph.full, repeat=b):
-                if alph.variable not in assign:
-                    continue
-                letters: tuple[str, ...] = ()
-                for w, letter in zip(ws, assign):
-                    letters += tuple(
-                        letter if ch == alph.variable else ch for ch in w.letters
-                    )
-                yield Word(letters), b
+        for b in range(1, min(block_cap, stream.horizon - k) + 1):
+            for blk in block_reductions(stream.prefix[k : k + b], alph, "variable"):
+                yield blk, b
 
     def mono(u: WordSeq):
-        const = _family_reductions(u, xi, alph, "constant", mem_fn)
+        const = _family_reductions(u, xi, alph, "constant", schreier.mem, cfg)
         c1 = {_color(chi1, s) for s in const}
         if len(c1) > 1:
             return None
-        var = _family_reductions(u, xi, alph, "variable", mem_fn)
+        var = _family_reductions(u, xi, alph, "variable", schreier.mem, cfg)
         c2 = {_color(chi2, s) for s in var}
         if len(c2) > 1:
             return None
@@ -399,7 +354,7 @@ def carlson_witness_search(
     witness = Witness(
         kind="reduction_prefix",
         payload=(
-            tuple(word_text(w) for w in found),
+            found,
             str(xi),
             chi1 if isinstance(chi1, Coloring) else None,
             chi2 if isinstance(chi2, Coloring) else None,
@@ -421,15 +376,12 @@ def check_reduction_prefix_witness(
     chi2 = chi2 if chi2 is not None else pc2
     alph = Alphabet(tuple(symbols))
     xi = o.parse(xi_text)
-    from .words import word
-
     u = tuple(word(t, alph) for t in words_text)
     for v in u:
         if not is_variable_word(v, alph):
             return False
-    mem_fn = lambda x, d: mem_direct(x, d, cfg)
-    const = _family_reductions(u, xi, alph, "constant", mem_fn)
-    var = _family_reductions(u, xi, alph, "variable", mem_fn)
+    const = _family_reductions(u, xi, alph, "constant", mem_direct, cfg)
+    var = _family_reductions(u, xi, alph, "variable", mem_direct, cfg)
     expect_c = {seq_text(s): _color(chi1, s) for s in const}
     expect_v = {seq_text(s): _color(chi2, s) for s in var}
     got_c = {t: c for side, t, c in w.certificate if side == "c"}
@@ -450,9 +402,7 @@ def subspace_search(
     """Search for a prefix all of whose level-xi variable reductions span
     subspaces of one chi-color: the subspace coloring is pulled back to
     generators and the prefix search reused."""
-    from .wxi import subspace_points
-
-    pulled = lambda seq: _color(chi, frozenset(subspace_points(seq, stream.alph)))
+    pulled = lambda seq: _color(chi, frozenset(wxi.subspace_points(seq, stream.alph)))
     trivial = Coloring("wordseqs", 1, "const", (1,))
     out = carlson_witness_search(xi, trivial, pulled, stream, depth, block_cap, cfg)
     if out.witness is None:
@@ -477,13 +427,9 @@ def check_subspace_witness(w: Witness, chi=None, cfg: SchreierConfig = DEFAULT_C
     chi = chi if chi is not None else pc
     alph = Alphabet(tuple(symbols))
     xi = o.parse(xi_text)
-    from .words import word
-    from .wxi import subspace_points
-
     u = tuple(word(t, alph) for t in words_text)
-    mem_fn = lambda x, d: mem_direct(x, d, cfg)
-    var = _family_reductions(u, xi, alph, "variable", mem_fn)
-    expect = {seq_text(s): _color(chi, frozenset(subspace_points(s, alph))) for s in var}
+    var = _family_reductions(u, xi, alph, "variable", mem_direct, cfg)
+    expect = {seq_text(s): _color(chi, frozenset(wxi.subspace_points(s, alph))) for s in var}
     got = dict(w.certificate)
     if expect != got:
         return False
@@ -511,18 +457,11 @@ def _hj_generators(xi: Ordinal, alph: Alphabet, M: int, n: int, cfg: SchreierCon
     gens = []
     for shape in wxi._shapes(M, n) if n <= M else ():
         for g in wxi._fill_words(shape, "variable", alph):
-            rset = []
-            for seq, _d in finite_reductions(g, alph)[0]:
-                if not seq:
-                    continue
-                if not xi.terms:
-                    ok = len(seq) == 1
-                else:
-                    ok = len(seq) >= 2 and schreier.mem(xi, d_map(seq), cfg)
-                if ok:
-                    rset.append(seq)
+            rset = tuple(
+                seq for seq, _d in finite_reductions(g, alph)[0] if wxi.in_level(xi, seq, schreier.mem, cfg)
+            )
             if rset:
-                gens.append((g, tuple(rset)))
+                gens.append((g, rset))
     return gens
 
 
@@ -625,7 +564,7 @@ def hj_line_search(
             witness = Witness(
                 kind="hj_line",
                 payload=(
-                    tuple(word_text(w) for w in g),
+                    g,
                     str(xi),
                     coloring if isinstance(coloring, Coloring) else None,
                     alph.symbols,
@@ -643,8 +582,6 @@ def check_hj_line_witness(w: Witness, coloring=None, cfg: SchreierConfig = DEFAU
     coloring = coloring if coloring is not None else pc
     alph = Alphabet(tuple(symbols))
     xi = o.parse(xi_text)
-    from .words import word
-
     g = tuple(word(t, alph) for t in words_text)
     if sum(len(x) for x in g) != M:
         return False
@@ -653,13 +590,7 @@ def check_hj_line_witness(w: Witness, coloring=None, cfg: SchreierConfig = DEFAU
             return False
     expect = {}
     for seq, _d in finite_reductions(g, alph)[0]:
-        if not seq:
-            continue
-        if not xi.terms:
-            ok = len(seq) == 1
-        else:
-            ok = len(seq) >= 2 and mem_direct(xi, d_map(seq), cfg)
-        if ok:
+        if wxi.in_level(xi, seq, mem_direct, cfg):
             expect[seq_text(seq)] = _color(coloring, seq)
     got = dict(w.certificate)
     if expect != got:
@@ -728,7 +659,6 @@ def nw_fixture_check(
     its derivative profile, both horizon-qualified.
     """
     from . import cbindex, families
-    from .words import pattern_stream
 
     report: dict = {"fixture": fixture, "letter_budget": letter_budget}
     if fixture == "empty":
@@ -745,22 +675,15 @@ def nw_fixture_check(
                 "horn": "inside",
             }
         )
-        shadow_members = {
-            s
-            for s in _all_var_seqs(alph, 6)
-            if wide_fixture_member(s)
-        }
+        shadow_members = {s for s in wxi.universe(alph, "variable", 6) if wide_fixture_member(s)}
         shadow = families.FamilyOfSeqs(alph, "variable", frozenset(shadow_members) | {()})
     elif fixture == "narrow":
         stream = pattern_stream(alph, ["_"], ["__"], 5)
         outside = []
         probed = 0
-        for t in _all_var_seqs(alph, stream.horizon):
-            try:
-                v = reduce_seq(stream, t)
-            except HorizonExceeded:
-                continue
-            if len(v) >= 2 and schreier.mem(o.OMEGA, d_map(v), cfg):
+        for t in wxi.universe(alph, "variable", stream.horizon):
+            v = reduce_seq(stream, t)
+            if wxi.in_level(o.OMEGA, v, schreier.mem, cfg):
                 probed += 1
                 if not narrow_fixture_member(v):
                     outside.append(v)
@@ -772,9 +695,7 @@ def nw_fixture_check(
                 "horn": "complement",
             }
         )
-        shadow_members = {
-            s for s in _all_var_seqs(alph, 5) if narrow_fixture_member(s)
-        }
+        shadow_members = {s for s in wxi.universe(alph, "variable", 5) if narrow_fixture_member(s)}
         shadow = families.FamilyOfSeqs(alph, "variable", frozenset(shadow_members) | {()})
     else:
         raise ValueError(f"unknown fixture {fixture!r}")
@@ -788,13 +709,3 @@ def nw_fixture_check(
     report["shadow_closed_at_8"] = closed[0] == "closed"
     report["derivative_profile"] = profile
     return report
-
-
-def _all_var_seqs(alph: Alphabet, letter_budget: int):
-    """All variable-word sequences with total letters <= budget."""
-    out = []
-    for total in range(1, letter_budget + 1):
-        for parts in range(1, total + 1):
-            for shape in wxi._shapes(total, parts):
-                out.extend(wxi._fill_words(shape, "variable", alph))
-    return out

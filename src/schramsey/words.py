@@ -2,10 +2,15 @@
 and the reduction calculus on (finite prefixes of) infinite sequences of
 variable words.
 
+A word is a plain `str` over single-character symbols, with '_' as the
+variable (a_b = a,var,b); a word sequence is a tuple of such strings.
+
 A reduction substitutes one letter (or the variable itself) into each
 word of a stream prefix and concatenates consecutive blocks; the block
 structure of the substituted letter-word t is recorded by d_map(t).
-Text form: letters juxtaposed, '_' for the variable (a_b = a,var,b).
+`reduce_block` is the one place that substitutes into stream words,
+`block_reductions`/`reductions` enumerate the side-consistent
+reductions, and `align` inverts one block against a stream.
 
 The prefix order between words is strict (shorter, agreeing letterwise,
 and in variable mode with a variable remainder).  Between a finite
@@ -17,94 +22,75 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import ClassVar
 
 from .errors import BudgetExceeded, HorizonExceeded, ReductionMismatch
 
 VAR = "_"
 
-MAX_REDUCTION_WORDS = 14
+Word = str
+WordSeq = tuple[str, ...]
+
+# Block cuts x substitutions that finite_reductions may enumerate:
+# 2^(n-1) * |alphabet + variable|^n for n words.
+MAX_REDUCTION_CASES = 1 << 20
 
 
 @dataclass(frozen=True)
 class Alphabet:
     symbols: tuple[str, ...]
-    variable: str = VAR
+    variable: ClassVar[str] = VAR
 
     def __post_init__(self):
         if not self.symbols:
             raise ValueError("alphabet must be non-empty")
+        for s in self.symbols:
+            if not isinstance(s, str) or len(s) != 1:
+                raise ValueError(f"alphabet symbol {s!r} is not a single character")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("alphabet symbols must be distinct")
-        if self.variable in self.symbols:
+        if VAR in self.symbols:
             raise ValueError("variable must not be an alphabet symbol")
 
     @property
     def full(self) -> tuple[str, ...]:
-        return self.symbols + (self.variable,)
-
-
-@dataclass(frozen=True)
-class Word:
-    letters: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.letters:
-            raise ValueError("words are non-empty")
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __repr__(self) -> str:
-        return f"Word({''.join(self.letters)})"
-
-
-WordSeq = tuple[Word, ...]
+        return self.symbols + (VAR,)
 
 
 def word(text: str, alph: Alphabet) -> Word:
     """Parse juxtaposed single-character symbols, VAR for the variable."""
-    letters = []
     for ch in text:
-        if ch == alph.variable or ch in alph.symbols:
-            letters.append(ch)
-        else:
+        if ch != VAR and ch not in alph.symbols:
             raise ValueError(f"letter {ch!r} not in alphabet")
-    return Word(tuple(letters))
-
-
-def word_text(w: Word) -> str:
-    return "".join(w.letters)
+    if not text:
+        raise ValueError("words are non-empty")
+    return text
 
 
 def seq_text(seq: WordSeq) -> str:
-    return "(" + ",".join(word_text(w) for w in seq) + ")"
+    return "(" + ",".join(seq) + ")"
 
 
 def is_variable_word(w: Word, alph: Alphabet) -> bool:
-    return alph.variable in w.letters
-
-
-def concat(w1: Word, w2: Word) -> Word:
-    return Word(w1.letters + w2.letters)
+    return VAR in w
 
 
 def substitute(w: Word, letter: str, alph: Alphabet) -> Word:
     """Replace every occurrence of the variable in w by `letter`."""
-    if not is_variable_word(w, alph):
+    if VAR not in w:
         raise ValueError("substitution into a constant word")
-    if letter != alph.variable and letter not in alph.symbols:
+    if letter != VAR and letter not in alph.symbols:
         raise ValueError(f"letter {letter!r} not in alphabet")
-    return Word(tuple(letter if ch == alph.variable else ch for ch in w.letters))
+    return w.replace(VAR, letter)
 
 
 def is_prefix(w1: Word, w2: Word, alph: Alphabet, mode: str = "constant") -> bool:
     """Strict prefix order on words.  In variable mode the remainder must
     itself contain the variable."""
-    k, l = len(w1), len(w2)
-    if k >= l or w1.letters != w2.letters[:k]:
+    if len(w1) >= len(w2) or not w2.startswith(w1):
         return False
     if mode == "variable":
-        return alph.variable in w2.letters[k:]
+        return VAR in w2[len(w1) :]
     if mode != "constant":
         raise ValueError(f"unknown mode {mode!r}")
     return True
@@ -113,13 +99,17 @@ def is_prefix(w1: Word, w2: Word, alph: Alphabet, mode: str = "constant") -> boo
 def word_diff(w2: Word, w1: Word, alph: Alphabet, mode: str = "constant") -> Word:
     """w2 - w1 where w1 is a strict prefix of w2 in the given mode."""
     if not is_prefix(w1, w2, alph, mode):
-        raise ValueError(f"{word_text(w1)} is not a {mode}-mode prefix of {word_text(w2)}")
-    return Word(w2.letters[len(w1) :])
+        raise ValueError(f"{w1} is not a {mode}-mode prefix of {w2}")
+    return w2[len(w1) :]
 
 
 def seq_is_prefix(s: WordSeq, t: WordSeq) -> bool:
     """Strict initial-segment order on word sequences."""
     return len(s) < len(t) and t[: len(s)] == s
+
+
+def seq_sort_key(seq: WordSeq):
+    return (len(seq), seq)
 
 
 def d_map(seq: WordSeq) -> tuple[int, ...]:
@@ -134,11 +124,51 @@ def d_map(seq: WordSeq) -> tuple[int, ...]:
     return tuple(offsets)
 
 
-def flatten(seq: WordSeq) -> Word:
-    letters: tuple[str, ...] = ()
-    for w in seq:
-        letters += w.letters
-    return Word(letters)
+# --- the reduction kernel ------------------------------------------------
+
+
+def side_words(alph: Alphabet, side: str, length: int):
+    """Every side-consistent word of the given length, in product order:
+    constant words over the symbols, variable words over the symbols and
+    the variable with at least one variable."""
+    if side == "constant":
+        for letters in product(alph.symbols, repeat=length):
+            yield "".join(letters)
+    else:
+        for letters in product(alph.full, repeat=length):
+            if VAR in letters:
+                yield "".join(letters)
+
+
+def reduce_block(ws: WordSeq, t: Word) -> Word:
+    """Substitute the i-th letter of t into the i-th word of ws and
+    concatenate: the one substitution into stream words."""
+    return "".join([w.replace(VAR, a) for w, a in zip(ws, t)])
+
+
+def block_reductions(ws: WordSeq, alph: Alphabet, side: str) -> list[Word]:
+    """ws reduced as one block by every side-consistent letter-word."""
+    return [reduce_block(ws, t) for t in side_words(alph, side, len(ws))]
+
+
+def reductions(ws: WordSeq, alph: Alphabet, side: str):
+    """Every reduction of the whole of ws on one side: a cut of ws into
+    consecutive blocks and a side-consistent substitution into each
+    block.  Yields (blocks, d) with d the 1-based indices of the words
+    that start a later block."""
+    n = len(ws)
+    memo: dict[tuple[int, int], list[Word]] = {}
+
+    def options(lo: int, hi: int) -> list[Word]:
+        if (lo, hi) not in memo:
+            memo[(lo, hi)] = block_reductions(ws[lo:hi], alph, side)
+        return memo[(lo, hi)]
+
+    for cuts in product((False, True), repeat=n - 1):
+        bounds = [0] + [i for i, cut in enumerate(cuts, start=1) if cut] + [n]
+        d = tuple(b + 1 for b in bounds[1:-1])
+        for blocks in product(*[options(lo, hi) for lo, hi in zip(bounds, bounds[1:])]):
+            yield blocks, d
 
 
 @dataclass(frozen=True)
@@ -149,14 +179,14 @@ class VarWordStream:
     """
 
     alph: Alphabet
-    prefix: tuple[Word, ...]
+    prefix: WordSeq
     label: str = "explicit"
 
     def __post_init__(self):
         if not self.prefix:
             raise ValueError("stream horizon must be >= 1")
         for w in self.prefix:
-            if not is_variable_word(w, self.alph):
+            if VAR not in w:
                 raise ValueError("stream entries must be variable words")
 
     @property
@@ -169,11 +199,16 @@ class VarWordStream:
             raise HorizonExceeded(f"stream {self.label!r} has horizon {len(self.prefix)}")
         return self.prefix[i - 1]
 
+    def words(self, start: int, count: int) -> WordSeq:
+        """Stream words start+1 .. start+count, within the horizon."""
+        if start + count > len(self.prefix):
+            self.word_at(start + count)
+        return self.prefix[start : start + count]
+
 
 def upsilon_stream(alph: Alphabet, horizon: int) -> VarWordStream:
     """The identity stream: the bare variable repeated."""
-    v = Word((alph.variable,))
-    return VarWordStream(alph, (v,) * horizon, label="e")
+    return VarWordStream(alph, (VAR,) * horizon, label="e")
 
 
 def pattern_stream(alph: Alphabet, head: list[str], repeat: list[str], horizon: int) -> VarWordStream:
@@ -188,10 +223,7 @@ def pattern_stream(alph: Alphabet, head: list[str], repeat: list[str], horizon: 
 
 def reduce_word(stream: VarWordStream, t: Word) -> Word:
     """Substitute t's i-th letter into the stream's i-th word, concatenated."""
-    out: tuple[str, ...] = ()
-    for i, letter in enumerate(t.letters, start=1):
-        out += substitute(stream.word_at(i), letter, stream.alph).letters
-    return Word(out)
+    return reduce_block(stream.words(0, len(t)), t)
 
 
 def reduce_seq(stream: VarWordStream, t: WordSeq) -> WordSeq:
@@ -201,13 +233,10 @@ def reduce_seq(stream: VarWordStream, t: WordSeq) -> WordSeq:
     d_map(t) by construction.
     """
     out = []
-    pos = 1
+    pos = 0
     for block in t:
-        letters: tuple[str, ...] = ()
-        for letter in block.letters:
-            letters += substitute(stream.word_at(pos), letter, stream.alph).letters
-            pos += 1
-        out.append(Word(letters))
+        out.append(reduce_block(stream.words(pos, len(block)), block))
+        pos += len(block)
     return tuple(out)
 
 
@@ -217,126 +246,92 @@ def reduce_stream(stream: VarWordStream, t_words: WordSeq):
     Returns a VarWordStream when every produced block is variable, and a
     plain WordSeq otherwise.  Raises if not even one block fits.
     """
-    out = []
-    pos = 1
+    fits = []
+    pos = 0
     for block in t_words:
-        if pos + len(block) - 1 > stream.horizon:
+        if pos + len(block) > stream.horizon:
             break
-        letters: tuple[str, ...] = ()
-        for letter in block.letters:
-            letters += substitute(stream.word_at(pos), letter, stream.alph).letters
-            pos += 1
-        out.append(Word(letters))
-    if not out:
+        fits.append(block)
+        pos += len(block)
+    if not fits:
         raise HorizonExceeded("no whole block fits within the stream horizon")
-    seq = tuple(out)
-    if all(is_variable_word(w, stream.alph) for w in seq):
+    seq = reduce_seq(stream, tuple(fits))
+    if all(VAR in w for w in seq):
         return VarWordStream(stream.alph, seq, label=f"{stream.label}[reduced]")
     return seq
+
+
+def _require_variable_words(seq: WordSeq, who: str) -> None:
+    for w in seq:
+        if VAR not in w:
+            raise ValueError(f"{who} needs variable words")
 
 
 def reduced_words(seq: WordSeq, alph: Alphabet) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
     """(constant, variable) reduced words of a finite variable-word block:
     every per-word substitution, concatenated."""
-    for w in seq:
-        if not is_variable_word(w, alph):
-            raise ValueError("reduced_words needs variable words")
-    rw, vrw = set(), set()
-    for assign in product(alph.full, repeat=len(seq)):
-        out: tuple[str, ...] = ()
-        for w, letter in zip(seq, assign):
-            out += substitute(w, letter, alph).letters
-        target = vrw if alph.variable in assign else rw
-        target.add(Word(out))
-    return tuple(sorted(rw, key=lambda w: w.letters)), tuple(sorted(vrw, key=lambda w: w.letters))
+    _require_variable_words(seq, "reduced_words")
+    return (
+        tuple(sorted(set(block_reductions(seq, alph, "constant")))),
+        tuple(sorted(set(block_reductions(seq, alph, "variable")))),
+    )
 
 
 def finite_reductions(seq: WordSeq, alph: Alphabet):
     """All block-partition x substitution reductions consuming seq entirely.
 
     Returns (constant, variable) lists of (sequence, d-value) pairs, each
-    including the empty sequence with d = ().
+    including the empty sequence with d = ().  The variable side keeps
+    the reductions every block of which carries the variable.
     """
     n = len(seq)
-    if n > MAX_REDUCTION_WORDS:
-        raise BudgetExceeded(f"finite_reductions capped at {MAX_REDUCTION_WORDS} words")
-    for w in seq:
-        if not is_variable_word(w, alph):
-            raise ValueError("finite_reductions needs variable words")
-    rw = [((), ())]
-    vrw = [((), ())]
-    for cuts in product([False, True], repeat=max(n - 1, 0)):
-        bounds = [0] + [i + 1 for i, c in enumerate(cuts) if c] + [n]
-        blocks = [seq[bounds[i] : bounds[i + 1]] for i in range(len(bounds) - 1)]
-        d = tuple(b + 1 for b in bounds[1:-1])
-        for assign in product(alph.full, repeat=n):
-            out = []
-            variable_sides = []
-            pos = 0
-            constant = True
-            for block in blocks:
-                letters: tuple[str, ...] = ()
-                has_var = False
-                for w in block:
-                    letter = assign[pos]
-                    pos += 1
-                    if letter == alph.variable:
-                        has_var = True
-                    letters += substitute(w, letter, alph).letters
-                out.append(Word(letters))
-                variable_sides.append(has_var)
-                constant = constant and not has_var
-            if constant:
-                rw.append((tuple(out), d))
-            elif all(variable_sides):
-                vrw.append((tuple(out), d))
-    return _dedup(rw), _dedup(vrw)
-
-
-def seq_sort_key(seq: WordSeq):
-    return (len(seq), tuple(w.letters for w in seq))
+    cases = 2 ** max(n - 1, 0) * len(alph.full) ** n
+    if cases > MAX_REDUCTION_CASES:
+        raise BudgetExceeded(
+            f"finite_reductions of {n} words needs {cases} cases, over its budget of {MAX_REDUCTION_CASES}"
+        )
+    _require_variable_words(seq, "finite_reductions")
+    if not seq:
+        raise ValueError("words are non-empty")
+    return tuple(_dedup(reductions(seq, alph, side)) for side in ("constant", "variable"))
 
 
 def _dedup(pairs):
-    seen = {}
-    for seq, d in pairs:
-        seen.setdefault(seq, d)
+    # a reduced sequence fixes its cut, since words are non-empty
+    seen = dict(pairs)
+    seen[()] = ()
     return tuple(sorted(seen.items(), key=lambda kv: seq_sort_key(kv[0])))
 
 
-def match_word_reduction(stream: VarWordStream, t: Word, mode: str) -> tuple[str, ...]:
-    """Recover the per-word letters that reduce a stream prefix to t.
-
-    The prefix length is fixed by |t| (reductions preserve letter counts);
-    raises ReductionMismatch if the letters cannot be produced, or if the
-    recovered letter-word has the wrong mode ('constant' or 'variable').
-    """
-    assigns = []
-    pos = 0
-    i = 1
-    while pos < len(t):
-        w = stream.word_at(i)
-        segment = t.letters[pos : pos + len(w)]
-        if len(segment) < len(w):
+def align(stream: VarWordStream, start: int, u: Word, side: str) -> tuple[Word, int]:
+    """Invert one block: the letter-word t with reduce_block(stream words
+    start+1..end, t) == u, and end.  Raises ReductionMismatch when there
+    is none or when t is not on `side` (constant: no variable; variable:
+    some variable), and HorizonExceeded when u runs past the horizon."""
+    letters = []
+    consumed = 0
+    end = start
+    while consumed < len(u):
+        end += 1
+        w = stream.word_at(end)
+        if consumed + len(w) > len(u):
             raise ReductionMismatch("length does not align with stream word boundaries")
-        letter = None
-        for src, got in zip(w.letters, segment):
-            if src == stream.alph.variable:
-                if letter is None:
-                    letter = got
-                elif letter != got:
+        segment = u[consumed : consumed + len(w)]
+        letter = segment[w.index(VAR)]
+        if w.replace(VAR, letter) != segment:
+            for src, got in zip(w, segment):
+                if src == VAR and got != letter:
                     raise ReductionMismatch("inconsistent variable substitution")
-            elif src != got:
-                raise ReductionMismatch("constant letters disagree")
-        assigns.append(letter)
-        pos += len(w)
-        i += 1
-    has_var = stream.alph.variable in assigns
-    if mode == "constant" and has_var:
-        raise ReductionMismatch("variable letters in a constant-mode reduction")
-    if mode == "variable" and not has_var:
-        raise ReductionMismatch("no variable letter in a variable-mode reduction")
-    return tuple(assigns)
+                if src != VAR and src != got:
+                    raise ReductionMismatch("constant letters disagree")
+        letters.append(letter)
+        consumed += len(w)
+    t = "".join(letters)
+    if side == "constant" and VAR in t:
+        raise ReductionMismatch("variable letters in a constant-side reduction")
+    if side == "variable" and VAR not in t:
+        raise ReductionMismatch("a block of a variable-side reduction lacks the variable")
+    return t, end
 
 
 def family_shift(fam, s: Word):
@@ -348,7 +343,7 @@ def family_shift(fam, s: Word):
         if m == (s,):
             out.add(())
         elif len(m) >= 2 and m[0] == s:
-            out.add((concat(m[0], m[1]),) + m[2:])
+            out.add((m[0] + m[1],) + m[2:])
     return frozenset(out)
 
 
@@ -363,23 +358,10 @@ def family_restrict(fam, s: Word, alph: Alphabet, mode: str = "constant"):
     return frozenset(out)
 
 
-def _locate_prefix(stream: VarWordStream, t: Word, mode: str) -> int:
-    """Number of stream words whose lengths sum to |t|, with t realizable."""
-    total = 0
-    k = 0
-    while total < len(t):
-        k += 1
-        total += len(stream.word_at(k))
-    if total != len(t):
-        raise ReductionMismatch("length does not align with stream word boundaries")
-    match_word_reduction(stream, t, mode)
-    return k
-
-
 def stream_shift(stream: VarWordStream, t: Word, mode: str) -> VarWordStream:
     """Graft t onto the next stream word and drop the consumed prefix."""
-    k = _locate_prefix(stream, t, mode)
-    head = concat(t, stream.word_at(k + 1))
+    _, k = align(stream, 0, t, mode)
+    head = t + stream.word_at(k + 1)
     return VarWordStream(
         stream.alph, (head,) + stream.prefix[k + 1 :], label=f"{stream.label}-shift"
     )
@@ -387,7 +369,7 @@ def stream_shift(stream: VarWordStream, t: Word, mode: str) -> VarWordStream:
 
 def stream_drop(stream: VarWordStream, t: Word, mode: str) -> VarWordStream:
     """Drop the stream prefix that t reduces."""
-    k = _locate_prefix(stream, t, mode)
+    _, k = align(stream, 0, t, mode)
     if k >= stream.horizon:
         raise HorizonExceeded("nothing left past the consumed prefix")
     return VarWordStream(stream.alph, stream.prefix[k:], label=f"{stream.label}-drop")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import schreier
-from .errors import BudgetExceeded, HorizonExceeded, ReductionMismatch
+from .errors import BudgetExceeded, HorizonExceeded
 from .ordinal import Ordinal
 from .schreier import DEFAULT_CONFIG, SchreierConfig
 from .words import (
@@ -24,11 +24,16 @@ from .words import (
     VarWordStream,
     Word,
     WordSeq,
+    align,
     d_map,
+    is_prefix,
     is_variable_word,
     reduce_seq,
+    reduced_words,
     seq_sort_key,
+    side_words,
     substitute,
+    word_diff,
 )
 
 MAX_LETTER_BUDGET = 16
@@ -57,35 +62,20 @@ def match_reduction(stream: VarWordStream, useq: WordSeq, side: str) -> WordSeq:
     """Invert a block reduction: the letter-word sequence t with
     stream[t] == useq.  Raises ReductionMismatch when there is none,
     or when t has the wrong side (constant words / variable blocks)."""
-    var = stream.alph.variable
     blocks = []
-    i = 1
+    pos = 0
     for u in useq:
-        consumed = 0
-        letters = []
-        while consumed < len(u):
-            w = stream.word_at(i)
-            if consumed + len(w) > len(u):
-                raise ReductionMismatch("length does not align with stream word boundaries")
-            segment = u.letters[consumed : consumed + len(w)]
-            letter = None
-            for src, got in zip(w.letters, segment):
-                if src == var:
-                    if letter is None:
-                        letter = got
-                    elif letter != got:
-                        raise ReductionMismatch("inconsistent variable substitution")
-                elif src != got:
-                    raise ReductionMismatch("constant letters disagree")
-            letters.append(letter)
-            consumed += len(w)
-            i += 1
-        if side == "constant" and var in letters:
-            raise ReductionMismatch("variable letters in a constant-side reduction")
-        if side == "variable" and var not in letters:
-            raise ReductionMismatch("a block of a variable-side reduction lacks the variable")
-        blocks.append(Word(tuple(letters)))
+        t, pos = align(stream, pos, u, side)
+        blocks.append(t)
     return tuple(blocks)
+
+
+def in_level(xi: Ordinal, seq: WordSeq, mem_fn, cfg: SchreierConfig = DEFAULT_CONFIG) -> bool:
+    """The level-xi test on a word sequence: one word at level 0, else at
+    least two words whose offsets lie in A_xi by mem_fn(xi, offsets, cfg)."""
+    if not xi.terms:
+        return len(seq) == 1
+    return len(seq) >= 2 and mem_fn(xi, d_map(seq), cfg)
 
 
 def in_wxi(query: WxiQuery, useq: WordSeq) -> bool:
@@ -93,16 +83,8 @@ def in_wxi(query: WxiQuery, useq: WordSeq) -> bool:
     stream when the query carries one)."""
     if not side_consistent(useq, query.side, query.alph):
         return False
-    if query.base is not None:
-        t = match_reduction(query.base, useq, query.side)
-        probe = t
-    else:
-        probe = useq
-    if not query.xi.terms:
-        return len(probe) == 1
-    if len(probe) < 2:
-        return False
-    return schreier.mem(query.xi, d_map(probe), query.cfg)
+    probe = useq if query.base is None else match_reduction(query.base, useq, query.side)
+    return in_level(query.xi, probe, schreier.mem, query.cfg)
 
 
 def canonical_rep(
@@ -150,19 +132,16 @@ def _shapes(total: int, parts: int):
 
 def _fill_words(shape: tuple[int, ...], side: str, alph: Alphabet):
     """All side-consistent word sequences with the given word lengths."""
-    per_word = []
-    for length in shape:
-        ws = []
-        if side == "constant":
-            for letters in product(alph.symbols, repeat=length):
-                ws.append(Word(letters))
-        else:
-            for letters in product(alph.full, repeat=length):
-                if alph.variable in letters:
-                    ws.append(Word(letters))
-        per_word.append(ws)
-    for combo in product(*per_word):
-        yield tuple(combo)
+    return product(*[list(side_words(alph, side, length)) for length in shape])
+
+
+def universe(alph: Alphabet, side: str, letter_budget: int):
+    """Every side-consistent word sequence with 1..letter_budget letters,
+    by total letters, then word count, then word lengths, then letters."""
+    for total in range(1, letter_budget + 1):
+        for parts in range(1, total + 1):
+            for shape in _shapes(total, parts):
+                yield from _fill_words(shape, side, alph)
 
 
 def enumerate_wxi(
@@ -244,30 +223,22 @@ def transfer_check(
     n = len(s) + 1
     xi_n = schreier.transfer_index(xi, n, cfg)
     lhs, rhs = set(), set()
-    universe = [()]
-    for total in range(1, letter_budget + 1):
-        for parts in range(1, total + 1):
-            for shape in _shapes(total, parts):
-                universe.extend(_fill_words(shape, side, alph))
-    mode = "constant" if side == "constant" else "variable"
-    from .words import is_prefix, word_diff
-
-    for u in universe:
+    for u in [(), *universe(alph, side, letter_budget)]:
         if u == ():
             if in_wxi(WxiQuery(xi, alph, side, cfg=cfg), (s,)):
                 lhs.add(u)
         else:
-            if is_prefix(s, u[0], alph, mode):
-                shifted = (s, word_diff(u[0], s, alph, mode)) + u[1:]
+            if is_prefix(s, u[0], alph, side):
+                shifted = (s, word_diff(u[0], s, alph, side)) + u[1:]
                 if in_wxi(WxiQuery(xi, alph, side, cfg=cfg), shifted):
                     lhs.add(u)
-        extends = u == () or is_prefix(s, u[0], alph, mode)
+        extends = u == () or is_prefix(s, u[0], alph, side)
         if extends and in_wxi(WxiQuery(xi_n, alph, side, cfg=cfg), u):
             rhs.add(u)
     ok = lhs == rhs
     report = {
         "xi": str(xi),
-        "word": "".join(s.letters),
+        "word": s,
         "transfer_index": str(xi_n),
         "letter_budget": letter_budget,
         "lhs_size": len(lhs),
@@ -276,7 +247,7 @@ def transfer_check(
     }
     if not ok:
         diff = sorted(lhs ^ rhs, key=seq_sort_key)[:5]
-        report["counterexamples"] = [[("".join(w.letters)) for w in seq] for seq in diff]
+        report["counterexamples"] = [list(seq) for seq in diff]
     return report
 
 
@@ -296,8 +267,6 @@ class Subspace:
 def subspace_points(gen, alph: Alphabet) -> tuple[Word, ...]:
     """The constant words spanned by a variable generator sequence: all
     per-word substitutions, concatenated."""
-    from .words import reduced_words
-
     if isinstance(gen, Subspace):
         gen = gen.finite_generator()
     rw, _ = reduced_words(gen, alph)

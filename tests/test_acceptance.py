@@ -13,7 +13,7 @@ from schramsey import ordinal as o
 from schramsey import schreier as sch
 from schramsey import verify as v
 from schramsey import wxi
-from schramsey.words import Alphabet, Word, d_map, reduce_seq, upsilon_stream
+from schramsey.words import Alphabet, d_map, reduce_seq, upsilon_stream
 
 P = o.parse
 AB = Alphabet(("a", "b"))
@@ -82,7 +82,7 @@ def test_criterion_04_canonical_representation():
         seq = []
         for _ in range(rng.randint(6, 10)):
             length = rng.randint(1, 3)
-            seq.append(Word(tuple(rng.choice(AB.symbols) for _ in range(length))))
+            seq.append("".join(rng.choice(AB.symbols) for _ in range(length)))
         streams.append(tuple(seq))
     for seq in streams:
         offsets = d_map(seq)
@@ -115,7 +115,7 @@ def test_criterion_05_reduction_coherence():
             length = rng.randint(1, 3)
             letters = [rng.choice(AB.full) for _ in range(length)]
             letters[rng.randrange(length)] = AB.variable
-            prefix.append(Word(tuple(letters)))
+            prefix.append("".join(letters))
         stream = wxi.VarWordStream(AB, tuple(prefix))
         used = rng.randint(1, horizon)
         cuts = (
@@ -125,7 +125,7 @@ def test_criterion_05_reduction_coherence():
         )
         bounds = [0] + cuts + [used]
         t = tuple(
-            Word(tuple(rng.choice(AB.symbols) for _ in range(bounds[i + 1] - bounds[i])))
+            "".join(rng.choice(AB.symbols) for _ in range(bounds[i + 1] - bounds[i]))
             for i in range(len(bounds) - 1)
         )
         u = reduce_seq(stream, t)

@@ -2,7 +2,7 @@ import pytest
 
 from schramsey import cbindex as cb
 from schramsey.errors import BudgetExceeded, OracleUndecided
-from schramsey.words import Alphabet, Word, pattern_stream, reduce_word, upsilon_stream, word
+from schramsey.words import Alphabet, pattern_stream, reduce_word, upsilon_stream, word
 from schramsey.wxi import match_reduction
 
 AB = Alphabet(("a", "b"))
@@ -196,14 +196,14 @@ def test_step_table_entries_are_reductions(head, repeat, side):
     engine = cb._Engine(fam, st, oracle)
     fill = "_" if side == "variable" else "a"
     for k in range(horizon + 1):
-        member = (reduce_word(st, Word((fill,) * k)),) if k else ()
+        member = (reduce_word(st, fill * k),) if k else ()
         assert engine.end_pos(member) == k
         entries, cut = engine.steps(k)
         assert cut == (k + oracle.max_block_words > horizon)
         widths = {nxt - k for _, nxt in entries}
         assert widths == set(range(1, min(oracle.max_block_words, horizon - k) + 1))
         for letters, nxt in entries:
-            t = match_reduction(st, member + (Word(letters),), side)
+            t = match_reduction(st, member + ("".join(letters),), side)
             assert sum(map(len, t)) == nxt
 
 

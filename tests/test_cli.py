@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 from schramsey import cli
 
@@ -146,6 +147,27 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _ = run_cli(["ordinal", "eval", "w^"], capsys)
     assert code == 2
+
+
+def test_multi_character_alphabet_symbol_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({"alphabet": ["ab", "c"], "side": "constant", "members": [["c"]]}))
+    code = cli.main(["family", "tree", "--file", str(path)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE and captured.out == ""
+    assert captured.err == "error: alphabet symbol 'ab' is not a single character\n"
+
+
+def test_reductions_over_budget_stop_before_any_work(capsys):
+    # 2^13 * 4^14 cases: refused up front, not enumerated
+    start = time.perf_counter()
+    code = cli.main(["words", "reductions", "--alphabet", "abc", "--seq", "(" + ",".join(["_"] * 14) + ")"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_BUDGET and elapsed < 1.0
+    assert captured.err == (
+        "error: finite_reductions of 14 words needs 2199023255552 cases, over its budget of 1048576\n"
+    )
 
 
 def test_budget_exit_code(capsys):

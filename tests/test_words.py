@@ -7,15 +7,12 @@ from schramsey.errors import HorizonExceeded, ReductionMismatch
 from schramsey.words import (
     Alphabet,
     VarWordStream,
-    Word,
-    concat,
     d_map,
     family_restrict,
     family_shift,
     finite_reductions,
     is_prefix,
     is_variable_word,
-    match_word_reduction,
     pattern_stream,
     reduce_seq,
     reduce_stream,
@@ -28,8 +25,8 @@ from schramsey.words import (
     upsilon_stream,
     word,
     word_diff,
-    word_text,
 )
+from schramsey.wxi import match_reduction
 
 AB = Alphabet(("a", "b"))
 A1 = Alphabet(("a",))
@@ -40,23 +37,30 @@ def w(text, alph=AB):
 
 
 def test_concat():
-    assert word_text(concat(w("ab"), w("ba"))) == "abba"
-    assert is_variable_word(concat(w("_"), w("_")), AB)
-    assert word_text(concat(w("a"), w("_b"))) == "a_b"
+    assert w("ab") + w("ba") == "abba"
+    assert is_variable_word(w("_") + w("_"), AB)
+    assert w("a") + w("_b") == "a_b"
+
+
+def test_alphabet_symbols_are_single_characters():
+    with pytest.raises(ValueError, match="not a single character"):
+        Alphabet(("ab", "c"))
+    with pytest.raises(ValueError, match="words are non-empty"):
+        word("", AB)
 
 
 def test_substitute():
     abc = Alphabet(("a", "b", "c"))
-    assert word_text(substitute(word("a_b_", abc), "c", abc)) == "acbc"
+    assert substitute(word("a_b_", abc), "c", abc) == "acbc"
     assert substitute(w("a_b"), "_", AB) == w("a_b")
-    assert word_text(substitute(w("_"), "a", AB)) == "a"
+    assert substitute(w("_"), "a", AB) == "a"
     with pytest.raises(ValueError):
         substitute(w("ab"), "a", AB)
 
 
 def test_prefix_and_diff():
     assert is_prefix(w("ab"), w("abba"), AB)
-    assert word_text(word_diff(w("abba"), w("ab"), AB)) == "ba"
+    assert word_diff(w("abba"), w("ab"), AB) == "ba"
     assert not is_prefix(w("ab"), w("ab"), AB)  # strict
     assert is_prefix(w("_a"), w("_a_b"), AB, "variable")
     assert not is_prefix(w("_a"), w("_ab"), AB, "variable")
@@ -74,10 +78,10 @@ def test_d_map():
 
 def test_reduce_word():
     e = upsilon_stream(AB, 5)
-    assert word_text(reduce_word(e, w("ab"))) == "ab"
+    assert reduce_word(e, w("ab")) == "ab"
     s = VarWordStream(AB, (w("a_"), w("_b"), w("__")))
-    assert word_text(reduce_word(s, w("ab"))) == "aabb"
-    assert word_text(reduce_word(s, w("__"))) == "a__b"
+    assert reduce_word(s, w("ab")) == "aabb"
+    assert reduce_word(s, w("__")) == "a__b"
     with pytest.raises(HorizonExceeded):
         reduce_word(s, w("abab"))
 
@@ -95,14 +99,14 @@ def test_reduce_stream():
     e = upsilon_stream(AB, 6)
     out = reduce_stream(e, (w("__"), w("__"), w("__")))
     assert isinstance(out, VarWordStream)
-    assert [word_text(x) for x in out.prefix] == ["__", "__", "__"]
+    assert list(out.prefix) == ["__", "__", "__"]
     # reducing by unit variable blocks reproduces the stream prefix
     s0 = VarWordStream(AB, (w("a_"), w("_b"), w("__")))
     out0 = reduce_stream(s0, (w("_"), w("_"), w("_")))
     assert out0.prefix == s0.prefix
     s = VarWordStream(AB, (w("a_"), w("_b"), w("a_"), w("_b")))
     out2 = reduce_stream(s, (w("__"), w("__"), w("__")))
-    assert [word_text(x) for x in out2.prefix] == ["a__b", "a__b"]  # last block cut off
+    assert list(out2.prefix) == ["a__b", "a__b"]  # last block cut off
     const = reduce_stream(s, (w("ab"), w("ab")))
     assert seq_text(const) == "(aabb,aabb)"
     with pytest.raises(HorizonExceeded):
@@ -111,12 +115,12 @@ def test_reduce_stream():
 
 def test_reduced_words_enumeration():
     rw, vrw = reduced_words((w("_"), w("_")), AB)
-    assert [word_text(x) for x in rw] == ["aa", "ab", "ba", "bb"]
-    assert [word_text(x) for x in vrw] == ["__", "_a", "_b", "a_", "b_"]
+    assert list(rw) == ["aa", "ab", "ba", "bb"]
+    assert list(vrw) == ["__", "_a", "_b", "a_", "b_"]
     rw2, _ = reduced_words((w("a_"), w("_")), AB)
-    assert [word_text(x) for x in rw2] == ["aaa", "aab", "aba", "abb"]
+    assert list(rw2) == ["aaa", "aab", "aba", "abb"]
     _, vrw1 = reduced_words((w("_"),), AB)
-    assert [word_text(x) for x in vrw1] == ["_"]
+    assert list(vrw1) == ["_"]
 
 
 def test_reduced_words_cardinality():
@@ -142,17 +146,17 @@ def test_finite_reductions_counts():
             sides = []
             for bi in range(len(bounds) - 1):
                 lo, hi = bounds[bi], bounds[bi + 1]
-                letters = ()
+                letters = ""
                 for idx in range(lo, hi):
-                    letters += substitute(seq[idx], assign[idx], AB).letters
+                    letters += substitute(seq[idx], assign[idx], AB)
                 blocks.append(letters)
                 sides.append(any(a == AB.variable for a in assign[lo:hi]))
             if not any(sides):
                 raw_const.add(tuple(blocks))
             elif all(sides):
                 raw_var.add(tuple(blocks))
-    assert {tuple(x.letters for x in s) for s, _ in rw if s} == raw_const
-    assert {tuple(x.letters for x in s) for s, _ in vrw if s} == raw_var
+    assert {s for s, _ in rw if s} == raw_const
+    assert {s for s, _ in vrw if s} == raw_var
     assert ((), ()) in rw and ((), ()) in vrw
 
 
@@ -173,9 +177,9 @@ def test_match_word_reduction_roundtrip():
     s = VarWordStream(AB, (w("a_"), w("_b"), w("__"), w("_")))
     t = w("ab_a")
     r = reduce_word(s, t)
-    assert match_word_reduction(s, r, "variable") == ("a", "b", "_", "a")
+    assert match_reduction(s, (r,), "variable") == ("ab_a",)
     with pytest.raises(ReductionMismatch):
-        match_word_reduction(s, w("bb"), "constant")
+        match_reduction(s, (w("bb"),), "constant")
 
 
 def test_d_coherence_random():
@@ -187,20 +191,18 @@ def test_d_coherence_random():
             length = rng.randint(1, 3)
             letters = [rng.choice(AB.full) for _ in range(length)]
             letters[rng.randrange(length)] = AB.variable
-            prefix.append(Word(tuple(letters)))
+            prefix.append("".join(letters))
         stream = VarWordStream(AB, tuple(prefix))
         used = rng.randint(1, horizon)
         cuts = sorted(rng.sample(range(1, used), rng.randint(0, used - 1))) if used > 1 else []
         bounds = [0] + cuts + [used]
         t = []
         for bi in range(len(bounds) - 1):
-            letters = tuple(rng.choice(AB.symbols) for _ in range(bounds[bi + 1] - bounds[bi]))
-            t.append(Word(letters))
+            letters = [rng.choice(AB.symbols) for _ in range(bounds[bi + 1] - bounds[bi])]
+            t.append("".join(letters))
         t = tuple(t)
         u = reduce_seq(stream, t)
         # the stream's block structure of the output equals the offsets of t
-        from schramsey.wxi import match_reduction
-
         assert match_reduction(stream, u, "constant") == t
         assert d_map(t) == d_map(t)
 
@@ -213,7 +215,7 @@ def test_reduction_composition_preserves_prefix_order():
     u1 = reduce_word(s, t1)
     u2 = reduce_word(s, t2)
     assert is_prefix(u1, u2, AB)
-    assert reduce_word(s, concat(t1, word_diff(t2, t1, AB))) == u2
+    assert reduce_word(s, t1 + word_diff(t2, t1, AB)) == u2
 
 
 def test_reduction_nesting():
@@ -225,22 +227,22 @@ def test_reduction_nesting():
     for used in range(1, base.horizon + 1):
         for assign in product(AB.full, repeat=used):
             if AB.variable in assign:
-                base_vrw.add(reduce_word(base, Word(assign)))
+                base_vrw.add(reduce_word(base, "".join(assign)))
     for used in range(1, sub.horizon + 1):
         for assign in product(AB.full, repeat=used):
             if AB.variable in assign:
-                assert reduce_word(sub, Word(assign)) in base_vrw
+                assert reduce_word(sub, "".join(assign)) in base_vrw
 
 
 def test_stream_shift_and_drop():
     e = upsilon_stream(AB, 4)
     shifted = stream_shift(e, w("a"), "constant")
-    assert [word_text(x) for x in shifted.prefix] == ["a_", "_", "_"]
+    assert list(shifted.prefix) == ["a_", "_", "_"]
     dropped = stream_drop(e, w("_"), "variable")
-    assert [word_text(x) for x in dropped.prefix] == ["_", "_", "_"]
+    assert list(dropped.prefix) == ["_", "_", "_"]
     s = VarWordStream(AB, (w("a_"), w("_b"), w("_")))
     shifted2 = stream_shift(s, w("ab"), "constant")
-    assert [word_text(x) for x in shifted2.prefix] == ["ab_b", "_"]
+    assert list(shifted2.prefix) == ["ab_b", "_"]
     with pytest.raises(ReductionMismatch):
         stream_shift(s, w("ba"), "constant")
     with pytest.raises(ReductionMismatch):
@@ -260,6 +262,6 @@ def test_family_shift_and_restrict():
 
 def test_pattern_stream():
     s = pattern_stream(AB, ["_"], ["__"], 4)
-    assert [word_text(x) for x in s.prefix] == ["_", "__", "__", "__"]
+    assert list(s.prefix) == ["_", "__", "__", "__"]
     with pytest.raises(HorizonExceeded):
         s.word_at(5)

@@ -10,7 +10,6 @@ from schramsey.errors import ReductionMismatch
 from schramsey.words import (
     Alphabet,
     VarWordStream,
-    Word,
     d_map,
     reduce_seq,
     upsilon_stream,
@@ -64,7 +63,7 @@ def test_match_reduction_roundtrip_random():
             length = rng.randint(1, 3)
             letters = [rng.choice(AB.full) for _ in range(length)]
             letters[rng.randrange(length)] = AB.variable
-            prefix.append(Word(tuple(letters)))
+            prefix.append("".join(letters))
         stream = VarWordStream(AB, tuple(prefix))
         used = rng.randint(1, horizon)
         cuts = sorted(rng.sample(range(1, used), rng.randint(0, used - 1))) if used > 1 else []
@@ -74,7 +73,7 @@ def test_match_reduction_roundtrip_random():
             width = bounds[bi + 1] - bounds[bi]
             letters = [rng.choice(AB.full) for _ in range(width)]
             letters[rng.randrange(width)] = AB.variable
-            blocks.append(Word(tuple(letters)))
+            blocks.append("".join(letters))
         t = tuple(blocks)
         u = reduce_seq(stream, t)
         assert wxi.match_reduction(stream, u, "variable") == t
@@ -98,7 +97,7 @@ def test_canonical_rep_blocks_are_members_and_minimal():
             seq = []
             for _ in range(rng.randint(2, 9)):
                 length = rng.randint(1, 3)
-                seq.append(Word(tuple(rng.choice(AB.full) for _ in range(length))))
+                seq.append("".join(rng.choice(AB.full) for _ in range(length)))
             seq = tuple(seq)
             bounds, residual = wxi.canonical_rep(xi, seq)
             offsets = d_map(seq)
@@ -183,9 +182,9 @@ def test_transfer_check_variable_side():
 
 def test_subspace_points_and_span():
     pts = wxi.subspace_points((w("_"), w("_")), AB)
-    assert [x.letters for x in pts] == [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
+    assert list(pts) == ["aa", "ab", "ba", "bb"]
     sp = wxi.span((w("_a"), w("b_")), AB)
-    texts = {tuple("".join(x.letters) for x in s) for s in sp}
+    texts = set(sp)
     assert texts == {("aa", "ba"), ("aa", "bb"), ("ba", "ba"), ("ba", "bb")}
     assert wxi.span((), AB) == ()
 
@@ -218,7 +217,7 @@ def _vrw_prefixes(horizon):
                 if AB.variable not in seg:
                     ok = False
                     break
-                blocks.append(Word(seg))
+                blocks.append("".join(seg))
             if ok:
                 out.append(tuple(blocks))
     return out
