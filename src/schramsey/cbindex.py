@@ -200,11 +200,12 @@ class _Engine:
         b <= max_block_words, with its end position k+b; and whether the
         stream horizon cut the list short."""
         if k not in self.step_memo:
-            blocks = min(self.oracle.max_block_words, self.stream.horizon - k)
+            stream = self.stream
+            blocks = min(self.oracle.max_block_words, stream.horizon - k)
             entries = [
                 (chunk, k + b)
                 for b in range(1, blocks + 1)
-                for chunk in block_reductions(self.stream.prefix[k : k + b], self.stream.alph, self.family.side)
+                for chunk in block_reductions(stream.prefix[k : k + b], stream.alph, self.family.side)
             ]
             self.step_memo[k] = (entries, blocks < self.oracle.max_block_words)
         return self.step_memo[k]

@@ -202,7 +202,7 @@ class VarWordStream:
     def words(self, start: int, count: int) -> WordSeq:
         """Stream words start+1 .. start+count, within the horizon."""
         if start + count > len(self.prefix):
-            self.word_at(start + count)
+            self.word_at(start + count)  # raises HorizonExceeded
         return self.prefix[start : start + count]
 
 
