@@ -13,7 +13,7 @@ are provided:
 
   * horizon(H): a depth-first search for a strict-prefix chain of
     length H inside the truncated reduced-word universe, extending by
-    at most `max_block_words` stream words per step.  Every candidate is
+    at most `MAX_BLOCK_WORDS` stream words per step.  Every candidate is
     built as a reduction of the stream, so only the family's seeds are
     ever matched against it.  "Chain found" and "no escape word in the
     search window" are definite at this horizon; anything else is
@@ -46,13 +46,15 @@ from .words import (
 )
 
 
+MAX_BLOCK_WORDS = 2  # stream words per step of the horizon chain search
+MAX_CHAIN_NODES = 500_000  # nodes one horizon chain search may visit
+
+
 @dataclass(frozen=True)
 class ChainOracle:
     mode: str  # "exact" | "horizon"
     rule: str | None = None
     horizon: int | None = None
-    max_block_words: int = 2
-    node_budget: int = 500_000
 
     def __post_init__(self):
         if self.mode == "exact":
@@ -197,17 +199,17 @@ class _Engine:
     def steps(self, k: int) -> tuple[list[tuple[str, int]], bool]:
         """The ways to extend a reduction ending at stream word k: every
         side-consistent reduction of stream words k+1..k+b as one block,
-        b <= max_block_words, with its end position k+b; and whether the
+        b <= MAX_BLOCK_WORDS, with its end position k+b; and whether the
         stream horizon cut the list short."""
         if k not in self.step_memo:
             stream = self.stream
-            blocks = min(self.oracle.max_block_words, stream.horizon - k)
+            blocks = min(MAX_BLOCK_WORDS, stream.horizon - k)
             entries = [
                 (chunk, k + b)
                 for b in range(1, blocks + 1)
                 for chunk in block_reductions(stream.prefix[k : k + b], stream.alph, self.family.side)
             ]
-            self.step_memo[k] = (entries, blocks < self.oracle.max_block_words)
+            self.step_memo[k] = (entries, blocks < MAX_BLOCK_WORDS)
         return self.step_memo[k]
 
     def _chain_search(self, seq: WordSeq, level: int) -> bool:
@@ -222,7 +224,7 @@ class _Engine:
         def enter(k: int):
             nonlocal touched_horizon
             self.nodes += 1
-            if self.nodes > self.oracle.node_budget:
+            if self.nodes > MAX_CHAIN_NODES:
                 raise BudgetExceeded("chain search exceeded its node budget")
             entries, cut = self.steps(k)
             touched_horizon |= cut

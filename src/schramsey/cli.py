@@ -2,10 +2,7 @@
 
 One subcommand per module; every report is a single JSON object (or a
 plain/csv rendering of it) that embeds the truncation bounds used, so
-no output can be read as an infinitary claim.  Identical invocations
-produce byte-identical JSON regardless of the --threads hint: the
-engines are deterministic and sequential, the hint is validated and
-recorded only.
+no output can be read as an infinitary claim.
 
 Exit codes: 0 found/pass, 1 exhausted/closed/inconsistent, 2 usage
 error, 3 budget exceeded or oracle undecided, 4 internal error (an
@@ -119,8 +116,6 @@ def _parse_coloring(text: str, alph: words.Alphabet | None, domain: str | None =
 
 
 def _emit(report: dict, args, code: int) -> int:
-    # deliberately not echoing the threads hint: reports must be
-    # byte-identical across hints
     report.setdefault("schema_version", SCHEMA_VERSION)
     fmt = args.format
     if fmt == "json":
@@ -430,7 +425,6 @@ def _cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="schramsey")
     top.add_argument("--config", help="JSON file with default option values")
-    top.add_argument("--threads", type=int, default=1, help="parallelism hint (engines stay deterministic)")
     top.add_argument("--format", choices=["json", "plain", "csv"], default="json")
     top.add_argument("--rule", choices=["fixed", "succ"], default="fixed", help="limit-sequence rule")
     top._all_parsers = [top]
@@ -544,8 +538,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     try:
         return args.handler(args)
     except (OrdinalParseError, ReductionMismatch, HorizonExceeded, ValueError) as exc:

@@ -3,8 +3,10 @@ fixed point of a -> w^a.
 
 An ordinal is a finite sum  w^e1*c1 + ... + w^ek*ck  with e1 > ... > ek
 (each exponent again such a sum) and positive integer coefficients.
-The empty sum is 0.  The normal form is unique, so structural equality
-of term lists is ordinal equality and ordinals can be dict keys.
+The empty sum is 0.  An `Ordinal` is the tuple of its (exponent,
+coefficient) terms.  The normal form is unique and its exponents
+decrease, so tuple equality, hashing and lexicographic order are the
+ordinal ones, and ordinals can be dict keys.
 
 Every limit ordinal here carries a canonical approximating sequence
 (`fixed_seq`), plus the variant that iterates it down to a successor
@@ -15,40 +17,32 @@ all, which is exactly the supported range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import total_ordering
-
 from .errors import OrdinalParseError, OrdinalRangeError
 
 MAX_TOWER_DEPTH = 64
 MAX_COEFF = 2**63 - 1
 
 
-@total_ordering
-@dataclass(frozen=True)
-class Ordinal:
-    """A Cantor-normal-form ordinal: tuple of (exponent, coefficient) terms."""
+class Ordinal(tuple):
+    """A Cantor-normal-form ordinal: the tuple of its terms.
 
-    terms: tuple[tuple["Ordinal", int], ...] = ()
+    The constructor does not check normal form: `parse`, the arithmetic
+    below and `schreier.transfer_index` build only normal forms, and
+    every coefficient they can grow passes `check_coeff`.  Tuple `+` and `*` are disabled, since
+    they would build non-normal forms; ordinal sum is `add`.
+    """
 
-    def __post_init__(self):
-        prev = None
-        for exp, coeff in self.terms:
-            if not isinstance(exp, Ordinal) or not isinstance(coeff, int):
-                raise TypeError("terms must be (Ordinal, int) pairs")
-            if coeff < 1:
-                raise ValueError("coefficients must be >= 1")
-            if coeff > MAX_COEFF:
-                raise OrdinalRangeError(f"coefficient {coeff} exceeds cap")
-            if prev is not None and compare(prev, exp) <= 0:
-                raise ValueError("exponents must be strictly decreasing")
-            prev = exp
+    __slots__ = ()
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    def __add__(self, other):
+        return NotImplemented
 
-    def __lt__(self, other: "Ordinal") -> bool:
-        return compare(self, other) < 0
+    __radd__ = __mul__ = __rmul__ = __add__
+
+    @property
+    def terms(self) -> "Ordinal":
+        """The term tuple, which is the ordinal itself."""
+        return self
 
     def __repr__(self) -> str:
         return f"Ordinal[{format_ordinal(self)}]"
@@ -62,75 +56,51 @@ ONE = Ordinal(((ZERO, 1),))
 OMEGA = Ordinal(((ONE, 1),))
 
 
+def check_coeff(n: int) -> int:
+    """n, if it is within the coefficient cap."""
+    if n > MAX_COEFF:
+        raise OrdinalRangeError(f"coefficient {n} exceeds cap")
+    return n
+
+
 def from_int(n: int) -> Ordinal:
     if n < 0:
         raise ValueError("ordinals are non-negative")
     if n == 0:
         return ZERO
-    return Ordinal(((ZERO, n),))
-
-
-def to_int(a: Ordinal) -> int:
-    """Inverse of from_int; rejects infinite ordinals."""
-    if not a.terms:
-        return 0
-    if len(a.terms) == 1 and a.terms[0][0] == ZERO:
-        return a.terms[0][1]
-    raise ValueError(f"{a} is not a natural number")
-
-
-def is_finite(a: Ordinal) -> bool:
-    return not a.terms or (len(a.terms) == 1 and a.terms[0][0] == ZERO)
-
-
-def compare(a: Ordinal, b: Ordinal) -> int:
-    """-1, 0, 1 as a <, =, > b."""
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        c = compare(ea, eb)
-        if c != 0:
-            return c
-        if ca != cb:
-            return -1 if ca < cb else 1
-    if len(a.terms) != len(b.terms):
-        return -1 if len(a.terms) < len(b.terms) else 1
-    return 0
+    return Ordinal(((ZERO, check_coeff(n)),))
 
 
 def tower_depth(a: Ordinal) -> int:
-    if not a.terms:
+    if not a:
         return 0
-    return 1 + max(tower_depth(e) for e, _ in a.terms)
+    return 1 + max(tower_depth(e) for e, _ in a)
 
 
 def add(a: Ordinal, b: Ordinal) -> Ordinal:
     """Ordinal sum; left terms below b's leading exponent are absorbed."""
-    if not b.terms:
+    if not b:
         return a
-    if not a.terms:
-        return b
-    lead = b.terms[0][0]
+    lead, merged_coeff = b[0]
     kept = []
-    merged_coeff = b.terms[0][1]
-    for exp, coeff in a.terms:
-        c = compare(exp, lead)
-        if c > 0:
+    for exp, coeff in a:
+        if exp > lead:
             kept.append((exp, coeff))
-        elif c == 0:
-            merged_coeff += coeff
-            break
         else:
+            if exp == lead:
+                merged_coeff = check_coeff(merged_coeff + coeff)
             break
-    return Ordinal(tuple(kept) + ((lead, merged_coeff),) + b.terms[1:])
+    return Ordinal((*kept, (lead, merged_coeff), *b[1:]))
 
 
 def nat_mul(a: Ordinal, n: int) -> Ordinal:
     """a*n for a natural n >= 1 (n-fold ordinal sum)."""
     if n < 1:
         raise ValueError("nat_mul needs n >= 1")
-    if not a.terms or n == 1:
+    if not a or n == 1:
         return a
-    (exp, coeff), rest = a.terms[0], a.terms[1:]
-    return Ordinal(((exp, coeff * n),) + rest)
+    (exp, coeff), rest = a[0], a[1:]
+    return Ordinal(((exp, check_coeff(coeff * n)), *rest))
 
 
 def omega_pow(a: Ordinal) -> Ordinal:
@@ -142,21 +112,24 @@ def omega_pow(a: Ordinal) -> Ordinal:
 
 def kind(a: Ordinal) -> str:
     """'zero' | 'successor' | 'limit'."""
-    if not a.terms:
+    if not a:
         return "zero"
-    if a.terms[-1][0] == ZERO:
+    if a[-1][0] == ZERO:
         return "successor"
     return "limit"
+
+
+def shed_last(a: Ordinal) -> Ordinal:
+    """a with one copy of its last term's power removed."""
+    exp, coeff = a[-1]
+    return Ordinal((*a[:-1], (exp, coeff - 1)) if coeff > 1 else a[:-1])
 
 
 def pred(a: Ordinal) -> Ordinal:
     """Predecessor of a successor ordinal."""
     if kind(a) != "successor":
         raise ValueError(f"{a} is not a successor")
-    exp, coeff = a.terms[-1]
-    if coeff == 1:
-        return Ordinal(a.terms[:-1])
-    return Ordinal(a.terms[:-1] + ((exp, coeff - 1),))
+    return shed_last(a)
 
 
 def fixed_seq(lam: Ordinal, n: int) -> Ordinal:
@@ -170,9 +143,8 @@ def fixed_seq(lam: Ordinal, n: int) -> Ordinal:
         raise ValueError("fixed_seq needs n >= 1")
     if kind(lam) != "limit":
         raise ValueError(f"{lam} is not a non-zero limit ordinal")
-    terms = lam.terms
-    if len(terms) == 1 and terms[0][1] == 1:
-        e = terms[0][0]
+    if len(lam) == 1 and lam[0][1] == 1:
+        e = lam[0][0]
         if e == ONE:
             return from_int(n)
         ek = kind(e)
@@ -181,12 +153,7 @@ def fixed_seq(lam: Ordinal, n: int) -> Ordinal:
         # e a limit: e < w^e always holds in this normal form, so the
         # epsilon-number branch (e = w^e) cannot be reached.
         return omega_pow(fixed_seq(e, n))
-    exp_m, coeff_m = terms[-1]
-    if coeff_m == 1:
-        head = Ordinal(terms[:-1])
-    else:
-        head = Ordinal(terms[:-1] + ((exp_m, coeff_m - 1),))
-    return add(head, fixed_seq(omega_pow(exp_m), n))
+    return add(shed_last(lam), fixed_seq(omega_pow(lam[-1][0]), n))
 
 
 def fixed_seq_path(lam: Ordinal, n: int) -> tuple[Ordinal, ...]:
@@ -276,7 +243,7 @@ class _Parser:
             n = self.nat()
             if n == 0:
                 self.error("zero multiplier")
-            if not value.terms:
+            if not value:
                 self.error("cannot multiply the zero term")
             value = nat_mul(value, n)
         return value
@@ -288,14 +255,14 @@ class _Parser:
             self.pos += 1
             here = self.pos
             nxt = self.term()
-            if not total.terms or not nxt.terms:
+            if not total or not nxt:
                 self.pos = here
                 self.error("zero term inside a sum")
-            if compare(total.terms[-1][0], nxt.terms[0][0]) <= 0:
+            if total[-1][0] <= nxt[0][0]:
                 self.pos = here
                 self.error("terms not in strictly decreasing exponent order")
-            total = Ordinal(total.terms + nxt.terms)
-        if not total.terms and self.pos - first_pos > 1:
+            total = Ordinal((*total, *nxt))
+        if not total and self.pos - first_pos > 1:
             self.error("malformed zero")
         return total
 
@@ -311,10 +278,12 @@ def parse(text: str) -> Ordinal:
 
 def _atom_text(a: Ordinal) -> str | None:
     """Render a as a grammar atom if possible (nat, w, or w^atom)."""
-    if is_finite(a):
-        return str(to_int(a))
-    if len(a.terms) == 1 and a.terms[0][1] == 1:
-        e = a.terms[0][0]
+    if not a:
+        return "0"
+    if len(a) == 1 and a[0][0] == ZERO:
+        return str(a[0][1])
+    if len(a) == 1 and a[0][1] == 1:
+        e = a[0][0]
         if e == ONE:
             return "w"
         inner = _atom_text(e)
@@ -324,10 +293,10 @@ def _atom_text(a: Ordinal) -> str | None:
 
 
 def format_ordinal(a: Ordinal) -> str:
-    if not a.terms:
+    if not a:
         return "0"
     parts = []
-    for exp, coeff in a.terms:
+    for exp, coeff in a:
         if exp == ZERO:
             parts.append(str(coeff))
             continue

@@ -72,13 +72,13 @@ ZERO, SUCC, POW_SUCC, POW_LIMIT, SUM = "zero", "succ", "pow_succ", "pow_limit", 
 
 def _split_finite(a: Ordinal) -> tuple[Ordinal, int]:
     """(lam, k) with a = lam + k, lam zero or a limit."""
-    if a.terms and a.terms[-1][0] == o.ZERO:
-        return Ordinal(a.terms[:-1]), a.terms[-1][1]
+    if a and a[-1][0] == o.ZERO:
+        return Ordinal(a[:-1]), a[-1][1]
     return a, 0
 
 
 def _plus(lam: Ordinal, k: int) -> Ordinal:
-    return Ordinal(lam.terms + ((o.ZERO, k),)) if k else lam
+    return Ordinal((*lam, (o.ZERO, k))) if k else lam
 
 
 class Plan:
@@ -108,18 +108,17 @@ class Plan:
         self.xi, self.rule = xi, rule
         self.k, self.lam, self.groups = 0, o.ZERO, ()
         self._sub: dict[str | int, Plan] = {}  # base/pred/below by name, children by n
-        terms = xi.terms
-        if not terms:
+        if not xi:
             self.kind = ZERO
-        elif terms[-1][0] == o.ZERO:
+        elif xi[-1][0] == o.ZERO:
             self.kind = SUCC
             self.lam, self.k = _split_finite(xi)
-        elif len(terms) == 1 and terms[0][1] == 1:
-            self.lam, self.k = _split_finite(terms[0][0])
+        elif len(xi) == 1 and xi[0][1] == 1:
+            self.lam, self.k = _split_finite(xi[0][0])
             self.kind = POW_SUCC if self.k else POW_LIMIT
         else:
             self.kind = SUM
-            self.groups = tuple((plan(o.omega_pow(exp), rule), count) for exp, count in reversed(terms))
+            self.groups = tuple((plan(o.omega_pow(exp), rule), count) for exp, count in reversed(xi))
 
     def _memo(self, name: str, make) -> Plan:
         p = self._sub.get(name)
@@ -339,7 +338,7 @@ def transfer_index(xi: Ordinal, n: int, cfg: SchreierConfig = DEFAULT_CONFIG) ->
     where A_xi(n) collects the sets s > {n} with {n} u s in A_xi."""
     if n < 1:
         raise ValueError("transfer_index needs n >= 1")
-    if not xi.terms:
+    if not xi:
         raise ValueError("transfer_index needs xi >= 1")
     p = plan(xi, cfg.limit_rule)
     heads = []  # summands in front of the block holding n, outermost first
@@ -353,14 +352,12 @@ def transfer_index(xi: Ordinal, n: int, cfg: SchreierConfig = DEFAULT_CONFIG) ->
             if n > 1:
                 if p.k > MAX_TRANSFER_TERMS:
                     raise BudgetExceeded(f"transfer index would have {p.k} terms (cap {MAX_TRANSFER_TERMS})")
-                terms = tuple((_plus(p.lam, j), n - 1) for j in range(p.k - 1, -1, -1))
-                heads.append(Ordinal(terms))
+                coeff = o.check_coeff(n - 1)
+                heads.append(Ordinal((_plus(p.lam, j), coeff) for j in range(p.k - 1, -1, -1)))
             p = p.base
             continue
         # sum: every block group but one copy of the smallest power comes after n
-        terms = p.xi.terms
-        exp_m, coeff_m = terms[-1]
-        heads.append(Ordinal(terms[:-1] + (((exp_m, coeff_m - 1),) if coeff_m > 1 else ())))
+        heads.append(o.shed_last(p.xi))
         p = p.groups[0][0]
     out = o.pred(p.xi)
     for head in reversed(heads):

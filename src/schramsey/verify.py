@@ -36,6 +36,7 @@ from .words import (
 )
 
 MAX_COLORING_SPACE = 1 << 20
+BLOCK_CAP = 2  # stream words per candidate block in the prefix searches
 
 
 # --- independent membership checker ------------------------------------
@@ -58,16 +59,15 @@ def mem_direct(xi: Ordinal, s, cfg: SchreierConfig = DEFAULT_CONFIG) -> bool:
     """Membership by the recursive definition with exhaustive split search
     (no greedy shortcut); the independent oracle for mem."""
     t = tuple(s)
-    if not xi.terms:
+    if not xi:
         return t == ()
     if not t:
         return False
     k = o.kind(xi)
     if k == "successor":
         return mem_direct(o.pred(xi), t[1:], cfg)
-    terms = xi.terms
-    if len(terms) == 1 and terms[0][1] == 1:
-        e = terms[0][0]
+    if len(xi) == 1 and xi[0][1] == 1:
+        e = xi[0][0]
         n = t[0]
         if o.kind(e) == "successor":
             below = o.omega_pow(o.pred(e))
@@ -77,7 +77,7 @@ def mem_direct(xi: Ordinal, s, cfg: SchreierConfig = DEFAULT_CONFIG) -> bool:
             )
         return mem_direct(o.omega_pow(cfg.step(e, n)), t, cfg)
     powers = []
-    for exp, count in reversed(terms):
+    for exp, count in reversed(xi):
         powers.extend([o.omega_pow(exp)] * count)
     return any(
         all(mem_direct(p, blk, cfg) for p, blk in zip(powers, split))
@@ -295,25 +295,24 @@ def carlson_witness_search(
     chi2,
     stream: VarWordStream,
     depth: int,
-    block_cap: int = 2,
     cfg: SchreierConfig = DEFAULT_CONFIG,
 ) -> SearchOutcome:
     """Backtracking search for a variable-reduction prefix of the stream,
     `depth` blocks long, whose level-xi reductions are chi1-monochromatic
     on the constant side and chi2-monochromatic on the variable side.
 
-    Candidate blocks span at most block_cap stream words; the first
+    Candidate blocks span at most BLOCK_CAP stream words; the first
     witness in canonical order (block size, then letters) is returned.
     """
     alph = stream.alph
     per_step = sum(
-        (len(alph.full)) ** b - len(alph.symbols) ** b for b in range(1, block_cap + 1)
+        (len(alph.full)) ** b - len(alph.symbols) ** b for b in range(1, BLOCK_CAP + 1)
     )
     visited_leaves = 0
     pruned_leaves = 0
 
     def blocks_from(k: int):
-        for b in range(1, min(block_cap, stream.horizon - k) + 1):
+        for b in range(1, min(BLOCK_CAP, stream.horizon - k) + 1):
             for blk in block_reductions(stream.prefix[k : k + b], alph, "variable"):
                 yield blk, b
 
@@ -361,7 +360,7 @@ def carlson_witness_search(
             alph.symbols,
         ),
         certificate=cert,
-        bounds=(("depth", depth), ("block_cap", block_cap), ("horizon", stream.horizon)),
+        bounds=(("depth", depth), ("block_cap", BLOCK_CAP), ("horizon", stream.horizon)),
     )
     return SearchOutcome(witness, False, visited_leaves + pruned_leaves, per_step**depth)
 
@@ -396,7 +395,6 @@ def subspace_search(
     chi,
     stream: VarWordStream,
     depth: int,
-    block_cap: int = 2,
     cfg: SchreierConfig = DEFAULT_CONFIG,
 ) -> SearchOutcome:
     """Search for a prefix all of whose level-xi variable reductions span
@@ -404,7 +402,7 @@ def subspace_search(
     generators and the prefix search reused."""
     pulled = lambda seq: _color(chi, frozenset(wxi.subspace_points(seq, stream.alph)))
     trivial = Coloring("wordseqs", 1, "const", (1,))
-    out = carlson_witness_search(xi, trivial, pulled, stream, depth, block_cap, cfg)
+    out = carlson_witness_search(xi, trivial, pulled, stream, depth, cfg)
     if out.witness is None:
         return out
     base = out.witness
@@ -472,7 +470,6 @@ def hj_level(
     xi: Ordinal,
     M: int,
     cfg: SchreierConfig = DEFAULT_CONFIG,
-    coloring_budget: int = MAX_COLORING_SPACE,
 ):
     """Exhaust every r-coloring of the level-xi length-M sequences: does
     each one admit a monochromatic n-word generator?  Returns
@@ -482,7 +479,7 @@ def hj_level(
     if not cube:
         return (False, None, 0, cube)
     space = r ** len(cube)
-    if space > coloring_budget:
+    if space > MAX_COLORING_SPACE:
         raise BudgetExceeded(f"coloring space {space} exceeds budget; frontier M={M}")
     gens = _hj_generators(xi, alph, M, n, cfg)
     index = {s: i for i, s in enumerate(cube)}
@@ -506,7 +503,6 @@ def hales_jewett_M(
     xi: Ordinal,
     m_max: int,
     cfg: SchreierConfig = DEFAULT_CONFIG,
-    coloring_budget: int = MAX_COLORING_SPACE,
 ) -> dict:
     """Least M <= m_max such that every r-coloring of the level-xi
     sequences of total length M admits an n-word variable generator whose
@@ -518,7 +514,7 @@ def hales_jewett_M(
     defeaters: dict[int, dict] = {}
     checked: dict[int, int] = {}
     for M in range(1, m_max + 1):
-        ok, defeated, count, cube = hj_level(r, n, k, xi, M, cfg, coloring_budget)
+        ok, defeated, count, cube = hj_level(r, n, k, xi, M, cfg)
         checked[M] = count
         if ok:
             return {

@@ -291,9 +291,7 @@ def finite_reductions(seq: WordSeq, alph: Alphabet):
             f"finite_reductions of {n} words needs {cases} cases, over its budget of {MAX_REDUCTION_CASES}"
         )
     _require_variable_words(seq, "finite_reductions")
-    if not seq:
-        raise ValueError("words are non-empty")
-    return tuple(_dedup(reductions(seq, alph, side)) for side in ("constant", "variable"))
+    return tuple(_dedup(reductions(seq, alph, side) if seq else ()) for side in ("constant", "variable"))
 
 
 def _dedup(pairs):

@@ -73,7 +73,7 @@ def match_reduction(stream: VarWordStream, useq: WordSeq, side: str) -> WordSeq:
 def in_level(xi: Ordinal, seq: WordSeq, mem_fn, cfg: SchreierConfig = DEFAULT_CONFIG) -> bool:
     """The level-xi test on a word sequence: one word at level 0, else at
     least two words whose offsets lie in A_xi by mem_fn(xi, offsets, cfg)."""
-    if not xi.terms:
+    if not xi:
         return len(seq) == 1
     return len(seq) >= 2 and mem_fn(xi, d_map(seq), cfg)
 
@@ -98,7 +98,7 @@ def canonical_rep(
     `residual` marks a trailing segment that is a proper initial part of
     a member.  Boundaries are unique because the families are thin.
     """
-    if not xi.terms:
+    if not xi:
         raise ValueError("canonical splitting needs xi >= 1")
     if not seq:
         return ((), False)
@@ -159,7 +159,7 @@ def enumerate_wxi(
     if letter_budget > MAX_LETTER_BUDGET:
         raise BudgetExceeded(f"letter budget capped at {MAX_LETTER_BUDGET}")
     out = []
-    if not xi.terms:
+    if not xi:
         for total in range(1, letter_budget + 1):
             out.extend(_fill_words((total,), side, alph))
         return tuple(sorted(out, key=seq_sort_key))
@@ -191,7 +191,7 @@ def enumerate_reductions_wxi(
 def star_status(xi: Ordinal, seq: WordSeq, cfg: SchreierConfig = DEFAULT_CONFIG) -> str:
     """'member', 'segment' (proper initial part of a member), or 'outside'
     of the level-xi family, decided on the offset stream."""
-    if not xi.terms:
+    if not xi:
         if not seq:
             return "segment"
         return "member" if len(seq) == 1 else "outside"

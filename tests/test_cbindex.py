@@ -199,9 +199,9 @@ def test_step_table_entries_are_reductions(head, repeat, side):
         member = (reduce_word(st, fill * k),) if k else ()
         assert engine.end_pos(member) == k
         entries, cut = engine.steps(k)
-        assert cut == (k + oracle.max_block_words > horizon)
+        assert cut == (k + cb.MAX_BLOCK_WORDS > horizon)
         widths = {nxt - k for _, nxt in entries}
-        assert widths == set(range(1, min(oracle.max_block_words, horizon - k) + 1))
+        assert widths == set(range(1, min(cb.MAX_BLOCK_WORDS, horizon - k) + 1))
         for letters, nxt in entries:
             t = match_reduction(st, member + ("".join(letters),), side)
             assert sum(map(len, t)) == nxt

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -170,6 +171,12 @@ def test_reductions_over_budget_stop_before_any_work(capsys):
     )
 
 
+def test_reductions_of_the_empty_sequence(capsys):
+    code, rep = run_json(["words", "reductions", "--alphabet", "ab", "--seq", "()"], capsys)
+    assert code == 0
+    assert rep["constant"] == [["()", []]] and rep["variable"] == [["()", []]]
+
+
 def test_budget_exit_code(capsys):
     code, _ = run_cli(["schreier", "enumerate", "--xi", "w", "--max-n", "30"], capsys)
     assert code == 3
@@ -206,13 +213,14 @@ BATTERY = [
 ]
 
 
-def test_thread_hint_does_not_change_output():
+def test_hash_seed_does_not_change_output():
     for args in BATTERY:
         runs = []
-        for hint in ("1", "8"):
+        for seed in ("0", "1"):
             proc = subprocess.run(
-                [sys.executable, "-m", "schramsey.cli", "--threads", hint, *args],
+                [sys.executable, "-m", "schramsey.cli", *args],
                 capture_output=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
             )
             runs.append((proc.returncode, proc.stdout))
         assert runs[0] == runs[1]

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schramsey import cli
 from schramsey import ordinal as o
+from schramsey import schreier as sch
 from schramsey.errors import OrdinalParseError, OrdinalRangeError
 
 P = o.parse
@@ -18,10 +20,35 @@ def ordinals():
     return st.recursive(base, extend, max_leaves=5)
 
 
+def compare(a, b):
+    """-1, 0, 1 as a <, =, > b: the recursive term-by-term comparison that
+    tuple order replaces, kept as the reference."""
+    for (ea, ca), (eb, cb) in zip(a, b):
+        c = compare(ea, eb)
+        if c != 0:
+            return c
+        if ca != cb:
+            return -1 if ca < cb else 1
+    if len(a) != len(b):
+        return -1 if len(a) < len(b) else 1
+    return 0
+
+
+def assert_normal(a):
+    """a is an Ordinal in Cantor normal form: exponents normal and
+    strictly decreasing, coefficients in 1..MAX_COEFF."""
+    assert isinstance(a, o.Ordinal)
+    for i, (exp, coeff) in enumerate(a):
+        assert_normal(exp)
+        assert type(coeff) is int and 1 <= coeff <= o.MAX_COEFF
+        if i:
+            assert compare(a[i - 1][0], exp) > 0
+
+
 def test_compare_examples():
-    assert o.compare(o.ZERO, o.ZERO) == 0
-    assert o.compare(o.OMEGA, o.from_int(5)) == 1
-    assert o.compare(P("w^2+1"), P("w*3")) == 1
+    assert o.ZERO == o.ZERO
+    assert o.OMEGA > o.from_int(5)
+    assert P("w^2+1") > P("w*3")
 
 
 def test_add_examples():
@@ -76,16 +103,16 @@ def test_fixed_seq_strictly_monotone_on_powers(lam):
     lam = P(lam)
     values = [o.fixed_seq(lam, n) for n in range(1, 9)]
     for v, nxt in zip(values, values[1:]):
-        assert o.compare(v, nxt) < 0
+        assert v < nxt
     for v in values:
-        assert o.compare(v, lam) < 0
+        assert v < lam
 
 
 @pytest.mark.parametrize("lam", ["w*2", "w^2+w", "w^2*2", "w^w+w^2"])
 def test_fixed_seq_below_composite(lam):
     lam = P(lam)
     for n in range(1, 9):
-        assert o.compare(o.fixed_seq(lam, n), lam) < 0
+        assert o.fixed_seq(lam, n) < lam
 
 
 @pytest.mark.parametrize("lam", ["w", "w*2", "w^2", "w^2+w", "w^w", "w^w*3+w^2*2"])
@@ -95,7 +122,7 @@ def test_fixed_seq_succ_path_decreasing(lam):
         path = o.fixed_seq_path(lam, n)
         assert o.kind(path[-1]) == "successor"
         for a, b in zip(path, path[1:]):
-            assert o.compare(b, a) < 0
+            assert b < a
 
 
 def test_parse_examples():
@@ -149,10 +176,10 @@ def test_add_identity(a):
 @settings(max_examples=60)
 @given(ordinals(), ordinals(), ordinals())
 def test_compare_total_order(a, b, c):
-    assert o.compare(a, b) == -o.compare(b, a)
-    if o.compare(a, b) <= 0 and o.compare(b, c) <= 0:
-        assert o.compare(a, c) <= 0
-    if o.compare(a, b) == 0:
+    assert (a < b) == (b > a)
+    if a <= b and b <= c:
+        assert a <= c
+    if not a < b and not b < a:
         assert a == b
 
 
@@ -162,3 +189,56 @@ def test_nat_mul_matches_repeated_add(a):
     for _ in range(3):
         total = o.add(total, a)
     assert o.nat_mul(a, 3) == total if a.terms else total == o.ZERO
+
+
+@settings(max_examples=200)
+@given(ordinals(), ordinals())
+def test_tuple_order_matches_recursive_compare(a, b):
+    assert (a > b) - (a < b) == compare(a, b)
+    assert (a == b) == (compare(a, b) == 0)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@settings(max_examples=100)
+@given(ordinals(), ordinals(), st.integers(1, 4))
+def test_arithmetic_results_are_normal(a, b, n):
+    results = [a, o.add(a, b), o.nat_mul(a, n), o.omega_pow(a)]
+    if o.kind(a) == "successor":
+        results.append(o.pred(a))
+    # descending to a successor, as fixed_seq_succ and transfer_index do,
+    # takes about (n+1)^e steps for an exponent w^e; keep it short
+    short_descent = n == 1 or o.tower_depth(a) <= 2
+    if o.kind(a) == "limit":
+        results.append(o.fixed_seq(a, n))
+        if short_descent:
+            results.append(o.fixed_seq_succ(a, n))
+    if a and short_descent:
+        results.append(sch.transfer_index(a, n))
+    for r in results:
+        assert_normal(r)
+
+
+def test_tuple_operators_are_disabled():
+    with pytest.raises(TypeError):
+        o.OMEGA + o.ONE
+    with pytest.raises(TypeError):
+        o.OMEGA * 2
+    with pytest.raises(TypeError):
+        2 * o.OMEGA
+
+
+def test_coefficient_cap_on_every_growing_path(capsys):
+    with pytest.raises(OrdinalRangeError, match="coefficient 18446744073709551616 exceeds cap"):
+        o.from_int(2**64)
+    with pytest.raises(OrdinalRangeError, match="coefficient 9223372036854775808 exceeds cap"):
+        o.nat_mul(o.OMEGA, 2**63)
+    top = o.nat_mul(o.OMEGA, o.MAX_COEFF)
+    assert o.add(o.nat_mul(o.OMEGA, o.MAX_COEFF - 1), o.OMEGA) == top
+    with pytest.raises(OrdinalRangeError, match="coefficient 9223372036854775808 exceeds cap"):
+        o.add(top, o.OMEGA)
+    assert cli.main(["schreier", "transfer", "--xi", "w^2", "-n", str(2**63)]) == 0
+    capsys.readouterr()
+    assert cli.main(["schreier", "transfer", "--xi", "w^2", "-n", "9223372036854775809"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: coefficient 9223372036854775808 exceeds cap\n"
