@@ -521,7 +521,13 @@ def _preload_config(argv, parser):
     if path:
         with open(path) as fh:
             defaults = json.load(fh)
+        if not isinstance(defaults, dict):
+            raise ValueError("config file must hold a JSON object")
         cleaned = {k.replace("-", "_"): v for k, v in defaults.items()}
+        dests = {a.dest for sub in parser._all_parsers for a in sub._actions}
+        unknown = sorted(k for k in defaults if k.replace("-", "_") not in dests)
+        if unknown:
+            raise ValueError(f"unknown config key{'s' if len(unknown) > 1 else ''} {', '.join(map(repr, unknown))}")
         # subcommands parse into a fresh namespace, so each parser that
         # knows the option needs the default installed
         for sub in parser._all_parsers:
@@ -534,7 +540,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         argv = _preload_config(argv, parser)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     args = parser.parse_args(argv)

@@ -18,7 +18,7 @@ from . import ordinal as o
 from . import schreier, wxi
 from .errors import BudgetExceeded
 from .ordinal import Ordinal
-from .schreier import DEFAULT_CONFIG, SchreierConfig
+from .schreier import DEFAULT_CONFIG, FinSet, SchreierConfig
 from .words import (
     Alphabet,
     VarWordStream,
@@ -182,6 +182,7 @@ class SearchOutcome:
     exhausted: bool
     visited: int
     expected: int | None = None
+    nodes: int | None = None  # search-tree nodes, where the search counts them
 
     @property
     def found(self) -> bool:
@@ -199,26 +200,68 @@ def ramsey_schreier_search(
     cfg: SchreierConfig = DEFAULT_CONFIG,
 ) -> SearchOutcome:
     """Find the canonically least L within {1..max_n}, |L| >= target, on
-    which every family member contained in L has one color."""
+    which every family member contained in L has one color.
+
+    Monochromatic is hereditary, so the least such L in size-then-lex
+    order has exactly `target` elements, and it is the first target-set
+    that a depth-first search reaches when it adds elements in ascending
+    order and cuts each branch at its first color clash.  Adding x tests
+    only the members whose maximum is x.  `visited` counts the candidate
+    sets the size-then-lex order decides (rank(L) + 1 among the
+    target-sets, or the whole space when exhausted); `nodes` counts the
+    sets the search tested.
+    """
+    if target < 0:
+        raise ValueError(f"target must be >= 0, got {target}")
     members = schreier.enumerate_members(xi, max_n, cfg)
-    visited = 0
-    for size in range(target, max_n + 1):
-        for L in combinations(range(1, max_n + 1), size):
-            visited += 1
-            ls = set(L)
-            inside = [m for m in members if set(m) <= ls]
-            colors = {apply_coloring(coloring, m) for m in inside}
-            if len(colors) <= 1:
-                cert = tuple((m, apply_coloring(coloring, m)) for m in inside)
-                witness = Witness(
-                    kind="mono_set",
-                    payload=(L, str(xi), coloring),
-                    certificate=cert,
-                    bounds=(("max_n", max_n), ("target", target)),
-                )
-                return SearchOutcome(witness, False, visited)
-    expected = sum(comb(max_n, size) for size in range(target, max_n + 1))
-    return SearchOutcome(None, True, visited, expected)
+    # the empty member, A_0's only one, can meet no second color
+    by_max: list[list[tuple[int, FinSet]]] = [[] for _ in range(max_n + 1)]
+    for m in members:
+        if m:
+            by_max[m[-1]].append((sum(1 << x for x in m[:-1]), m))
+    nodes = 0
+
+    def extend(L: FinSet, mask: int, color):
+        nonlocal nodes
+        if len(L) == target:
+            return L
+        for x in range(L[-1] + 1 if L else 1, max_n + 2 - (target - len(L))):
+            nodes += 1
+            c = color
+            for others, m in by_max[x]:
+                if others & mask == others:
+                    got = apply_coloring(coloring, m)
+                    if c is None:
+                        c = got
+                    elif got != c:
+                        break
+            else:
+                hit = extend(L + (x,), mask | 1 << x, c)
+                if hit is not None:
+                    return hit
+        return None
+
+    L = extend((), 0, None)
+    if L is None:
+        expected = sum(comb(max_n, size) for size in range(target, max_n + 1))
+        return SearchOutcome(None, True, expected, expected, nodes)
+    ls = set(L)
+    witness = Witness(
+        kind="mono_set",
+        payload=(L, str(xi), coloring),
+        certificate=tuple((m, apply_coloring(coloring, m)) for m in members if ls.issuperset(m)),
+        bounds=(("max_n", max_n), ("target", target)),
+    )
+    return SearchOutcome(witness, False, _lex_rank(L, max_n) + 1, None, nodes)
+
+
+def _lex_rank(L: FinSet, n: int) -> int:
+    """The number of len(L)-subsets of {1..n} before L in lex order."""
+    rank, prev = 0, 0
+    for i, x in enumerate(L):
+        rank += sum(comb(n - v, len(L) - i - 1) for v in range(prev + 1, x))
+        prev = x
+    return rank
 
 
 def check_mono_set_witness(w: Witness, cfg: SchreierConfig = DEFAULT_CONFIG) -> bool:
@@ -226,6 +269,11 @@ def check_mono_set_witness(w: Witness, cfg: SchreierConfig = DEFAULT_CONFIG) -> 
     L directly, test membership with the split-searching recursion, and
     re-apply the coloring."""
     L, xi_text, coloring = w.payload
+    if 1 << len(L) > MAX_COLORING_SPACE:
+        raise BudgetExceeded(
+            f"mono_set check walks {1 << len(L)} subsets, over its budget of {MAX_COLORING_SPACE}; "
+            f"frontier |L|={len(L)}"
+        )
     xi = o.parse(xi_text)
     found = []
     for size in range(0, len(L) + 1):
@@ -282,11 +330,12 @@ def _color(c, x) -> int:
     return apply_coloring(c, x) if isinstance(c, Coloring) else c(x)
 
 
-def _family_reductions(u: WordSeq, xi: Ordinal, alph: Alphabet, side: str, mem_fn, cfg: SchreierConfig):
+def _family_reductions(u: WordSeq, xi: Ordinal, alph: Alphabet, side: str, cfg: SchreierConfig):
     """The level-xi reductions on one side of the stream prefix u (of
-    every prefix of u, block-wise), deduplicated."""
+    every prefix of u, block-wise), deduplicated, rebuilt from scratch
+    with the independent membership test: the checkers' view."""
     seen = {seq for used in range(1, len(u) + 1) for seq, _d in reductions(u[:used], alph, side)}
-    return tuple(sorted((s for s in seen if wxi.in_level(xi, s, mem_fn, cfg)), key=seq_sort_key))
+    return tuple(sorted((s for s in seen if wxi.in_level(xi, s, mem_direct, cfg)), key=seq_sort_key))
 
 
 def carlson_witness_search(
@@ -303,6 +352,10 @@ def carlson_witness_search(
 
     Candidate blocks span at most BLOCK_CAP stream words; the first
     witness in canonical order (block size, then letters) is returned.
+    Each node carries, per side, its frontier: the level-xi reductions of
+    all its prefixes with their one color.  A child adds only the
+    reductions that use its new block, and checks their colors against
+    the parent's.
     """
     alph = stream.alph
     per_step = sum(
@@ -316,44 +369,54 @@ def carlson_witness_search(
             for blk in block_reductions(stream.prefix[k : k + b], alph, "variable"):
                 yield blk, b
 
-    def mono(u: WordSeq):
-        const = _family_reductions(u, xi, alph, "constant", schreier.mem, cfg)
-        c1 = {_color(chi1, s) for s in const}
-        if len(c1) > 1:
-            return None
-        var = _family_reductions(u, xi, alph, "variable", schreier.mem, cfg)
-        c2 = {_color(chi2, s) for s in var}
-        if len(c2) > 1:
-            return None
-        return const, var
+    def grow(frontier: dict, cand: WordSeq, side: str, chi):
+        """The frontier of cand on one side, or None on a second color."""
+        grown = dict(frontier)
+        color = next(iter(frontier.values()), None)
+        # these cuts use the new block, so they have more letters than any
+        # reduction in the parent's frontier; a cut d fixes the word lengths,
+        # so the level test depends on d alone
+        level: dict[tuple, bool] = {}
+        for seq, d in reductions(cand, alph, side):
+            if d not in level:
+                level[d] = wxi.in_level(xi, seq, schreier.mem, cfg)
+            if level[d]:
+                grown[seq] = c = _color(chi, seq)
+                if color is None:
+                    color = c
+                elif c != color:
+                    return None
+        return grown
 
-    def dfs(u: WordSeq, k: int):
+    def dfs(u: WordSeq, k: int, const: dict, var: dict):
         nonlocal visited_leaves, pruned_leaves
         if len(u) == depth:
             visited_leaves += 1
-            return u
+            return u, const, var
         for blk, b in blocks_from(k):
             cand = u + (blk,)
-            if mono(cand) is None:
+            const2 = grow(const, cand, "constant", chi1)
+            var2 = None if const2 is None else grow(var, cand, "variable", chi2)
+            if var2 is None:
                 pruned_leaves += per_step ** (depth - len(cand))
                 continue
-            hit = dfs(cand, k + b)
+            hit = dfs(cand, k + b, const2, var2)
             if hit is not None:
                 return hit
         return None
 
-    found = dfs((), 0)
+    found = dfs((), 0, {}, {})
     if found is None:
         return SearchOutcome(None, True, visited_leaves + pruned_leaves, per_step**depth)
-    const, var = mono(found)
+    u, const, var = found
     cert = tuple(
-        [("c", seq_text(s), _color(chi1, s)) for s in const]
-        + [("v", seq_text(s), _color(chi2, s)) for s in var]
+        [("c", seq_text(s), const[s]) for s in sorted(const, key=seq_sort_key)]
+        + [("v", seq_text(s), var[s]) for s in sorted(var, key=seq_sort_key)]
     )
     witness = Witness(
         kind="reduction_prefix",
         payload=(
-            found,
+            u,
             str(xi),
             chi1 if isinstance(chi1, Coloring) else None,
             chi2 if isinstance(chi2, Coloring) else None,
@@ -379,8 +442,8 @@ def check_reduction_prefix_witness(
     for v in u:
         if not is_variable_word(v, alph):
             return False
-    const = _family_reductions(u, xi, alph, "constant", mem_direct, cfg)
-    var = _family_reductions(u, xi, alph, "variable", mem_direct, cfg)
+    const = _family_reductions(u, xi, alph, "constant", cfg)
+    var = _family_reductions(u, xi, alph, "variable", cfg)
     expect_c = {seq_text(s): _color(chi1, s) for s in const}
     expect_v = {seq_text(s): _color(chi2, s) for s in var}
     got_c = {t: c for side, t, c in w.certificate if side == "c"}
@@ -426,7 +489,7 @@ def check_subspace_witness(w: Witness, chi=None, cfg: SchreierConfig = DEFAULT_C
     alph = Alphabet(tuple(symbols))
     xi = o.parse(xi_text)
     u = tuple(word(t, alph) for t in words_text)
-    var = _family_reductions(u, xi, alph, "variable", mem_direct, cfg)
+    var = _family_reductions(u, xi, alph, "variable", cfg)
     expect = {seq_text(s): _color(chi, frozenset(wxi.subspace_points(s, alph))) for s in var}
     got = dict(w.certificate)
     if expect != got:

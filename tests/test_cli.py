@@ -204,6 +204,33 @@ def test_config_file_defaults(tmp_path, capsys):
     assert rep["max_n"] == 4
 
 
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
+    # the removed `threads` and a misspelled `max_n` are usage errors, not silent drops
+    cases = [
+        ({"threads": 8}, "error: unknown config key 'threads'\n"),
+        ({"max_nn": 3}, "error: unknown config key 'max_nn'\n"),
+        ({"threads": 8, "max-nn": 3}, "error: unknown config keys 'max-nn', 'threads'\n"),
+        ([1, 2], "error: config file must hold a JSON object\n"),
+    ]
+    for data, message in cases:
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(data))
+        code = cli.main(["--config", str(cfgfile), "schreier", "enumerate", "--xi", "w"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", message), data
+
+
+def test_mono_set_checker_budget_stops_fast(capsys):
+    # the search answers at once; walking the 2^22 subsets of L would not
+    start = time.perf_counter()
+    code = cli.main(["verify", "ramsey", "--xi", "1", "--max-n", "22", "--coloring", "const:1", "--target", "22"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == f"error: mono_set check walks {1 << 22} subsets, over its budget of {1 << 20}; frontier |L|=22\n"
+    assert elapsed < 1.0
+
+
 BATTERY = [
     ["schreier", "enumerate", "--xi", "w^2", "--max-n", "8"],
     ["verify", "hj", "--r", "2", "--n", "1", "--k", "2", "--xi", "0", "--mmax", "4"],

@@ -1,9 +1,18 @@
+import hashlib
+import json
+import time
+from dataclasses import replace
 from itertools import combinations, product
+from math import comb
 
+import pytest
+
+from schramsey import cli
 from schramsey import ordinal as o
 from schramsey import schreier as sch
 from schramsey import verify as v
-from schramsey.words import Alphabet, upsilon_stream, word
+from schramsey import wxi
+from schramsey.words import Alphabet, block_reductions, reductions, seq_sort_key, seq_text, upsilon_stream, word
 
 P = o.parse
 AB = Alphabet(("a", "b"))
@@ -80,6 +89,75 @@ def test_ramsey_exhaustion_counts():
     out = v.ramsey_schreier_search(o.from_int(2), 5, col, 5)
     assert not out.found and out.exhausted
     assert out.visited == out.expected == 1
+
+
+def _sweep_ramsey(xi, max_n, coloring, target, cfg=sch.DEFAULT_CONFIG):
+    """Reference: the size-then-lex sweep over every subset, filtering every
+    member for each one."""
+    members = sch.enumerate_members(xi, max_n, cfg)
+    visited = 0
+    for size in range(target, max_n + 1):
+        for L in combinations(range(1, max_n + 1), size):
+            visited += 1
+            ls = set(L)
+            inside = [m for m in members if set(m) <= ls]
+            colors = {v.apply_coloring(coloring, m) for m in inside}
+            if len(colors) <= 1:
+                cert = tuple((m, v.apply_coloring(coloring, m)) for m in inside)
+                witness = v.Witness(
+                    kind="mono_set",
+                    payload=(L, str(xi), coloring),
+                    certificate=cert,
+                    bounds=(("max_n", max_n), ("target", target)),
+                )
+                return v.SearchOutcome(witness, False, visited)
+    expected = sum(comb(max_n, size) for size in range(target, max_n + 1))
+    return v.SearchOutcome(None, True, visited, expected)
+
+
+FINSET_COLORINGS = [
+    v.Coloring("finsets", 2, "min_mod"),
+    v.Coloring("finsets", 3, "min_mod"),
+    v.Coloring("finsets", 2, "size_mod"),
+    v.Coloring("finsets", 3, "size_mod"),
+    v.Coloring("finsets", 2, "const", (1,)),
+]
+
+
+@pytest.mark.parametrize("rule", ["fixed", "succ"])
+@pytest.mark.parametrize("xs", ["0", "1", "2", "3", "w", "w+1", "w*2", "w^2"])
+def test_ramsey_dfs_matches_sweep(rule, xs):
+    cfg = sch.SchreierConfig(rule)
+    xi = P(xs)
+    for max_n in range(0, 12):
+        for col in FINSET_COLORINGS:
+            for target in range(0, max_n + 2):
+                out = v.ramsey_schreier_search(xi, max_n, col, target, cfg)
+                assert out.nodes is not None
+                assert replace(out, nodes=None) == _sweep_ramsey(xi, max_n, col, target, cfg), (max_n, col, target)
+
+
+@pytest.mark.parametrize("xs, max_n, nodes", [("3", 12, 250), ("2", 13, 169)])
+def test_ramsey_dfs_nodes_on_exhausted_rows(xs, max_n, nodes):
+    # the sweep decides every one of the 1586 and 4096 candidate sets
+    out = v.ramsey_schreier_search(P(xs), max_n, v.Coloring("finsets", 3, "min_mod"), 7)
+    assert out.exhausted and out.visited == out.expected == sum(comb(max_n, s) for s in range(7, max_n + 1))
+    assert out.nodes == nodes
+
+
+def test_ramsey_schreier_w_probe_answers_fast(capsys):
+    start = time.perf_counter()
+    code = cli.main(["verify", "ramsey", "--xi", "w", "--max-n", "22", "--coloring", "size_mod:3", "--target", "6"])
+    elapsed = time.perf_counter() - start
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 0 and rep["witness"]["payload"][0] == [1, 4, 5, 6, 7, 8]
+    assert rep["witness_checked"] is True
+    assert elapsed < 1.0
+
+
+def test_ramsey_rejects_negative_target():
+    with pytest.raises(ValueError):
+        v.ramsey_schreier_search(P("1"), 5, FINSET_COLORINGS[0], -1)
 
 
 def test_pair_sweep_thresholds():
@@ -164,6 +242,134 @@ def test_subspace_search_trivial_and_checked():
     chi2 = v.Coloring("wordset", 2, "size_mod")
     out2 = v.subspace_search(P("0"), chi2, upsilon_stream(AB, 6), 2)
     assert out2.found and v.check_witness(out2.witness, chi=chi2)
+
+
+def _scratch_family(u, xi, alph, side, cfg):
+    seen = {seq for used in range(1, len(u) + 1) for seq, _d in reductions(u[:used], alph, side)}
+    return tuple(sorted((s for s in seen if wxi.in_level(xi, s, sch.mem, cfg)), key=seq_sort_key))
+
+
+def _scratch_carlson(xi, chi1, chi2, stream, depth, cfg=sch.DEFAULT_CONFIG):
+    """Reference: the prefix search that rebuilds the reductions of every
+    prefix of the candidate at every node."""
+    alph = stream.alph
+    per_step = sum(len(alph.full) ** b - len(alph.symbols) ** b for b in range(1, v.BLOCK_CAP + 1))
+    visited_leaves = 0
+    pruned_leaves = 0
+
+    def blocks_from(k):
+        for b in range(1, min(v.BLOCK_CAP, stream.horizon - k) + 1):
+            for blk in block_reductions(stream.prefix[k : k + b], alph, "variable"):
+                yield blk, b
+
+    def mono(u):
+        const = _scratch_family(u, xi, alph, "constant", cfg)
+        if len({v._color(chi1, s) for s in const}) > 1:
+            return None
+        var = _scratch_family(u, xi, alph, "variable", cfg)
+        if len({v._color(chi2, s) for s in var}) > 1:
+            return None
+        return const, var
+
+    def dfs(u, k):
+        nonlocal visited_leaves, pruned_leaves
+        if len(u) == depth:
+            visited_leaves += 1
+            return u
+        for blk, b in blocks_from(k):
+            cand = u + (blk,)
+            if mono(cand) is None:
+                pruned_leaves += per_step ** (depth - len(cand))
+                continue
+            hit = dfs(cand, k + b)
+            if hit is not None:
+                return hit
+        return None
+
+    found = dfs((), 0)
+    if found is None:
+        return v.SearchOutcome(None, True, visited_leaves + pruned_leaves, per_step**depth)
+    const, var = mono(found)
+    cert = tuple(
+        [("c", seq_text(s), v._color(chi1, s)) for s in const]
+        + [("v", seq_text(s), v._color(chi2, s)) for s in var]
+    )
+    witness = v.Witness(
+        kind="reduction_prefix",
+        payload=(
+            found,
+            str(xi),
+            chi1 if isinstance(chi1, v.Coloring) else None,
+            chi2 if isinstance(chi2, v.Coloring) else None,
+            alph.symbols,
+        ),
+        certificate=cert,
+        bounds=(("depth", depth), ("block_cap", v.BLOCK_CAP), ("horizon", stream.horizon)),
+    )
+    return v.SearchOutcome(witness, False, visited_leaves + pruned_leaves, per_step**depth)
+
+
+def _scratch_subspace(xi, chi, stream, depth, cfg=sch.DEFAULT_CONFIG):
+    """Reference: the subspace search on top of the from-scratch prefix search."""
+    pulled = lambda seq: v._color(chi, frozenset(wxi.subspace_points(seq, stream.alph)))
+    out = _scratch_carlson(xi, v.Coloring("wordseqs", 1, "const", (1,)), pulled, stream, depth, cfg)
+    if out.witness is None:
+        return out
+    base = out.witness
+    witness = v.Witness(
+        kind="subspace_prefix",
+        payload=(base.payload[0], str(xi), chi if isinstance(chi, v.Coloring) else None, stream.alph.symbols),
+        certificate=tuple((t, c) for side, t, c in base.certificate if side == "v"),
+        bounds=base.bounds,
+    )
+    return v.SearchOutcome(witness, False, out.visited, out.expected)
+
+
+# the bench's sequence colorings: const:1, first_len_mod:2, total_len_mod:2, first_letter:2
+SEQ_COLORINGS = [
+    v.Coloring("wordseqs", 2, "const", (1,)),
+    v.Coloring("wordseqs", 2, "first_len_mod"),
+    v.Coloring("wordseqs", 2, "total_len_mod"),
+    v.Coloring("wordseqs", 2, "first_letter", (AB.symbols,)),
+]
+SET_COLORINGS = [
+    v.Coloring("wordset", 2, "size_mod"),
+    v.Coloring("wordset", 3, "size_mod"),
+    v.Coloring("wordset", 2, "min_len_mod"),
+]
+
+
+@pytest.mark.parametrize("rule", ["fixed", "succ"])
+@pytest.mark.parametrize("xs", ["0", "1", "2", "w"])
+def test_carlson_frontier_matches_scratch_search(rule, xs):
+    cfg = sch.SchreierConfig(rule)
+    for horizon in (10, 12):
+        stream = upsilon_stream(AB, horizon)
+        for chi1, chi2 in product(SEQ_COLORINGS, repeat=2):
+            args = (P(xs), chi1, chi2, stream, 3, cfg)
+            assert v.carlson_witness_search(*args) == _scratch_carlson(*args), (chi1, chi2, horizon)
+        for chi in SET_COLORINGS:
+            args = (P(xs), chi, stream, 3, cfg)
+            assert v.subspace_search(*args) == _scratch_subspace(*args), (chi, horizon)
+
+
+def test_carlson_one_kernel_call_per_candidate_and_side(monkeypatch, capsys):
+    calls = []
+
+    def counting(ws, alph, side):
+        calls.append((ws, side))
+        return reductions(ws, alph, side)
+
+    monkeypatch.setattr(v, "reductions", counting)
+    argv = "verify carlson --xi 2 --chi1 total_len_mod:2 --chi2 first_len_mod:2 --stream e:10 --depth 4"
+    assert cli.main(argv.split()) == 0
+    out = capsys.readouterr().out
+    # 89 distinct (prefix, side) pairs; the checker's rebuild adds 4 prefixes x 2 sides
+    # (the from-scratch search made 344 calls)
+    assert len(set(calls)) == 89 and len(calls) == 97
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3fdb4902db1c9be429d2daf6b260e3eddc13afcacc7cf98d9984e5fe5bb3fe47"
+    )
 
 
 # --- Hales-Jewett -----------------------------------------------------------
