@@ -101,6 +101,23 @@ JOBS = {
     "error-constant-word": ["words", "reductions", "--alphabet", "ab", "--seq", "(a,_)"],
     "error-letter-budget": ["wxi", "enumerate", "--xi", "1", "--alphabet", "ab", "--letters", "17"],
     "error-stream": ["cbindex", "--family", "len:1", "--stream", "q:3"],
+    "schreier-enumerate": ["schreier", "enumerate", "--xi", "w^w", "--max-n", "10"],
+    "schreier-enumerate-succ": ["--rule", "succ", "schreier", "enumerate", "--xi", "w*2+1", "--max-n", "9"],
+    "schreier-enumerate-plain": ["--format", "plain", "schreier", "enumerate", "--xi", "w^2", "--max-n", "8"],
+    "schreier-enumerate-plain-succ": ["--format", "plain", "--rule", "succ", "schreier", "enumerate",
+                                      "--xi", "w^w", "--max-n", "8"],
+    "schreier-enumerate-csv": ["--format", "csv", "schreier", "enumerate", "--xi", "0", "--max-n", "3"],
+    "schreier-enumerate-csv-succ": ["--format", "csv", "--rule", "succ", "schreier", "enumerate", "--xi", "w+2",
+                                    "--max-n", "6"],
+    "schreier-mem": ["schreier", "mem", "--xi", "w^2", "--set", "{{2,3,4,5,6,7}}"],
+    "schreier-mem-no": ["--rule", "succ", "schreier", "mem", "--xi", "w^2", "--set", "{{2,3,4,5,6}}"],
+    "schreier-decompose": ["schreier", "decompose", "--xi", "w*2", "--stream", "{{2,3,5,7,8,9,10,11,12}}"],
+    "schreier-transfer": ["schreier", "transfer", "--xi", "w^(w^2)", "-n", "3"],
+    "schreier-transfer-succ": ["--rule", "succ", "schreier", "transfer", "--xi", "w^(w*2)+w", "-n", "3"],
+    "ordinal-classify": ["ordinal", "classify", "w^2+3"],
+    "ordinal-classify-limit": ["ordinal", "classify", "w^w*2+w"],
+    "ordinal-fixed-seq": ["ordinal", "fixed-seq", "w^(w+1)", "-n", "3"],
+    "ordinal-fixed-seq-succ": ["ordinal", "fixed-seq", "w^w", "-n", "3", "--succ"],
 }
 
 # sha256 of empty output
@@ -155,6 +172,21 @@ EXPECTED = {
     "wxi-member-base": (0, "e511d10268aa4586d9e847178eaf4a225eff198ee62213b07f0230c62ea00341", NONE),
     "wxi-member-base-c": (0, "a6054c29d83ffc1617d49a7385c8e8afad91d78b945f9cce527ed02e26dac4c4", NONE),
     "wxi-member-base-side": (1, "155d3439bddc05324948ad4463a0706576a3c19dc60d847efaeea024d5f46f0e", NONE),
+    "ordinal-classify": (0, "33ec608cf4531938310c73e223666381f2c1da70788bb64f1ee1db0f0cef0e18", NONE),
+    "ordinal-classify-limit": (0, "629db922b04db7269b100c87fdb01fb92042cbf54d4c66e6cbbc357ef203a7ad", NONE),
+    "ordinal-fixed-seq": (0, "722a573fd6f07fd63af0bd976906c9acf802252761db702e241ac21ea6dcd427", NONE),
+    "ordinal-fixed-seq-succ": (0, "8ec6e735dad2383b9ab4cb7cff745f369dfc32127b49096662c431b39e3e0ef0", NONE),
+    "schreier-decompose": (0, "1495a21d36ae84b4bcadb9c3192e5f28b87deb3cc07f2e185220812c72c2c1e2", NONE),
+    "schreier-enumerate": (0, "c326eae48af31149efd8af51babe972094c034fed067febfc3c0b02034f2c120", NONE),
+    "schreier-enumerate-csv": (0, "7dd8d5572b93ec1b512e1f80e35d173bdbd2fc8140b43a19e3aad969cbbc9092", NONE),
+    "schreier-enumerate-csv-succ": (0, "01a60265ca6c6619800a26d974046a6bd3f0b67c2d524d96037a63ad30d5c9f7", NONE),
+    "schreier-enumerate-plain": (0, "44368a2da99487bfb4d1319495dae414e4e9df9b94b9414f346e2cc6c037c613", NONE),
+    "schreier-enumerate-plain-succ": (0, "b57e7c5426cf246e4062e6d68a125daa1c22a529138da355bfc6d16e3c09632f", NONE),
+    "schreier-enumerate-succ": (0, "e573107d536eb2e9b1c59a49acb8f4447df3220005be621e24dff020f38497b0", NONE),
+    "schreier-mem": (0, "ca73f9290a26dcb3248e552750199f94447d619f8df1ed7e52e4f5d5be609811", NONE),
+    "schreier-mem-no": (1, "ede7c5c7c7ffac8e1fe0c45b5425f36d2c5da3a51b64beb455816e7fe76dfacd", NONE),
+    "schreier-transfer": (0, "0c8be55b151111b781055a4e75b2112ee6d9cb03d4596a7564a3727bef5be05b", NONE),
+    "schreier-transfer-succ": (0, "035b5c22d445cfe97af694a4407d440e9ec8b45efec892dbf5ccddd9120910a3", NONE),
 }
 
 
