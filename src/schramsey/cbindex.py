@@ -30,8 +30,7 @@ finite pass count and reported as budget-exceeded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import BudgetExceeded, HorizonExceeded, OracleUndecided, ReductionMismatch
 from .words import (
@@ -50,25 +49,24 @@ MAX_BLOCK_WORDS = 2  # stream words per step of the horizon chain search
 MAX_CHAIN_NODES = 500_000  # nodes one horizon chain search may visit
 
 
-@dataclass(frozen=True)
 class ChainOracle:
-    mode: str  # "exact" | "horizon"
-    rule: str | None = None
-    horizon: int | None = None
+    """How escape is decided: an exact rule, or a chain search to horizon H."""
 
-    def __post_init__(self):
-        if self.mode == "exact":
-            if self.rule not in EXACT_RULES:
-                raise ValueError(f"unknown exact rule {self.rule!r}")
-        elif self.mode == "horizon":
-            if self.horizon is None or self.horizon < 2:
+    __slots__ = ("mode", "rule", "horizon")
+
+    def __init__(self, mode: str, rule: str | None = None, horizon: int | None = None):
+        if mode == "exact":
+            if rule not in EXACT_RULES:
+                raise ValueError(f"unknown exact rule {rule!r}")
+        elif mode == "horizon":
+            if horizon is None or horizon < 2:
                 raise ValueError("horizon mode needs H >= 2")
         else:
-            raise ValueError(f"unknown oracle mode {self.mode!r}")
+            raise ValueError(f"unknown oracle mode {mode!r}")
+        self.mode, self.rule, self.horizon = mode, rule, horizon
 
 
-@dataclass(frozen=True)
-class CBFamily:
+class CBFamily(NamedTuple):
     """A hereditary family given by an intensional membership test plus a
     materialized seed list used for survivor iteration and counts."""
 
@@ -124,14 +122,13 @@ def length_truncation_family(
     )
 
 
-@dataclass
 class DerivativeState:
-    family: CBFamily
-    stream: VarWordStream
-    oracle: ChainOracle
-    level: int
-    survivors: tuple[WordSeq, ...]
-    _engine: "_Engine" = field(repr=False, default=None)
+    __slots__ = ("family", "stream", "oracle", "level", "survivors", "_engine")
+
+    def __init__(self, family: CBFamily, stream: VarWordStream, oracle: ChainOracle, level: int,
+                 survivors: tuple[WordSeq, ...], engine: _Engine):
+        self.family, self.stream, self.oracle = family, stream, oracle
+        self.level, self.survivors, self._engine = level, survivors, engine
 
     @property
     def nodes(self) -> int:

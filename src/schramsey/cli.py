@@ -115,6 +115,18 @@ def _parse_coloring(text: str, alph: words.Alphabet | None, domain: str | None =
     return verify.Coloring(dom, colors, rule, params)
 
 
+def _read_family(path: str):
+    """The family in a JSON file; an unreadable file is a usage error."""
+    from . import families
+
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValueError(str(exc)) from None
+    return families.family_from_json(text)
+
+
 def _emit(report: dict, args, code: int) -> int:
     report.setdefault("schema_version", SCHEMA_VERSION)
     fmt = args.format
@@ -193,7 +205,9 @@ def _cmd_schreier(args) -> int:
         report.update({"stream": list(stream), "initial_segment": list(seg)})
     elif args.action == "enumerate":
         ms = schreier.enumerate_members(xi, args.max_n, cfg)
-        report.update({"max_n": args.max_n, "count": len(ms), "members": [list(m) for m in ms]})
+        # json writes the member tuples as arrays; plain and csv print lists
+        members = ms if args.format == "json" else [list(m) for m in ms]
+        report.update({"max_n": args.max_n, "count": len(ms), "members": members})
     elif args.action == "transfer":
         report.update({"n": args.n, "transfer_index": str(schreier.transfer_index(xi, args.n, cfg))})
     return _emit(report, args, code)
@@ -272,8 +286,7 @@ def _cmd_wxi(args) -> int:
 def _cmd_family(args) -> int:
     from . import families, ordinal, words
 
-    with open(args.file) as fh:
-        fam = families.family_from_json(fh.read())
+    fam = _read_family(args.file)
     report = {"command": f"family {args.action}", "members": len(fam.members), "side": fam.side}
     code = EXIT_FOUND
     if args.action == "close":
@@ -308,15 +321,14 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_cbindex(args) -> int:
-    from . import cbindex, families
+    from . import cbindex
 
     alph = _parse_alphabet(args.alphabet)
     if args.family.startswith("len:"):
         max_len = int(args.family.split(":")[1])
         fam = cbindex.length_truncation_family(alph, args.side_full, max_len, args.seed_letters or max_len)
     else:
-        with open(args.family) as fh:
-            f = families.family_from_json(fh.read())
+        f = _read_family(args.family)
         fam = cbindex.explicit_cb_family(f.alph, f.side, f.members)
     stream = _parse_stream(args.stream, fam.alph)
     mode, _, param = args.oracle.partition(":")

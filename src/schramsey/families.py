@@ -14,7 +14,6 @@ their answers with the bounds used.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from . import wxi
 from .errors import HorizonExceeded, ReductionMismatch
@@ -36,18 +35,16 @@ from .words import (
 EMPTY: WordSeq = ()
 
 
-@dataclass(frozen=True)
 class FamilyOfSeqs:
-    alph: Alphabet
-    side: str  # "constant" | "variable"
-    members: frozenset
+    __slots__ = ("alph", "side", "members")
 
-    def __post_init__(self):
-        if self.side not in ("constant", "variable"):
-            raise ValueError(f"unknown side {self.side!r}")
-        for m in self.members:
-            if not wxi.side_consistent(m, self.side, self.alph):
-                raise ValueError(f"{seq_text(m)} is not {self.side}-side")
+    def __init__(self, alph: Alphabet, side: str, members: frozenset):
+        if side not in ("constant", "variable"):
+            raise ValueError(f"unknown side {side!r}")
+        for m in members:
+            if not wxi.side_consistent(m, side, alph):
+                raise ValueError(f"{seq_text(m)} is not {side}-side")
+        self.alph, self.side, self.members = alph, side, members
 
     def sorted_members(self) -> tuple[WordSeq, ...]:
         return tuple(sorted(self.members, key=seq_sort_key))

@@ -20,7 +20,6 @@ a `Plan`; membership, enumeration and the transfer index all walk plans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
@@ -35,16 +34,16 @@ MAX_TRANSFER_TERMS = 10_000
 PLAN_CACHE_SIZE = 1024
 
 
-@dataclass(frozen=True)
 class SchreierConfig:
     """Chooses which approximating sequence instantiates limit exponents:
     'fixed' uses (l)_n, 'succ' iterates it down to a successor ordinal."""
 
-    limit_rule: str = "fixed"
+    __slots__ = ("limit_rule",)
 
-    def __post_init__(self):
-        if self.limit_rule not in ("fixed", "succ"):
-            raise ValueError(f"unknown limit rule {self.limit_rule!r}")
+    def __init__(self, limit_rule: str = "fixed"):
+        if limit_rule not in ("fixed", "succ"):
+            raise ValueError(f"unknown limit rule {limit_rule!r}")
+        self.limit_rule = limit_rule
 
     def step(self, lam: Ordinal, n: int) -> Ordinal:
         if self.limit_rule == "fixed":

@@ -10,9 +10,9 @@ with the greedy membership used by the searches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
+from typing import NamedTuple
 
 from . import ordinal as o
 from . import schreier, wxi
@@ -88,8 +88,7 @@ def mem_direct(xi: Ordinal, s, cfg: SchreierConfig = DEFAULT_CONFIG) -> bool:
 # --- colorings ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(NamedTuple):
     """Serializable coloring: a named rule with parameters, or a table."""
 
     domain: str  # "finsets" | "words" | "wordseqs" | "wordset"
@@ -168,16 +167,14 @@ def apply_coloring(col: Coloring, x) -> int:
 # --- witnesses ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     kind: str
     payload: tuple
     certificate: tuple
     bounds: tuple
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     witness: Witness | None
     exhausted: bool
     visited: int
@@ -357,6 +354,8 @@ def carlson_witness_search(
     reductions that use its new block, and checks their colors against
     the parent's.
     """
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     alph = stream.alph
     per_step = sum(
         (len(alph.full)) ** b - len(alph.symbols) ** b for b in range(1, BLOCK_CAP + 1)

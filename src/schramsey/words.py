@@ -20,9 +20,7 @@ the sequence-versus-sequence form is seq_is_prefix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import ClassVar
 
 from .errors import BudgetExceeded, HorizonExceeded, ReductionMismatch
 
@@ -36,21 +34,21 @@ WordSeq = tuple[str, ...]
 MAX_REDUCTION_CASES = 1 << 20
 
 
-@dataclass(frozen=True)
 class Alphabet:
-    symbols: tuple[str, ...]
-    variable: ClassVar[str] = VAR
+    __slots__ = ("symbols",)
+    variable = VAR
 
-    def __post_init__(self):
-        if not self.symbols:
+    def __init__(self, symbols: tuple[str, ...]):
+        if not symbols:
             raise ValueError("alphabet must be non-empty")
-        for s in self.symbols:
+        for s in symbols:
             if not isinstance(s, str) or len(s) != 1:
                 raise ValueError(f"alphabet symbol {s!r} is not a single character")
-        if len(set(self.symbols)) != len(self.symbols):
+        if len(set(symbols)) != len(symbols):
             raise ValueError("alphabet symbols must be distinct")
-        if VAR in self.symbols:
+        if VAR in symbols:
             raise ValueError("variable must not be an alphabet symbol")
+        self.symbols = symbols
 
     @property
     def full(self) -> tuple[str, ...]:
@@ -171,23 +169,21 @@ def reductions(ws: WordSeq, alph: Alphabet, side: str):
             yield blocks, d
 
 
-@dataclass(frozen=True)
 class VarWordStream:
     """Finite materialized prefix of an infinite sequence of variable words.
 
     Reading past the horizon raises instead of fabricating entries.
     """
 
-    alph: Alphabet
-    prefix: WordSeq
-    label: str = "explicit"
+    __slots__ = ("alph", "prefix", "label")
 
-    def __post_init__(self):
-        if not self.prefix:
+    def __init__(self, alph: Alphabet, prefix: WordSeq, label: str = "explicit"):
+        if not prefix:
             raise ValueError("stream horizon must be >= 1")
-        for w in self.prefix:
+        for w in prefix:
             if VAR not in w:
                 raise ValueError("stream entries must be variable words")
+        self.alph, self.prefix, self.label = alph, prefix, label
 
     @property
     def horizon(self) -> int:

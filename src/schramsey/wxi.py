@@ -12,8 +12,8 @@ directly on the offset stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from . import schreier
 from .errors import BudgetExceeded, HorizonExceeded
@@ -39,17 +39,14 @@ from .words import (
 MAX_LETTER_BUDGET = 16
 
 
-@dataclass(frozen=True)
 class WxiQuery:
-    xi: Ordinal
-    alph: Alphabet
-    side: str  # "constant" | "variable"
-    base: VarWordStream | None = None
-    cfg: SchreierConfig = DEFAULT_CONFIG
+    __slots__ = ("xi", "alph", "side", "base", "cfg")
 
-    def __post_init__(self):
-        if self.side not in ("constant", "variable"):
-            raise ValueError(f"unknown side {self.side!r}")
+    def __init__(self, xi: Ordinal, alph: Alphabet, side: str, base: VarWordStream | None = None,
+                 cfg: SchreierConfig = DEFAULT_CONFIG):
+        if side not in ("constant", "variable"):
+            raise ValueError(f"unknown side {side!r}")
+        self.xi, self.alph, self.side, self.base, self.cfg = xi, alph, side, base, cfg
 
 
 def side_consistent(seq: WordSeq, side: str, alph: Alphabet) -> bool:
@@ -251,8 +248,7 @@ def transfer_check(
     return report
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(NamedTuple):
     """A combinatorial subspace given by its variable generator: a finite
     sequence for finite dimension, a stream for the infinite case."""
 

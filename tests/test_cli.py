@@ -4,6 +4,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from schramsey import cli
 
 
@@ -231,6 +233,27 @@ def test_mono_set_checker_budget_stops_fast(capsys):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("action", ["carlson", "subspace"])
+def test_negative_depth_is_a_usage_error(action):
+    # a subprocess, so that a search which never ends fails the test at its timeout
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "schramsey.cli", "verify", action, "--depth", "-1"],
+                          capture_output=True, text=True, timeout=10)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: depth must be >= 0, got -1\n")
+    assert elapsed < 1.0
+
+
+def test_missing_input_file_is_a_usage_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    cases = [["family", "tree", "--file", missing], ["cbindex", "--family", missing],
+             ["family", "tree", "--file", str(tmp_path)]]  # a directory
+    for argv in cases:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE and captured.out == "", argv
+        assert captured.err.startswith("error: [Errno ") and captured.err.count("\n") == 1, argv
+
 BATTERY = [
     ["schreier", "enumerate", "--xi", "w^2", "--max-n", "8"],
     ["verify", "hj", "--r", "2", "--n", "1", "--k", "2", "--xi", "0", "--mmax", "4"],
@@ -254,15 +277,39 @@ def test_hash_seed_does_not_change_output():
         assert runs[0][1]  # some output was produced
 
 
-def test_schreier_jobs_import_only_their_layers():
-    probe = (
-        "import sys\n"
-        "from schramsey import cli\n"
-        "cli.main(['schreier', 'enumerate', '--xi', 'w^2', '--max-n', '6'])\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith('schramsey.'))), file=sys.stderr)\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+TREE = {"alphabet": ["a", "b"], "side": "constant", "members": [[], ["a"], ["a", "b"]]}
+
+# Each job is a fresh interpreter, so it loads only the layers its subcommand runs.
+LAYER_JOBS = {
+    "ordinal": (["ordinal", "classify", "w^2+3"], {"ordinal"}),
+    "schreier": (["schreier", "enumerate", "--xi", "w^2", "--max-n", "6"], {"ordinal", "schreier"}),
+    "words": (["words", "d", "--alphabet", "ab", "--seq", "(ab,a)"], {"words"}),
+    "wxi": (["wxi", "enumerate", "--xi", "1", "--alphabet", "ab", "--letters", "4"],
+            {"ordinal", "schreier", "words", "wxi"}),
+    "family": (["family", "tree", "--file", "{tree}"], {"ordinal", "schreier", "words", "wxi", "families"}),
+    "cbindex": (["cbindex", "--family", "len:2", "--stream", "e:16", "--oracle", "horizon:4"],
+                {"words", "cbindex"}),
+    "cbindex-file": (["cbindex", "--family", "{tree}", "--stream", "e:12", "--oracle", "horizon:3"],
+                     {"ordinal", "schreier", "words", "wxi", "families", "cbindex"}),
+    "verify": (["verify", "ramsey", "--xi", "2", "--max-n", "8", "--target", "4"],
+               {"ordinal", "schreier", "words", "wxi", "verify"}),
+}
+HEAVY = {"dataclasses", "inspect"}
+
+
+def _loaded_modules(code: str, *argv) -> set:
+    probe = code + "\nprint(' '.join(sorted(sys.modules)), file=sys.stderr)\n"
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stderr.split())
-    assert "schramsey.schreier" in loaded
-    assert not loaded & {f"schramsey.{m}" for m in ("verify", "cbindex", "wxi", "words", "families")}
+    return set(proc.stderr.split())
+
+
+@pytest.mark.parametrize("name", sorted(LAYER_JOBS))
+def test_jobs_import_only_their_layers(name, tmp_path):
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(TREE))
+    argv, layers = LAYER_JOBS[name]
+    loaded = _loaded_modules("import sys\nfrom schramsey import cli\ncli.main(sys.argv[1:])",
+                             *[a.format(tree=path) for a in argv])
+    assert {m for m in loaded if m.startswith("schramsey.")} == {f"schramsey.{m}" for m in {"cli", "errors"} | layers}
+    assert loaded & HEAVY <= _loaded_modules("import sys") & HEAVY

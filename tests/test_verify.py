@@ -1,7 +1,6 @@
 import hashlib
 import json
 import time
-from dataclasses import replace
 from itertools import combinations, product
 from math import comb
 
@@ -134,7 +133,7 @@ def test_ramsey_dfs_matches_sweep(rule, xs):
             for target in range(0, max_n + 2):
                 out = v.ramsey_schreier_search(xi, max_n, col, target, cfg)
                 assert out.nodes is not None
-                assert replace(out, nodes=None) == _sweep_ramsey(xi, max_n, col, target, cfg), (max_n, col, target)
+                assert out._replace(nodes=None) == _sweep_ramsey(xi, max_n, col, target, cfg), (max_n, col, target)
 
 
 @pytest.mark.parametrize("xs, max_n, nodes", [("3", 12, 250), ("2", 13, 169)])
