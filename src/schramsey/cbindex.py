@@ -56,7 +56,7 @@ class ChainOracle:
 
     def __init__(self, mode: str, rule: str | None = None, horizon: int | None = None):
         if mode == "exact":
-            if rule not in EXACT_RULES:
+            if rule != "length":
                 raise ValueError(f"unknown exact rule {rule!r}")
         elif mode == "horizon":
             if horizon is None or horizon < 2:
@@ -123,12 +123,12 @@ def length_truncation_family(
 
 
 class DerivativeState:
-    __slots__ = ("family", "stream", "oracle", "level", "survivors", "_engine")
+    """The seeds that survive `level` derivative passes."""
 
-    def __init__(self, family: CBFamily, stream: VarWordStream, oracle: ChainOracle, level: int,
-                 survivors: tuple[WordSeq, ...], engine: _Engine):
-        self.family, self.stream, self.oracle = family, stream, oracle
-        self.level, self.survivors, self._engine = level, survivors, engine
+    __slots__ = ("level", "survivors", "_engine")
+
+    def __init__(self, engine: _Engine, level: int):
+        self.level, self.survivors, self._engine = level, engine.survivors(level), engine
 
     @property
     def nodes(self) -> int:
@@ -186,7 +186,7 @@ class _Engine:
         key = (seq, level)
         if key not in self.escape_memo:
             if self.oracle.mode == "exact":
-                value = EXACT_RULES[self.oracle.rule](self, seq, level)
+                value = len(seq) == self.current_max_len(level)
             else:
                 value = self._chain_search(seq, level)
             self.escape_memo[key] = value
@@ -245,7 +245,7 @@ class _Engine:
             )
         return False
 
-    # -- exact rules -------------------------------------------------------
+    # -- the exact rule "length" -----------------------------------------
     def current_max_len(self, level: int) -> int:
         if level not in self.maxlen_memo:
             lens = [len(m) for m in self.family.seeds if self.member_at(m, level)]
@@ -253,25 +253,13 @@ class _Engine:
         return self.maxlen_memo[level]
 
 
-def _length_rule(engine: _Engine, seq: WordSeq, level: int) -> bool:
-    return len(seq) == engine.current_max_len(level)
-
-
-EXACT_RULES: dict[str, Callable] = {"length": _length_rule}
-
-
 def initial_state(family: CBFamily, stream: VarWordStream, oracle: ChainOracle) -> DerivativeState:
-    engine = _Engine(family, stream, oracle)
-    return DerivativeState(family, stream, oracle, 0, engine.survivors(0), engine)
+    return DerivativeState(_Engine(family, stream, oracle), 0)
 
 
 def derivative(state: DerivativeState) -> DerivativeState:
     """One derivative pass; survivors at the next level."""
-    engine = state._engine
-    level = state.level + 1
-    return DerivativeState(
-        state.family, state.stream, state.oracle, level, engine.survivors(level), engine
-    )
+    return DerivativeState(state._engine, state.level + 1)
 
 
 def derive_to_empty(
@@ -313,25 +301,3 @@ def derivative_profile(
     """Survivor counts (over the seeds) at levels 0..levels."""
     return [len(s.survivors) for s in derive_levels(family, stream, oracle, levels)]
 
-
-def monotonicity_check(
-    small: CBFamily,
-    large: CBFamily,
-    stream: VarWordStream,
-    substream: VarWordStream | None,
-    oracle: ChainOracle,
-    budget: int = 32,
-) -> dict:
-    """Index comparisons: contained families index no higher; passing to a
-    reduction of the stream does not lower the index."""
-    report = {}
-    i_small = so_index(small, stream, oracle, budget)
-    i_large = so_index(large, stream, oracle, budget)
-    report["small"] = i_small
-    report["large"] = i_large
-    report["contained_le"] = i_small <= i_large
-    if substream is not None:
-        i_sub = so_index(large, substream, oracle, budget)
-        report["substream"] = i_sub
-        report["substream_ge"] = i_sub >= i_large
-    return report

@@ -115,6 +115,13 @@ def _parse_coloring(text: str, alph: words.Alphabet | None, domain: str | None =
     return verify.Coloring(dom, colors, rule, params)
 
 
+def _count(name: str, value: int) -> int:
+    """A size, bound or count given on the command line: 0 or more."""
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
+
+
 def _read_family(path: str):
     """The family in a JSON file; an unreadable file is a usage error."""
     from . import families
@@ -325,7 +332,7 @@ def _cmd_cbindex(args) -> int:
 
     alph = _parse_alphabet(args.alphabet)
     if args.family.startswith("len:"):
-        max_len = int(args.family.split(":")[1])
+        max_len = _count("len", int(args.family.split(":")[1]))
         fam = cbindex.length_truncation_family(alph, args.side_full, max_len, args.seed_letters or max_len)
     else:
         f = _read_family(args.family)
@@ -557,6 +564,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     args = parser.parse_args(argv)
     try:
+        # every integer option counts something, so none may be negative
+        for dest, value in vars(args).items():
+            if type(value) is int:
+                _count(dest.replace("_", "-"), value)
         return args.handler(args)
     except (OrdinalParseError, ReductionMismatch, HorizonExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -262,18 +262,12 @@ def tree_dichotomy_check(
     return report
 
 
-def family_to_json(fam: FamilyOfSeqs) -> str:
-    return json.dumps(
-        {
-            "alphabet": list(fam.alph.symbols),
-            "side": fam.side,
-            "members": [list(m) for m in fam.sorted_members()],
-        },
-        sort_keys=True,
-    )
-
-
 def family_from_json(text: str) -> FamilyOfSeqs:
     data = json.loads(text)
-    alph = Alphabet(tuple(data["alphabet"]))
-    return family_from_texts(alph, data["side"], data["members"])
+    if not (isinstance(data, dict) and {"alphabet", "side", "members"} <= data.keys()
+            and isinstance(data["alphabet"], (list, str)) and isinstance(data["members"], list)):
+        raise ValueError('a family file is an object with an "alphabet" list, a "side" and a "members" list')
+    for m in data["members"]:
+        if not isinstance(m, list) or not all(isinstance(t, str) for t in m):
+            raise ValueError(f"family member {json.dumps(m)} is not a list of words")
+    return family_from_texts(Alphabet(tuple(data["alphabet"])), data["side"], data["members"])

@@ -468,11 +468,7 @@ def subspace_search(
     if out.witness is None:
         return out
     base = out.witness
-    gens = [t for side, t, _c in base.certificate if side == "v"]
-    cert = []
-    for side, t, c in base.certificate:
-        if side == "v":
-            cert.append((t, c))
+    cert = [(t, c) for side, t, c in base.certificate if side == "v"]
     witness = Witness(
         kind="subspace_prefix",
         payload=(base.payload[0], str(xi), chi if isinstance(chi, Coloring) else None, stream.alph.symbols),
@@ -575,29 +571,20 @@ def hales_jewett_M(
     """
     defeaters: dict[int, dict] = {}
     checked: dict[int, int] = {}
+    found = cube_size = None
     for M in range(1, m_max + 1):
         ok, defeated, count, cube = hj_level(r, n, k, xi, M, cfg)
         checked[M] = count
         if ok:
-            return {
-                "M": M,
-                "cube_size": len(cube),
-                "colorings_checked": checked,
-                "defeaters": {
-                    mm: {seq_text(s): c for s, c in d.items()}
-                    for mm, d in defeaters.items()
-                },
-                "bounds": {"m_max": m_max, "r": r, "n": n, "k": k, "xi": str(xi)},
-            }
+            found, cube_size = M, len(cube)
+            break
         if defeated is not None:
             defeaters[M] = defeated
     return {
-        "M": None,
-        "cube_size": None,
+        "M": found,
+        "cube_size": cube_size,
         "colorings_checked": checked,
-        "defeaters": {
-            mm: {seq_text(s): c for s, c in d.items()} for mm, d in defeaters.items()
-        },
+        "defeaters": {mm: {seq_text(s): c for s, c in d.items()} for mm, d in defeaters.items()},
         "bounds": {"m_max": m_max, "r": r, "n": n, "k": k, "xi": str(xi)},
     }
 

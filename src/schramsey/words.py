@@ -12,10 +12,8 @@ structure of the substituted letter-word t is recorded by d_map(t).
 `block_reductions`/`reductions` enumerate the side-consistent
 reductions, and `align` inverts one block against a stream.
 
-The prefix order between words is strict (shorter, agreeing letterwise,
-and in variable mode with a variable remainder).  Between a finite
-sequence and a stream the order is read as "strict initial segment";
-the sequence-versus-sequence form is seq_is_prefix.
+A word's prefixes are its `str` prefixes (`startswith`); word sequences
+are ordered by strict initial segment, seq_is_prefix.
 """
 
 from __future__ import annotations
@@ -80,25 +78,6 @@ def substitute(w: Word, letter: str, alph: Alphabet) -> Word:
     if letter != VAR and letter not in alph.symbols:
         raise ValueError(f"letter {letter!r} not in alphabet")
     return w.replace(VAR, letter)
-
-
-def is_prefix(w1: Word, w2: Word, alph: Alphabet, mode: str = "constant") -> bool:
-    """Strict prefix order on words.  In variable mode the remainder must
-    itself contain the variable."""
-    if len(w1) >= len(w2) or not w2.startswith(w1):
-        return False
-    if mode == "variable":
-        return VAR in w2[len(w1) :]
-    if mode != "constant":
-        raise ValueError(f"unknown mode {mode!r}")
-    return True
-
-
-def word_diff(w2: Word, w1: Word, alph: Alphabet, mode: str = "constant") -> Word:
-    """w2 - w1 where w1 is a strict prefix of w2 in the given mode."""
-    if not is_prefix(w1, w2, alph, mode):
-        raise ValueError(f"{w1} is not a {mode}-mode prefix of {w2}")
-    return w2[len(w1) :]
 
 
 def seq_is_prefix(s: WordSeq, t: WordSeq) -> bool:
@@ -236,27 +215,6 @@ def reduce_seq(stream: VarWordStream, t: WordSeq) -> WordSeq:
     return tuple(out)
 
 
-def reduce_stream(stream: VarWordStream, t_words: WordSeq):
-    """Reduce as many whole blocks of t_words as the horizon allows.
-
-    Returns a VarWordStream when every produced block is variable, and a
-    plain WordSeq otherwise.  Raises if not even one block fits.
-    """
-    fits = []
-    pos = 0
-    for block in t_words:
-        if pos + len(block) > stream.horizon:
-            break
-        fits.append(block)
-        pos += len(block)
-    if not fits:
-        raise HorizonExceeded("no whole block fits within the stream horizon")
-    seq = reduce_seq(stream, tuple(fits))
-    if all(VAR in w for w in seq):
-        return VarWordStream(stream.alph, seq, label=f"{stream.label}[reduced]")
-    return seq
-
-
 def _require_variable_words(seq: WordSeq, who: str) -> None:
     for w in seq:
         if VAR not in w:
@@ -327,43 +285,3 @@ def align(stream: VarWordStream, start: int, u: Word, side: str) -> tuple[Word, 
         raise ReductionMismatch("a block of a variable-side reduction lacks the variable")
     return t, end
 
-
-def family_shift(fam, s: Word):
-    """The shifted family: sequences w with s a prefix of w1 such that
-    re-splitting (s, w1-s, w2, ...) lands in fam; the empty sequence is
-    included exactly when (s) is a member."""
-    out = set()
-    for m in fam:
-        if m == (s,):
-            out.add(())
-        elif len(m) >= 2 and m[0] == s:
-            out.add((m[0] + m[1],) + m[2:])
-    return frozenset(out)
-
-
-def family_restrict(fam, s: Word, alph: Alphabet, mode: str = "constant"):
-    """Members whose first word strictly extends s (plus the empty one)."""
-    out = set()
-    for m in fam:
-        if m == ():
-            out.add(m)
-        elif is_prefix(s, m[0], alph, mode):
-            out.add(m)
-    return frozenset(out)
-
-
-def stream_shift(stream: VarWordStream, t: Word, mode: str) -> VarWordStream:
-    """Graft t onto the next stream word and drop the consumed prefix."""
-    _, k = align(stream, 0, t, mode)
-    head = t + stream.word_at(k + 1)
-    return VarWordStream(
-        stream.alph, (head,) + stream.prefix[k + 1 :], label=f"{stream.label}-shift"
-    )
-
-
-def stream_drop(stream: VarWordStream, t: Word, mode: str) -> VarWordStream:
-    """Drop the stream prefix that t reduces."""
-    _, k = align(stream, 0, t, mode)
-    if k >= stream.horizon:
-        raise HorizonExceeded("nothing left past the consumed prefix")
-    return VarWordStream(stream.alph, stream.prefix[k:], label=f"{stream.label}-drop")

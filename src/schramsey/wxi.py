@@ -13,7 +13,6 @@ directly on the offset stream.
 from __future__ import annotations
 
 from itertools import product
-from typing import NamedTuple
 
 from . import schreier
 from .errors import BudgetExceeded, HorizonExceeded
@@ -26,14 +25,12 @@ from .words import (
     WordSeq,
     align,
     d_map,
-    is_prefix,
     is_variable_word,
     reduce_seq,
     reduced_words,
     seq_sort_key,
     side_words,
     substitute,
-    word_diff,
 )
 
 MAX_LETTER_BUDGET = 16
@@ -204,67 +201,9 @@ def star_status(xi: Ordinal, seq: WordSeq, cfg: SchreierConfig = DEFAULT_CONFIG)
     return "outside"
 
 
-def transfer_check(
-    xi: Ordinal,
-    s: Word,
-    alph: Alphabet,
-    letter_budget: int,
-    cfg: SchreierConfig = DEFAULT_CONFIG,
-    side: str = "constant",
-) -> dict:
-    """Exhaustively compare the shift of the level-xi family by the word s
-    against the transfer-index family restricted to extensions of s.
-
-    Both sides are cut to sequences with total letters <= letter_budget.
-    """
-    n = len(s) + 1
-    xi_n = schreier.transfer_index(xi, n, cfg)
-    lhs, rhs = set(), set()
-    for u in [(), *universe(alph, side, letter_budget)]:
-        if u == ():
-            if in_wxi(WxiQuery(xi, alph, side, cfg=cfg), (s,)):
-                lhs.add(u)
-        else:
-            if is_prefix(s, u[0], alph, side):
-                shifted = (s, word_diff(u[0], s, alph, side)) + u[1:]
-                if in_wxi(WxiQuery(xi, alph, side, cfg=cfg), shifted):
-                    lhs.add(u)
-        extends = u == () or is_prefix(s, u[0], alph, side)
-        if extends and in_wxi(WxiQuery(xi_n, alph, side, cfg=cfg), u):
-            rhs.add(u)
-    ok = lhs == rhs
-    report = {
-        "xi": str(xi),
-        "word": s,
-        "transfer_index": str(xi_n),
-        "letter_budget": letter_budget,
-        "lhs_size": len(lhs),
-        "rhs_size": len(rhs),
-        "equal": ok,
-    }
-    if not ok:
-        diff = sorted(lhs ^ rhs, key=seq_sort_key)[:5]
-        report["counterexamples"] = [list(seq) for seq in diff]
-    return report
-
-
-class Subspace(NamedTuple):
-    """A combinatorial subspace given by its variable generator: a finite
-    sequence for finite dimension, a stream for the infinite case."""
-
-    generator: "WordSeq | VarWordStream"
-
-    def finite_generator(self) -> WordSeq:
-        if isinstance(self.generator, VarWordStream):
-            raise ValueError("stream-generated subspace has no finite point set")
-        return self.generator
-
-
-def subspace_points(gen, alph: Alphabet) -> tuple[Word, ...]:
+def subspace_points(gen: WordSeq, alph: Alphabet) -> tuple[Word, ...]:
     """The constant words spanned by a variable generator sequence: all
     per-word substitutions, concatenated."""
-    if isinstance(gen, Subspace):
-        gen = gen.finite_generator()
     rw, _ = reduced_words(gen, alph)
     return rw
 
@@ -279,16 +218,3 @@ def span(tseq: WordSeq, alph: Alphabet) -> tuple[WordSeq, ...]:
         out.append(tuple(substitute(w, a, alph) for w, a in zip(tseq, assign)))
     return tuple(sorted(set(out), key=seq_sort_key))
 
-
-def is_xi_subspace(
-    gen,
-    xi: Ordinal,
-    alph: Alphabet,
-    base: VarWordStream | None = None,
-    cfg: SchreierConfig = DEFAULT_CONFIG,
-) -> bool:
-    """A generator spans a level-xi subspace when it is a variable member
-    of the level-xi family (relative to the base when given)."""
-    if isinstance(gen, Subspace):
-        gen = gen.finite_generator()
-    return in_wxi(WxiQuery(xi, alph, "variable", base=base, cfg=cfg), gen)

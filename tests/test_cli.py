@@ -233,15 +233,28 @@ def test_mono_set_checker_budget_stops_fast(capsys):
     assert elapsed < 1.0
 
 
-@pytest.mark.parametrize("action", ["carlson", "subspace"])
-def test_negative_depth_is_a_usage_error(action):
+@pytest.mark.parametrize("argv, name, value", [
+    pytest.param(["verify", "carlson", "--depth", "-1"], "depth", -1, id="carlson"),
+    pytest.param(["verify", "subspace", "--depth", "-1"], "depth", -1, id="subspace"),
+    pytest.param(["verify", "pair-sweep", "--max-n", "-2"], "max-n", -2, id="pair-sweep-max-n"),
+    pytest.param(["verify", "ramsey", "--max-n", "-1"], "max-n", -1, id="ramsey-max-n"),
+    pytest.param(["verify", "hj", "--mmax", "-1"], "mmax", -1, id="hj-mmax"),
+    pytest.param(["cbindex", "--family", "len:-1"], "len", -1, id="cbindex-len"),
+    pytest.param(["cbindex", "--family", "len:2", "--levels", "-1"], "levels", -1, id="cbindex-levels"),
+    pytest.param(["wxi", "enumerate", "--xi", "1", "--alphabet", "ab", "--letters", "-1"], "letters", -1,
+                 id="wxi-letters"),
+    pytest.param(["schreier", "enumerate", "--xi", "w", "--max-n", "-3"], "max-n", -3, id="schreier-max-n"),
+])
+def test_negative_depth_is_a_usage_error(argv, name, value, capsys):
     # a subprocess, so that a search which never ends fails the test at its timeout
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "schramsey.cli", "verify", action, "--depth", "-1"],
-                          capture_output=True, text=True, timeout=10)
+    proc = subprocess.run([sys.executable, "-m", "schramsey.cli", *argv], capture_output=True, text=True, timeout=10)
     elapsed = time.perf_counter() - start
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: depth must be >= 0, got -1\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {name} must be >= 0, got {value}\n")
     assert elapsed < 1.0
+    # 0 is a size like any other
+    assert cli.main([a.replace(str(value), "0") for a in argv]) in (cli.EXIT_FOUND, cli.EXIT_EXHAUSTED)
+    assert capsys.readouterr().err == ""
 
 
 def test_missing_input_file_is_a_usage_error(tmp_path, capsys):
@@ -253,6 +266,23 @@ def test_missing_input_file_is_a_usage_error(tmp_path, capsys):
         captured = capsys.readouterr()
         assert code == cli.EXIT_USAGE and captured.out == "", argv
         assert captured.err.startswith("error: [Errno ") and captured.err.count("\n") == 1, argv
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"side": "constant", "members": [["a"]]},
+     'error: a family file is an object with an "alphabet" list, a "side" and a "members" list\n'),
+    ({"alphabet": ["a", "b"], "side": "constant", "members": [["a"], 3]},
+     "error: family member 3 is not a list of words\n"),
+    ([["a"], ["a", "b"]], 'error: a family file is an object with an "alphabet" list, a "side" and a "members" list\n'),
+], ids=["no-alphabet", "member-not-a-list", "top-level-array"])
+def test_malformed_family_file_is_a_usage_error(tmp_path, capsys, data, message):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(data))
+    for argv in (["family", "tree", "--file", str(path)], ["cbindex", "--family", str(path)]):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (cli.EXIT_USAGE, "", message), argv
+
 
 BATTERY = [
     ["schreier", "enumerate", "--xi", "w^2", "--max-n", "8"],

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -192,6 +193,7 @@ def test_tree_dichotomy_random_trees():
 
 def test_family_json_roundtrip():
     F = fm.substar(fam("variable", [["_", "_"]]))
-    text = fm.family_to_json(F)
+    members = [list(m) for m in F.sorted_members()]
+    text = json.dumps({"alphabet": list(F.alph.symbols), "side": F.side, "members": members})
     back = fm.family_from_json(text)
     assert back.members == F.members and back.side == F.side

@@ -8,23 +8,16 @@ from schramsey.words import (
     Alphabet,
     VarWordStream,
     d_map,
-    family_restrict,
-    family_shift,
     finite_reductions,
-    is_prefix,
     is_variable_word,
     pattern_stream,
     reduce_seq,
-    reduce_stream,
     reduce_word,
     reduced_words,
     seq_text,
-    stream_drop,
-    stream_shift,
     substitute,
     upsilon_stream,
     word,
-    word_diff,
 )
 from schramsey.wxi import match_reduction
 
@@ -58,16 +51,6 @@ def test_substitute():
         substitute(w("ab"), "a", AB)
 
 
-def test_prefix_and_diff():
-    assert is_prefix(w("ab"), w("abba"), AB)
-    assert word_diff(w("abba"), w("ab"), AB) == "ba"
-    assert not is_prefix(w("ab"), w("ab"), AB)  # strict
-    assert is_prefix(w("_a"), w("_a_b"), AB, "variable")
-    assert not is_prefix(w("_a"), w("_ab"), AB, "variable")
-    with pytest.raises(ValueError):
-        word_diff(w("_ab"), w("_a"), AB, "variable")
-
-
 def test_d_map():
     assert d_map((w("ab"), w("ba"), w("aab"))) == (3, 5)
     assert d_map((w("aba"),)) == ()
@@ -93,24 +76,10 @@ def test_reduce_seq():
     s = VarWordStream(AB, (w("a_"), w("_b"), w("__")))
     assert seq_text(reduce_seq(s, (w("ab"),))) == "(aabb)"
     assert seq_text(reduce_seq(s, (w("a"), w("b")))) == "(aa,bb)"
-
-
-def test_reduce_stream():
-    e = upsilon_stream(AB, 6)
-    out = reduce_stream(e, (w("__"), w("__"), w("__")))
-    assert isinstance(out, VarWordStream)
-    assert list(out.prefix) == ["__", "__", "__"]
-    # reducing by unit variable blocks reproduces the stream prefix
-    s0 = VarWordStream(AB, (w("a_"), w("_b"), w("__")))
-    out0 = reduce_stream(s0, (w("_"), w("_"), w("_")))
-    assert out0.prefix == s0.prefix
-    s = VarWordStream(AB, (w("a_"), w("_b"), w("a_"), w("_b")))
-    out2 = reduce_stream(s, (w("__"), w("__"), w("__")))
-    assert list(out2.prefix) == ["a__b", "a__b"]  # last block cut off
-    const = reduce_stream(s, (w("ab"), w("ab")))
-    assert seq_text(const) == "(aabb,aabb)"
+    # unit variable blocks reproduce the stream prefix
+    assert reduce_seq(s, (w("_"), w("_"), w("_"))) == s.prefix
     with pytest.raises(HorizonExceeded):
-        reduce_stream(s, (w("aaaaa"),))
+        reduce_seq(s, (w("aaaa"),))
 
 
 def test_reduced_words_enumeration():
@@ -211,18 +180,18 @@ def test_reduction_composition_preserves_prefix_order():
     s = VarWordStream(AB, (w("a_"), w("_b"), w("__"), w("_")))
     t1 = w("ab")
     t2 = w("ab_a")
-    assert is_prefix(t1, t2, AB)
+    assert t2.startswith(t1) and len(t1) < len(t2)
     u1 = reduce_word(s, t1)
     u2 = reduce_word(s, t2)
-    assert is_prefix(u1, u2, AB)
-    assert reduce_word(s, t1 + word_diff(t2, t1, AB)) == u2
+    assert u2.startswith(u1) and len(u1) < len(u2)
+    assert reduce_word(s, t1 + t2[len(t1):]) == u2
 
 
 def test_reduction_nesting():
     # variable reduced words of a reduced stream are reduced words of the base
     base = VarWordStream(AB, (w("a_"), w("_b"), w("__"), w("_")))
-    sub = reduce_stream(base, (w("__"), w("__")))
-    assert isinstance(sub, VarWordStream)
+    sub = VarWordStream(AB, reduce_seq(base, (w("__"), w("__"))))
+    assert sub.prefix == ("a__b", "___")
     base_vrw = set()
     for used in range(1, base.horizon + 1):
         for assign in product(AB.full, repeat=used):
@@ -232,32 +201,6 @@ def test_reduction_nesting():
         for assign in product(AB.full, repeat=used):
             if AB.variable in assign:
                 assert reduce_word(sub, "".join(assign)) in base_vrw
-
-
-def test_stream_shift_and_drop():
-    e = upsilon_stream(AB, 4)
-    shifted = stream_shift(e, w("a"), "constant")
-    assert list(shifted.prefix) == ["a_", "_", "_"]
-    dropped = stream_drop(e, w("_"), "variable")
-    assert list(dropped.prefix) == ["_", "_", "_"]
-    s = VarWordStream(AB, (w("a_"), w("_b"), w("_")))
-    shifted2 = stream_shift(s, w("ab"), "constant")
-    assert list(shifted2.prefix) == ["ab_b", "_"]
-    with pytest.raises(ReductionMismatch):
-        stream_shift(s, w("ba"), "constant")
-    with pytest.raises(ReductionMismatch):
-        stream_shift(s, w("a"), "constant")  # misaligned length
-
-
-def test_family_shift_and_restrict():
-    G = frozenset({(w("ab"),), (w("ab"), w("b"))})
-    shifted = family_shift(G, w("ab"))
-    assert () in shifted
-    assert (w("abb"),) in shifted
-    assert len(shifted) == 2
-    R = family_restrict(G | {()}, w("a"), AB)
-    assert R == G | {()}
-    assert family_restrict(G, w("b"), AB) == frozenset()
 
 
 def test_pattern_stream():
