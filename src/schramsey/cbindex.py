@@ -7,9 +7,12 @@ order.  The index is the number of passes, minus one, needed to empty
 the family; level 0 is the once-derived family.
 
 Membership after j passes is evaluated lazily and memoized per
-(sequence, level), so escape tests at level j+1 consult the level-j
-family itself rather than a frozen materialization.  Two chain oracles
-are provided:
+(class, end, level), where end is the stream position a sequence
+reaches as a reduction and class is the family's `key` of it (the
+sequence itself, or its length for a length truncation), so escape
+tests at level j+1 consult the level-j family itself rather than a
+frozen materialization, and each class is decided once.  Two chain
+oracles are provided:
 
   * horizon(H): a depth-first search for a strict-prefix chain of
     length H inside the truncated reduced-word universe, extending by
@@ -39,7 +42,6 @@ from .words import (
     WordSeq,
     align,
     block_reductions,
-    is_variable_word,
     seq_sort_key,
     side_words,
 )
@@ -59,7 +61,9 @@ class ChainOracle:
             if rule != "length":
                 raise ValueError(f"unknown exact rule {rule!r}")
         elif mode == "horizon":
-            if horizon is None or horizon < 2:
+            if horizon is None:
+                raise ValueError("horizon mode needs H (horizon:H)")
+            if horizon < 2:
                 raise ValueError("horizon mode needs H >= 2")
         else:
             raise ValueError(f"unknown oracle mode {mode!r}")
@@ -68,13 +72,18 @@ class ChainOracle:
 
 class CBFamily(NamedTuple):
     """A hereditary family given by an intensional membership test plus a
-    materialized seed list used for survivor iteration and counts."""
+    materialized seed list used for survivor iteration and counts.
+
+    `key` maps a sequence to its class: two sequences of one class that
+    end at the same stream position are members after every pass or
+    after none.  The identity is always sound."""
 
     alph: Alphabet
     side: str
     member_fn: Callable[[WordSeq], bool]
     seeds: tuple[WordSeq, ...]
     label: str = "family"
+    key: Callable[[WordSeq], object] = lambda seq: seq
 
 
 def explicit_cb_family(alph: Alphabet, side: str, members, label: str = "explicit") -> CBFamily:
@@ -93,15 +102,16 @@ def length_truncation_family(
 ) -> CBFamily:
     """The hereditary closure of the fixed-length family: all sequences of
     at most max_len side-consistent words (any letters), seeded within the
-    given total letter budget."""
+    given total letter budget.
 
-    def member(seq: WordSeq) -> bool:
-        if len(seq) > max_len:
-            return False
-        for w in seq:
-            if is_variable_word(w, alph) != (side == "variable"):
-                return False
-        return True
+    The class of a sequence is its length.  The engine sees a sequence
+    only when it is a reduction of the stream on `side`, and `align`
+    refuses a block off that side, so every word it sees is
+    side-consistent and membership at level 0 depends on the length and
+    the end position alone; the escape search from a sequence depends on
+    its end position and on the members one word longer, so by
+    induction on the level so do its escapes and its membership at
+    every later level."""
 
     seeds = [()]
     frontier = [((), 0)]
@@ -116,9 +126,10 @@ def length_truncation_family(
     return CBFamily(
         alph,
         side,
-        member,
+        lambda seq: len(seq) <= max_len,
         tuple(sorted(seeds, key=seq_sort_key)),
         label=f"len<={max_len}",
+        key=len,
     )
 
 
@@ -142,53 +153,66 @@ class _Engine:
         self.family = family
         self.stream = stream
         self.oracle = oracle
-        self.member_memo: dict[tuple[WordSeq, int], bool] = {}
-        self.escape_memo: dict[tuple[WordSeq, int], bool] = {}
-        self.universe_memo: dict[WordSeq, int | None] = {}
+        self.member_memo: dict[tuple[object, int, int], bool] = {}
+        self.escape_memo: dict[tuple[object, int, int], bool] = {}
+        self.universe_memo: dict[WordSeq, int | None] = {(): 0}
         self.step_memo: dict[int, tuple[list[tuple[str, int]], bool]] = {}
+        self.survivor_memo: dict[int, tuple[WordSeq, ...]] = {}
         self.maxlen_memo: dict[int, int] = {}
         self.nodes = 0
 
-    def end_pos(self, seq: WordSeq, known: int | None = None) -> int | None:
+    def end_pos(self, seq: WordSeq) -> int | None:
         """Stream words consumed by seq as a reduction of the stream (on
         the family's side), or None when it is not one: the derivative
-        only ever sees the family cut to this universe.  `known` is the
-        end position of a candidate built as a reduction, which needs no
-        matching."""
-        if seq not in self.universe_memo:
-            if known is not None:
-                value = known
-            else:
-                value = 0
+        only ever sees the family cut to this universe.  Each word is
+        aligned from the end of the sequence before it, so a sequence
+        whose prefix was seen aligns only its last word."""
+        memo = self.universe_memo
+        if seq in memo:
+            return memo[seq]
+        n = len(seq) - 1
+        while seq[:n] not in memo:
+            n -= 1
+        end = memo[seq[:n]]
+        for n in range(n, len(seq)):
+            if end is not None:
                 try:
-                    for u in seq:
-                        _, value = align(self.stream, value, u, self.family.side)
+                    _, end = align(self.stream, end, seq[n], self.family.side)
                 except (ReductionMismatch, HorizonExceeded):
-                    value = None
-            self.universe_memo[seq] = value
-        return self.universe_memo[seq]
+                    end = None
+            memo[seq[: n + 1]] = end
+        return end
 
     # -- membership after `level` passes --------------------------------
-    def member_at(self, seq: WordSeq, level: int, end: int | None = None) -> bool:
+    def member_at(self, seq: WordSeq, level: int, end: int | None) -> bool:
+        """Whether seq, a reduction ending at stream word `end` (None: not
+        a reduction), survives `level` passes."""
+        if end is None:
+            return False
         if level == 0:
-            return self.family.member_fn(seq) and self.end_pos(seq, end) is not None
-        key = (seq, level)
+            return self.family.member_fn(seq)
+        key = (self.family.key(seq), end, level)
         if key not in self.member_memo:
-            value = self.member_at(seq, level - 1, end) and not self.escapes(seq, level - 1)
+            value = self.member_at(seq, level - 1, end) and not self.escapes(seq, end, level - 1)
             self.member_memo[key] = value
         return self.member_memo[key]
 
     def survivors(self, level: int) -> tuple[WordSeq, ...]:
-        return tuple(m for m in self.family.seeds if self.member_at(m, level))
+        """The seeds that survive `level` passes, found among those that
+        survive one pass fewer."""
+        if level not in self.survivor_memo:
+            pool = self.survivors(level - 1) if level else self.family.seeds
+            self.survivor_memo[level] = tuple(m for m in pool if self.member_at(m, level, self.end_pos(m)))
+        return self.survivor_memo[level]
 
     # -- escape decision at a level --------------------------------------
-    def escapes(self, seq: WordSeq, level: int) -> bool:
-        key = (seq, level)
+    def escapes(self, seq: WordSeq, end: int, level: int) -> bool:
+        key = (self.family.key(seq), end, level)
         if key not in self.escape_memo:
             if self.oracle.mode == "exact":
                 value = len(seq) == self.current_max_len(level)
             else:
-                value = self._chain_search(seq, level)
+                value = self._chain_search(seq, end, level)
             self.escape_memo[key] = value
         return self.escape_memo[key]
 
@@ -209,7 +233,7 @@ class _Engine:
             self.step_memo[k] = (entries, blocks < MAX_BLOCK_WORDS)
         return self.step_memo[k]
 
-    def _chain_search(self, seq: WordSeq, level: int) -> bool:
+    def _chain_search(self, seq: WordSeq, end: int, level: int) -> bool:
         """Depth-first search for a chain of H escape words above seq,
         each a strict prefix of the next.  A node is a tail appended to
         seq; a child extends it by one step and is entered when seq plus
@@ -227,7 +251,7 @@ class _Engine:
             touched_horizon |= cut
             return iter(entries)
 
-        path = [("", enter(self.end_pos(seq)))]
+        path = [("", enter(end))]
         while path:
             tail, todo = path[-1]
             for chunk, k in todo:
@@ -248,8 +272,7 @@ class _Engine:
     # -- the exact rule "length" -----------------------------------------
     def current_max_len(self, level: int) -> int:
         if level not in self.maxlen_memo:
-            lens = [len(m) for m in self.family.seeds if self.member_at(m, level)]
-            self.maxlen_memo[level] = max(lens) if lens else -1
+            self.maxlen_memo[level] = max(map(len, self.survivors(level)), default=-1)
         return self.maxlen_memo[level]
 
 

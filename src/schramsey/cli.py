@@ -333,16 +333,17 @@ def _cmd_cbindex(args) -> int:
     alph = _parse_alphabet(args.alphabet)
     if args.family.startswith("len:"):
         max_len = _count("len", int(args.family.split(":")[1]))
-        fam = cbindex.length_truncation_family(alph, args.side_full, max_len, args.seed_letters or max_len)
+        letters = max_len if args.seed_letters is None else _count("seed-letters", args.seed_letters)
+        fam = cbindex.length_truncation_family(alph, args.side_full, max_len, letters)
     else:
         f = _read_family(args.family)
         fam = cbindex.explicit_cb_family(f.alph, f.side, f.members)
     stream = _parse_stream(args.stream, fam.alph)
     mode, _, param = args.oracle.partition(":")
     if mode == "exact":
-        oracle = cbindex.ChainOracle("exact", rule=param or "length")
+        oracle = cbindex.ChainOracle(mode, rule=param or "length")
     else:
-        oracle = cbindex.ChainOracle("horizon", horizon=int(param))
+        oracle = cbindex.ChainOracle(mode, horizon=int(param) if param else None)
     report = {
         "command": "cbindex",
         "family": fam.label,

@@ -156,9 +156,9 @@ def test_profile_matches_direct_recount():
 @pytest.mark.parametrize(
     "alphabet, side, k, stream_words, H, nodes",
     [
-        ("ab", "constant", 2, None, 4, 182),
-        ("abc", "constant", 3, None, 5, 8590),
-        ("ab", "variable", 3, (["_"], ["__"]), 5, 1502),
+        ("ab", "constant", 2, None, 4, 54),
+        ("abc", "constant", 3, None, 5, 162),
+        ("ab", "variable", 3, (["_"], ["__"]), 5, 162),
     ],
 )
 def test_chain_search_node_counts_are_pinned(alphabet, side, k, stream_words, H, nodes):
@@ -172,6 +172,48 @@ def test_chain_search_node_counts_are_pinned(alphabet, side, k, stream_words, H,
     state = cb.derive_to_empty(fam, st, cb.ChainOracle("horizon", horizon=H))
     assert state.level - 1 == k
     assert state.nodes == nodes
+
+
+def _outcomes(fam, st, oracle, k):
+    """The (level, survivor count) of each state and the nodes of the
+    last one, for a run to the empty level at the default pass budget and
+    at a budget of k passes, and for a profile over k + 1 levels; an
+    undecided or over-budget run gives its exception type instead."""
+    runs = (
+        lambda: [cb.derive_to_empty(fam, st, oracle)],
+        lambda: [cb.derive_to_empty(fam, st, oracle, budget=k)],
+        lambda: cb.derive_levels(fam, st, oracle, k + 1),
+    )
+    out = []
+    for run in runs:
+        try:
+            states = run()
+        except (OracleUndecided, BudgetExceeded) as exc:
+            out.append((type(exc), None))
+        else:
+            out.append(([(s.level, len(s.survivors)) for s in states], states[-1].nodes))
+    return out
+
+
+@pytest.mark.parametrize("oracle_k", [1, 2, 3, None], ids=["H=K+1", "H=K+2", "H=K+3", "exact"])
+@pytest.mark.parametrize("stream_kind", ["e", "pat"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("alphabet", ["ab", "abc"])
+@pytest.mark.parametrize("side", ["constant", "variable"])
+def test_class_keyed_engine_matches_sequence_keyed(side, alphabet, k, stream_kind, oracle_k):
+    # a length truncation is decided once per (length, end) class; the
+    # same family keyed by the sequence itself decides every sequence on
+    # its own and must give the same answers, with no fewer chain nodes.
+    # The streams are short enough that some horizon searches are undecided
+    alph = Alphabet(tuple(alphabet))
+    st = upsilon_stream(alph, 16) if stream_kind == "e" else pattern_stream(alph, ["_"], ["a_"], 20)
+    oracle = LENGTH if oracle_k is None else cb.ChainOracle("horizon", horizon=k + oracle_k)
+    fam = cb.length_truncation_family(alph, side, k, k)
+    by_class = _outcomes(fam, st, oracle, k)
+    by_seq = _outcomes(fam._replace(key=lambda s: s), st, oracle, k)
+    assert [answer for answer, _ in by_class] == [answer for answer, _ in by_seq]
+    for (_, nodes), (_, ref_nodes) in zip(by_class, by_seq):
+        assert nodes is None or nodes <= ref_nodes
 
 
 STEP_STREAMS = [

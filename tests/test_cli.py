@@ -100,6 +100,23 @@ def test_cbindex_command(capsys):
     assert rep["nodes"] > 0
 
 
+def test_cbindex_seed_letters_zero_is_a_budget(capsys):
+    # 0 letters seed only the empty sequence; it is not read as "unset"
+    for letters, profile in (("0", [1]), ("1", [3]), ("2", [11])):
+        code, rep = run_json(["cbindex", "--family", "len:2", "--seed-letters", letters, "--levels", "0"], capsys)
+        assert code == 0 and rep["profile"] == profile, letters
+
+
+@pytest.mark.parametrize("oracle, message", [
+    ("bogus:4", "error: unknown oracle mode 'bogus'\n"),
+    ("horizon", "error: horizon mode needs H (horizon:H)\n"),
+])
+def test_cbindex_bad_oracle_is_a_usage_error(oracle, message, capsys):
+    code = cli.main(["cbindex", "--family", "len:2", "--oracle", oracle])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (cli.EXIT_USAGE, "", message)
+
+
 def test_deep_horizon_search_does_not_crash(capsys):
     # chains of 1200 steps nested inside each other's escape tests: the
     # search runs out of nodes, and says so, rather than out of stack
@@ -241,6 +258,8 @@ def test_mono_set_checker_budget_stops_fast(capsys):
     pytest.param(["verify", "hj", "--mmax", "-1"], "mmax", -1, id="hj-mmax"),
     pytest.param(["cbindex", "--family", "len:-1"], "len", -1, id="cbindex-len"),
     pytest.param(["cbindex", "--family", "len:2", "--levels", "-1"], "levels", -1, id="cbindex-levels"),
+    pytest.param(["cbindex", "--family", "len:2", "--seed-letters", "-1"], "seed-letters", -1,
+                 id="cbindex-seed-letters"),
     pytest.param(["wxi", "enumerate", "--xi", "1", "--alphabet", "ab", "--letters", "-1"], "letters", -1,
                  id="wxi-letters"),
     pytest.param(["schreier", "enumerate", "--xi", "w", "--max-n", "-3"], "max-n", -3, id="schreier-max-n"),

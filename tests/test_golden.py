@@ -127,8 +127,8 @@ EXPECTED = {
     "cbindex-exact": (0, "4d47674b30669ae4a939ec52432c4feeb2dbeb3958c0a3841e884dfab77c62d2", NONE),
     "cbindex-explicit": (0, "362f72741784f1e28c5f80dbda092c7cbe52fe019baee41541017350d329a248", NONE),
     "cbindex-explicit-horizon": (0, "c99c7362141438aac19db32864eb736e352ca6cbc7447188a49db07b9c8f21c6", NONE),
-    "cbindex-horizon": (0, "7a1b058baa1e75276088bc8efe36393bc9d5cafceb01276b5d3713d5c9021ce5", NONE),
-    "cbindex-horizon-v": (0, "2e406f4a14b5d0eec56b0021f187f9fe25548de35f8b152e73b18fe9d4fa3ef4", NONE),
+    "cbindex-horizon": (0, "5d03b28e82d2e516f0b5c074823e2738e055f8cdd5357f4abd0f0aca1105cec3", NONE),
+    "cbindex-horizon-v": (0, "bb6834e5d85cbbf4c83a009b6ed9a5661f44040dc7f2236c77ece05f4427d0f8", NONE),
     "cbindex-undecided": (3, NONE, "2624b312e32d2d00ee5351dc045b43de6e0c6dcd5d8be87604e44ae801b1a6c6"),
     "error-alphabet": (2, NONE, "7e9b3c6b712287aa225096e3a8f71dcddbafa0b531695153238fc72fbc641422"),
     "error-constant-word": (2, NONE, "c9b9bfbc16562a501a2aeb09c2aaf292714f93276c6bff806210da3d8774acd7"),
