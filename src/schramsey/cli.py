@@ -82,39 +82,6 @@ def _parse_stream(text: str, alph: words.Alphabet) -> words.VarWordStream:
     raise ValueError(f"unknown stream spec {text!r} (use e:N, list:..., pat:h;r:N)")
 
 
-_RULE_DOMAINS = {
-    "min_mod": "finsets",
-    "size_mod": "finsets",
-    "const": "wordseqs",
-    "first_len_mod": "wordseqs",
-    "total_len_mod": "wordseqs",
-    "first_letter": "wordseqs",
-    "set_size_mod": "wordset",
-    "min_len_mod": "wordset",
-}
-
-
-def _parse_coloring(text: str, alph: words.Alphabet | None, domain: str | None = None) -> verify.Coloring:
-    from . import verify
-
-    parts = text.split(":")
-    rule = parts[0]
-    colors = int(parts[1]) if len(parts) > 1 else 2
-    dom = domain or _RULE_DOMAINS.get(rule)
-    if dom is None:
-        raise ValueError(f"unknown coloring rule {rule!r}")
-    params: tuple = ()
-    if rule == "const":
-        params = (int(parts[2]) if len(parts) > 2 else 1,)
-    if rule == "first_letter":
-        if alph is None:
-            raise ValueError("first_letter coloring needs an alphabet")
-        params = (alph.symbols,)
-    if rule == "set_size_mod":
-        rule = "size_mod"
-    return verify.Coloring(dom, colors, rule, params)
-
-
 def _count(name: str, value: int) -> int:
     """A size, bound or count given on the command line: 0 or more."""
     if value < 0:
@@ -342,8 +309,14 @@ def _cmd_cbindex(args) -> int:
     mode, _, param = args.oracle.partition(":")
     if mode == "exact":
         oracle = cbindex.ChainOracle(mode, rule=param or "length")
+    elif mode == "horizon" and param:
+        try:
+            horizon = int(param)
+        except ValueError:
+            raise ValueError(f"--oracle horizon:H needs an integer H, got {param!r}") from None
+        oracle = cbindex.ChainOracle(mode, horizon=horizon)
     else:
-        oracle = cbindex.ChainOracle(mode, horizon=int(param) if param else None)
+        oracle = cbindex.ChainOracle(mode)  # refused: an unknown mode, or horizon without H
     report = {
         "command": "cbindex",
         "family": fam.label,
@@ -370,7 +343,7 @@ def _cmd_verify(args) -> int:
     code = EXIT_FOUND
     if args.action == "ramsey":
         xi = ordinal.parse(args.xi)
-        col = _parse_coloring(args.coloring, None, domain="finsets")
+        col = verify.parse_coloring(args.coloring, "finsets")
         out = verify.ramsey_schreier_search(xi, args.max_n, col, args.target, cfg)
         checked = verify.check_witness(out.witness) if out.witness else None
         report.update(
@@ -394,8 +367,8 @@ def _cmd_verify(args) -> int:
     elif args.action == "carlson":
         alph = _parse_alphabet(args.alphabet)
         xi = ordinal.parse(args.xi)
-        chi1 = _parse_coloring(args.chi1, alph)
-        chi2 = _parse_coloring(args.chi2, alph)
+        chi1 = verify.parse_coloring(args.chi1, "wordseqs", alph.symbols)
+        chi2 = verify.parse_coloring(args.chi2, "wordseqs", alph.symbols)
         stream = _parse_stream(args.stream, alph)
         out = verify.carlson_witness_search(xi, chi1, chi2, stream, args.depth, cfg=cfg)
         report.update(
@@ -418,7 +391,7 @@ def _cmd_verify(args) -> int:
     elif args.action == "subspace":
         alph = _parse_alphabet(args.alphabet)
         xi = ordinal.parse(args.xi)
-        chi = _parse_coloring(args.chi, alph, domain="wordset")
+        chi = verify.parse_coloring(args.chi, "wordset", alph.symbols)
         stream = _parse_stream(args.stream, alph)
         out = verify.subspace_search(xi, chi, stream, args.depth, cfg=cfg)
         report.update(
@@ -427,7 +400,7 @@ def _cmd_verify(args) -> int:
                 "depth": args.depth,
                 "found": out.found,
                 "witness": _witness_json(out.witness),
-                "witness_checked": verify.check_witness(out.witness, chi=chi) if out.witness else None,
+                "witness_checked": verify.check_witness(out.witness) if out.witness else None,
             }
         )
         code = EXIT_FOUND if out.found else EXIT_EXHAUSTED

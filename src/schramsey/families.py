@@ -135,13 +135,12 @@ def g_substar(fam: FamilyOfSeqs) -> FamilyOfSeqs:
     return fam.replace(out)
 
 
-def _prefix_reductions_contained(t: WordSeq, members: frozenset, alph: Alphabet) -> bool:
-    """Every initial segment of t (t included) has all its total variable
-    reductions inside `members`."""
+def _prefix_reductions_inside(t: WordSeq, alph: Alphabet, inside) -> bool:
+    """Every initial segment of t (t included) has all its nonempty total
+    variable reductions u inside, by the test `inside(u)`."""
     for i in range(1, len(t) + 1):
-        _, vrw = finite_reductions(t[:i], alph)
-        for seq, _d in vrw:
-            if seq and seq not in members:
+        for u, _d in finite_reductions(t[:i], alph)[1]:
+            if u and not inside(u):
                 return False
     return True
 
@@ -157,23 +156,18 @@ def hereditary_kernel(fam: FamilyOfSeqs) -> FamilyOfSeqs:
     if fam.side == "variable":
         kept = {EMPTY}
         for t in fam.members:
-            if t == EMPTY or _prefix_reductions_contained(t, fam.members, fam.alph):
+            if t == EMPTY or _prefix_reductions_inside(t, fam.alph, fam.members.__contains__):
                 kept.add(t)
         return fam.replace(kept)
     witnesses = f_g(fam)
     good_witness = {}
 
+    def span_inside(u: WordSeq) -> bool:
+        return all(s in fam.members for s in wxi.span(u, fam.alph))
+
     def witness_ok(t: WordSeq) -> bool:
         if t not in good_witness:
-            ok = True
-            for i in range(1, len(t) + 1):
-                for u, _d in finite_reductions(t[:i], fam.alph)[1]:
-                    if u and not all(s in fam.members for s in wxi.span(u, fam.alph)):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            good_witness[t] = ok
+            good_witness[t] = _prefix_reductions_inside(t, fam.alph, span_inside)
         return good_witness[t]
 
     kept = {EMPTY}

@@ -6,6 +6,11 @@ instance it examined.  Witnesses carry certificates that an independent
 checker re-derives from scratch: the checker's set membership goes
 through `mem_direct`, a split-searching recursion that shares no code
 with the greedy membership used by the searches.
+
+The searches take their colorings as `Coloring` records, called as
+`chi(x)`.  One table, `RULES`, says which domains each rule colors and
+what color it gives; `parse_coloring` reads the text form of a rule and
+refuses, before any search runs, a rule on a domain it does not color.
 """
 
 from __future__ import annotations
@@ -88,13 +93,36 @@ def mem_direct(xi: Ordinal, s, cfg: SchreierConfig = DEFAULT_CONFIG) -> bool:
 # --- colorings ----------------------------------------------------------
 
 
-class Coloring(NamedTuple):
-    """Serializable coloring: a named rule with parameters, or a table."""
+def _first_letter(c: "Coloring", x) -> int:
+    symbols = c.params[0]
+    ch = x[0][0] if x else None
+    return (symbols.index(ch) % c.colors) + 1 if ch in symbols else 1
 
-    domain: str  # "finsets" | "words" | "wordseqs" | "wordset"
+
+# rule -> (the domains it colors, the color it gives x): finite sets
+# ("finsets"), word sequences ("wordseqs"), sets of subspace points ("wordset")
+RULES = {
+    "const": (("finsets", "wordseqs", "wordset"), lambda c, x: c.params[0] if c.params else 1),
+    "size_mod": (("finsets", "wordseqs", "wordset"), lambda c, x: (len(x) % c.colors) + 1),
+    "min_mod": (("finsets",), lambda c, x: (min(x) % c.colors) + 1 if x else 1),
+    "first_len_mod": (("wordseqs",), lambda c, x: (len(x[0]) % c.colors) + 1 if x else 1),
+    "total_len_mod": (("wordseqs",), lambda c, x: (sum(len(w) for w in x) % c.colors) + 1),
+    "first_letter": (("wordseqs",), _first_letter),
+    "min_len_mod": (("wordseqs", "wordset"), lambda c, x: (min(len(w) for w in x) % c.colors) + 1 if x else 1),
+}
+
+
+class Coloring(NamedTuple):
+    """Serializable coloring: a rule of RULES with its parameters, on one
+    of the rule's domains.  `chi(x)` is the color of x."""
+
+    domain: str
     colors: int
     rule: str
     params: tuple = ()
+
+    def __call__(self, x) -> int:
+        return RULES[self.rule][1](self, x)
 
     def to_json(self) -> dict:
         return {
@@ -115,53 +143,33 @@ def tuple_or_id(x):
     return tuple(x) if isinstance(x, list) else x
 
 
-def _key_text(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, tuple) and all(isinstance(w, str) for w in x):
-        return seq_text(x)
-    if isinstance(x, frozenset):
-        return "{" + ",".join(sorted(x)) + "}"
-    return str(tuple(x))
-
-
-def apply_coloring(col: Coloring, x) -> int:
-    r = col.colors
-    if col.rule == "const":
-        return col.params[0] if col.params else 1
-    if col.rule == "table":
-        table = dict(col.params)
-        return table[_key_text(x)]
-    if col.domain == "finsets":
-        if col.rule == "min_mod":
-            return (min(x) % r) + 1 if x else 1
-        if col.rule == "size_mod":
-            return (len(x) % r) + 1
-        if col.rule == "pair_bits":
-            mask, n = col.params
-            pairs = list(combinations(range(1, n + 1), 2))
-            return ((mask >> pairs.index(tuple(x))) & 1) + 1
-    if col.domain == "words":
-        if col.rule == "first_letter":
-            symbols = col.params[0]
-            return (symbols.index(x[0]) % r) + 1 if x[0] in symbols else 1
-        if col.rule == "len_mod":
-            return (len(x) % r) + 1
-    if col.domain == "wordseqs":
-        if col.rule == "first_len_mod":
-            return (len(x[0]) % r) + 1 if x else 1
-        if col.rule == "total_len_mod":
-            return (sum(len(w) for w in x) % r) + 1
-        if col.rule == "first_letter":
-            symbols = col.params[0]
-            ch = x[0][0] if x else None
-            return (symbols.index(ch) % r) + 1 if ch in symbols else 1
-    if col.domain == "wordset":
-        if col.rule == "size_mod":
-            return (len(x) % r) + 1
-        if col.rule == "min_len_mod":
-            return (min(len(w) for w in x) % r) + 1 if x else 1
-    raise ValueError(f"coloring rule {col.rule!r} undefined on domain {col.domain!r}")
+def parse_coloring(text: str, domain: str, symbols: tuple = ()) -> Coloring:
+    """The coloring `rule[:colors]` or `const:colors[:color]` of `domain`
+    (2 colors and color 1 when left out); `first_letter` ranks first
+    letters by `symbols`.  A spec the table does not define is refused
+    here, before any search, with a ValueError that names it."""
+    name, *fields = text.split(":")
+    rule = "size_mod" if name == "set_size_mod" else name
+    if rule not in RULES or domain not in RULES[rule][0]:
+        there = ", ".join(r for r in RULES if domain in RULES[r][0])
+        raise ValueError(f"coloring {text!r}: no rule {name!r} on {domain} (rules: {there})")
+    if len(fields) > (2 if rule == "const" else 1):
+        raise ValueError(f"coloring {text!r}: too many fields for {name}")
+    try:
+        nums = [int(f) for f in fields]
+    except ValueError:
+        raise ValueError(f"coloring {text!r}: fields must be integers") from None
+    colors, color = nums + [2, 1][len(nums):]
+    if colors < 1:
+        raise ValueError(f"coloring {text!r}: colors must be >= 1, got {colors}")
+    params: tuple = ()
+    if rule == "const":
+        if not 1 <= color <= colors:
+            raise ValueError(f"coloring {text!r}: color {color} is outside 1..{colors}")
+        params = (color,)
+    elif rule == "first_letter":
+        params = (tuple(symbols),)
+    return Coloring(domain, colors, rule, params)
 
 
 # --- witnesses ----------------------------------------------------------
@@ -176,7 +184,6 @@ class Witness(NamedTuple):
 
 class SearchOutcome(NamedTuple):
     witness: Witness | None
-    exhausted: bool
     visited: int
     expected: int | None = None
     nodes: int | None = None  # search-tree nodes, where the search counts them
@@ -227,7 +234,7 @@ def ramsey_schreier_search(
             c = color
             for others, m in by_max[x]:
                 if others & mask == others:
-                    got = apply_coloring(coloring, m)
+                    got = coloring(m)
                     if c is None:
                         c = got
                     elif got != c:
@@ -241,15 +248,15 @@ def ramsey_schreier_search(
     L = extend((), 0, None)
     if L is None:
         expected = sum(comb(max_n, size) for size in range(target, max_n + 1))
-        return SearchOutcome(None, True, expected, expected, nodes)
+        return SearchOutcome(None, expected, expected, nodes)
     ls = set(L)
     witness = Witness(
         kind="mono_set",
         payload=(L, str(xi), coloring),
-        certificate=tuple((m, apply_coloring(coloring, m)) for m in members if ls.issuperset(m)),
+        certificate=tuple((m, coloring(m)) for m in members if ls.issuperset(m)),
         bounds=(("max_n", max_n), ("target", target)),
     )
-    return SearchOutcome(witness, False, _lex_rank(L, max_n) + 1, None, nodes)
+    return SearchOutcome(witness, _lex_rank(L, max_n) + 1, None, nodes)
 
 
 def _lex_rank(L: FinSet, n: int) -> int:
@@ -282,7 +289,7 @@ def check_mono_set_witness(w: Witness, cfg: SchreierConfig = DEFAULT_CONFIG) -> 
         return False
     colors = set()
     for m, c in w.certificate:
-        actual = apply_coloring(coloring, m)
+        actual = coloring(m)
         if actual != c:
             return False
         colors.add(actual)
@@ -321,10 +328,6 @@ def ramsey_pair_sweep(max_n: int, target: int = 3) -> dict:
 
 
 # --- reduction-prefix witness search -------------------------------------
-
-
-def _color(c, x) -> int:
-    return apply_coloring(c, x) if isinstance(c, Coloring) else c(x)
 
 
 def _family_reductions(u: WordSeq, xi: Ordinal, alph: Alphabet, side: str, cfg: SchreierConfig):
@@ -380,7 +383,7 @@ def carlson_witness_search(
             if d not in level:
                 level[d] = wxi.in_level(xi, seq, schreier.mem, cfg)
             if level[d]:
-                grown[seq] = c = _color(chi, seq)
+                grown[seq] = c = chi(seq)
                 if color is None:
                     color = c
                 elif c != color:
@@ -406,7 +409,7 @@ def carlson_witness_search(
 
     found = dfs((), 0, {}, {})
     if found is None:
-        return SearchOutcome(None, True, visited_leaves + pruned_leaves, per_step**depth)
+        return SearchOutcome(None, visited_leaves + pruned_leaves, per_step**depth)
     u, const, var = found
     cert = tuple(
         [("c", seq_text(s), const[s]) for s in sorted(const, key=seq_sort_key)]
@@ -414,27 +417,17 @@ def carlson_witness_search(
     )
     witness = Witness(
         kind="reduction_prefix",
-        payload=(
-            u,
-            str(xi),
-            chi1 if isinstance(chi1, Coloring) else None,
-            chi2 if isinstance(chi2, Coloring) else None,
-            alph.symbols,
-        ),
+        payload=(u, str(xi), chi1, chi2, alph.symbols),
         certificate=cert,
         bounds=(("depth", depth), ("block_cap", BLOCK_CAP), ("horizon", stream.horizon)),
     )
-    return SearchOutcome(witness, False, visited_leaves + pruned_leaves, per_step**depth)
+    return SearchOutcome(witness, visited_leaves + pruned_leaves, per_step**depth)
 
 
-def check_reduction_prefix_witness(
-    w: Witness, chi1=None, chi2=None, cfg: SchreierConfig = DEFAULT_CONFIG
-) -> bool:
+def check_reduction_prefix_witness(w: Witness, cfg: SchreierConfig = DEFAULT_CONFIG) -> bool:
     """Re-derive a reduction_prefix certificate with the independent
     membership recursion and fresh reduction enumeration."""
-    words_text, xi_text, pc1, pc2, symbols = w.payload
-    chi1 = chi1 if chi1 is not None else pc1
-    chi2 = chi2 if chi2 is not None else pc2
+    words_text, xi_text, chi1, chi2, symbols = w.payload
     alph = Alphabet(tuple(symbols))
     xi = o.parse(xi_text)
     u = tuple(word(t, alph) for t in words_text)
@@ -443,8 +436,8 @@ def check_reduction_prefix_witness(
             return False
     const = _family_reductions(u, xi, alph, "constant", cfg)
     var = _family_reductions(u, xi, alph, "variable", cfg)
-    expect_c = {seq_text(s): _color(chi1, s) for s in const}
-    expect_v = {seq_text(s): _color(chi2, s) for s in var}
+    expect_c = {seq_text(s): chi1(s) for s in const}
+    expect_v = {seq_text(s): chi2(s) for s in var}
     got_c = {t: c for side, t, c in w.certificate if side == "c"}
     got_v = {t: c for side, t, c in w.certificate if side == "v"}
     if expect_c != got_c or expect_v != got_v:
@@ -462,7 +455,7 @@ def subspace_search(
     """Search for a prefix all of whose level-xi variable reductions span
     subspaces of one chi-color: the subspace coloring is pulled back to
     generators and the prefix search reused."""
-    pulled = lambda seq: _color(chi, frozenset(wxi.subspace_points(seq, stream.alph)))
+    pulled = lambda seq: chi(frozenset(wxi.subspace_points(seq, stream.alph)))
     trivial = Coloring("wordseqs", 1, "const", (1,))
     out = carlson_witness_search(xi, trivial, pulled, stream, depth, cfg)
     if out.witness is None:
@@ -471,21 +464,20 @@ def subspace_search(
     cert = [(t, c) for side, t, c in base.certificate if side == "v"]
     witness = Witness(
         kind="subspace_prefix",
-        payload=(base.payload[0], str(xi), chi if isinstance(chi, Coloring) else None, stream.alph.symbols),
+        payload=(base.payload[0], str(xi), chi, stream.alph.symbols),
         certificate=tuple(cert),
         bounds=base.bounds,
     )
-    return SearchOutcome(witness, False, out.visited, out.expected)
+    return SearchOutcome(witness, out.visited, out.expected)
 
 
-def check_subspace_witness(w: Witness, chi=None, cfg: SchreierConfig = DEFAULT_CONFIG) -> bool:
-    words_text, xi_text, pc, symbols = w.payload
-    chi = chi if chi is not None else pc
+def check_subspace_witness(w: Witness, cfg: SchreierConfig = DEFAULT_CONFIG) -> bool:
+    words_text, xi_text, chi, symbols = w.payload
     alph = Alphabet(tuple(symbols))
     xi = o.parse(xi_text)
     u = tuple(word(t, alph) for t in words_text)
     var = _family_reductions(u, xi, alph, "variable", cfg)
-    expect = {seq_text(s): _color(chi, frozenset(wxi.subspace_points(s, alph))) for s in var}
+    expect = {seq_text(s): chi(frozenset(wxi.subspace_points(s, alph))) for s in var}
     got = dict(w.certificate)
     if expect != got:
         return False
@@ -603,28 +595,21 @@ def hj_line_search(
     visited = 0
     for g, rset in gens:
         visited += 1
-        colors = {_color(coloring, s) for s in rset}
+        colors = {coloring(s) for s in rset}
         if len(colors) == 1:
-            cert = tuple((seq_text(s), _color(coloring, s)) for s in rset)
+            cert = tuple((seq_text(s), coloring(s)) for s in rset)
             witness = Witness(
                 kind="hj_line",
-                payload=(
-                    g,
-                    str(xi),
-                    coloring if isinstance(coloring, Coloring) else None,
-                    alph.symbols,
-                    M,
-                ),
+                payload=(g, str(xi), coloring, alph.symbols, M),
                 certificate=cert,
                 bounds=(("M", M), ("n", n)),
             )
-            return SearchOutcome(witness, False, visited, len(gens))
-    return SearchOutcome(None, True, visited, len(gens))
+            return SearchOutcome(witness, visited, len(gens))
+    return SearchOutcome(None, visited, len(gens))
 
 
-def check_hj_line_witness(w: Witness, coloring=None, cfg: SchreierConfig = DEFAULT_CONFIG) -> bool:
-    words_text, xi_text, pc, symbols, M = w.payload
-    coloring = coloring if coloring is not None else pc
+def check_hj_line_witness(w: Witness, cfg: SchreierConfig = DEFAULT_CONFIG) -> bool:
+    words_text, xi_text, coloring, symbols, M = w.payload
     alph = Alphabet(tuple(symbols))
     xi = o.parse(xi_text)
     g = tuple(word(t, alph) for t in words_text)
@@ -636,23 +621,23 @@ def check_hj_line_witness(w: Witness, coloring=None, cfg: SchreierConfig = DEFAU
     expect = {}
     for seq, _d in finite_reductions(g, alph)[0]:
         if wxi.in_level(xi, seq, mem_direct, cfg):
-            expect[seq_text(seq)] = _color(coloring, seq)
+            expect[seq_text(seq)] = coloring(seq)
     got = dict(w.certificate)
     if expect != got:
         return False
     return len(set(expect.values())) <= 1
 
 
-def check_witness(w: Witness, cfg: SchreierConfig = DEFAULT_CONFIG, **ctx) -> bool:
+def check_witness(w: Witness, cfg: SchreierConfig = DEFAULT_CONFIG) -> bool:
     """Dispatch to the kind-specific independent checker."""
     if w.kind == "mono_set":
         return check_mono_set_witness(w, cfg)
     if w.kind == "reduction_prefix":
-        return check_reduction_prefix_witness(w, cfg=cfg, **ctx)
+        return check_reduction_prefix_witness(w, cfg)
     if w.kind == "subspace_prefix":
-        return check_subspace_witness(w, cfg=cfg, **ctx)
+        return check_subspace_witness(w, cfg)
     if w.kind == "hj_line":
-        return check_hj_line_witness(w, cfg=cfg, **ctx)
+        return check_hj_line_witness(w, cfg)
     raise ValueError(f"unknown witness kind {w.kind!r}")
 
 

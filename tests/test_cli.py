@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from schramsey import cli
+from schramsey import cli, verify
 
 
 def run_cli(args, capsys):
@@ -110,6 +116,8 @@ def test_cbindex_seed_letters_zero_is_a_budget(capsys):
 @pytest.mark.parametrize("oracle, message", [
     ("bogus:4", "error: unknown oracle mode 'bogus'\n"),
     ("horizon", "error: horizon mode needs H (horizon:H)\n"),
+    ("horizon:x", "error: --oracle horizon:H needs an integer H, got 'x'\n"),
+    ("bogus:x", "error: unknown oracle mode 'bogus'\n"),
 ])
 def test_cbindex_bad_oracle_is_a_usage_error(oracle, message, capsys):
     code = cli.main(["cbindex", "--family", "len:2", "--oracle", oracle])
@@ -362,3 +370,73 @@ def test_jobs_import_only_their_layers(name, tmp_path):
                              *[a.format(tree=path) for a in argv])
     assert {m for m in loaded if m.startswith("schramsey.")} == {f"schramsey.{m}" for m in {"cli", "errors"} | layers}
     assert loaded & HEAVY <= _loaded_modules("import sys") & HEAVY
+
+
+# --- coloring specs ---------------------------------------------------------
+
+
+def _run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# each coloring option with small bounds
+COLORING_JOBS = {
+    "--coloring": ["verify", "ramsey", "--xi", "2", "--max-n", "5", "--target", "3"],
+    "--chi1": ["verify", "carlson", "--xi", "1", "--stream", "e:6", "--depth", "2"],
+    "--chi2": ["verify", "carlson", "--xi", "1", "--stream", "e:6", "--depth", "2"],
+    "--chi": ["verify", "subspace", "--xi", "0", "--stream", "e:6", "--depth", "2"],
+}
+
+
+@pytest.mark.parametrize("argv, message", [
+    # each of these crashed (exit 4) or answered for a rule its domain lacks
+    ("verify carlson --chi1 min_mod:2 --stream e:6 --depth 2",
+     "coloring 'min_mod:2': no rule 'min_mod' on wordseqs "
+     "(rules: const, size_mod, first_len_mod, total_len_mod, first_letter, min_len_mod)"),
+    ("verify ramsey --coloring min_mod:0", "coloring 'min_mod:0': colors must be >= 1, got 0"),
+    ("verify ramsey --coloring first_len_mod:2 --max-n 0 --target 0",
+     "coloring 'first_len_mod:2': no rule 'first_len_mod' on finsets (rules: const, size_mod, min_mod)"),
+    ("verify ramsey --coloring const:1:7", "coloring 'const:1:7': color 7 is outside 1..1"),
+    ("verify subspace --chi min_len_mod:two", "coloring 'min_len_mod:two': fields must be integers"),
+    ("verify ramsey --coloring size_mod:2:1", "coloring 'size_mod:2:1': too many fields for size_mod"),
+])
+def test_bad_coloring_is_a_usage_error(argv, message):
+    assert _run_quiet(argv.split()) == (cli.EXIT_USAGE, "", f"error: {message}\n")
+
+
+_FIELD = st.one_of(st.integers(-2, 4).map(str), st.sampled_from(["", "x", "1.5", "+2"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    option=st.sampled_from(sorted(COLORING_JOBS)),
+    rule=st.one_of(st.sampled_from([*verify.RULES, "set_size_mod"]), st.text("abdelmnostz_:", max_size=8)),
+    fields=st.lists(_FIELD, max_size=3),
+)
+def test_coloring_specs_never_crash(option, rule, fields):
+    spec = ":".join([rule, *fields])
+    code, out, err = _run_quiet(COLORING_JOBS[option] + [option, spec])
+    assert code in (cli.EXIT_FOUND, cli.EXIT_EXHAUSTED, cli.EXIT_USAGE), (spec, err)
+    if code == cli.EXIT_USAGE:
+        assert out == "" and re.fullmatch(r"error: [^\n]*\n", err), (spec, err)
+    else:
+        assert err == "" and json.loads(out)["witness_checked"] in (True, None), spec
+
+
+# --- README -----------------------------------------------------------------
+
+
+README_LINES = [line for line in (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+                if line.startswith("schramsey ")]
+
+
+@pytest.mark.parametrize("line", README_LINES)
+def test_readme_cli_examples_run(line, tmp_path, monkeypatch):
+    (tmp_path / "fam.json").write_text(json.dumps(TREE))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _run_quiet(shlex.split(line)[1:])
+    assert code in (cli.EXIT_FOUND, cli.EXIT_EXHAUSTED), err
+    assert json.loads(out)["schema_version"] == 1

@@ -51,11 +51,11 @@ def test_coloring_serialization_roundtrip():
 
 
 def test_named_rules():
-    assert v.apply_coloring(v.Coloring("finsets", 2, "min_mod"), (3, 5)) == 2
-    assert v.apply_coloring(v.Coloring("finsets", 2, "size_mod"), (3, 5)) == 1
-    assert v.apply_coloring(v.Coloring("wordseqs", 2, "total_len_mod"), (w("ab"),)) == 1
-    table = v.Coloring("words", 2, "table", (("ab", 2),))
-    assert v.apply_coloring(table, w("ab")) == 2
+    assert v.Coloring("finsets", 2, "min_mod")((3, 5)) == 2
+    assert v.Coloring("finsets", 2, "size_mod")((3, 5)) == 1
+    assert v.Coloring("wordseqs", 2, "total_len_mod")((w("ab"),)) == 1
+    assert v.Coloring("wordseqs", 2, "first_letter", (AB.symbols,))((w("b_"), w("a"))) == 2
+    assert v.Coloring("wordset", 3, "min_len_mod")(frozenset({w("ab"), w("aba")})) == 3
 
 
 # --- ordinal Ramsey ---------------------------------------------------------
@@ -78,15 +78,10 @@ def test_ramsey_constant_coloring_takes_everything():
 
 
 def test_ramsey_exhaustion_counts():
-    # a mixed pair coloring of {1..5} leaves the full set non-monochromatic
-    pairs = list(combinations(range(1, 6), 2))
-    mask = 0
-    for i, p in enumerate(pairs):
-        if (p[0] + p[1]) % 2 == 0:
-            mask |= 1 << i
-    col = v.Coloring("finsets", 2, "pair_bits", (mask, 5))
+    # the pairs {1,2} and {2,3} of {1..5} take two colors under min_mod:2
+    col = v.Coloring("finsets", 2, "min_mod")
     out = v.ramsey_schreier_search(o.from_int(2), 5, col, 5)
-    assert not out.found and out.exhausted
+    assert not out.found
     assert out.visited == out.expected == 1
 
 
@@ -100,18 +95,18 @@ def _sweep_ramsey(xi, max_n, coloring, target, cfg=sch.DEFAULT_CONFIG):
             visited += 1
             ls = set(L)
             inside = [m for m in members if set(m) <= ls]
-            colors = {v.apply_coloring(coloring, m) for m in inside}
+            colors = {coloring(m) for m in inside}
             if len(colors) <= 1:
-                cert = tuple((m, v.apply_coloring(coloring, m)) for m in inside)
+                cert = tuple((m, coloring(m)) for m in inside)
                 witness = v.Witness(
                     kind="mono_set",
                     payload=(L, str(xi), coloring),
                     certificate=cert,
                     bounds=(("max_n", max_n), ("target", target)),
                 )
-                return v.SearchOutcome(witness, False, visited)
+                return v.SearchOutcome(witness, visited)
     expected = sum(comb(max_n, size) for size in range(target, max_n + 1))
-    return v.SearchOutcome(None, True, visited, expected)
+    return v.SearchOutcome(None, visited, expected)
 
 
 FINSET_COLORINGS = [
@@ -140,7 +135,7 @@ def test_ramsey_dfs_matches_sweep(rule, xs):
 def test_ramsey_dfs_nodes_on_exhausted_rows(xs, max_n, nodes):
     # the sweep decides every one of the 1586 and 4096 candidate sets
     out = v.ramsey_schreier_search(P(xs), max_n, v.Coloring("finsets", 3, "min_mod"), 7)
-    assert out.exhausted and out.visited == out.expected == sum(comb(max_n, s) for s in range(7, max_n + 1))
+    assert not out.found and out.visited == out.expected == sum(comb(max_n, s) for s in range(7, max_n + 1))
     assert out.nodes == nodes
 
 
@@ -218,7 +213,7 @@ def test_carlson_depth_fixture():
     shallow = v.carlson_witness_search(P("0"), chi1, CONST1, upsilon_stream(AB, 8), 1)
     assert shallow.found
     deep = v.carlson_witness_search(P("0"), chi1, CONST1, upsilon_stream(AB, 8), 2)
-    assert not deep.found and deep.exhausted
+    assert not deep.found
     assert deep.visited == deep.expected  # full space accounted for
 
 
@@ -237,10 +232,10 @@ def test_carlson_certificate_rejects_tampering():
 def test_subspace_search_trivial_and_checked():
     chi = v.Coloring("wordset", 2, "const", (1,))
     out = v.subspace_search(P("0"), chi, upsilon_stream(AB, 6), 2)
-    assert out.found and v.check_witness(out.witness, chi=chi)
+    assert out.found and v.check_witness(out.witness)
     chi2 = v.Coloring("wordset", 2, "size_mod")
     out2 = v.subspace_search(P("0"), chi2, upsilon_stream(AB, 6), 2)
-    assert out2.found and v.check_witness(out2.witness, chi=chi2)
+    assert out2.found and v.check_witness(out2.witness)
 
 
 def _scratch_family(u, xi, alph, side, cfg):
@@ -263,10 +258,10 @@ def _scratch_carlson(xi, chi1, chi2, stream, depth, cfg=sch.DEFAULT_CONFIG):
 
     def mono(u):
         const = _scratch_family(u, xi, alph, "constant", cfg)
-        if len({v._color(chi1, s) for s in const}) > 1:
+        if len({chi1(s) for s in const}) > 1:
             return None
         var = _scratch_family(u, xi, alph, "variable", cfg)
-        if len({v._color(chi2, s) for s in var}) > 1:
+        if len({chi2(s) for s in var}) > 1:
             return None
         return const, var
 
@@ -287,41 +282,35 @@ def _scratch_carlson(xi, chi1, chi2, stream, depth, cfg=sch.DEFAULT_CONFIG):
 
     found = dfs((), 0)
     if found is None:
-        return v.SearchOutcome(None, True, visited_leaves + pruned_leaves, per_step**depth)
+        return v.SearchOutcome(None, visited_leaves + pruned_leaves, per_step**depth)
     const, var = mono(found)
     cert = tuple(
-        [("c", seq_text(s), v._color(chi1, s)) for s in const]
-        + [("v", seq_text(s), v._color(chi2, s)) for s in var]
+        [("c", seq_text(s), chi1(s)) for s in const]
+        + [("v", seq_text(s), chi2(s)) for s in var]
     )
     witness = v.Witness(
         kind="reduction_prefix",
-        payload=(
-            found,
-            str(xi),
-            chi1 if isinstance(chi1, v.Coloring) else None,
-            chi2 if isinstance(chi2, v.Coloring) else None,
-            alph.symbols,
-        ),
+        payload=(found, str(xi), chi1, chi2, alph.symbols),
         certificate=cert,
         bounds=(("depth", depth), ("block_cap", v.BLOCK_CAP), ("horizon", stream.horizon)),
     )
-    return v.SearchOutcome(witness, False, visited_leaves + pruned_leaves, per_step**depth)
+    return v.SearchOutcome(witness, visited_leaves + pruned_leaves, per_step**depth)
 
 
 def _scratch_subspace(xi, chi, stream, depth, cfg=sch.DEFAULT_CONFIG):
     """Reference: the subspace search on top of the from-scratch prefix search."""
-    pulled = lambda seq: v._color(chi, frozenset(wxi.subspace_points(seq, stream.alph)))
+    pulled = lambda seq: chi(frozenset(wxi.subspace_points(seq, stream.alph)))
     out = _scratch_carlson(xi, v.Coloring("wordseqs", 1, "const", (1,)), pulled, stream, depth, cfg)
     if out.witness is None:
         return out
     base = out.witness
     witness = v.Witness(
         kind="subspace_prefix",
-        payload=(base.payload[0], str(xi), chi if isinstance(chi, v.Coloring) else None, stream.alph.symbols),
+        payload=(base.payload[0], str(xi), chi, stream.alph.symbols),
         certificate=tuple((t, c) for side, t, c in base.certificate if side == "v"),
         bounds=base.bounds,
     )
-    return v.SearchOutcome(witness, False, out.visited, out.expected)
+    return v.SearchOutcome(witness, out.visited, out.expected)
 
 
 # the bench's sequence colorings: const:1, first_len_mod:2, total_len_mod:2, first_letter:2
@@ -395,11 +384,12 @@ def test_hj_line_search_and_checker():
     out = v.hj_line_search(col, o.ZERO, AB, 2)
     assert out.found
     assert v.check_witness(out.witness)
-    table = v.Coloring("wordseqs", 2, "table", (("(aa)", 1), ("(ab)", 2), ("(ba)", 2), ("(bb)", 1)))
-    out2 = v.hj_line_search(table, o.ZERO, AB, 2)
-    assert out2.found  # the doubled-variable line hits aa/bb
-    gen = out2.witness.payload[0]
-    assert gen == ("__",)
+    # the five generators whose first word starts with the variable change
+    # their first letter along the line: the search skips them and answers
+    first = v.Coloring("wordseqs", 2, "first_letter", (AB.symbols,))
+    out2 = v.hj_line_search(first, o.ZERO, AB, 3, n=2)
+    assert out2.found and (out2.visited, out2.expected) == (6, 10)
+    assert out2.witness.payload[0] == ("a_", "_")
     assert v.check_witness(out2.witness)
 
 
