@@ -164,26 +164,25 @@ def _cmd_ordinal(args) -> int:
 def _cmd_schreier(args) -> int:
     from . import ordinal, schreier
 
-    cfg = schreier.SchreierConfig(args.rule)
     xi = ordinal.parse(args.xi)
     report = {"command": f"schreier {args.action}", "xi": str(xi), "rule": args.rule}
     code = EXIT_FOUND
     if args.action == "mem":
         s = _parse_finset(args.set)
-        value = schreier.mem(xi, s, cfg)
+        value = schreier.mem(xi, s)
         report.update({"set": list(s), "member": value})
         code = EXIT_FOUND if value else EXIT_EXHAUSTED
     elif args.action == "decompose":
         stream = _parse_finset(args.stream)
-        seg = schreier.initial_segment(xi, stream, cfg)
+        seg = schreier.initial_segment(xi, stream)
         report.update({"stream": list(stream), "initial_segment": list(seg)})
     elif args.action == "enumerate":
-        ms = schreier.enumerate_members(xi, args.max_n, cfg)
+        ms = schreier.enumerate_members(xi, args.max_n)
         # json writes the member tuples as arrays; plain and csv print lists
         members = ms if args.format == "json" else [list(m) for m in ms]
         report.update({"max_n": args.max_n, "count": len(ms), "members": members})
     elif args.action == "transfer":
-        report.update({"n": args.n, "transfer_index": str(schreier.transfer_index(xi, args.n, cfg))})
+        report.update({"n": args.n, "transfer_index": str(schreier.transfer_index(xi, args.n))})
     return _emit(report, args, code)
 
 
@@ -214,9 +213,8 @@ def _cmd_words(args) -> int:
 
 
 def _cmd_wxi(args) -> int:
-    from . import ordinal, schreier, words, wxi
+    from . import ordinal, words, wxi
 
-    cfg = schreier.SchreierConfig(args.rule)
     alph = _parse_alphabet(args.alphabet)
     xi = ordinal.parse(args.xi)
     side = {"c": "constant", "v": "variable"}[args.side]
@@ -231,7 +229,7 @@ def _cmd_wxi(args) -> int:
     if args.action == "member":
         base = _parse_stream(args.base, alph) if args.base else None
         seq = _parse_seq(args.seq, alph)
-        q = wxi.WxiQuery(xi, alph, side, base=base, cfg=cfg)
+        q = wxi.WxiQuery(xi, alph, side, base=base)
         value = wxi.in_wxi(q, seq)
         report.update({"seq": words.seq_text(seq), "member": value})
         if seq:
@@ -245,12 +243,12 @@ def _cmd_wxi(args) -> int:
         code = EXIT_FOUND if value else EXIT_EXHAUSTED
     elif args.action == "decompose":
         seq = _parse_seq(args.seq, alph)
-        bounds, residual = wxi.canonical_rep(xi, seq, cfg)
+        bounds, residual = wxi.canonical_rep(xi, seq)
         report.update(
             {"seq": words.seq_text(seq), "boundaries": list(bounds), "residual": residual}
         )
     elif args.action == "enumerate":
-        ms = wxi.enumerate_wxi(xi, alph, side, args.letters, cfg)
+        ms = wxi.enumerate_wxi(xi, alph, side, args.letters)
         report.update(
             {"letters": args.letters, "count": len(ms), "members": [words.seq_text(m) for m in ms]}
         )
@@ -336,15 +334,14 @@ def _cmd_cbindex(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from . import ordinal, schreier, verify
+    from . import ordinal, verify
 
-    cfg = schreier.SchreierConfig(args.rule)
     report = {"command": f"verify {args.action}", "rule": args.rule}
     code = EXIT_FOUND
     if args.action == "ramsey":
         xi = ordinal.parse(args.xi)
         col = verify.parse_coloring(args.coloring, "finsets")
-        out = verify.ramsey_schreier_search(xi, args.max_n, col, args.target, cfg)
+        out = verify.ramsey_schreier_search(xi, args.max_n, col, args.target)
         checked = verify.check_witness(out.witness) if out.witness else None
         report.update(
             {
@@ -370,7 +367,7 @@ def _cmd_verify(args) -> int:
         chi1 = verify.parse_coloring(args.chi1, "wordseqs", alph.symbols)
         chi2 = verify.parse_coloring(args.chi2, "wordseqs", alph.symbols)
         stream = _parse_stream(args.stream, alph)
-        out = verify.carlson_witness_search(xi, chi1, chi2, stream, args.depth, cfg=cfg)
+        out = verify.carlson_witness_search(xi, chi1, chi2, stream, args.depth)
         report.update(
             {
                 "xi": str(xi),
@@ -385,7 +382,7 @@ def _cmd_verify(args) -> int:
         code = EXIT_FOUND if out.found else EXIT_EXHAUSTED
     elif args.action == "hj":
         xi = ordinal.parse(args.xi)
-        rep = verify.hales_jewett_M(args.r, args.n, args.k, xi, args.mmax, cfg)
+        rep = verify.hales_jewett_M(args.r, args.n, args.k, xi, args.mmax)
         report.update(rep)
         code = EXIT_FOUND if rep["M"] is not None else EXIT_EXHAUSTED
     elif args.action == "subspace":
@@ -393,7 +390,7 @@ def _cmd_verify(args) -> int:
         xi = ordinal.parse(args.xi)
         chi = verify.parse_coloring(args.chi, "wordset", alph.symbols)
         stream = _parse_stream(args.stream, alph)
-        out = verify.subspace_search(xi, chi, stream, args.depth, cfg=cfg)
+        out = verify.subspace_search(xi, chi, stream, args.depth)
         report.update(
             {
                 "xi": str(xi),
@@ -406,7 +403,7 @@ def _cmd_verify(args) -> int:
         code = EXIT_FOUND if out.found else EXIT_EXHAUSTED
     elif args.action == "nw":
         alph = _parse_alphabet(args.alphabet)
-        rep = verify.nw_fixture_check(args.fixture, alph, args.letters, cfg)
+        rep = verify.nw_fixture_check(args.fixture, alph, args.letters)
         report.update(rep)
         code = EXIT_FOUND if rep["consistent"] else EXIT_EXHAUSTED
     return _emit(report, args, code)
@@ -419,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="schramsey")
     top.add_argument("--config", help="JSON file with default option values")
     top.add_argument("--format", choices=["json", "plain", "csv"], default="json")
-    top.add_argument("--rule", choices=["fixed", "succ"], default="fixed", help="limit-sequence rule")
+    top.add_argument("--rule", choices=["fixed", "succ"], default="fixed",
+                     help="report label only: both limit rules give the same families; the engines walk 'fixed'")
     top._all_parsers = [top]
     sub = top.add_subparsers(dest="module", required=True)
 

@@ -18,7 +18,6 @@ import json
 from . import wxi
 from .errors import HorizonExceeded, ReductionMismatch
 from .ordinal import Ordinal
-from .schreier import DEFAULT_CONFIG, SchreierConfig
 from .words import (
     Alphabet,
     VarWordStream,
@@ -210,13 +209,7 @@ def pointwise_closed_trunc(fam: FamilyOfSeqs, stream: VarWordStream, horizon: in
     return ("closed", horizon)
 
 
-def tree_dichotomy_check(
-    fam: FamilyOfSeqs,
-    xi: Ordinal,
-    stream: VarWordStream,
-    letter_budget: int,
-    cfg: SchreierConfig = DEFAULT_CONFIG,
-) -> dict:
+def tree_dichotomy_check(fam: FamilyOfSeqs, xi: Ordinal, stream: VarWordStream, letter_budget: int) -> dict:
     """For a tree family, compare the two horns over the truncated
     reduction universe of the stream:
 
@@ -234,7 +227,7 @@ def tree_dichotomy_check(
     a_bad = []
     b_bad = []
     for r in universe:
-        status = wxi.star_status(xi, r, cfg)
+        status = wxi.star_status(xi, r)
         if status == "member" and r in fam.members:
             a_bad.append(r)
         if r in fam.members and status != "segment":

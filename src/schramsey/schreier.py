@@ -4,8 +4,8 @@ A_0 = {{}}, A_1 = singletons, and
 
   * A_(z+1): pop the minimum, the rest must lie in A_z;
   * A_(w^(b+1)): n = min s consecutive blocks, each in A_(w^b);
-  * A_(w^l), l limit: delegate to A_(w^(l_n)) where n = min s and
-    (l_n) is the configured approximating sequence of l;
+  * A_(w^l), l limit: delegate to A_(w^(l[n])) where n = min s and
+    (l[n]) is the fixed approximating sequence of l;
   * composite limit index w^a*p + sum w^(a_i)*p_i: consecutive block
     groups in increasing-exponent order, the leading power's p blocks
     coming last.
@@ -14,8 +14,15 @@ These families are thin (no member is a proper initial segment of
 another), so a member's block decomposition is unique and the greedy
 left-to-right consumption below decides membership exactly.
 
-The case split of an index is resolved once per (index, limit rule) into
-a `Plan`; membership, enumeration and the transfer index all walk plans.
+The case split of an index is resolved once per index into a `Plan`;
+membership, enumeration and the transfer index all walk plans.
+
+Iterating the approximating sequence down to a successor (`succ` in
+`SchreierConfig`) defines the same families: a plan consults l[n] only
+for a block whose minimum is n, so a walk that meets a limit again takes
+l[n][n], ... at that same n and stops at `fixed_seq_succ(l, n)`.  The
+walks here use l[n]; `verify.mem_direct` keeps both rules as the
+reference.
 """
 
 from __future__ import annotations
@@ -35,8 +42,9 @@ PLAN_CACHE_SIZE = 1024
 
 
 class SchreierConfig:
-    """Chooses which approximating sequence instantiates limit exponents:
-    'fixed' uses (l)_n, 'succ' iterates it down to a successor ordinal."""
+    """The limit rule of the reference recursion `verify.mem_direct`:
+    'fixed' uses l[n], 'succ' iterates it down to a successor ordinal.
+    Both define the same families (see the module docstring)."""
 
     __slots__ = ("limit_rule",)
 
@@ -81,7 +89,7 @@ def _plus(lam: Ordinal, k: int) -> Ordinal:
 
 
 class Plan:
-    """The case split of A_xi under one limit rule.
+    """The case split of A_xi.
 
     `kind` is one of
       'zero'       xi = 0: the empty set only;
@@ -91,7 +99,7 @@ class Plan:
       'pow_succ'   xi = w^(lam + k) (lam zero or a limit, k >= 1): n = min s
                    blocks of A_(w^(lam+k-1)) (`below`); at n = 1 that is
                    one A_(w^lam) member (`base`);
-      'pow_limit'  xi = w^lam, lam a limit: at min n, an A_(w^(lam_n))
+      'pow_limit'  xi = w^lam, lam a limit: at min n, an A_(w^(lam[n]))
                    member (`child(n)`);
       'sum'        any other limit: consecutive blocks, `groups` holding
                    (power plan, count) pairs in consumption order.
@@ -101,10 +109,10 @@ class Plan:
     so they compare and hash by identity.
     """
 
-    __slots__ = ("xi", "rule", "kind", "k", "lam", "groups", "_sub")
+    __slots__ = ("xi", "kind", "k", "lam", "groups", "_sub")
 
-    def __init__(self, xi: Ordinal, rule: str):
-        self.xi, self.rule = xi, rule
+    def __init__(self, xi: Ordinal):
+        self.xi = xi
         self.k, self.lam, self.groups = 0, o.ZERO, ()
         self._sub: dict[str | int, Plan] = {}  # base/pred/below by name, children by n
         if not xi:
@@ -117,12 +125,12 @@ class Plan:
             self.kind = POW_SUCC if self.k else POW_LIMIT
         else:
             self.kind = SUM
-            self.groups = tuple((plan(o.omega_pow(exp), rule), count) for exp, count in reversed(xi))
+            self.groups = tuple((plan(o.omega_pow(exp)), count) for exp, count in reversed(xi))
 
     def _memo(self, name: str, make) -> Plan:
         p = self._sub.get(name)
         if p is None:
-            p = self._sub[name] = plan(make(), self.rule)
+            p = self._sub[name] = plan(make())
         return p
 
     @property
@@ -142,18 +150,17 @@ class Plan:
     def child(self, n: int) -> Plan:
         p = self._sub.get(n)
         if p is None:
-            step = SchreierConfig(self.rule).step(self.lam, n)
-            p = self._sub[n] = plan(o.omega_pow(step), self.rule)
+            p = self._sub[n] = plan(o.omega_pow(o.fixed_seq(self.lam, n)))
         return p
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
-def plan(xi: Ordinal, rule: str) -> Plan:
-    """The interned plan of A_xi under a limit rule ('fixed' or 'succ').
+def plan(xi: Ordinal) -> Plan:
+    """The interned plan of A_xi.
 
     The cache is bounded; `plan.cache_info()` reports its hits and misses.
     """
-    return Plan(xi, rule)
+    return Plan(xi)
 
 
 def _too_short(p: Plan, n: int, room: int) -> bool:
@@ -166,13 +173,13 @@ def _too_short(p: Plan, n: int, room: int) -> bool:
 # --- membership ------------------------------------------------------------
 
 
-def _consume(xi: Ordinal, stream, pos: int, cfg: SchreierConfig) -> int:
+def _consume(xi: Ordinal, stream, pos: int) -> int:
     """Greedily consume one A_xi member from stream[pos:]; return the end
     position.  Raises HorizonExceeded if the stream runs out mid-member.
 
     Walks the plan of xi with an explicit stack of owed blocks, so deep
     indices never reach the interpreter's recursion limit."""
-    p = plan(xi, cfg.limit_rule)
+    p = plan(xi)
     end = len(stream)
     pending: list[tuple[Plan, int]] = []  # (plan, blocks still owed), innermost last
     while True:
@@ -210,22 +217,22 @@ def _consume(xi: Ordinal, stream, pos: int, cfg: SchreierConfig) -> int:
                 pending.append((p, count - 1))
 
 
-def initial_segment(xi: Ordinal, stream, cfg: SchreierConfig = DEFAULT_CONFIG) -> FinSet:
+def initial_segment(xi: Ordinal, stream) -> FinSet:
     """The unique prefix of the (strictly increasing) stream lying in A_xi.
 
     The caller supplies the horizon: if the materialized stream is too
     short to complete a member, HorizonExceeded is raised.
     """
     t = validate_finset(stream)
-    end = _consume(xi, t, 0, cfg)
+    end = _consume(xi, t, 0)
     return t[:end]
 
 
-def mem(xi: Ordinal, s, cfg: SchreierConfig = DEFAULT_CONFIG) -> bool:
+def mem(xi: Ordinal, s) -> bool:
     """Exact membership test for A_xi via greedy decomposition."""
     t = validate_finset(s)
     try:
-        end = _consume(xi, t, 0, cfg)
+        end = _consume(xi, t, 0)
     except HorizonExceeded:
         return False
     return end == len(t)
@@ -315,9 +322,7 @@ class _Tables:
         return got
 
 
-def enumerate_members(
-    xi: Ordinal, max_n: int, cfg: SchreierConfig = DEFAULT_CONFIG, min_n: int = 1
-) -> tuple[FinSet, ...]:
+def enumerate_members(xi: Ordinal, max_n: int, min_n: int = 1) -> tuple[FinSet, ...]:
     """All members of A_xi contained in {min_n..max_n}, in lexicographic
     order.
 
@@ -326,20 +331,20 @@ def enumerate_members(
     """
     if max_n > MAX_ENUM_GROUND:
         raise BudgetExceeded(f"enumeration ground set capped at {MAX_ENUM_GROUND}")
-    return _Tables(max_n).members(plan(xi, cfg.limit_rule), min_n)
+    return _Tables(max_n).members(plan(xi), min_n)
 
 
 # --- transfer --------------------------------------------------------------
 
 
-def transfer_index(xi: Ordinal, n: int, cfg: SchreierConfig = DEFAULT_CONFIG) -> Ordinal:
+def transfer_index(xi: Ordinal, n: int) -> Ordinal:
     """The index xi_n with  A_xi(n) = A_(xi_n) restricted to {n+1, n+2, ...},
     where A_xi(n) collects the sets s > {n} with {n} u s in A_xi."""
     if n < 1:
         raise ValueError("transfer_index needs n >= 1")
     if not xi:
         raise ValueError("transfer_index needs xi >= 1")
-    p = plan(xi, cfg.limit_rule)
+    p = plan(xi)
     heads = []  # summands in front of the block holding n, outermost first
     while p.kind != SUCC:
         if p.kind == POW_LIMIT:
@@ -364,10 +369,10 @@ def transfer_index(xi: Ordinal, n: int, cfg: SchreierConfig = DEFAULT_CONFIG) ->
     return out
 
 
-def shifted_members(xi: Ordinal, n: int, max_n: int, cfg: SchreierConfig = DEFAULT_CONFIG):
+def shifted_members(xi: Ordinal, n: int, max_n: int):
     """A_xi(n) within {n+1..max_n}: tails of members whose minimum is n."""
     out = []
-    for s in enumerate_members(xi, max_n, cfg):
+    for s in enumerate_members(xi, max_n):
         if s and s[0] == n:
             out.append(s[1:])
     return tuple(sorted(out))

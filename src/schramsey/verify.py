@@ -5,7 +5,10 @@ bounds into the result; nothing here claims more than the finite
 instance it examined.  Witnesses carry certificates that an independent
 checker re-derives from scratch: the checker's set membership goes
 through `mem_direct`, a split-searching recursion that shares no code
-with the greedy membership used by the searches.
+with the greedy membership used by the searches.  Only this reference
+side takes a limit rule (`SchreierConfig`): the searches walk the fixed
+approximating sequence, which defines the same families as the
+successor rule, and the checkers are where the two are compared.
 
 The searches take their colorings as `Coloring` records, called as
 `chi(x)`.  One table, `RULES`, says which domains each rule colors and
@@ -15,6 +18,7 @@ refuses, before any search runs, a rule on a domain it does not color.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations, product
 from math import comb
 from typing import NamedTuple
@@ -196,13 +200,7 @@ class SearchOutcome(NamedTuple):
 # --- ordinal Ramsey search ----------------------------------------------
 
 
-def ramsey_schreier_search(
-    xi: Ordinal,
-    max_n: int,
-    coloring: Coloring,
-    target: int,
-    cfg: SchreierConfig = DEFAULT_CONFIG,
-) -> SearchOutcome:
+def ramsey_schreier_search(xi: Ordinal, max_n: int, coloring: Coloring, target: int) -> SearchOutcome:
     """Find the canonically least L within {1..max_n}, |L| >= target, on
     which every family member contained in L has one color.
 
@@ -217,7 +215,7 @@ def ramsey_schreier_search(
     """
     if target < 0:
         raise ValueError(f"target must be >= 0, got {target}")
-    members = schreier.enumerate_members(xi, max_n, cfg)
+    members = schreier.enumerate_members(xi, max_n)
     # the empty member, A_0's only one, can meet no second color
     by_max: list[list[tuple[int, FinSet]]] = [[] for _ in range(max_n + 1)]
     for m in members:
@@ -335,17 +333,10 @@ def _family_reductions(u: WordSeq, xi: Ordinal, alph: Alphabet, side: str, cfg: 
     every prefix of u, block-wise), deduplicated, rebuilt from scratch
     with the independent membership test: the checkers' view."""
     seen = {seq for used in range(1, len(u) + 1) for seq, _d in reductions(u[:used], alph, side)}
-    return tuple(sorted((s for s in seen if wxi.in_level(xi, s, mem_direct, cfg)), key=seq_sort_key))
+    return tuple(sorted((s for s in seen if wxi.in_level(xi, s, partial(mem_direct, cfg=cfg))), key=seq_sort_key))
 
 
-def carlson_witness_search(
-    xi: Ordinal,
-    chi1,
-    chi2,
-    stream: VarWordStream,
-    depth: int,
-    cfg: SchreierConfig = DEFAULT_CONFIG,
-) -> SearchOutcome:
+def carlson_witness_search(xi: Ordinal, chi1, chi2, stream: VarWordStream, depth: int) -> SearchOutcome:
     """Backtracking search for a variable-reduction prefix of the stream,
     `depth` blocks long, whose level-xi reductions are chi1-monochromatic
     on the constant side and chi2-monochromatic on the variable side.
@@ -381,7 +372,7 @@ def carlson_witness_search(
         level: dict[tuple, bool] = {}
         for seq, d in reductions(cand, alph, side):
             if d not in level:
-                level[d] = wxi.in_level(xi, seq, schreier.mem, cfg)
+                level[d] = wxi.in_level(xi, seq, schreier.mem)
             if level[d]:
                 grown[seq] = c = chi(seq)
                 if color is None:
@@ -445,19 +436,13 @@ def check_reduction_prefix_witness(w: Witness, cfg: SchreierConfig = DEFAULT_CON
     return len(set(expect_c.values())) <= 1 and len(set(expect_v.values())) <= 1
 
 
-def subspace_search(
-    xi: Ordinal,
-    chi,
-    stream: VarWordStream,
-    depth: int,
-    cfg: SchreierConfig = DEFAULT_CONFIG,
-) -> SearchOutcome:
+def subspace_search(xi: Ordinal, chi, stream: VarWordStream, depth: int) -> SearchOutcome:
     """Search for a prefix all of whose level-xi variable reductions span
     subspaces of one chi-color: the subspace coloring is pulled back to
     generators and the prefix search reused."""
     pulled = lambda seq: chi(frozenset(wxi.subspace_points(seq, stream.alph)))
     trivial = Coloring("wordseqs", 1, "const", (1,))
-    out = carlson_witness_search(xi, trivial, pulled, stream, depth, cfg)
+    out = carlson_witness_search(xi, trivial, pulled, stream, depth)
     if out.witness is None:
         return out
     base = out.witness
@@ -490,48 +475,41 @@ def check_subspace_witness(w: Witness, cfg: SchreierConfig = DEFAULT_CONFIG) -> 
 _LETTERS = "abcdefgh"
 
 
-def _hj_cube(xi: Ordinal, alph: Alphabet, M: int, cfg: SchreierConfig) -> tuple[WordSeq, ...]:
+def _hj_cube(xi: Ordinal, alph: Alphabet, M: int) -> tuple[WordSeq, ...]:
     """Level-xi sequences whose word lengths sum to exactly M."""
     return tuple(
         s
-        for s in wxi.enumerate_wxi(xi, alph, "constant", M, cfg)
+        for s in wxi.enumerate_wxi(xi, alph, "constant", M)
         if sum(len(w) for w in s) == M
     )
 
 
-def _hj_generators(xi: Ordinal, alph: Alphabet, M: int, n: int, cfg: SchreierConfig):
+def _hj_generators(xi: Ordinal, alph: Alphabet, M: int, n: int):
     """Variable n-word generators of total length M, paired with their
     level-xi reduction sets (full consumption, own offsets)."""
     gens = []
     for shape in wxi._shapes(M, n) if n <= M else ():
         for g in wxi._fill_words(shape, "variable", alph):
             rset = tuple(
-                seq for seq, _d in finite_reductions(g, alph)[0] if wxi.in_level(xi, seq, schreier.mem, cfg)
+                seq for seq, _d in finite_reductions(g, alph)[0] if wxi.in_level(xi, seq, schreier.mem)
             )
             if rset:
                 gens.append((g, rset))
     return gens
 
 
-def hj_level(
-    r: int,
-    n: int,
-    k: int,
-    xi: Ordinal,
-    M: int,
-    cfg: SchreierConfig = DEFAULT_CONFIG,
-):
+def hj_level(r: int, n: int, k: int, xi: Ordinal, M: int):
     """Exhaust every r-coloring of the level-xi length-M sequences: does
     each one admit a monochromatic n-word generator?  Returns
     (ok, defeating assignment or None, colorings checked, cube)."""
     alph = Alphabet(tuple(_LETTERS[:k]))
-    cube = _hj_cube(xi, alph, M, cfg)
+    cube = _hj_cube(xi, alph, M)
     if not cube:
         return (False, None, 0, cube)
     space = r ** len(cube)
     if space > MAX_COLORING_SPACE:
         raise BudgetExceeded(f"coloring space {space} exceeds budget; frontier M={M}")
-    gens = _hj_generators(xi, alph, M, n, cfg)
+    gens = _hj_generators(xi, alph, M, n)
     index = {s: i for i, s in enumerate(cube)}
     gen_idx = [
         (g, tuple(index[s] for s in rset))
@@ -546,26 +524,25 @@ def hj_level(
     return (bool(cube), None, count, cube)
 
 
-def hales_jewett_M(
-    r: int,
-    n: int,
-    k: int,
-    xi: Ordinal,
-    m_max: int,
-    cfg: SchreierConfig = DEFAULT_CONFIG,
-) -> dict:
+def hales_jewett_M(r: int, n: int, k: int, xi: Ordinal, m_max: int) -> dict:
     """Least M <= m_max such that every r-coloring of the level-xi
     sequences of total length M admits an n-word variable generator whose
     reductions inside that set are monochromatic.
 
     Exhausts the full coloring space at each M; records a defeating
-    coloring for every M that fails.
+    coloring for every M that fails.  Refuses r < 1 (no coloring to
+    check), n < 1 and more letters than _LETTERS holds, so the bounds
+    it stamps are the ones that ran.
     """
+    if r < 1 or n < 1:
+        raise ValueError(f"hales_jewett_M needs r >= 1 and n >= 1, got r={r}, n={n}")
+    if k > len(_LETTERS):
+        raise ValueError(f"k={k} letters exceeds the {len(_LETTERS)} available")
     defeaters: dict[int, dict] = {}
     checked: dict[int, int] = {}
     found = cube_size = None
     for M in range(1, m_max + 1):
-        ok, defeated, count, cube = hj_level(r, n, k, xi, M, cfg)
+        ok, defeated, count, cube = hj_level(r, n, k, xi, M)
         checked[M] = count
         if ok:
             found, cube_size = M, len(cube)
@@ -581,17 +558,10 @@ def hales_jewett_M(
     }
 
 
-def hj_line_search(
-    coloring,
-    xi: Ordinal,
-    alph: Alphabet,
-    M: int,
-    n: int = 1,
-    cfg: SchreierConfig = DEFAULT_CONFIG,
-) -> SearchOutcome:
+def hj_line_search(coloring, xi: Ordinal, alph: Alphabet, M: int, n: int = 1) -> SearchOutcome:
     """Single-coloring mode: the canonically least monochromatic n-word
     generator of total length M for the given coloring."""
-    gens = _hj_generators(xi, alph, M, n, cfg)
+    gens = _hj_generators(xi, alph, M, n)
     visited = 0
     for g, rset in gens:
         visited += 1
@@ -620,7 +590,7 @@ def check_hj_line_witness(w: Witness, cfg: SchreierConfig = DEFAULT_CONFIG) -> b
             return False
     expect = {}
     for seq, _d in finite_reductions(g, alph)[0]:
-        if wxi.in_level(xi, seq, mem_direct, cfg):
+        if wxi.in_level(xi, seq, partial(mem_direct, cfg=cfg)):
             expect[seq_text(seq)] = coloring(seq)
     got = dict(w.certificate)
     if expect != got:
@@ -670,12 +640,7 @@ def narrow_fixture_member(t: WordSeq) -> bool:
     return 2 * len(t) <= c
 
 
-def nw_fixture_check(
-    fixture: str,
-    alph: Alphabet,
-    letter_budget: int = 8,
-    cfg: SchreierConfig = DEFAULT_CONFIG,
-) -> dict:
+def nw_fixture_check(fixture: str, alph: Alphabet, letter_budget: int = 8) -> dict:
     """Probe a dichotomy fixture at truncation.
 
     wide:   every first-limit-level sequence in the reduction universe of
@@ -695,7 +660,7 @@ def nw_fixture_check(
         report.update({"probed": 0, "consistent": True})
         return report
     if fixture == "wide":
-        members = wxi.enumerate_wxi(o.OMEGA, alph, "constant", letter_budget, cfg)
+        members = wxi.enumerate_wxi(o.OMEGA, alph, "constant", letter_budget)
         inside = [s for s in members if wide_fixture_member(s)]
         report.update(
             {
@@ -713,7 +678,7 @@ def nw_fixture_check(
         probed = 0
         for t in wxi.universe(alph, "variable", stream.horizon):
             v = reduce_seq(stream, t)
-            if wxi.in_level(o.OMEGA, v, schreier.mem, cfg):
+            if wxi.in_level(o.OMEGA, v, schreier.mem):
                 probed += 1
                 if not narrow_fixture_member(v):
                     outside.append(v)

@@ -17,7 +17,6 @@ from itertools import product
 from . import schreier
 from .errors import BudgetExceeded, HorizonExceeded
 from .ordinal import Ordinal
-from .schreier import DEFAULT_CONFIG, SchreierConfig
 from .words import (
     Alphabet,
     VarWordStream,
@@ -37,13 +36,12 @@ MAX_LETTER_BUDGET = 16
 
 
 class WxiQuery:
-    __slots__ = ("xi", "alph", "side", "base", "cfg")
+    __slots__ = ("xi", "alph", "side", "base")
 
-    def __init__(self, xi: Ordinal, alph: Alphabet, side: str, base: VarWordStream | None = None,
-                 cfg: SchreierConfig = DEFAULT_CONFIG):
+    def __init__(self, xi: Ordinal, alph: Alphabet, side: str, base: VarWordStream | None = None):
         if side not in ("constant", "variable"):
             raise ValueError(f"unknown side {side!r}")
-        self.xi, self.alph, self.side, self.base, self.cfg = xi, alph, side, base, cfg
+        self.xi, self.alph, self.side, self.base = xi, alph, side, base
 
 
 def side_consistent(seq: WordSeq, side: str, alph: Alphabet) -> bool:
@@ -64,12 +62,12 @@ def match_reduction(stream: VarWordStream, useq: WordSeq, side: str) -> WordSeq:
     return tuple(blocks)
 
 
-def in_level(xi: Ordinal, seq: WordSeq, mem_fn, cfg: SchreierConfig = DEFAULT_CONFIG) -> bool:
+def in_level(xi: Ordinal, seq: WordSeq, mem_fn) -> bool:
     """The level-xi test on a word sequence: one word at level 0, else at
-    least two words whose offsets lie in A_xi by mem_fn(xi, offsets, cfg)."""
+    least two words whose offsets lie in A_xi by mem_fn(xi, offsets)."""
     if not xi:
         return len(seq) == 1
-    return len(seq) >= 2 and mem_fn(xi, d_map(seq), cfg)
+    return len(seq) >= 2 and mem_fn(xi, d_map(seq))
 
 
 def in_wxi(query: WxiQuery, useq: WordSeq) -> bool:
@@ -78,12 +76,10 @@ def in_wxi(query: WxiQuery, useq: WordSeq) -> bool:
     if not side_consistent(useq, query.side, query.alph):
         return False
     probe = useq if query.base is None else match_reduction(query.base, useq, query.side)
-    return in_level(query.xi, probe, schreier.mem, query.cfg)
+    return in_level(query.xi, probe, schreier.mem)
 
 
-def canonical_rep(
-    xi: Ordinal, seq: WordSeq, cfg: SchreierConfig = DEFAULT_CONFIG
-) -> tuple[tuple[int, ...], bool]:
+def canonical_rep(xi: Ordinal, seq: WordSeq) -> tuple[tuple[int, ...], bool]:
     """Split a sequence into consecutive level-xi blocks.
 
     Returns (boundaries m1 < m2 < ..., residual): words 1..m1 form the
@@ -102,7 +98,7 @@ def canonical_rep(
     words_done = 1
     while pos < len(offsets):
         try:
-            end = schreier._consume(xi, offsets, pos, cfg)
+            end = schreier._consume(xi, offsets, pos)
         except HorizonExceeded:
             return (tuple(boundaries), True)
         words_done += end - pos
@@ -138,13 +134,7 @@ def universe(alph: Alphabet, side: str, letter_budget: int):
                 yield from _fill_words(shape, side, alph)
 
 
-def enumerate_wxi(
-    xi: Ordinal,
-    alph: Alphabet,
-    side: str,
-    letter_budget: int,
-    cfg: SchreierConfig = DEFAULT_CONFIG,
-) -> tuple[WordSeq, ...]:
+def enumerate_wxi(xi: Ordinal, alph: Alphabet, side: str, letter_budget: int) -> tuple[WordSeq, ...]:
     """All level-xi sequences with total letter count <= letter_budget.
 
     Enumerates offset sets first (the sparse constraint), then shapes,
@@ -157,7 +147,7 @@ def enumerate_wxi(
         for total in range(1, letter_budget + 1):
             out.extend(_fill_words((total,), side, alph))
         return tuple(sorted(out, key=seq_sort_key))
-    for d in schreier.enumerate_members(xi, letter_budget, cfg, min_n=2):
+    for d in schreier.enumerate_members(xi, letter_budget, min_n=2):
         starts = (1,) + d
         for total in range(starts[-1], letter_budget + 1):
             shape = tuple(starts[i + 1] - starts[i] for i in range(len(starts) - 1))
@@ -167,22 +157,18 @@ def enumerate_wxi(
 
 
 def enumerate_reductions_wxi(
-    xi: Ordinal,
-    stream: VarWordStream,
-    side: str,
-    letter_budget: int,
-    cfg: SchreierConfig = DEFAULT_CONFIG,
+    xi: Ordinal, stream: VarWordStream, side: str, letter_budget: int
 ) -> tuple[WordSeq, ...]:
     """Level-xi reductions of the stream (relative block structure), for
     letter-word sequences within the budget and the stream horizon."""
     budget = min(letter_budget, stream.horizon)
     out = []
-    for t in enumerate_wxi(xi, stream.alph, side, budget, cfg):
+    for t in enumerate_wxi(xi, stream.alph, side, budget):
         out.append(reduce_seq(stream, t))
     return tuple(sorted(out, key=seq_sort_key))
 
 
-def star_status(xi: Ordinal, seq: WordSeq, cfg: SchreierConfig = DEFAULT_CONFIG) -> str:
+def star_status(xi: Ordinal, seq: WordSeq) -> str:
     """'member', 'segment' (proper initial part of a member), or 'outside'
     of the level-xi family, decided on the offset stream."""
     if not xi:
@@ -193,7 +179,7 @@ def star_status(xi: Ordinal, seq: WordSeq, cfg: SchreierConfig = DEFAULT_CONFIG)
         return "segment"
     offsets = d_map(seq)
     try:
-        end = schreier._consume(xi, offsets, 0, cfg)
+        end = schreier._consume(xi, offsets, 0)
     except HorizonExceeded:
         return "segment"
     if end == len(offsets):

@@ -407,6 +407,19 @@ def test_bad_coloring_is_a_usage_error(argv, message):
     assert _run_quiet(argv.split()) == (cli.EXIT_USAGE, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    # a recursion crash, a threshold claimed from zero colorings, and a
+    # report stamped with more letters than ran
+    "verify hj --n 0",
+    "verify hj --r 0",
+    "verify hj --xi 0 --k 12 --mmax 1 --r 1",
+])
+def test_hj_bounds_that_cannot_run_are_usage_errors(argv):
+    code, out, err = _run_quiet(argv.split())
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert re.fullmatch(r"error: [^\n]*\n", err), err
+
+
 _FIELD = st.one_of(st.integers(-2, 4).map(str), st.sampled_from(["", "x", "1.5", "+2"]))
 
 

@@ -129,12 +129,19 @@ def test_transfer_identity_enumerated():
             assert lhs == rhs, (xs, n, str(xin))
 
 
+def reference_members(xi, n, rule):
+    """The subsets of {1..n} that the split-searching recursion accepts
+    under a limit rule, in lexicographic order."""
+    cfg = SchreierConfig(rule)
+    return tuple(sorted(s for s in all_subsets(n) if mem_direct(xi, s, cfg)))
+
+
 def test_limit_rules_agree_on_sample():
-    fixed = SchreierConfig("fixed")
-    succ = SchreierConfig("succ")
+    # the engine walks the fixed sequence; the reference runs both rules
     for xs in SAMPLE:
         xi = P(xs)
-        assert sch.enumerate_members(xi, 10, fixed) == sch.enumerate_members(xi, 10, succ)
+        ms = sch.enumerate_members(xi, 10)
+        assert ms == reference_members(xi, 10, "fixed") == reference_members(xi, 10, "succ"), xs
 
 
 def test_limit_rules_can_differ_in_index_path():
@@ -170,9 +177,32 @@ def test_hard_indices_enumerate_mem_transfer():
 def test_hard_indices_rule_agreement():
     for xs in HARD:
         xi = P(xs)
-        a = sch.enumerate_members(xi, 10, SchreierConfig("fixed"))
-        b = sch.enumerate_members(xi, 10, SchreierConfig("succ"))
-        assert a == b, xs
+        ms = sch.enumerate_members(xi, 10)
+        assert ms == reference_members(xi, 10, "fixed") == reference_members(xi, 10, "succ"), xs
+
+
+DEEP = ["w^w^w", "w^(w^w+w)", "w^w^(w+1)", "w^(w^2*2+w*3+1)", "w^w^w+w^(w*2)+w^2*2+w+3"]
+
+
+@pytest.mark.parametrize("xs", DEEP)
+def test_deep_indices_match_successor_rule(xs):
+    # N = 12: every member with min >= 2 of these indices has far more
+    # than 12 elements, so the sets compared are mostly non-members.  The
+    # plan walks check the delegation itself at n = 1..6: from the limit
+    # part lam of each exponent, the fixed walk stops at w^(fixed_seq_succ(lam, n))
+    xi = P(xs)
+    assert sch.enumerate_members(xi, 12) == reference_members(xi, 12, "succ")
+    for exp, _count in xi:
+        top = sch.plan(o.omega_pow(exp))
+        if top.kind == sch.POW_SUCC:
+            top = top.base  # w^lam for exp = lam + k
+        if top.kind != sch.POW_LIMIT:
+            continue
+        for n in range(1, 7):
+            p = top
+            while p.kind == sch.POW_LIMIT:
+                p = p.child(n)
+            assert p.xi == o.omega_pow(o.fixed_seq_succ(top.lam, n)), (xs, str(exp), n)
 
 
 def test_validate_finset():
@@ -191,9 +221,15 @@ GOLDEN = [("w^w", 20, 21181, "83ecaa9b7653a3d0"), ("w^w*2", 16, 2012, "751fe7e57
 @pytest.mark.parametrize("rule", ["fixed", "succ"])
 @pytest.mark.parametrize("xs, max_n, count, digest", GOLDEN)
 def test_enumeration_golden_pins(rule, xs, max_n, count, digest):
-    ms = sch.enumerate_members(P(xs), max_n, SchreierConfig(rule))
+    xi = P(xs)
+    ms = sch.enumerate_members(xi, max_n)
     assert len(ms) == count
     assert hashlib.sha256(json.dumps([list(m) for m in ms]).encode()).hexdigest().startswith(digest)
+    # a sample under the reference recursion with the rule: members are
+    # accepted, and (the family being thin) their proper prefixes are not
+    cfg = SchreierConfig(rule)
+    for m in ms[::10]:
+        assert mem_direct(xi, m, cfg) and not mem_direct(xi, m[:-1], cfg), m
 
 
 def test_deep_indices_are_answered():
@@ -234,11 +270,11 @@ GROUND = 12
 def test_plans_agree_with_independent_paths(xi, rule, s, n):
     cfg = SchreierConfig(rule)
     t = tuple(sorted(s))
-    members = sch.enumerate_members(xi, GROUND, cfg)
-    assert sch.mem(xi, t, cfg) == mem_direct(xi, t, cfg) == (t in set(members))
+    members = sch.enumerate_members(xi, GROUND)
+    assert sch.mem(xi, t) == mem_direct(xi, t, cfg) == (t in set(members))
     assert list(members) == sorted(members)
     assert all(mem_direct(xi, m, cfg) for m in members[:: max(1, len(members) // 20)])
     if xi.terms:
-        xin = sch.transfer_index(xi, n, cfg)
-        rhs = tuple(m for m in sch.enumerate_members(xin, GROUND, cfg) if not m or m[0] > n)
-        assert sch.shifted_members(xi, n, GROUND, cfg) == rhs
+        xin = sch.transfer_index(xi, n)
+        rhs = tuple(m for m in sch.enumerate_members(xin, GROUND) if not m or m[0] > n)
+        assert sch.shifted_members(xi, n, GROUND) == rhs

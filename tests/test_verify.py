@@ -1,6 +1,7 @@
 import hashlib
 import json
 import time
+from functools import lru_cache, partial
 from itertools import combinations, product
 from math import comb
 
@@ -85,10 +86,19 @@ def test_ramsey_exhaustion_counts():
     assert out.visited == out.expected == 1
 
 
-def _sweep_ramsey(xi, max_n, coloring, target, cfg=sch.DEFAULT_CONFIG):
+@lru_cache(maxsize=None)
+def _reference_members(xi, max_n, rule):
+    """The subsets of {1..max_n} that the split-searching recursion
+    accepts under a limit rule, in lexicographic order."""
+    cfg = sch.SchreierConfig(rule)
+    subsets = (L for size in range(max_n + 1) for L in combinations(range(1, max_n + 1), size))
+    return tuple(sorted(L for L in subsets if v.mem_direct(xi, L, cfg)))
+
+
+def _sweep_ramsey(xi, max_n, coloring, target, rule="fixed"):
     """Reference: the size-then-lex sweep over every subset, filtering every
-    member for each one."""
-    members = sch.enumerate_members(xi, max_n, cfg)
+    member (by the reference recursion under `rule`) for each one."""
+    members = _reference_members(xi, max_n, rule)
     visited = 0
     for size in range(target, max_n + 1):
         for L in combinations(range(1, max_n + 1), size):
@@ -121,14 +131,13 @@ FINSET_COLORINGS = [
 @pytest.mark.parametrize("rule", ["fixed", "succ"])
 @pytest.mark.parametrize("xs", ["0", "1", "2", "3", "w", "w+1", "w*2", "w^2"])
 def test_ramsey_dfs_matches_sweep(rule, xs):
-    cfg = sch.SchreierConfig(rule)
     xi = P(xs)
     for max_n in range(0, 12):
         for col in FINSET_COLORINGS:
             for target in range(0, max_n + 2):
-                out = v.ramsey_schreier_search(xi, max_n, col, target, cfg)
+                out = v.ramsey_schreier_search(xi, max_n, col, target)
                 assert out.nodes is not None
-                assert out._replace(nodes=None) == _sweep_ramsey(xi, max_n, col, target, cfg), (max_n, col, target)
+                assert out._replace(nodes=None) == _sweep_ramsey(xi, max_n, col, target, rule), (max_n, col, target)
 
 
 @pytest.mark.parametrize("xs, max_n, nodes", [("3", 12, 250), ("2", 13, 169)])
@@ -238,14 +247,16 @@ def test_subspace_search_trivial_and_checked():
     assert out2.found and v.check_witness(out2.witness)
 
 
-def _scratch_family(u, xi, alph, side, cfg):
+def _scratch_family(u, xi, alph, side, rule):
     seen = {seq for used in range(1, len(u) + 1) for seq, _d in reductions(u[:used], alph, side)}
-    return tuple(sorted((s for s in seen if wxi.in_level(xi, s, sch.mem, cfg)), key=seq_sort_key))
+    member = partial(v.mem_direct, cfg=sch.SchreierConfig(rule))
+    return tuple(sorted((s for s in seen if wxi.in_level(xi, s, member)), key=seq_sort_key))
 
 
-def _scratch_carlson(xi, chi1, chi2, stream, depth, cfg=sch.DEFAULT_CONFIG):
+def _scratch_carlson(xi, chi1, chi2, stream, depth, rule="fixed"):
     """Reference: the prefix search that rebuilds the reductions of every
-    prefix of the candidate at every node."""
+    prefix of the candidate at every node, testing membership with the
+    reference recursion under `rule`."""
     alph = stream.alph
     per_step = sum(len(alph.full) ** b - len(alph.symbols) ** b for b in range(1, v.BLOCK_CAP + 1))
     visited_leaves = 0
@@ -257,10 +268,10 @@ def _scratch_carlson(xi, chi1, chi2, stream, depth, cfg=sch.DEFAULT_CONFIG):
                 yield blk, b
 
     def mono(u):
-        const = _scratch_family(u, xi, alph, "constant", cfg)
+        const = _scratch_family(u, xi, alph, "constant", rule)
         if len({chi1(s) for s in const}) > 1:
             return None
-        var = _scratch_family(u, xi, alph, "variable", cfg)
+        var = _scratch_family(u, xi, alph, "variable", rule)
         if len({chi2(s) for s in var}) > 1:
             return None
         return const, var
@@ -297,10 +308,10 @@ def _scratch_carlson(xi, chi1, chi2, stream, depth, cfg=sch.DEFAULT_CONFIG):
     return v.SearchOutcome(witness, visited_leaves + pruned_leaves, per_step**depth)
 
 
-def _scratch_subspace(xi, chi, stream, depth, cfg=sch.DEFAULT_CONFIG):
+def _scratch_subspace(xi, chi, stream, depth, rule="fixed"):
     """Reference: the subspace search on top of the from-scratch prefix search."""
     pulled = lambda seq: chi(frozenset(wxi.subspace_points(seq, stream.alph)))
-    out = _scratch_carlson(xi, v.Coloring("wordseqs", 1, "const", (1,)), pulled, stream, depth, cfg)
+    out = _scratch_carlson(xi, v.Coloring("wordseqs", 1, "const", (1,)), pulled, stream, depth, rule)
     if out.witness is None:
         return out
     base = out.witness
@@ -330,15 +341,14 @@ SET_COLORINGS = [
 @pytest.mark.parametrize("rule", ["fixed", "succ"])
 @pytest.mark.parametrize("xs", ["0", "1", "2", "w"])
 def test_carlson_frontier_matches_scratch_search(rule, xs):
-    cfg = sch.SchreierConfig(rule)
     for horizon in (10, 12):
         stream = upsilon_stream(AB, horizon)
         for chi1, chi2 in product(SEQ_COLORINGS, repeat=2):
-            args = (P(xs), chi1, chi2, stream, 3, cfg)
-            assert v.carlson_witness_search(*args) == _scratch_carlson(*args), (chi1, chi2, horizon)
+            args = (P(xs), chi1, chi2, stream, 3)
+            assert v.carlson_witness_search(*args) == _scratch_carlson(*args, rule), (chi1, chi2, horizon)
         for chi in SET_COLORINGS:
-            args = (P(xs), chi, stream, 3, cfg)
-            assert v.subspace_search(*args) == _scratch_subspace(*args), (chi, horizon)
+            args = (P(xs), chi, stream, 3)
+            assert v.subspace_search(*args) == _scratch_subspace(*args, rule), (chi, horizon)
 
 
 def test_carlson_one_kernel_call_per_candidate_and_side(monkeypatch, capsys):
