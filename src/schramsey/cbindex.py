@@ -43,7 +43,7 @@ from .words import (
     align,
     block_reductions,
     seq_sort_key,
-    side_words,
+    universe,
 )
 
 
@@ -92,11 +92,6 @@ def explicit_cb_family(alph: Alphabet, side: str, members, label: str = "explici
     return CBFamily(alph, side, lambda seq: seq in mset, seeds, label)
 
 
-def _seq_words(alph: Alphabet, side: str, letter_budget: int):
-    for length in range(1, letter_budget + 1):
-        yield from side_words(alph, side, length)
-
-
 def length_truncation_family(
     alph: Alphabet, side: str, max_len: int, seed_letter_budget: int
 ) -> CBFamily:
@@ -113,16 +108,7 @@ def length_truncation_family(
     induction on the level so do its escapes and its membership at
     every later level."""
 
-    seeds = [()]
-    frontier = [((), 0)]
-    for _ in range(max_len):
-        nxt = []
-        for seq, used in frontier:
-            for w in _seq_words(alph, side, seed_letter_budget - used):
-                cand = seq + (w,)
-                nxt.append((cand, used + len(w)))
-                seeds.append(cand)
-        frontier = nxt
+    seeds = [(), *universe(alph, side, seed_letter_budget, max_words=max_len)]
     return CBFamily(
         alph,
         side,
@@ -133,22 +119,13 @@ def length_truncation_family(
     )
 
 
-class DerivativeState:
-    """The seeds that survive `level` derivative passes."""
+class Derivation:
+    """The derivatives of one family on one stream under one oracle:
+    `survivors(level)`, `first_empty(budget)`, and `nodes`, the
+    chain-search nodes visited so far (0 under an exact rule).  Every
+    level shares the memos, so asking for a level costs only the passes
+    not yet made."""
 
-    __slots__ = ("level", "survivors", "_engine")
-
-    def __init__(self, engine: _Engine, level: int):
-        self.level, self.survivors, self._engine = level, engine.survivors(level), engine
-
-    @property
-    def nodes(self) -> int:
-        """Chain-search nodes visited so far by the engine behind this
-        state (0 under an exact rule)."""
-        return self._engine.nodes
-
-
-class _Engine:
     def __init__(self, family: CBFamily, stream: VarWordStream, oracle: ChainOracle):
         self.family = family
         self.stream = stream
@@ -204,6 +181,13 @@ class _Engine:
             pool = self.survivors(level - 1) if level else self.family.seeds
             self.survivor_memo[level] = tuple(m for m in pool if self.member_at(m, level, self.end_pos(m)))
         return self.survivor_memo[level]
+
+    def first_empty(self, budget: int = 32) -> int:
+        """The first level, 1..budget, at which no seed survives."""
+        for level in range(1, budget + 1):
+            if not self.survivors(level):
+                return level
+        raise BudgetExceeded(f"family not empty after {budget} derivative passes")
 
     # -- escape decision at a level --------------------------------------
     def escapes(self, seq: WordSeq, end: int, level: int) -> bool:
@@ -276,28 +260,6 @@ class _Engine:
         return self.maxlen_memo[level]
 
 
-def initial_state(family: CBFamily, stream: VarWordStream, oracle: ChainOracle) -> DerivativeState:
-    return DerivativeState(_Engine(family, stream, oracle), 0)
-
-
-def derivative(state: DerivativeState) -> DerivativeState:
-    """One derivative pass; survivors at the next level."""
-    return DerivativeState(state._engine, state.level + 1)
-
-
-def derive_to_empty(
-    family: CBFamily, stream: VarWordStream, oracle: ChainOracle, budget: int = 32
-) -> DerivativeState:
-    """Derive until no seed survives; the returned state is the first
-    empty one."""
-    state = initial_state(family, stream, oracle)
-    for _ in range(budget):
-        state = derivative(state)
-        if not state.survivors:
-            return state
-    raise BudgetExceeded(f"family not empty after {budget} derivative passes")
-
-
 def so_index(
     family: CBFamily, stream: VarWordStream, oracle: ChainOracle, budget: int = 32
 ) -> int:
@@ -305,22 +267,13 @@ def so_index(
     seen after j+1 passes is the level-j derivative, so the returned
     index matches the convention that level 0 is the once-derived family.
     """
-    return derive_to_empty(family, stream, oracle, budget).level - 1
-
-
-def derive_levels(
-    family: CBFamily, stream: VarWordStream, oracle: ChainOracle, levels: int
-) -> list[DerivativeState]:
-    """The states at levels 0..levels."""
-    states = [initial_state(family, stream, oracle)]
-    for _ in range(levels):
-        states.append(derivative(states[-1]))
-    return states
+    return Derivation(family, stream, oracle).first_empty(budget) - 1
 
 
 def derivative_profile(
     family: CBFamily, stream: VarWordStream, oracle: ChainOracle, levels: int
 ) -> list[int]:
     """Survivor counts (over the seeds) at levels 0..levels."""
-    return [len(s.survivors) for s in derive_levels(family, stream, oracle, levels)]
+    deriv = Derivation(family, stream, oracle)
+    return [len(deriv.survivors(level)) for level in range(levels + 1)]
 

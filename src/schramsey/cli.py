@@ -229,8 +229,7 @@ def _cmd_wxi(args) -> int:
     if args.action == "member":
         base = _parse_stream(args.base, alph) if args.base else None
         seq = _parse_seq(args.seq, alph)
-        q = wxi.WxiQuery(xi, alph, side, base=base)
-        value = wxi.in_wxi(q, seq)
+        value = wxi.in_wxi(xi, alph, side, seq, base=base)
         report.update({"seq": words.seq_text(seq), "member": value})
         if seq:
             report["d"] = list(words.d_map(seq))
@@ -256,7 +255,7 @@ def _cmd_wxi(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    from . import families, ordinal, words
+    from . import families, words
 
     fam = _read_family(args.file)
     report = {"command": f"family {args.action}", "members": len(fam.members), "side": fam.side}
@@ -283,8 +282,9 @@ def _cmd_family(args) -> int:
         report["tree"] = value
         code = EXIT_FOUND if value else EXIT_EXHAUSTED
     elif args.action == "dichotomy":
-        alph = fam.alph
-        stream = _parse_stream(args.stream, alph)
+        from . import ordinal
+
+        stream = _parse_stream(args.stream, fam.alph)
         xi = ordinal.parse(args.xi)
         rep = families.tree_dichotomy_check(fam, xi, stream, args.letters)
         report.update(rep)
@@ -322,14 +322,12 @@ def _cmd_cbindex(args) -> int:
         "budget": args.budget,
         "stream_horizon": stream.horizon,
     }
+    deriv = cbindex.Derivation(fam, stream, oracle)
     if args.levels is not None:
-        states = cbindex.derive_levels(fam, stream, oracle, args.levels)
-        report["profile"] = [len(s.survivors) for s in states]
-        last = states[-1]
+        report["profile"] = [len(deriv.survivors(level)) for level in range(args.levels + 1)]
     else:
-        last = cbindex.derive_to_empty(fam, stream, oracle, args.budget)
-        report["so_index"] = last.level - 1
-    report["nodes"] = last.nodes
+        report["so_index"] = deriv.first_empty(args.budget) - 1
+    report["nodes"] = deriv.nodes
     return _emit(report, args, EXIT_FOUND)
 
 

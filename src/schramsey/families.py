@@ -14,22 +14,28 @@ their answers with the bounds used.
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
-from . import wxi
 from .errors import HorizonExceeded, ReductionMismatch
-from .ordinal import Ordinal
 from .words import (
     Alphabet,
     VarWordStream,
     WordSeq,
     align,
+    fill_words,
     finite_reductions,
     reduce_seq,
     seq_is_prefix,
     seq_sort_key,
     seq_text,
+    side_consistent,
+    span,
+    universe,
     word,
 )
+
+if TYPE_CHECKING:
+    from .ordinal import Ordinal
 
 EMPTY: WordSeq = ()
 
@@ -41,7 +47,7 @@ class FamilyOfSeqs:
         if side not in ("constant", "variable"):
             raise ValueError(f"unknown side {side!r}")
         for m in members:
-            if not wxi.side_consistent(m, side, alph):
+            if not side_consistent(m, side):
                 raise ValueError(f"{seq_text(m)} is not {side}-side")
         self.alph, self.side, self.members = alph, side, members
 
@@ -114,8 +120,8 @@ def f_g(fam: FamilyOfSeqs) -> FamilyOfSeqs:
     shapes = {tuple(len(w) for w in m) for m in fam.members if m}
     witnesses = set()
     for shape in shapes:
-        for t in wxi._fill_words(shape, "variable", fam.alph):
-            if all(s in fam.members for s in wxi.span(t, fam.alph)):
+        for t in fill_words(shape, "variable", fam.alph):
+            if all(s in fam.members for s in span(t, fam.alph)):
                 witnesses.add(t)
     return FamilyOfSeqs(fam.alph, "variable", frozenset(witnesses))
 
@@ -130,7 +136,7 @@ def g_substar(fam: FamilyOfSeqs) -> FamilyOfSeqs:
     for t in closed.members:
         if t == EMPTY:
             continue
-        out.update(wxi.span(t, fam.alph))
+        out.update(span(t, fam.alph))
     return fam.replace(out)
 
 
@@ -162,7 +168,7 @@ def hereditary_kernel(fam: FamilyOfSeqs) -> FamilyOfSeqs:
     good_witness = {}
 
     def span_inside(u: WordSeq) -> bool:
-        return all(s in fam.members for s in wxi.span(u, fam.alph))
+        return all(s in fam.members for s in span(u, fam.alph))
 
     def witness_ok(t: WordSeq) -> bool:
         if t not in good_witness:
@@ -173,7 +179,7 @@ def hereditary_kernel(fam: FamilyOfSeqs) -> FamilyOfSeqs:
     for s in fam.members:
         if s == EMPTY:
             continue
-        ts = [t for t in witnesses.members if s in wxi.span(t, fam.alph)]
+        ts = [t for t in witnesses.members if s in span(t, fam.alph)]
         if ts and all(witness_ok(t) for t in ts):
             kept.add(s)
     return fam.replace(kept)
@@ -220,13 +226,15 @@ def tree_dichotomy_check(fam: FamilyOfSeqs, xi: Ordinal, stream: VarWordStream, 
     Exhaustive at the stated bounds; reports both truth values and any
     counterexample to their equivalence.
     """
+    from . import wxi
+
     if not is_tree(fam):
         raise ValueError("tree_dichotomy_check needs a tree family")
     budget = min(letter_budget, stream.horizon)
-    universe = [EMPTY] + [reduce_seq(stream, t) for t in wxi.universe(stream.alph, fam.side, budget)]
+    reduced = [EMPTY] + [reduce_seq(stream, t) for t in universe(stream.alph, fam.side, budget)]
     a_bad = []
     b_bad = []
-    for r in universe:
+    for r in reduced:
         status = wxi.star_status(xi, r)
         if status == "member" and r in fam.members:
             a_bad.append(r)
@@ -237,7 +245,7 @@ def tree_dichotomy_check(fam: FamilyOfSeqs, xi: Ordinal, stream: VarWordStream, 
     report = {
         "xi": str(xi),
         "letter_budget": budget,
-        "universe_size": len(universe),
+        "universe_size": len(reduced),
         "xi_reductions_avoid_family": a_holds,
         "family_inside_proper_segments": b_holds,
         "equivalent": a_holds == b_holds,

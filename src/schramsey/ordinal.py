@@ -17,10 +17,11 @@ all, which is exactly the supported range.
 
 from __future__ import annotations
 
-from .errors import OrdinalParseError, OrdinalRangeError
+from .errors import BudgetExceeded, OrdinalParseError, OrdinalRangeError
 
 MAX_TOWER_DEPTH = 64
 MAX_COEFF = 2**63 - 1
+MAX_DESCENT_STEPS = 1_000  # steps of one walk down approximating sequences
 
 
 class Ordinal(tuple):
@@ -156,6 +157,16 @@ def fixed_seq(lam: Ordinal, n: int) -> Ordinal:
     return add(shed_last(lam), fixed_seq(omega_pow(lam[-1][0]), n))
 
 
+def charge_descent(steps: int, reached: Ordinal) -> None:
+    """Refuse a descent walk (`fixed_seq_path`, `schreier.transfer_index`)
+    once it has taken more than MAX_DESCENT_STEPS steps."""
+    if steps > MAX_DESCENT_STEPS:
+        text = format_ordinal(reached)
+        if len(text) > 80:
+            text = text[:80] + "..."
+        raise BudgetExceeded(f"descent exceeded its budget of {MAX_DESCENT_STEPS} steps; reached {text}")
+
+
 def fixed_seq_path(lam: Ordinal, n: int) -> tuple[Ordinal, ...]:
     """Strictly decreasing trace lam, (lam)_n, ((lam)_n)_n, ... ending at
     the first successor ordinal."""
@@ -164,6 +175,7 @@ def fixed_seq_path(lam: Ordinal, n: int) -> tuple[Ordinal, ...]:
     path = [lam]
     cur = lam
     while kind(cur) == "limit":
+        charge_descent(len(path), cur)
         cur = fixed_seq(cur, n)
         path.append(cur)
     return tuple(path)

@@ -346,7 +346,10 @@ def transfer_index(xi: Ordinal, n: int) -> Ordinal:
         raise ValueError("transfer_index needs xi >= 1")
     p = plan(xi)
     heads = []  # summands in front of the block holding n, outermost first
+    steps = 0
     while p.kind != SUCC:
+        steps += 1
+        o.charge_descent(steps, p.xi)
         if p.kind == POW_LIMIT:
             p = p.child(n)
             continue

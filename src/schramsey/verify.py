@@ -33,6 +33,7 @@ from .words import (
     VarWordStream,
     WordSeq,
     block_reductions,
+    fill_words,
     finite_reductions,
     is_variable_word,
     pattern_stream,
@@ -40,6 +41,8 @@ from .words import (
     reductions,
     seq_sort_key,
     seq_text,
+    shapes,
+    universe,
     upsilon_stream,
     word,
 )
@@ -298,7 +301,11 @@ def ramsey_pair_sweep(max_n: int, target: int = 3) -> dict:
     """Exhaust every 2-coloring of the pairs of {1..max_n}: does each one
     admit a `target`-element set all of whose pairs share a color?  Scans
     the whole coloring space; reports the least defeating coloring, if any.
+    Refuses, before any work, a space over MAX_COLORING_SPACE.
     """
+    exponent = comb(max_n, 2)
+    if exponent >= MAX_COLORING_SPACE.bit_length():  # 2^exponent > MAX_COLORING_SPACE
+        raise BudgetExceeded(f"coloring space 2^{exponent} exceeds budget; n={max_n}")
     pairs = list(combinations(range(1, max_n + 1), 2))
     triple_masks = []
     for trip in combinations(range(1, max_n + 1), target):
@@ -488,8 +495,8 @@ def _hj_generators(xi: Ordinal, alph: Alphabet, M: int, n: int):
     """Variable n-word generators of total length M, paired with their
     level-xi reduction sets (full consumption, own offsets)."""
     gens = []
-    for shape in wxi._shapes(M, n) if n <= M else ():
-        for g in wxi._fill_words(shape, "variable", alph):
+    for shape in shapes(M, n) if n <= M else ():
+        for g in fill_words(shape, "variable", alph):
             rset = tuple(
                 seq for seq, _d in finite_reductions(g, alph)[0] if wxi.in_level(xi, seq, schreier.mem)
             )
@@ -670,13 +677,13 @@ def nw_fixture_check(fixture: str, alph: Alphabet, letter_budget: int = 8) -> di
                 "horn": "inside",
             }
         )
-        shadow_members = {s for s in wxi.universe(alph, "variable", 6) if wide_fixture_member(s)}
+        shadow_members = {s for s in universe(alph, "variable", 6) if wide_fixture_member(s)}
         shadow = families.FamilyOfSeqs(alph, "variable", frozenset(shadow_members) | {()})
     elif fixture == "narrow":
         stream = pattern_stream(alph, ["_"], ["__"], 5)
         outside = []
         probed = 0
-        for t in wxi.universe(alph, "variable", stream.horizon):
+        for t in universe(alph, "variable", stream.horizon):
             v = reduce_seq(stream, t)
             if wxi.in_level(o.OMEGA, v, schreier.mem):
                 probed += 1
@@ -690,7 +697,7 @@ def nw_fixture_check(fixture: str, alph: Alphabet, letter_budget: int = 8) -> di
                 "horn": "complement",
             }
         )
-        shadow_members = {s for s in wxi.universe(alph, "variable", 5) if narrow_fixture_member(s)}
+        shadow_members = {s for s in universe(alph, "variable", 5) if narrow_fixture_member(s)}
         shadow = families.FamilyOfSeqs(alph, "variable", frozenset(shadow_members) | {()})
     else:
         raise ValueError(f"unknown fixture {fixture!r}")

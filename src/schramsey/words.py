@@ -11,6 +11,9 @@ structure of the substituted letter-word t is recorded by d_map(t).
 `reduce_block` is the one place that substitutes into stream words,
 `block_reductions`/`reductions` enumerate the side-consistent
 reductions, and `align` inverts one block against a stream.
+`universe` is the one generator of the bounded universe of
+side-consistent word sequences, and `span` the word-by-word
+substitution images of a sequence.
 
 A word's prefixes are its `str` prefixes (`startswith`); word sequences
 are ordered by strict initial segment, seq_is_prefix.
@@ -71,15 +74,6 @@ def is_variable_word(w: Word, alph: Alphabet) -> bool:
     return VAR in w
 
 
-def substitute(w: Word, letter: str, alph: Alphabet) -> Word:
-    """Replace every occurrence of the variable in w by `letter`."""
-    if VAR not in w:
-        raise ValueError("substitution into a constant word")
-    if letter != VAR and letter not in alph.symbols:
-        raise ValueError(f"letter {letter!r} not in alphabet")
-    return w.replace(VAR, letter)
-
-
 def seq_is_prefix(s: WordSeq, t: WordSeq) -> bool:
     """Strict initial-segment order on word sequences."""
     return len(s) < len(t) and t[: len(s)] == s
@@ -115,6 +109,50 @@ def side_words(alph: Alphabet, side: str, length: int):
         for letters in product(alph.full, repeat=length):
             if VAR in letters:
                 yield "".join(letters)
+
+
+def side_consistent(seq: WordSeq, side: str) -> bool:
+    """Every word of seq is constant (side 'constant') or carries the
+    variable (side 'variable')."""
+    if side == "constant":
+        return all(VAR not in w for w in seq)
+    return all(VAR in w for w in seq)
+
+
+def shapes(total: int, parts: int):
+    """Compositions of `total` into `parts` positive parts."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in shapes(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def fill_words(shape: tuple[int, ...], side: str, alph: Alphabet):
+    """All side-consistent word sequences with the given word lengths."""
+    return product(*[list(side_words(alph, side, length)) for length in shape])
+
+
+def universe(alph: Alphabet, side: str, letter_budget: int, max_words: int | None = None):
+    """Every side-consistent word sequence with 1..letter_budget letters
+    (and at most max_words words), by total letters, then word count,
+    then word lengths, then letters."""
+    for total in range(1, letter_budget + 1):
+        most = total if max_words is None else min(total, max_words)
+        for parts in range(1, most + 1):
+            for shape in shapes(total, parts):
+                yield from fill_words(shape, side, alph)
+
+
+def span(tseq: WordSeq, alph: Alphabet) -> tuple[WordSeq, ...]:
+    """Word-by-word substitution images (no concatenation): sequences
+    (t1(a1), ..., tm(am)) over all constant letter choices."""
+    if not tseq:
+        return ()
+    images = {tuple(w.replace(VAR, a) for w, a in zip(tseq, assign))
+              for assign in product(alph.symbols, repeat=len(tseq))}
+    return tuple(sorted(images, key=seq_sort_key))
 
 
 def reduce_block(ws: WordSeq, t: Word) -> Word:

@@ -12,8 +12,6 @@ directly on the offset stream.
 
 from __future__ import annotations
 
-from itertools import product
-
 from . import schreier
 from .errors import BudgetExceeded, HorizonExceeded
 from .ordinal import Ordinal
@@ -24,30 +22,14 @@ from .words import (
     WordSeq,
     align,
     d_map,
-    is_variable_word,
+    fill_words,
     reduce_seq,
     reduced_words,
     seq_sort_key,
-    side_words,
-    substitute,
+    side_consistent,
 )
 
 MAX_LETTER_BUDGET = 16
-
-
-class WxiQuery:
-    __slots__ = ("xi", "alph", "side", "base")
-
-    def __init__(self, xi: Ordinal, alph: Alphabet, side: str, base: VarWordStream | None = None):
-        if side not in ("constant", "variable"):
-            raise ValueError(f"unknown side {side!r}")
-        self.xi, self.alph, self.side, self.base = xi, alph, side, base
-
-
-def side_consistent(seq: WordSeq, side: str, alph: Alphabet) -> bool:
-    if side == "constant":
-        return all(not is_variable_word(w, alph) for w in seq)
-    return all(is_variable_word(w, alph) for w in seq)
 
 
 def match_reduction(stream: VarWordStream, useq: WordSeq, side: str) -> WordSeq:
@@ -70,13 +52,15 @@ def in_level(xi: Ordinal, seq: WordSeq, mem_fn) -> bool:
     return len(seq) >= 2 and mem_fn(xi, d_map(seq))
 
 
-def in_wxi(query: WxiQuery, useq: WordSeq) -> bool:
-    """Membership in the level-xi family (absolute, or relative to a base
-    stream when the query carries one)."""
-    if not side_consistent(useq, query.side, query.alph):
+def in_wxi(xi: Ordinal, alph: Alphabet, side: str, useq: WordSeq, base: VarWordStream | None = None) -> bool:
+    """Membership in the level-xi family over alph on one side (absolute,
+    or relative to a base stream when one is given)."""
+    if side not in ("constant", "variable"):
+        raise ValueError(f"unknown side {side!r}")
+    if not side_consistent(useq, side):
         return False
-    probe = useq if query.base is None else match_reduction(query.base, useq, query.side)
-    return in_level(query.xi, probe, schreier.mem)
+    probe = useq if base is None else match_reduction(base, useq, side)
+    return in_level(xi, probe, schreier.mem)
 
 
 def canonical_rep(xi: Ordinal, seq: WordSeq) -> tuple[tuple[int, ...], bool]:
@@ -110,30 +94,6 @@ def canonical_rep(xi: Ordinal, seq: WordSeq) -> tuple[tuple[int, ...], bool]:
     return (tuple(boundaries), False)
 
 
-def _shapes(total: int, parts: int):
-    """Compositions of `total` into `parts` positive parts."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _shapes(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _fill_words(shape: tuple[int, ...], side: str, alph: Alphabet):
-    """All side-consistent word sequences with the given word lengths."""
-    return product(*[list(side_words(alph, side, length)) for length in shape])
-
-
-def universe(alph: Alphabet, side: str, letter_budget: int):
-    """Every side-consistent word sequence with 1..letter_budget letters,
-    by total letters, then word count, then word lengths, then letters."""
-    for total in range(1, letter_budget + 1):
-        for parts in range(1, total + 1):
-            for shape in _shapes(total, parts):
-                yield from _fill_words(shape, side, alph)
-
-
 def enumerate_wxi(xi: Ordinal, alph: Alphabet, side: str, letter_budget: int) -> tuple[WordSeq, ...]:
     """All level-xi sequences with total letter count <= letter_budget.
 
@@ -145,14 +105,14 @@ def enumerate_wxi(xi: Ordinal, alph: Alphabet, side: str, letter_budget: int) ->
     out = []
     if not xi:
         for total in range(1, letter_budget + 1):
-            out.extend(_fill_words((total,), side, alph))
+            out.extend(fill_words((total,), side, alph))
         return tuple(sorted(out, key=seq_sort_key))
     for d in schreier.enumerate_members(xi, letter_budget, min_n=2):
         starts = (1,) + d
         for total in range(starts[-1], letter_budget + 1):
             shape = tuple(starts[i + 1] - starts[i] for i in range(len(starts) - 1))
             shape += (total - starts[-1] + 1,)
-            out.extend(_fill_words(shape, side, alph))
+            out.extend(fill_words(shape, side, alph))
     return tuple(sorted(out, key=seq_sort_key))
 
 
@@ -192,15 +152,4 @@ def subspace_points(gen: WordSeq, alph: Alphabet) -> tuple[Word, ...]:
     per-word substitutions, concatenated."""
     rw, _ = reduced_words(gen, alph)
     return rw
-
-
-def span(tseq: WordSeq, alph: Alphabet) -> tuple[WordSeq, ...]:
-    """Word-by-word substitution images (no concatenation): sequences
-    (t1(a1), ..., tm(am)) over all constant letter choices."""
-    if not tseq:
-        return ()
-    out = []
-    for assign in product(alph.symbols, repeat=len(tseq)):
-        out.append(tuple(substitute(w, a, alph) for w, a in zip(tseq, assign)))
-    return tuple(sorted(set(out), key=seq_sort_key))
 

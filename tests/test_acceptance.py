@@ -14,7 +14,7 @@ from schramsey import ordinal as o
 from schramsey import schreier as sch
 from schramsey import verify as v
 from schramsey import wxi
-from schramsey.words import Alphabet, d_map, reduce_seq, upsilon_stream
+from schramsey.words import Alphabet, d_map, reduce_seq, universe, upsilon_stream
 
 P = o.parse
 AB = Alphabet(("a", "b"))
@@ -228,15 +228,11 @@ def test_criterion_10_tree_dichotomy():
     t0 = time.time()
     rng = random.Random(404)
     e4 = upsilon_stream(AB, 4)
-    universe = []
-    for total in range(1, 4):
-        for parts in range(1, total + 1):
-            for shape in wxi._shapes(total, parts):
-                universe.extend(wxi._fill_words(shape, "constant", AB))
+    seqs = list(universe(AB, "constant", 3))
     xis = [P(t) for t in ["1", "2", "w", "w+1"]]
     one_sided = 0
     for i in range(200):
-        picked = [s for s in universe if rng.random() < 0.1]
+        picked = [s for s in seqs if rng.random() < 0.1]
         tree = fm.star_closure(fm.FamilyOfSeqs(AB, "constant", frozenset(picked)))
         rep = fm.tree_dichotomy_check(tree, xis[i % 4], e4, 3)
         if not rep["equivalent"]:

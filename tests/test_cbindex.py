@@ -1,8 +1,17 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schramsey import cbindex as cb
 from schramsey.errors import BudgetExceeded, OracleUndecided
-from schramsey.words import Alphabet, pattern_stream, reduce_word, upsilon_stream, word
+from schramsey.words import (
+    Alphabet,
+    pattern_stream,
+    reduce_word,
+    seq_sort_key,
+    universe,
+    upsilon_stream,
+    word,
+)
 from schramsey.wxi import match_reduction
 
 AB = Alphabet(("a", "b"))
@@ -28,39 +37,48 @@ def test_oracle_validation():
         cb.ChainOracle("magic")
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["a", "ab", "abc"]), st.sampled_from(["constant", "variable"]),
+       st.integers(0, 5), st.integers(0, 6))
+def test_length_truncation_seeds_are_the_bounded_universe(alphabet, side, k, letters):
+    # the seeds are the empty sequence plus every side-consistent sequence
+    # of at most k words and at most `letters` letters, canonically sorted
+    alph = Alphabet(tuple(alphabet))
+    seeds = cb.length_truncation_family(alph, side, k, letters).seeds
+    bounded = list(universe(alph, side, letters, max_words=k))
+    assert seeds == ((),) + tuple(sorted(bounded, key=seq_sort_key))
+    assert bounded == [s for s in universe(alph, side, letters) if len(s) <= k]
+
+
 def test_first_derivative_of_single_word_family():
     fam = cb.length_truncation_family(AB, "constant", 1, 2)
-    st = cb.initial_state(fam, stream(20), HORIZON)
-    assert () in st.survivors and (w("a"),) in st.survivors
-    st = cb.derivative(st)
-    assert st.survivors == ((),)
-    st = cb.derivative(st)
-    assert st.survivors == ()
+    deriv = cb.Derivation(fam, stream(20), HORIZON)
+    assert () in deriv.survivors(0) and (w("a"),) in deriv.survivors(0)
+    assert deriv.survivors(1) == ((),)
+    assert deriv.survivors(2) == ()
+    assert deriv.first_empty() == 2
 
 
 def test_derivative_of_empty_sequence_family():
     fam = cb.explicit_cb_family(AB, "constant", [()])
-    st = cb.initial_state(fam, stream(20), HORIZON)
-    st = cb.derivative(st)
-    assert st.survivors == ()
+    assert cb.Derivation(fam, stream(20), HORIZON).survivors(1) == ()
 
 
 def test_derivative_peels_longest_layer():
     fam = cb.length_truncation_family(AB, "constant", 3, 3)
-    st = cb.derivative(cb.initial_state(fam, stream(20), HORIZON))
-    assert st.survivors
-    assert max(len(m) for m in st.survivors) == 2
+    survivors = cb.Derivation(fam, stream(20), HORIZON).survivors(1)
+    assert survivors
+    assert max(len(m) for m in survivors) == 2
     # survivors are exactly the shorter seeds
-    assert set(st.survivors) == {m for m in fam.seeds if len(m) <= 2}
+    assert set(survivors) == {m for m in fam.seeds if len(m) <= 2}
 
 
 def test_derivative_outputs_shrink_and_stay_downward_closed():
     fam = cb.length_truncation_family(AB, "constant", 2, 2)
-    st = cb.initial_state(fam, stream(20), HORIZON)
-    prev = set(st.survivors)
-    for _ in range(3):
-        st = cb.derivative(st)
-        cur = set(st.survivors)
+    deriv = cb.Derivation(fam, stream(20), HORIZON)
+    prev = set(deriv.survivors(0))
+    for level in range(1, 4):
+        cur = set(deriv.survivors(level))
         assert cur <= prev
         for m in cur:
             for i in range(len(m)):
@@ -169,29 +187,30 @@ def test_chain_search_node_counts_are_pinned(alphabet, side, k, stream_words, H,
     else:
         st = pattern_stream(alph, *stream_words, 40)
     fam = cb.length_truncation_family(alph, side, k, k)
-    state = cb.derive_to_empty(fam, st, cb.ChainOracle("horizon", horizon=H))
-    assert state.level - 1 == k
-    assert state.nodes == nodes
+    deriv = cb.Derivation(fam, st, cb.ChainOracle("horizon", horizon=H))
+    assert deriv.first_empty() - 1 == k
+    assert deriv.nodes == nodes
 
 
 def _outcomes(fam, st, oracle, k):
-    """The (level, survivor count) of each state and the nodes of the
-    last one, for a run to the empty level at the default pass budget and
-    at a budget of k passes, and for a profile over k + 1 levels; an
-    undecided or over-budget run gives its exception type instead."""
+    """The answer and the nodes spent, for a run to the empty level at
+    the default pass budget and at a budget of k passes, and for the
+    survivor counts of levels 0..k+1; an undecided or over-budget run
+    gives its exception type instead."""
     runs = (
-        lambda: [cb.derive_to_empty(fam, st, oracle)],
-        lambda: [cb.derive_to_empty(fam, st, oracle, budget=k)],
-        lambda: cb.derive_levels(fam, st, oracle, k + 1),
+        lambda d: d.first_empty(),
+        lambda d: d.first_empty(budget=k),
+        lambda d: [len(d.survivors(level)) for level in range(k + 2)],
     )
     out = []
     for run in runs:
+        deriv = cb.Derivation(fam, st, oracle)
         try:
-            states = run()
+            answer = run(deriv)
         except (OracleUndecided, BudgetExceeded) as exc:
             out.append((type(exc), None))
         else:
-            out.append(([(s.level, len(s.survivors)) for s in states], states[-1].nodes))
+            out.append((answer, deriv.nodes))
     return out
 
 
@@ -235,7 +254,7 @@ def test_step_table_entries_are_reductions(head, repeat, side):
     st = pattern_stream(AB, head, repeat, horizon)
     fam = cb.length_truncation_family(AB, side, 2, 2)
     oracle = cb.ChainOracle("horizon", horizon=3)
-    engine = cb._Engine(fam, st, oracle)
+    engine = cb.Derivation(fam, st, oracle)
     fill = "_" if side == "variable" else "a"
     for k in range(horizon + 1):
         member = (reduce_word(st, fill * k),) if k else ()
@@ -252,5 +271,5 @@ def test_step_table_entries_are_reductions(head, repeat, side):
 def test_deep_chain_search_runs_without_recursion():
     # a chain far deeper than the interpreter's recursion limit
     fam = cb.length_truncation_family(AB, "constant", 1, 1)
-    states = cb.derive_levels(fam, upsilon_stream(AB, 1100), cb.ChainOracle("horizon", horizon=1050), 1)
-    assert [len(s.survivors) for s in states] == [3, 1]
+    prof = cb.derivative_profile(fam, upsilon_stream(AB, 1100), cb.ChainOracle("horizon", horizon=1050), 1)
+    assert prof == [3, 1]

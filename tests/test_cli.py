@@ -258,6 +258,28 @@ def test_mono_set_checker_budget_stops_fast(capsys):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param("verify pair-sweep --max-n 9", "coloring space 2^36 exceeds budget; n=9", id="pair-sweep"),
+    pytest.param("verify pair-sweep --max-n 7", "coloring space 2^21 exceeds budget; n=7", id="pair-sweep-7"),
+    pytest.param("schreier transfer --xi w^w^9 -n 4",
+                 "descent exceeded its budget of 1000 steps; "
+                 "reached w^(w^8*3 + w^7*3 + w^6*3 + w^5*2 + w^4 + w^3 + w^2 + w + 4)", id="transfer"),
+    pytest.param("ordinal fixed-seq w^w^w -n 5 --succ",
+                 "descent exceeded its budget of 1000 steps; "
+                 "reached w^(w^4*4 + w^3*4 + w^2*4 + w*4 + 4)*4 + w^(w^4*4 + w^3*4 + w^2*4 + w*4 + 3)*4 + ...",
+                 id="fixed-seq-succ"),
+])
+def test_unbounded_walks_stop_at_their_budget(argv, message):
+    # each of these ran for more than 6 s; a subprocess, so that one that
+    # never ends fails the test at its timeout
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "schramsey.cli", *argv.split()],
+                          capture_output=True, text=True, timeout=10)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout, proc.stderr) == (cli.EXIT_BUDGET, "", f"error: {message}\n")
+    assert elapsed < 2.0
+
+
 @pytest.mark.parametrize("argv, name, value", [
     pytest.param(["verify", "carlson", "--depth", "-1"], "depth", -1, id="carlson"),
     pytest.param(["verify", "subspace", "--depth", "-1"], "depth", -1, id="subspace"),
@@ -343,11 +365,11 @@ LAYER_JOBS = {
     "words": (["words", "d", "--alphabet", "ab", "--seq", "(ab,a)"], {"words"}),
     "wxi": (["wxi", "enumerate", "--xi", "1", "--alphabet", "ab", "--letters", "4"],
             {"ordinal", "schreier", "words", "wxi"}),
-    "family": (["family", "tree", "--file", "{tree}"], {"ordinal", "schreier", "words", "wxi", "families"}),
+    "family": (["family", "tree", "--file", "{tree}"], {"words", "families"}),
     "cbindex": (["cbindex", "--family", "len:2", "--stream", "e:16", "--oracle", "horizon:4"],
                 {"words", "cbindex"}),
     "cbindex-file": (["cbindex", "--family", "{tree}", "--stream", "e:12", "--oracle", "horizon:3"],
-                     {"ordinal", "schreier", "words", "wxi", "families", "cbindex"}),
+                     {"words", "families", "cbindex"}),
     "verify": (["verify", "ramsey", "--xi", "2", "--max-n", "8", "--target", "4"],
                {"ordinal", "schreier", "words", "wxi", "verify"}),
 }

@@ -8,6 +8,8 @@ from schramsey import ordinal as o
 from schramsey import wxi
 from schramsey.words import (
     Alphabet,
+    span,
+    universe,
     upsilon_stream,
     word,
 )
@@ -78,7 +80,7 @@ def test_g_substar_spans():
     spans = {()}
     for t in closed.members:
         if t:
-            spans.update(wxi.span(t, A1))
+            spans.update(span(t, A1))
     G = fm.FamilyOfSeqs(A1, "constant", frozenset(spans))
     assert fm.g_substar(G).members == G.members
     assert fm.is_hereditary(G)
@@ -110,7 +112,7 @@ def test_hereditary_kernel_constant_side():
     spans = {()}
     for t in closed.members:
         if t:
-            spans.update(wxi.span(t, A1))
+            spans.update(span(t, A1))
     G = fm.FamilyOfSeqs(A1, "constant", frozenset(spans))
     assert fm.hereditary_kernel(G).members == G.members
     # dropping the merged word (aa) invalidates (a,a): its witness (v,v)
@@ -178,14 +180,10 @@ def test_tree_dichotomy_rejects_non_tree():
 def test_tree_dichotomy_random_trees():
     rng = random.Random(17)
     e4 = upsilon_stream(AB, 4)
-    universe = []
-    for total in range(1, 4):
-        for parts in range(1, total + 1):
-            for shape in wxi._shapes(total, parts):
-                universe.extend(wxi._fill_words(shape, "constant", AB))
+    seqs = list(universe(AB, "constant", 3))
     xis = [P("1"), P("2"), P("w")]
     for i in range(60):
-        picked = [s for s in universe if rng.random() < 0.12]
+        picked = [s for s in seqs if rng.random() < 0.12]
         tree = fm.star_closure(fm.FamilyOfSeqs(AB, "constant", frozenset(picked)))
         rep = fm.tree_dichotomy_check(tree, xis[i % 3], e4, 3)
         assert rep["equivalent"], rep

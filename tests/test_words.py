@@ -15,7 +15,7 @@ from schramsey.words import (
     reduce_word,
     reduced_words,
     seq_text,
-    substitute,
+    span,
     upsilon_stream,
     word,
 )
@@ -43,12 +43,11 @@ def test_alphabet_symbols_are_single_characters():
 
 
 def test_substitute():
+    # span substitutes one constant letter for every variable of each word
     abc = Alphabet(("a", "b", "c"))
-    assert substitute(word("a_b_", abc), "c", abc) == "acbc"
-    assert substitute(w("a_b"), "_", AB) == w("a_b")
-    assert substitute(w("_"), "a", AB) == "a"
-    with pytest.raises(ValueError):
-        substitute(w("ab"), "a", AB)
+    assert span((word("a_b_", abc),), abc) == (("aaba",), ("abbb",), ("acbc",))
+    assert span((w("_"), w("a_b")), AB) == (("a", "aab"), ("a", "abb"), ("b", "aab"), ("b", "abb"))
+    assert span((w("ab"),), AB) == ((w("ab"),),)
 
 
 def test_d_map():
@@ -117,7 +116,7 @@ def test_finite_reductions_counts():
                 lo, hi = bounds[bi], bounds[bi + 1]
                 letters = ""
                 for idx in range(lo, hi):
-                    letters += substitute(seq[idx], assign[idx], AB)
+                    letters += seq[idx].replace(AB.variable, assign[idx])
                 blocks.append(letters)
                 sides.append(any(a == AB.variable for a in assign[lo:hi]))
             if not any(sides):

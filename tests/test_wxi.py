@@ -13,6 +13,9 @@ from schramsey.words import (
     VarWordStream,
     d_map,
     reduce_seq,
+    seq_sort_key,
+    span,
+    universe,
     upsilon_stream,
     word,
 )
@@ -26,33 +29,35 @@ def w(text, alph=AB):
     return word(text, alph)
 
 
-def q(xi, alph=AB, side="constant", base=None):
-    return wxi.WxiQuery(P(xi) if isinstance(xi, str) else xi, alph, side, base=base)
+def member(xi, seq, alph=AB, side="constant", base=None):
+    return wxi.in_wxi(P(xi) if isinstance(xi, str) else xi, alph, side, seq, base=base)
 
 
 def test_in_wxi_examples():
-    assert wxi.in_wxi(q("2"), (w("ab"), w("ba"), w("aab")))
+    assert member("2", (w("ab"), w("ba"), w("aab")))
     aaa = (word("a", A1), word("a", A1), word("a", A1))
-    assert wxi.in_wxi(q("w", A1), aaa)
-    assert not wxi.in_wxi(q("1", A1), (word("a", A1),))
-    assert wxi.in_wxi(q("0"), (w("ab"),))
-    assert not wxi.in_wxi(q("0"), (w("ab"), w("a")))
-    assert not wxi.in_wxi(q("1"), ())
+    assert member("w", aaa, A1)
+    assert not member("1", (word("a", A1),), A1)
+    assert member("0", (w("ab"),))
+    assert not member("0", (w("ab"), w("a")))
+    assert not member("1", ())
 
 
 def test_in_wxi_side_consistency():
-    assert not wxi.in_wxi(q("1", side="constant"), (w("a_"), w("b")))
-    assert wxi.in_wxi(q("1", side="variable"), (w("a_"), w("_")))
+    assert not member("1", (w("a_"), w("b")), side="constant")
+    assert member("1", (w("a_"), w("_")), side="variable")
+    with pytest.raises(ValueError, match="unknown side 'both'"):
+        member("1", (), side="both")
 
 
 def test_in_wxi_relative_to_base():
     base = VarWordStream(AB, (w("a_"), w("_b"), w("__"), w("__"), w("_")))
     u = reduce_seq(base, (w("a"), w("b")))
     assert d_map(u) == (3,)  # own offsets
-    assert wxi.in_wxi(q("1", base=base), u)  # block offsets {2} land at level 1
-    assert not wxi.in_wxi(q("2", base=base), u)
+    assert member("1", u, base=base)  # block offsets {2} land at level 1
+    assert not member("2", u, base=base)
     with pytest.raises(ReductionMismatch):
-        wxi.in_wxi(q("1", base=base), (w("bb"), w("bb")))
+        member("1", (w("bb"), w("bb")), base=base)
 
 
 def test_match_reduction_roundtrip_random():
@@ -138,17 +143,10 @@ def test_enumeration_matches_filter_oracle():
     # independent oracle: generate every sequence within the budget and
     # filter by the membership predicate
     budget = 5
-    universe = []
-    for total in range(1, budget + 1):
-        for parts in range(1, total + 1):
-            for shape in wxi._shapes(total, parts):
-                universe.extend(wxi._fill_words(shape, "constant", AB))
+    seqs = list(universe(AB, "constant", budget))
     for xs in ["0", "1", "2", "w", "w+1"]:
         xi = P(xs)
-        query = wxi.WxiQuery(xi, AB, "constant")
-        expected = sorted(
-            (s for s in universe if wxi.in_wxi(query, s)), key=wxi.seq_sort_key
-        )
+        expected = sorted((s for s in seqs if member(xi, s)), key=seq_sort_key)
         assert list(wxi.enumerate_wxi(xi, AB, "constant", budget)) == expected
 
 
@@ -174,7 +172,7 @@ def transfer_check(xi, s, alph, letter_budget, side="constant"):
     Returns (shifted members, transfer-index members, transfer index)."""
     xi_n = sch.transfer_index(xi, len(s) + 1)
     lhs, rhs = set(), set()
-    for u in [(), *wxi.universe(alph, side, letter_budget)]:
+    for u in [(), *universe(alph, side, letter_budget)]:
         if u == ():
             shifted = (s,)
         else:
@@ -182,9 +180,9 @@ def transfer_check(xi, s, alph, letter_budget, side="constant"):
             if not (u[0].startswith(s) and rest and (side == "constant" or VAR in rest)):
                 continue
             shifted = (s, rest) + u[1:]
-        if wxi.in_wxi(q(xi, alph, side), shifted):
+        if member(xi, shifted, alph, side):
             lhs.add(u)
-        if wxi.in_wxi(q(xi_n, alph, side), u):
+        if member(xi_n, u, alph, side):
             rhs.add(u)
     return lhs, rhs, xi_n
 
@@ -203,20 +201,20 @@ def test_transfer_check_variable_side():
 def test_subspace_points_and_span():
     pts = wxi.subspace_points((w("_"), w("_")), AB)
     assert list(pts) == ["aa", "ab", "ba", "bb"]
-    sp = wxi.span((w("_a"), w("b_")), AB)
+    sp = span((w("_a"), w("b_")), AB)
     texts = set(sp)
     assert texts == {("aa", "ba"), ("aa", "bb"), ("ba", "ba"), ("ba", "bb")}
-    assert wxi.span((), AB) == ()
+    assert span((), AB) == ()
 
 
 def test_is_xi_subspace():
     # a generator spans a level-xi subspace when it is a variable member
     gen = (w("_"), w("_"), w("_"))
     assert d_map(gen) == (2, 3)
-    assert wxi.in_wxi(q(o.OMEGA, side="variable"), gen)
-    assert not wxi.in_wxi(q("1", side="variable"), gen)
-    assert wxi.in_wxi(q("1", side="variable"), (w("_a"), w("_")))
-    assert wxi.in_wxi(q("1", side="variable"), (w("_"), w("_")))
+    assert member(o.OMEGA, gen, side="variable")
+    assert not member("1", gen, side="variable")
+    assert member("1", (w("_a"), w("_")), side="variable")
+    assert member("1", (w("_"), w("_")), side="variable")
 
 
 def _vrw_prefixes(horizon):
@@ -254,7 +252,7 @@ def test_containment_equivalence_at_truncation():
             if not bounds:
                 continue
             first = vr[: bounds[0]]
-            if not all(s in G for s in wxi.span(first, AB)):
+            if not all(s in G for s in span(first, AB)):
                 return False
         return True
 
