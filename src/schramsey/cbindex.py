@@ -131,7 +131,6 @@ class Derivation:
         self.stream = stream
         self.oracle = oracle
         self.member_memo: dict[tuple[object, int, int], bool] = {}
-        self.escape_memo: dict[tuple[object, int, int], bool] = {}
         self.universe_memo: dict[WordSeq, int | None] = {(): 0}
         self.step_memo: dict[int, tuple[list[tuple[str, int]], bool]] = {}
         self.survivor_memo: dict[int, tuple[WordSeq, ...]] = {}
@@ -191,14 +190,11 @@ class Derivation:
 
     # -- escape decision at a level --------------------------------------
     def escapes(self, seq: WordSeq, end: int, level: int) -> bool:
-        key = (self.family.key(seq), end, level)
-        if key not in self.escape_memo:
-            if self.oracle.mode == "exact":
-                value = len(seq) == self.current_max_len(level)
-            else:
-                value = self._chain_search(seq, end, level)
-            self.escape_memo[key] = value
-        return self.escape_memo[key]
+        # not memoized: member_at asks once per member key, so at most
+        # once per (class, end, level)
+        if self.oracle.mode == "exact":
+            return len(seq) == self.current_max_len(level)
+        return self._chain_search(seq, end, level)
 
     # -- horizon-mode chain search ---------------------------------------
     def steps(self, k: int) -> tuple[list[tuple[str, int]], bool]:

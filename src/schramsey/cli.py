@@ -127,6 +127,23 @@ def _witness_json(w: verify.Witness | None):
     }
 
 
+def _search_report(report: dict, out: verify.SearchOutcome) -> int:
+    """Add the fields every witness search reports, its answer, work
+    counts and independently checked witness, and return its exit code."""
+    from . import verify
+
+    report.update(
+        {
+            "found": out.found,
+            "visited": out.visited,
+            "expected": out.expected,
+            "witness": _witness_json(out.witness),
+            "witness_checked": verify.check_witness(out.witness) if out.witness else None,
+        }
+    )
+    return EXIT_FOUND if out.found else EXIT_EXHAUSTED
+
+
 def _plain(x):
     from . import verify
 
@@ -340,20 +357,8 @@ def _cmd_verify(args) -> int:
         xi = ordinal.parse(args.xi)
         col = verify.parse_coloring(args.coloring, "finsets")
         out = verify.ramsey_schreier_search(xi, args.max_n, col, args.target)
-        checked = verify.check_witness(out.witness) if out.witness else None
-        report.update(
-            {
-                "xi": str(xi),
-                "max_n": args.max_n,
-                "target": args.target,
-                "found": out.found,
-                "visited": out.visited,
-                "expected": out.expected,
-                "witness": _witness_json(out.witness),
-                "witness_checked": checked,
-            }
-        )
-        code = EXIT_FOUND if out.found else EXIT_EXHAUSTED
+        report.update({"xi": str(xi), "max_n": args.max_n, "target": args.target})
+        code = _search_report(report, out)
     elif args.action == "pair-sweep":
         rep = verify.ramsey_pair_sweep(args.max_n, args.target)
         rep.pop("pair_order")
@@ -366,18 +371,8 @@ def _cmd_verify(args) -> int:
         chi2 = verify.parse_coloring(args.chi2, "wordseqs", alph.symbols)
         stream = _parse_stream(args.stream, alph)
         out = verify.carlson_witness_search(xi, chi1, chi2, stream, args.depth)
-        report.update(
-            {
-                "xi": str(xi),
-                "depth": args.depth,
-                "found": out.found,
-                "visited": out.visited,
-                "expected": out.expected,
-                "witness": _witness_json(out.witness),
-                "witness_checked": verify.check_witness(out.witness) if out.witness else None,
-            }
-        )
-        code = EXIT_FOUND if out.found else EXIT_EXHAUSTED
+        report.update({"xi": str(xi), "depth": args.depth})
+        code = _search_report(report, out)
     elif args.action == "hj":
         xi = ordinal.parse(args.xi)
         rep = verify.hales_jewett_M(args.r, args.n, args.k, xi, args.mmax)
@@ -389,16 +384,8 @@ def _cmd_verify(args) -> int:
         chi = verify.parse_coloring(args.chi, "wordset", alph.symbols)
         stream = _parse_stream(args.stream, alph)
         out = verify.subspace_search(xi, chi, stream, args.depth)
-        report.update(
-            {
-                "xi": str(xi),
-                "depth": args.depth,
-                "found": out.found,
-                "witness": _witness_json(out.witness),
-                "witness_checked": verify.check_witness(out.witness) if out.witness else None,
-            }
-        )
-        code = EXIT_FOUND if out.found else EXIT_EXHAUSTED
+        report.update({"xi": str(xi), "depth": args.depth})
+        code = _search_report(report, out)
     elif args.action == "nw":
         alph = _parse_alphabet(args.alphabet)
         rep = verify.nw_fixture_check(args.fixture, alph, args.letters)

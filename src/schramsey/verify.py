@@ -189,6 +189,20 @@ class Witness(NamedTuple):
     bounds: tuple
 
 
+def _certificate_holds(certificate: tuple, expected: list) -> bool:
+    """The comparison every checker ends in: the certificate is exactly
+    the expected entries, compared as sorted lists so that a dropped,
+    recolored or duplicated entry fails, and the entries of each side
+    tag share one color.  An entry is (item, color), or (side tag, item,
+    color) where a witness colors two sides."""
+    if sorted(certificate) != sorted(expected):
+        return False
+    colors: dict[tuple, set] = {}
+    for entry in expected:
+        colors.setdefault(entry[:-2], set()).add(entry[-1])
+    return all(len(c) == 1 for c in colors.values())
+
+
 class SearchOutcome(NamedTuple):
     witness: Witness | None
     visited: int
@@ -280,21 +294,13 @@ def check_mono_set_witness(w: Witness, cfg: SchreierConfig = DEFAULT_CONFIG) -> 
             f"frontier |L|={len(L)}"
         )
     xi = o.parse(xi_text)
-    found = []
-    for size in range(0, len(L) + 1):
-        for sub in combinations(L, size):
-            if mem_direct(xi, sub, cfg):
-                found.append(sub)
-    cert_sets = sorted(m for m, _c in w.certificate)
-    if sorted(found) != cert_sets:
-        return False
-    colors = set()
-    for m, c in w.certificate:
-        actual = coloring(m)
-        if actual != c:
-            return False
-        colors.add(actual)
-    return len(colors) <= 1
+    expected = [
+        (sub, coloring(sub))
+        for size in range(len(L) + 1)
+        for sub in combinations(L, size)
+        if mem_direct(xi, sub, cfg)
+    ]
+    return _certificate_holds(w.certificate, expected)
 
 
 def ramsey_pair_sweep(max_n: int, target: int = 3) -> dict:
@@ -343,21 +349,29 @@ def _family_reductions(u: WordSeq, xi: Ordinal, alph: Alphabet, side: str, cfg: 
     return tuple(sorted((s for s in seen if wxi.in_level(xi, s, partial(mem_direct, cfg=cfg))), key=seq_sort_key))
 
 
+def _colored_sides(chi1, chi2) -> list:
+    """(certificate tag, side, coloring) for each side with a coloring."""
+    both = (("c", "constant", chi1), ("v", "variable", chi2))
+    return [(tag, side, chi) for tag, side, chi in both if chi is not None]
+
+
 def carlson_witness_search(xi: Ordinal, chi1, chi2, stream: VarWordStream, depth: int) -> SearchOutcome:
     """Backtracking search for a variable-reduction prefix of the stream,
     `depth` blocks long, whose level-xi reductions are chi1-monochromatic
-    on the constant side and chi2-monochromatic on the variable side.
+    on the constant side and chi2-monochromatic on the variable side.  A
+    side whose coloring is None is not searched.
 
     Candidate blocks span at most BLOCK_CAP stream words; the first
     witness in canonical order (block size, then letters) is returned.
-    Each node carries, per side, its frontier: the level-xi reductions of
-    all its prefixes with their one color.  A child adds only the
-    reductions that use its new block, and checks their colors against
-    the parent's.
+    Each node carries, per searched side, its frontier: the level-xi
+    reductions of all its prefixes with their one color.  A child adds
+    only the reductions that use its new block, and checks their colors
+    against the parent's.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     alph = stream.alph
+    sides = _colored_sides(chi1, chi2)
     per_step = sum(
         (len(alph.full)) ** b - len(alph.symbols) ** b for b in range(1, BLOCK_CAP + 1)
     )
@@ -369,49 +383,53 @@ def carlson_witness_search(xi: Ordinal, chi1, chi2, stream: VarWordStream, depth
             for blk in block_reductions(stream.prefix[k : k + b], alph, "variable"):
                 yield blk, b
 
-    def grow(frontier: dict, cand: WordSeq, side: str, chi):
-        """The frontier of cand on one side, or None on a second color."""
-        grown = dict(frontier)
-        color = next(iter(frontier.values()), None)
-        # these cuts use the new block, so they have more letters than any
-        # reduction in the parent's frontier; a cut d fixes the word lengths,
-        # so the level test depends on d alone
-        level: dict[tuple, bool] = {}
-        for seq, d in reductions(cand, alph, side):
-            if d not in level:
-                level[d] = wxi.in_level(xi, seq, schreier.mem)
-            if level[d]:
-                grown[seq] = c = chi(seq)
-                if color is None:
-                    color = c
-                elif c != color:
-                    return None
+    def grow(frontiers: list, cand: WordSeq):
+        """The frontiers of cand, one per searched side, or None on a
+        second color on any side."""
+        grown = []
+        for (_tag, side, chi), frontier in zip(sides, frontiers):
+            new = dict(frontier)
+            color = next(iter(frontier.values()), None)
+            # these cuts use the new block, so they have more letters than any
+            # reduction in the parent's frontier; a cut d fixes the word lengths,
+            # so the level test depends on d alone
+            level: dict[tuple, bool] = {}
+            for seq, d in reductions(cand, alph, side):
+                if d not in level:
+                    level[d] = wxi.in_level(xi, seq, schreier.mem)
+                if level[d]:
+                    new[seq] = c = chi(seq)
+                    if color is None:
+                        color = c
+                    elif c != color:
+                        return None
+            grown.append(new)
         return grown
 
-    def dfs(u: WordSeq, k: int, const: dict, var: dict):
+    def dfs(u: WordSeq, k: int, frontiers: list):
         nonlocal visited_leaves, pruned_leaves
         if len(u) == depth:
             visited_leaves += 1
-            return u, const, var
+            return u, frontiers
         for blk, b in blocks_from(k):
             cand = u + (blk,)
-            const2 = grow(const, cand, "constant", chi1)
-            var2 = None if const2 is None else grow(var, cand, "variable", chi2)
-            if var2 is None:
+            grown = grow(frontiers, cand)
+            if grown is None:
                 pruned_leaves += per_step ** (depth - len(cand))
                 continue
-            hit = dfs(cand, k + b, const2, var2)
+            hit = dfs(cand, k + b, grown)
             if hit is not None:
                 return hit
         return None
 
-    found = dfs((), 0, {}, {})
+    found = dfs((), 0, [{} for _ in sides])
     if found is None:
         return SearchOutcome(None, visited_leaves + pruned_leaves, per_step**depth)
-    u, const, var = found
+    u, frontiers = found
     cert = tuple(
-        [("c", seq_text(s), const[s]) for s in sorted(const, key=seq_sort_key)]
-        + [("v", seq_text(s), var[s]) for s in sorted(var, key=seq_sort_key)]
+        (tag, seq_text(s), frontier[s])
+        for (tag, _side, _chi), frontier in zip(sides, frontiers)
+        for s in sorted(frontier, key=seq_sort_key)
     )
     witness = Witness(
         kind="reduction_prefix",
@@ -429,38 +447,32 @@ def check_reduction_prefix_witness(w: Witness, cfg: SchreierConfig = DEFAULT_CON
     alph = Alphabet(tuple(symbols))
     xi = o.parse(xi_text)
     u = tuple(word(t, alph) for t in words_text)
-    for v in u:
-        if not is_variable_word(v, alph):
-            return False
-    const = _family_reductions(u, xi, alph, "constant", cfg)
-    var = _family_reductions(u, xi, alph, "variable", cfg)
-    expect_c = {seq_text(s): chi1(s) for s in const}
-    expect_v = {seq_text(s): chi2(s) for s in var}
-    got_c = {t: c for side, t, c in w.certificate if side == "c"}
-    got_v = {t: c for side, t, c in w.certificate if side == "v"}
-    if expect_c != got_c or expect_v != got_v:
+    if not all(is_variable_word(v, alph) for v in u):
         return False
-    return len(set(expect_c.values())) <= 1 and len(set(expect_v.values())) <= 1
+    expected = [
+        (tag, seq_text(s), chi(s))
+        for tag, side, chi in _colored_sides(chi1, chi2)
+        for s in _family_reductions(u, xi, alph, side, cfg)
+    ]
+    return _certificate_holds(w.certificate, expected)
 
 
 def subspace_search(xi: Ordinal, chi, stream: VarWordStream, depth: int) -> SearchOutcome:
     """Search for a prefix all of whose level-xi variable reductions span
-    subspaces of one chi-color: the subspace coloring is pulled back to
-    generators and the prefix search reused."""
+    subspaces of one chi-color: the prefix search on the variable side
+    alone, with the subspace coloring pulled back to generators."""
     pulled = lambda seq: chi(frozenset(wxi.subspace_points(seq, stream.alph)))
-    trivial = Coloring("wordseqs", 1, "const", (1,))
-    out = carlson_witness_search(xi, trivial, pulled, stream, depth)
+    out = carlson_witness_search(xi, None, pulled, stream, depth)
     if out.witness is None:
         return out
     base = out.witness
-    cert = [(t, c) for side, t, c in base.certificate if side == "v"]
     witness = Witness(
         kind="subspace_prefix",
         payload=(base.payload[0], str(xi), chi, stream.alph.symbols),
-        certificate=tuple(cert),
+        certificate=tuple((t, c) for _side, t, c in base.certificate),
         bounds=base.bounds,
     )
-    return SearchOutcome(witness, out.visited, out.expected)
+    return out._replace(witness=witness)
 
 
 def check_subspace_witness(w: Witness, cfg: SchreierConfig = DEFAULT_CONFIG) -> bool:
@@ -468,12 +480,11 @@ def check_subspace_witness(w: Witness, cfg: SchreierConfig = DEFAULT_CONFIG) -> 
     alph = Alphabet(tuple(symbols))
     xi = o.parse(xi_text)
     u = tuple(word(t, alph) for t in words_text)
-    var = _family_reductions(u, xi, alph, "variable", cfg)
-    expect = {seq_text(s): chi(frozenset(wxi.subspace_points(s, alph))) for s in var}
-    got = dict(w.certificate)
-    if expect != got:
-        return False
-    return len(set(expect.values())) <= 1
+    expected = [
+        (seq_text(s), chi(frozenset(wxi.subspace_points(s, alph))))
+        for s in _family_reductions(u, xi, alph, "variable", cfg)
+    ]
+    return _certificate_holds(w.certificate, expected)
 
 
 # --- Hales-Jewett instances ----------------------------------------------
@@ -518,17 +529,14 @@ def hj_level(r: int, n: int, k: int, xi: Ordinal, M: int):
         raise BudgetExceeded(f"coloring space {space} exceeds budget; frontier M={M}")
     gens = _hj_generators(xi, alph, M, n)
     index = {s: i for i, s in enumerate(cube)}
-    gen_idx = [
-        (g, tuple(index[s] for s in rset))
-        for g, rset in gens
-        if all(s in index for s in rset)
-    ]
+    # every level-xi reduction of a length-M generator is in the cube
+    gen_idx = [tuple(index[s] for s in rset) for _g, rset in gens]
     count = 0
     for assign in product(range(1, r + 1), repeat=len(cube)):
         count += 1
-        if not any(len({assign[i] for i in idxs}) == 1 for _g, idxs in gen_idx):
+        if not any(len({assign[i] for i in idxs}) == 1 for idxs in gen_idx):
             return (False, dict(zip(cube, assign)), count, cube)
-    return (bool(cube), None, count, cube)
+    return (True, None, count, cube)
 
 
 def hales_jewett_M(r: int, n: int, k: int, xi: Ordinal, m_max: int) -> dict:
@@ -590,19 +598,14 @@ def check_hj_line_witness(w: Witness, cfg: SchreierConfig = DEFAULT_CONFIG) -> b
     alph = Alphabet(tuple(symbols))
     xi = o.parse(xi_text)
     g = tuple(word(t, alph) for t in words_text)
-    if sum(len(x) for x in g) != M:
+    if sum(len(x) for x in g) != M or not all(is_variable_word(x, alph) for x in g):
         return False
-    for x in g:
-        if not is_variable_word(x, alph):
-            return False
-    expect = {}
-    for seq, _d in finite_reductions(g, alph)[0]:
-        if wxi.in_level(xi, seq, partial(mem_direct, cfg=cfg)):
-            expect[seq_text(seq)] = coloring(seq)
-    got = dict(w.certificate)
-    if expect != got:
-        return False
-    return len(set(expect.values())) <= 1
+    expected = [
+        (seq_text(seq), coloring(seq))
+        for seq, _d in finite_reductions(g, alph)[0]
+        if wxi.in_level(xi, seq, partial(mem_direct, cfg=cfg))
+    ]
+    return _certificate_holds(w.certificate, expected)
 
 
 def check_witness(w: Witness, cfg: SchreierConfig = DEFAULT_CONFIG) -> bool:

@@ -154,7 +154,7 @@ EXPECTED = {
     "verify-nw-wide": (0, "7a877809e540b91b9ffb3936ea99141474a7c9eb6ec246c0bc9da1d1872d6103", NONE),
     "verify-ramsey": (0, "880223417494f7bd3394191ff5d85800554fbc57fa8adaf7d13cd8ea9810f41b", NONE),
     "verify-ramsey-none": (1, "b76bda7dfcb4369b23dc1735e2e830bed5dc11f8b54685bfae4420e91df9dc14", NONE),
-    "verify-subspace": (0, "cc3a2fed1e2e941e0090397e2c93a0d03ca6923c7d2bc9705d3e0b495b4ae983", NONE),
+    "verify-subspace": (0, "661f8f9cafbdc7c6a6f491f1d827a83d580097f98a6cb28fd32f693da58b5a34", NONE),
     "words-d": (0, "6ec87a9a0c19859107a54d61658afc6495a69246c0e41c865d9547dd43b406e3", NONE),
     "words-d-csv": (0, "ec1a784f955893397bcd0b5bd4787833168f048139f3e94e78e6465503080546", NONE),
     "words-reduce": (0, "97e3116b707b13900f0182404187cb8125016ec08b283a7bf1bf5a324f577073", NONE),

@@ -226,16 +226,30 @@ def test_carlson_depth_fixture():
     assert deep.visited == deep.expected  # full space accounted for
 
 
-def test_carlson_certificate_rejects_tampering():
-    out = v.carlson_witness_search(P("1"), CONST1, CONST1, upsilon_stream(AB, 8), 2)
-    wit = out.witness
-    bad = v.Witness(
-        wit.kind,
-        wit.payload,
-        tuple(list(wit.certificate)[:-1]),  # drop an entry
-        wit.bounds,
-    )
-    assert not v.check_witness(bad)
+# one small found witness of each kind, and three ways to tamper with its
+# certificate; a checker that collapses the certificate into a dict lets
+# the duplicated entry through
+WITNESSES = {
+    "mono_set": lambda: v.ramsey_schreier_search(P("1"), 5, v.Coloring("finsets", 2, "const", (1,)), 3),
+    "reduction_prefix": lambda: v.carlson_witness_search(P("1"), CONST1, CONST1, upsilon_stream(AB, 8), 2),
+    "subspace_prefix": lambda: v.subspace_search(
+        P("0"), v.Coloring("wordset", 2, "size_mod"), upsilon_stream(AB, 6), 2
+    ),
+    "hj_line": lambda: v.hj_line_search(v.Coloring("wordseqs", 2, "total_len_mod"), o.ZERO, AB, 2),
+}
+TAMPERINGS = {
+    "drop": lambda cert: cert[:-1],
+    "recolor": lambda cert: (cert[0][:-1] + (cert[0][-1] % 2 + 1,),) + cert[1:],
+    "duplicate": lambda cert: cert + cert[:1],
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(TAMPERINGS))
+@pytest.mark.parametrize("kind", sorted(WITNESSES))
+def test_carlson_certificate_rejects_tampering(kind, tamper):
+    wit = WITNESSES[kind]().witness
+    assert wit.kind == kind and v.check_witness(wit)
+    assert not v.check_witness(wit._replace(certificate=TAMPERINGS[tamper](wit.certificate)))
 
 
 def test_subspace_search_trivial_and_checked():
@@ -368,6 +382,21 @@ def test_carlson_one_kernel_call_per_candidate_and_side(monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "3fdb4902db1c9be429d2daf6b260e3eddc13afcacc7cf98d9984e5fe5bb3fe47"
     )
+
+
+def test_subspace_search_walks_the_variable_side_only(monkeypatch, capsys):
+    sides = []
+
+    def counting(ws, alph, side):
+        sides.append(side)
+        return reductions(ws, alph, side)
+
+    monkeypatch.setattr(v, "reductions", counting)
+    argv = "verify subspace --xi 1 --chi size_mod:2 --stream e:10 --depth 3"
+    assert cli.main(argv.split()) == 0
+    assert json.loads(capsys.readouterr().out)["witness_checked"]
+    # the search and the checker's rebuild, on no constant side at all
+    assert sides and set(sides) == {"variable"}
 
 
 # --- Hales-Jewett -----------------------------------------------------------
