@@ -14,8 +14,12 @@ These families are thin (no member is a proper initial segment of
 another), so a member's block decomposition is unique and the greedy
 left-to-right consumption below decides membership exactly.
 
-The case split of an index is resolved once per index into a `Plan`;
-membership, enumeration and the transfer index all walk plans.
+The case split of an index is resolved once per index into a `Plan`,
+whose one accessor `blocks(n)` lists the (plan, count) groups of a
+member with minimum n.  A successor lam + k is a sum whose first group
+is k singletons, so popping a minimum is taking one singleton block.
+Membership, enumeration and the transfer index all walk these block
+lists down to the singletons.
 
 Iterating the approximating sequence down to a successor (`succ` in
 `SchreierConfig`) defines the same families: a plan consults l[n] only
@@ -74,12 +78,12 @@ def validate_finset(s) -> FinSet:
 
 # --- plans ---------------------------------------------------------------
 
-ZERO, SUCC, POW_SUCC, POW_LIMIT, SUM = "zero", "succ", "pow_succ", "pow_limit", "sum"
+ZERO, ONE, POW_SUCC, POW_LIMIT, SUM = "zero", "one", "pow_succ", "pow_limit", "sum"
 
 
 def _split_finite(a: Ordinal) -> tuple[Ordinal, int]:
     """(lam, k) with a = lam + k, lam zero or a limit."""
-    if a and a[-1][0] == o.ZERO:
+    if a[-1][0] == o.ZERO:
         return Ordinal(a[:-1]), a[-1][1]
     return a, 0
 
@@ -93,33 +97,33 @@ class Plan:
 
     `kind` is one of
       'zero'       xi = 0: the empty set only;
-      'succ'       xi = lam + k (lam zero or a limit, k >= 1): k popped
-                   minima, then an A_lam member (`base`); `pred` is the
-                   plan of xi - 1;
+      'one'        xi = 1: the singletons;
       'pow_succ'   xi = w^(lam + k) (lam zero or a limit, k >= 1): n = min s
-                   blocks of A_(w^(lam+k-1)) (`below`); at n = 1 that is
-                   one A_(w^lam) member (`base`);
+                   blocks of A_(w^(lam+k-1)); at n = 1 that is one
+                   A_(w^lam) member;
       'pow_limit'  xi = w^lam, lam a limit: at min n, an A_(w^(lam[n]))
-                   member (`child(n)`);
-      'sum'        any other limit: consecutive blocks, `groups` holding
-                   (power plan, count) pairs in consumption order.
+                   member;
+      'sum'        any other xi, successors included: consecutive blocks,
+                   `groups` holding (power plan, count) pairs in
+                   consumption order, so lam + k starts with (one, k).
 
-    Sub-plans are built on first use and kept, so a walk never
-    re-derives a case split or hashes an ordinal.  `plan` interns nodes,
-    so they compare and hash by identity.
+    `blocks(n)` is the one accessor the walks use: the (plan, count)
+    groups that make up a member with minimum n, consumed in order from
+    its first element.  Block lists are built on first use and kept, so
+    a walk never re-derives a case split or hashes an ordinal.  `plan`
+    interns nodes, so they compare and hash by identity.
     """
 
-    __slots__ = ("xi", "kind", "k", "lam", "groups", "_sub")
+    __slots__ = ("xi", "kind", "k", "lam", "groups", "_blocks")
 
     def __init__(self, xi: Ordinal):
         self.xi = xi
         self.k, self.lam, self.groups = 0, o.ZERO, ()
-        self._sub: dict[str | int, Plan] = {}  # base/pred/below by name, children by n
+        self._blocks: dict[int, tuple[tuple[Plan, int], ...]] = {}
         if not xi:
             self.kind = ZERO
-        elif xi[-1][0] == o.ZERO:
-            self.kind = SUCC
-            self.lam, self.k = _split_finite(xi)
+        elif xi == o.ONE:
+            self.kind = ONE
         elif len(xi) == 1 and xi[0][1] == 1:
             self.lam, self.k = _split_finite(xi[0][0])
             self.kind = POW_SUCC if self.k else POW_LIMIT
@@ -127,31 +131,20 @@ class Plan:
             self.kind = SUM
             self.groups = tuple((plan(o.omega_pow(exp)), count) for exp, count in reversed(xi))
 
-    def _memo(self, name: str, make) -> Plan:
-        p = self._sub.get(name)
-        if p is None:
-            p = self._sub[name] = plan(make())
-        return p
-
-    @property
-    def base(self) -> Plan:
-        if self.kind == SUCC:
-            return self._memo("base", lambda: self.lam)
-        return self._memo("base", lambda: o.omega_pow(self.lam))
-
-    @property
-    def pred(self) -> Plan:
-        return self._memo("pred", lambda: _plus(self.lam, self.k - 1))
-
-    @property
-    def below(self) -> Plan:
-        return self._memo("below", lambda: o.omega_pow(_plus(self.lam, self.k - 1)))
-
-    def child(self, n: int) -> Plan:
-        p = self._sub.get(n)
-        if p is None:
-            p = self._sub[n] = plan(o.omega_pow(o.fixed_seq(self.lam, n)))
-        return p
+    def blocks(self, n: int) -> tuple[tuple[Plan, int], ...]:
+        """The (plan, count) groups of a member with minimum n."""
+        if self.groups:
+            return self.groups
+        got = self._blocks.get(n)
+        if got is None:
+            if self.kind == POW_LIMIT:
+                exp, count = o.fixed_seq(self.lam, n), 1
+            elif n == 1:
+                exp, count = self.lam, 1
+            else:
+                exp, count = _plus(self.lam, self.k - 1), n
+            got = self._blocks[n] = ((plan(o.omega_pow(exp)), count),)
+        return got
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -164,10 +157,11 @@ def plan(xi: Ordinal) -> Plan:
 
 
 def _too_short(p: Plan, n: int, room: int) -> bool:
-    """Whether a member of the 'pow_succ' plan p with min n >= 2 cannot
-    fit in `room` elements: it has at least n^k of them (n blocks, each
-    with min >= n and so, by induction, with n^(k-1) or more)."""
-    return p.k >= 64 or n**p.k > room
+    """Whether a member of p with min n cannot fit in `room` elements.
+    Only a 'pow_succ' member with n >= 2 is cut: it has at least n^k
+    elements (n blocks, each with min >= n and so, by induction, with
+    n^(k-1) or more)."""
+    return p.kind == POW_SUCC and n > 1 and (p.k >= 64 or n**p.k > room)
 
 
 # --- membership ------------------------------------------------------------
@@ -177,44 +171,24 @@ def _consume(xi: Ordinal, stream, pos: int) -> int:
     """Greedily consume one A_xi member from stream[pos:]; return the end
     position.  Raises HorizonExceeded if the stream runs out mid-member.
 
-    Walks the plan of xi with an explicit stack of owed blocks, so deep
-    indices never reach the interpreter's recursion limit."""
-    p = plan(xi)
+    Walks block lists with an explicit stack of owed (plan, count)
+    groups, so deep indices never reach the interpreter's recursion
+    limit."""
     end = len(stream)
-    pending: list[tuple[Plan, int]] = []  # (plan, blocks still owed), innermost last
-    while True:
-        kind = p.kind
-        if kind == SUCC:
-            pos += p.k
+    pending = [(plan(xi), 1)] if xi else []  # innermost last
+    while pending:
+        p, count = pending.pop()
+        if p.kind == ONE:
+            pos += count
             if pos > end:
                 raise HorizonExceeded("stream exhausted while consuming a member")
-            p = p.base
             continue
-        if kind == ZERO:
-            if not pending:
-                return pos
-            p, count = pending.pop()
-            if count > 1:
-                pending.append((p, count - 1))
-            continue
-        if pos >= end:
+        if pos >= end or _too_short(p, stream[pos], end - pos):
             raise HorizonExceeded("stream exhausted while consuming a member")
-        n = stream[pos]
-        if kind == POW_LIMIT:
-            p = p.child(n)
-        elif kind == POW_SUCC:
-            if n == 1:
-                p = p.base
-                continue
-            if _too_short(p, n, end - pos):
-                raise HorizonExceeded("stream exhausted while consuming a member")
-            p = p.below
-            pending.append((p, n - 1))
-        else:
-            pending.extend(reversed(p.groups[1:]))
-            p, count = p.groups[0]
-            if count > 1:
-                pending.append((p, count - 1))
+        if count > 1:
+            pending.append((p, count - 1))
+        pending.extend(reversed(p.blocks(stream[pos])))
+    return pos
 
 
 def initial_segment(xi: Ordinal, stream) -> FinSet:
@@ -242,83 +216,45 @@ def mem(xi: Ordinal, s) -> bool:
 
 
 class _Tables:
-    """Members of plans inside {1..hi}, bucketed by minimum, for one
-    enumeration.  Every bucket is in lexicographic order: its members are
-    concatenations f + r with f from a thin family, so ordering by f, then
-    by r, is lexicographic."""
+    """Concatenations of block lists inside {1..hi}, for one enumeration.
+    Every table entry is in lexicographic order: its members are
+    concatenations f + r with f from a thin family, so ordering by f,
+    then by r, is lexicographic."""
 
     def __init__(self, hi: int):
         self.hi = hi
-        self.buckets: dict[tuple, tuple[FinSet, ...]] = {}  # (plan, m): members with min m
-        self.runs: dict[tuple, tuple[FinSet, ...]] = {}  # (plan, c, m): c blocks, the first with min m
-        self.group_runs: dict[tuple, tuple[FinSet, ...]] = {}  # (sum plan, i, m): groups[i:], min m
-        self.after: dict[tuple, tuple[FinSet, ...]] = {}  # (table name, args, lo): min >= lo
+        self.at_min: dict[tuple, tuple[FinSet, ...]] = {}  # (blocks, m): min m
+        self.from_min: dict[tuple, tuple[FinSet, ...]] = {}  # (blocks, lo): min >= lo
 
     def members(self, p: Plan, lo: int) -> tuple[FinSet, ...]:
         """Members of p with min >= lo, lexicographically."""
         if p.kind == ZERO:
             return ((),)
-        return self._from("bucket", (p,), lo)
+        return self.since(((p, 1),), lo)
 
-    def _from(self, table: str, args: tuple, lo: int) -> tuple[FinSet, ...]:
-        """The entries of `table` at args, over every min m >= lo."""
-        key = (table, args, lo)
-        got = self.after.get(key)
+    def since(self, blocks: tuple, lo: int) -> tuple[FinSet, ...]:
+        """Concatenations of the (non-empty) block list with min >= lo."""
+        key = (blocks, lo)
+        got = self.from_min.get(key)
         if got is None:
-            at = getattr(self, table)
-            got = self.after[key] = tuple(chain.from_iterable(at(*args, m) for m in range(lo, self.hi + 1)))
+            got = self.from_min[key] = tuple(chain.from_iterable(self.at(blocks, m) for m in range(lo, self.hi + 1)))
         return got
 
-    def bucket(self, p: Plan, m: int) -> tuple[FinSet, ...]:
-        key = (p, m)
-        got = self.buckets.get(key)
+    def at(self, blocks: tuple, m: int) -> tuple[FinSet, ...]:
+        """Concatenations of the block list with min m."""
+        key = (blocks, m)
+        got = self.at_min.get(key)
         if got is None:
-            got = self.buckets[key] = self._bucket(p, m)
-        return got
-
-    def _bucket(self, p: Plan, m: int) -> tuple[FinSet, ...]:
-        room = self.hi - m + 1
-        kind = p.kind
-        if kind == SUCC:
-            if p.k > room:
-                return ()
-            return tuple([(m,) + r for r in self.members(p.pred, m + 1)])
-        if kind == POW_LIMIT:
-            return self.bucket(p.child(m), m)
-        if kind == POW_SUCC:
-            if m == 1:
-                return self.bucket(p.base, 1)
-            if _too_short(p, m, room):
-                return ()
-            return self.run(p.below, m, m)
-        return self.group(p, 0, m)
-
-    def run(self, p: Plan, count: int, m: int) -> tuple[FinSet, ...]:
-        """Concatenations of `count` consecutive blocks of p, the first
-        with min m."""
-        key = (p, count, m)
-        got = self.runs.get(key)
-        if got is None:
-            firsts = self.bucket(p, m)
-            if count == 1:
-                got = firsts
-            elif count > self.hi - m + 1:
-                got = ()
+            (p, count), rest = blocks[0], blocks[1:]
+            room = self.hi - m + 1
+            if count > room or _too_short(p, m, room):
+                got = ()  # every block has an element
             else:
-                got = tuple([f + r for f in firsts for r in self._from("run", (p, count - 1), f[-1] + 1)])
-            self.runs[key] = got
-        return got
-
-    def group(self, p: Plan, i: int, m: int) -> tuple[FinSet, ...]:
-        """Concatenations of the block groups p.groups[i:], min m."""
-        key = (p, i, m)
-        got = self.group_runs.get(key)
-        if got is None:
-            q, count = p.groups[i]
-            got = self.run(q, count, m)
-            if i + 1 < len(p.groups):
-                got = tuple([f + r for f in got for r in self._from("group", (p, i + 1), f[-1] + 1)])
-            self.group_runs[key] = got
+                firsts = ((m,),) if p.kind == ONE else self.at(p.blocks(m), m)
+                if count > 1:
+                    rest = ((p, count - 1), *rest)
+                got = tuple([f + r for f in firsts for r in self.since(rest, f[-1] + 1)]) if rest else firsts
+            self.at_min[key] = got
         return got
 
 
@@ -347,26 +283,24 @@ def transfer_index(xi: Ordinal, n: int) -> Ordinal:
     p = plan(xi)
     heads = []  # summands in front of the block holding n, outermost first
     steps = 0
-    while p.kind != SUCC:
+    while p.kind != ONE:
         steps += 1
         o.charge_descent(steps, p.xi)
-        if p.kind == POW_LIMIT:
-            p = p.child(n)
-            continue
-        if p.kind == POW_SUCC:
+        if p.kind == SUM:
+            # every block group but one copy of the smallest power comes after n
+            heads.append(o.shed_last(p.xi))
+        elif p.kind == POW_SUCC:
             # w^(lam+k) at n: the n-1 further blocks of every w^(lam+j),
-            # j = k-1 .. 0, then the transfer of w^lam
+            # j = k-1 .. 0, then the transfer of w^lam, the block at n = 1
             if n > 1:
                 if p.k > MAX_TRANSFER_TERMS:
                     raise BudgetExceeded(f"transfer index would have {p.k} terms (cap {MAX_TRANSFER_TERMS})")
                 coeff = o.check_coeff(n - 1)
                 heads.append(Ordinal((_plus(p.lam, j), coeff) for j in range(p.k - 1, -1, -1)))
-            p = p.base
+            p = p.blocks(1)[0][0]
             continue
-        # sum: every block group but one copy of the smallest power comes after n
-        heads.append(o.shed_last(p.xi))
-        p = p.groups[0][0]
-    out = o.pred(p.xi)
+        p = p.blocks(n)[0][0]
+    out = o.ZERO
     for head in reversed(heads):
         out = o.add(head, out)
     return out

@@ -35,13 +35,13 @@ from .words import (
     block_reductions,
     fill_words,
     finite_reductions,
-    is_variable_word,
     pattern_stream,
     reduce_seq,
     reductions,
     seq_sort_key,
     seq_text,
     shapes,
+    side_consistent,
     universe,
     upsilon_stream,
     word,
@@ -447,7 +447,7 @@ def check_reduction_prefix_witness(w: Witness, cfg: SchreierConfig = DEFAULT_CON
     alph = Alphabet(tuple(symbols))
     xi = o.parse(xi_text)
     u = tuple(word(t, alph) for t in words_text)
-    if not all(is_variable_word(v, alph) for v in u):
+    if not side_consistent(u, "variable"):
         return False
     expected = [
         (tag, seq_text(s), chi(s))
@@ -598,7 +598,7 @@ def check_hj_line_witness(w: Witness, cfg: SchreierConfig = DEFAULT_CONFIG) -> b
     alph = Alphabet(tuple(symbols))
     xi = o.parse(xi_text)
     g = tuple(word(t, alph) for t in words_text)
-    if sum(len(x) for x in g) != M or not all(is_variable_word(x, alph) for x in g):
+    if sum(len(x) for x in g) != M or not side_consistent(g, "variable"):
         return False
     expected = [
         (seq_text(seq), coloring(seq))

@@ -70,10 +70,6 @@ def seq_text(seq: WordSeq) -> str:
     return "(" + ",".join(seq) + ")"
 
 
-def is_variable_word(w: Word, alph: Alphabet) -> bool:
-    return VAR in w
-
-
 def seq_is_prefix(s: WordSeq, t: WordSeq) -> bool:
     """Strict initial-segment order on word sequences."""
     return len(s) < len(t) and t[: len(s)] == s

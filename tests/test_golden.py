@@ -135,7 +135,7 @@ EXPECTED = {
     "error-horizon": (2, NONE, "a6808ab841eac529eb5e02c2bee5e1f1498eb0829d12b7e70584c401a06e0f2b"),
     "error-letter": (2, NONE, "d7891e2adb69d12b3fd5552c031ea8dde8c2fe4e7655e33c7a827c4b589b4b8e"),
     "error-letter-budget": (3, NONE, "53ef6fb78ff95f1ebba84e6e72be22a42adeeb6133d557119e45f87b872b8bec"),
-    "error-mismatch": (2, NONE, "61f66c6902b43522cddefded4d0a34f52c444131163099b54ff8a036e6df142f"),
+    "error-mismatch": (1, "54e77857c3b8373b2c4fc8854bc2b68d6b72297db2546aa8ac0fac0c6651b2a3", NONE),
     "error-stream": (2, NONE, "bf126b75093e76bdcdba027ae2060f8984e1bb3cc1dbddc25ed26537cc266f7d"),
     "family-close-c": (0, "fd99acd9e98d0365641f31d62751d0b3ed17ae0e305ae045be75007d87580ab6", NONE),
     "family-close-star": (0, "f6287b0f40d6b832f5ca3c82e88cebeadbc678a0aba2257ce85213d9fe936267", NONE),

@@ -195,13 +195,13 @@ def test_deep_indices_match_successor_rule(xs):
     for exp, _count in xi:
         top = sch.plan(o.omega_pow(exp))
         if top.kind == sch.POW_SUCC:
-            top = top.base  # w^lam for exp = lam + k
+            top = top.blocks(1)[0][0]  # w^lam for exp = lam + k
         if top.kind != sch.POW_LIMIT:
             continue
         for n in range(1, 7):
             p = top
             while p.kind == sch.POW_LIMIT:
-                p = p.child(n)
+                p = p.blocks(n)[0][0]
             assert p.xi == o.omega_pow(o.fixed_seq_succ(top.lam, n)), (xs, str(exp), n)
 
 
@@ -242,6 +242,9 @@ def test_deep_indices_are_answered():
     deep = P("w^3000")
     assert sch.mem(deep, (1,)) and not sch.mem(deep, stream)
     assert sch.enumerate_members(deep, 8) == ((1,),)
+    # a group of 3000 singletons is cut by its block count, not walked
+    assert sch.enumerate_members(o.from_int(3000), 24) == ()
+    assert sch.enumerate_members(P("w+3000"), 24) == ()
     assert sch.transfer_index(deep, 1) == o.ZERO
     assert sch.transfer_index(deep, 2).terms[0] == (o.from_int(2999), 1)
     with pytest.raises(BudgetExceeded):
@@ -266,13 +269,21 @@ GROUND = 12
 
 
 @settings(max_examples=300, deadline=None)
-@given(small_indices(), st.sampled_from(["fixed", "succ"]), st.sets(st.integers(1, GROUND), max_size=8), st.integers(1, 6))
-def test_plans_agree_with_independent_paths(xi, rule, s, n):
+@given(
+    small_indices(),
+    st.sampled_from(["fixed", "succ"]),
+    st.sets(st.integers(1, GROUND), max_size=8),
+    st.integers(1, 6),
+    st.integers(1, 4),
+)
+def test_plans_agree_with_independent_paths(xi, rule, s, n, lo):
     cfg = SchreierConfig(rule)
     t = tuple(sorted(s))
     members = sch.enumerate_members(xi, GROUND)
     assert sch.mem(xi, t) == mem_direct(xi, t, cfg) == (t in set(members))
     assert list(members) == sorted(members)
+    above = sch.enumerate_members(xi, GROUND, min_n=lo)
+    assert above == tuple(m for m in members if not m or m[0] >= lo)
     assert all(mem_direct(xi, m, cfg) for m in members[:: max(1, len(members) // 20)])
     if xi.terms:
         xin = sch.transfer_index(xi, n)

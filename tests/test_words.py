@@ -9,12 +9,12 @@ from schramsey.words import (
     VarWordStream,
     d_map,
     finite_reductions,
-    is_variable_word,
     pattern_stream,
     reduce_seq,
     reduce_word,
     reduced_words,
     seq_text,
+    side_consistent,
     span,
     upsilon_stream,
     word,
@@ -31,7 +31,7 @@ def w(text, alph=AB):
 
 def test_concat():
     assert w("ab") + w("ba") == "abba"
-    assert is_variable_word(w("_") + w("_"), AB)
+    assert side_consistent((w("_") + w("_"),), "variable")
     assert w("a") + w("_b") == "a_b"
 
 

@@ -6,7 +6,7 @@ import pytest
 from schramsey import ordinal as o
 from schramsey import schreier as sch
 from schramsey import wxi
-from schramsey.errors import ReductionMismatch
+from schramsey.errors import HorizonExceeded
 from schramsey.words import (
     VAR,
     Alphabet,
@@ -56,8 +56,12 @@ def test_in_wxi_relative_to_base():
     assert d_map(u) == (3,)  # own offsets
     assert member("1", u, base=base)  # block offsets {2} land at level 1
     assert not member("2", u, base=base)
-    with pytest.raises(ReductionMismatch):
-        member("1", (w("bb"), w("bb")), base=base)
+    assert not member("1", (w("bb"), w("bb")), base=base)
+    # a side-consistent non-reduction is a non-member too; running past
+    # the base's horizon stays an error
+    assert not member("1", (w("a_b"), w("__")), side="variable", base=base)
+    with pytest.raises(HorizonExceeded):
+        member("1", (w("aa"), w("ab"), w("aa"), w("aa"), w("a"), w("a")), base=base)
 
 
 def test_match_reduction_roundtrip_random():
