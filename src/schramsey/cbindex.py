@@ -16,7 +16,8 @@ oracles are provided:
 
   * horizon(H): a depth-first search for a strict-prefix chain of
     length H inside the truncated reduced-word universe, extending by
-    at most `MAX_BLOCK_WORDS` stream words per step.  Every candidate is
+    one entry of the step table `words.steps` (at most
+    `words.MAX_BLOCK_WORDS` stream words) per step.  Every candidate is
     built as a reduction of the stream, so only the family's seeds are
     ever matched against it.  "Chain found" and "no escape word in the
     search window" are definite at this horizon; anything else is
@@ -41,13 +42,12 @@ from .words import (
     VarWordStream,
     WordSeq,
     align,
-    block_reductions,
     seq_sort_key,
+    steps,
     universe,
 )
 
 
-MAX_BLOCK_WORDS = 2  # stream words per step of the horizon chain search
 MAX_CHAIN_NODES = 500_000  # nodes one horizon chain search may visit
 
 
@@ -197,22 +197,6 @@ class Derivation:
         return self._chain_search(seq, end, level)
 
     # -- horizon-mode chain search ---------------------------------------
-    def steps(self, k: int) -> tuple[list[tuple[str, int]], bool]:
-        """The ways to extend a reduction ending at stream word k: every
-        side-consistent reduction of stream words k+1..k+b as one block,
-        b <= MAX_BLOCK_WORDS, with its end position k+b; and whether the
-        stream horizon cut the list short."""
-        if k not in self.step_memo:
-            stream = self.stream
-            blocks = min(MAX_BLOCK_WORDS, stream.horizon - k)
-            entries = [
-                (chunk, k + b)
-                for b in range(1, blocks + 1)
-                for chunk in block_reductions(stream.prefix[k : k + b], stream.alph, self.family.side)
-            ]
-            self.step_memo[k] = (entries, blocks < MAX_BLOCK_WORDS)
-        return self.step_memo[k]
-
     def _chain_search(self, seq: WordSeq, end: int, level: int) -> bool:
         """Depth-first search for a chain of H escape words above seq,
         each a strict prefix of the next.  A node is a tail appended to
@@ -227,7 +211,9 @@ class Derivation:
             self.nodes += 1
             if self.nodes > MAX_CHAIN_NODES:
                 raise BudgetExceeded("chain search exceeded its node budget")
-            entries, cut = self.steps(k)
+            if k not in self.step_memo:
+                self.step_memo[k] = steps(self.stream, k, self.family.side)
+            entries, cut = self.step_memo[k]
             touched_horizon |= cut
             return iter(entries)
 

@@ -110,9 +110,12 @@ def _emit(report: dict, args, code: int) -> int:
         for key in sorted(report):
             sys.stdout.write(f"{key}: {report[key]}\n")
     elif fmt == "csv":
+        import csv
+
         keys = sorted(report)
-        sys.stdout.write(",".join(keys) + "\n")
-        sys.stdout.write(",".join(str(report[k]) for k in keys) + "\n")
+        rows = csv.writer(sys.stdout, lineterminator="\n")
+        rows.writerow(keys)
+        rows.writerow([str(report[k]) for k in keys])
     return code
 
 
@@ -245,17 +248,19 @@ def _cmd_wxi(args) -> int:
     code = EXIT_FOUND
     if args.action == "member":
         base = _parse_stream(args.base, alph) if args.base else None
-        seq = _parse_seq(args.seq, alph)
-        value = wxi.in_wxi(xi, alph, side, seq, base=base)
+        seq = t = _parse_seq(args.seq, alph)
+        if base is not None:
+            # relative membership is membership of the letter-word sequence
+            try:
+                t = wxi.match_reduction(base, seq, side)
+            except ReductionMismatch:
+                t = None
+        value = t is not None and wxi.in_wxi(xi, alph, side, t)
         report.update({"seq": words.seq_text(seq), "member": value})
         if seq:
             report["d"] = list(words.d_map(seq))
             if base is not None:
-                try:
-                    t = wxi.match_reduction(base, seq, side)
-                    report["relative_d"] = list(words.d_map(t))
-                except ReductionMismatch:
-                    report["relative_d"] = None
+                report["relative_d"] = None if t is None else list(words.d_map(t))
         code = EXIT_FOUND if value else EXIT_EXHAUSTED
     elif args.action == "decompose":
         seq = _parse_seq(args.seq, alph)
@@ -361,7 +366,6 @@ def _cmd_verify(args) -> int:
         code = _search_report(report, out)
     elif args.action == "pair-sweep":
         rep = verify.ramsey_pair_sweep(args.max_n, args.target)
-        rep.pop("pair_order")
         report.update(rep)
         code = EXIT_FOUND if rep["all_have_witness"] else EXIT_EXHAUSTED
     elif args.action == "carlson":

@@ -140,47 +140,29 @@ def g_substar(fam: FamilyOfSeqs) -> FamilyOfSeqs:
     return fam.replace(out)
 
 
-def _prefix_reductions_inside(t: WordSeq, alph: Alphabet, inside) -> bool:
-    """Every initial segment of t (t included) has all its nonempty total
-    variable reductions u inside, by the test `inside(u)`."""
-    for i in range(1, len(t) + 1):
-        for u, _d in finite_reductions(t[:i], alph)[1]:
-            if u and not inside(u):
-                return False
-    return True
-
-
 def hereditary_kernel(fam: FamilyOfSeqs) -> FamilyOfSeqs:
     """Largest hereditary subfamily (with the empty sequence adjoined).
 
     Variable side: keep members all of whose initial segments (taken
-    reflexively) have their variable reductions inside the family.
-    Constant side: keep members all of whose variable witnesses satisfy
-    the same condition against the constant family.
+    reflexively) have their nonempty variable reductions in the family.
+    Constant side: keep members that have a variable witness and whose
+    every witness lies in the variable kernel of the witness family
+    f_g(fam), as g_substar closes through substar(f_g(fam)); for a
+    nonempty variable u, span(u) lies in the family exactly when u is in
+    f_g(fam).
     """
+    kept = {EMPTY}
     if fam.side == "variable":
-        kept = {EMPTY}
         for t in fam.members:
-            if t == EMPTY or _prefix_reductions_inside(t, fam.alph, fam.members.__contains__):
+            if all(u in fam.members for i in range(1, len(t) + 1)
+                   for u, _d in finite_reductions(t[:i], fam.alph)[1] if u):
                 kept.add(t)
         return fam.replace(kept)
     witnesses = f_g(fam)
-    good_witness = {}
-
-    def span_inside(u: WordSeq) -> bool:
-        return all(s in fam.members for s in span(u, fam.alph))
-
-    def witness_ok(t: WordSeq) -> bool:
-        if t not in good_witness:
-            good_witness[t] = _prefix_reductions_inside(t, fam.alph, span_inside)
-        return good_witness[t]
-
-    kept = {EMPTY}
-    for s in fam.members:
-        if s == EMPTY:
-            continue
+    good = hereditary_kernel(witnesses).members
+    for s in fam.members - {EMPTY}:
         ts = [t for t in witnesses.members if s in span(t, fam.alph)]
-        if ts and all(witness_ok(t) for t in ts):
+        if ts and all(t in good for t in ts):
             kept.add(s)
     return fam.replace(kept)
 

@@ -29,10 +29,10 @@ from .errors import BudgetExceeded
 from .ordinal import Ordinal
 from .schreier import DEFAULT_CONFIG, FinSet, SchreierConfig
 from .words import (
+    MAX_BLOCK_WORDS,
     Alphabet,
     VarWordStream,
     WordSeq,
-    block_reductions,
     fill_words,
     finite_reductions,
     pattern_stream,
@@ -42,13 +42,13 @@ from .words import (
     seq_text,
     shapes,
     side_consistent,
+    steps,
     universe,
     upsilon_stream,
     word,
 )
 
 MAX_COLORING_SPACE = 1 << 20
-BLOCK_CAP = 2  # stream words per candidate block in the prefix searches
 
 
 # --- independent membership checker ------------------------------------
@@ -334,7 +334,6 @@ def ramsey_pair_sweep(max_n: int, target: int = 3) -> dict:
         "visited": visited,
         "all_have_witness": defeater is None,
         "defeating_coloring": defeater,
-        "pair_order": pairs,
     }
 
 
@@ -361,8 +360,11 @@ def carlson_witness_search(xi: Ordinal, chi1, chi2, stream: VarWordStream, depth
     on the constant side and chi2-monochromatic on the variable side.  A
     side whose coloring is None is not searched.
 
-    Candidate blocks span at most BLOCK_CAP stream words; the first
-    witness in canonical order (block size, then letters) is returned.
+    A child appends one entry of the step table `words.steps` on the
+    variable side, so a candidate block spans at most MAX_BLOCK_WORDS
+    stream words; the first witness in canonical order (block size, then
+    letters) is returned.  A stream shorter than depth * MAX_BLOCK_WORDS
+    words would cut some step lists, so it is refused before any work.
     Each node carries, per searched side, its frontier: the level-xi
     reductions of all its prefixes with their one color.  A child adds
     only the reductions that use its new block, and checks their colors
@@ -370,18 +372,16 @@ def carlson_witness_search(xi: Ordinal, chi1, chi2, stream: VarWordStream, depth
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
+    if depth * MAX_BLOCK_WORDS > stream.horizon:
+        raise ValueError(
+            f"a prefix search of depth {depth} needs a stream horizon of at least "
+            f"{depth * MAX_BLOCK_WORDS}, got {stream.horizon}"
+        )
     alph = stream.alph
     sides = _colored_sides(chi1, chi2)
-    per_step = sum(
-        (len(alph.full)) ** b - len(alph.symbols) ** b for b in range(1, BLOCK_CAP + 1)
-    )
+    per_step = len(steps(stream, 0, "variable")[0])
     visited_leaves = 0
     pruned_leaves = 0
-
-    def blocks_from(k: int):
-        for b in range(1, min(BLOCK_CAP, stream.horizon - k) + 1):
-            for blk in block_reductions(stream.prefix[k : k + b], alph, "variable"):
-                yield blk, b
 
     def grow(frontiers: list, cand: WordSeq):
         """The frontiers of cand, one per searched side, or None on a
@@ -411,13 +411,13 @@ def carlson_witness_search(xi: Ordinal, chi1, chi2, stream: VarWordStream, depth
         if len(u) == depth:
             visited_leaves += 1
             return u, frontiers
-        for blk, b in blocks_from(k):
+        for blk, end in steps(stream, k, "variable")[0]:
             cand = u + (blk,)
             grown = grow(frontiers, cand)
             if grown is None:
                 pruned_leaves += per_step ** (depth - len(cand))
                 continue
-            hit = dfs(cand, k + b, grown)
+            hit = dfs(cand, end, grown)
             if hit is not None:
                 return hit
         return None
@@ -435,7 +435,7 @@ def carlson_witness_search(xi: Ordinal, chi1, chi2, stream: VarWordStream, depth
         kind="reduction_prefix",
         payload=(u, str(xi), chi1, chi2, alph.symbols),
         certificate=cert,
-        bounds=(("depth", depth), ("block_cap", BLOCK_CAP), ("horizon", stream.horizon)),
+        bounds=(("depth", depth), ("block_cap", MAX_BLOCK_WORDS), ("horizon", stream.horizon)),
     )
     return SearchOutcome(witness, visited_leaves + pruned_leaves, per_step**depth)
 

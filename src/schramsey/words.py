@@ -10,7 +10,8 @@ word of a stream prefix and concatenates consecutive blocks; the block
 structure of the substituted letter-word t is recorded by d_map(t).
 `reduce_block` is the one place that substitutes into stream words,
 `block_reductions`/`reductions` enumerate the side-consistent
-reductions, and `align` inverts one block against a stream.
+reductions, `align` inverts one block against a stream, and `steps` is
+the one table of ways to grow a reduction along a stream by one word.
 `universe` is the one generator of the bounded universe of
 side-consistent word sequences, and `span` the word-by-word
 substitution images of a sequence.
@@ -33,6 +34,7 @@ WordSeq = tuple[str, ...]
 # Block cuts x substitutions that finite_reductions may enumerate:
 # 2^(n-1) * |alphabet + variable|^n for n words.
 MAX_REDUCTION_CASES = 1 << 20
+MAX_BLOCK_WORDS = 2  # stream words in the one new block of a `steps` entry
 
 
 class Alphabet:
@@ -319,3 +321,16 @@ def align(stream: VarWordStream, start: int, u: Word, side: str) -> tuple[Word, 
         raise ReductionMismatch("a block of a variable-side reduction lacks the variable")
     return t, end
 
+
+def steps(stream: VarWordStream, k: int, side: str) -> tuple[list[tuple[Word, int]], bool]:
+    """The one-word extensions of a reduction ending at stream word k:
+    every side-consistent reduction of stream words k+1..k+b as one
+    block, b <= MAX_BLOCK_WORDS, with its end k+b, by b and then letters;
+    and whether the stream horizon cut the list short."""
+    blocks = min(MAX_BLOCK_WORDS, stream.horizon - k)
+    entries = [
+        (chunk, k + b)
+        for b in range(1, blocks + 1)
+        for chunk in block_reductions(stream.prefix[k : k + b], stream.alph, side)
+    ]
+    return entries, blocks < MAX_BLOCK_WORDS

@@ -13,7 +13,7 @@ directly on the offset stream.
 from __future__ import annotations
 
 from . import schreier
-from .errors import BudgetExceeded, HorizonExceeded, ReductionMismatch
+from .errors import BudgetExceeded, HorizonExceeded
 from .ordinal import Ordinal
 from .words import (
     Alphabet,
@@ -52,21 +52,13 @@ def in_level(xi: Ordinal, seq: WordSeq, mem_fn) -> bool:
     return len(seq) >= 2 and mem_fn(xi, d_map(seq))
 
 
-def in_wxi(xi: Ordinal, alph: Alphabet, side: str, useq: WordSeq, base: VarWordStream | None = None) -> bool:
-    """Membership in the level-xi family over alph on one side (absolute,
-    or relative to a base stream when one is given).  A sequence that is
-    not a reduction of the base is not a member; one that runs past the
-    base's horizon raises HorizonExceeded."""
+def in_wxi(xi: Ordinal, alph: Alphabet, side: str, useq: WordSeq) -> bool:
+    """Membership in the level-xi family over alph on one side.  Relative
+    to a base stream, useq is a member when it is a reduction of the base
+    whose letter-word sequence `match_reduction(base, useq, side)` is one."""
     if side not in ("constant", "variable"):
         raise ValueError(f"unknown side {side!r}")
-    if not side_consistent(useq, side):
-        return False
-    if base is not None:
-        try:
-            useq = match_reduction(base, useq, side)
-        except ReductionMismatch:
-            return False
-    return in_level(xi, useq, schreier.mem)
+    return side_consistent(useq, side) and in_level(xi, useq, schreier.mem)
 
 
 def canonical_rep(xi: Ordinal, seq: WordSeq) -> tuple[tuple[int, ...], bool]:

@@ -442,6 +442,20 @@ def test_hj_bounds_that_cannot_run_are_usage_errors(argv):
     assert re.fullmatch(r"error: [^\n]*\n", err), err
 
 
+@pytest.mark.parametrize("argv, depth, horizon", [
+    # below 2 * depth stream words some step lists are cut; these exited 1
+    # with visited 0 of expected, or found a witness over a cut table
+    ("verify carlson --xi 1 --stream e:3 --depth 4", 4, 3),
+    ("verify subspace --xi 1 --stream e:5 --depth 3", 3, 5),
+    ("verify subspace --xi 1 --stream e:2 --depth 3", 3, 2),
+])
+def test_prefix_search_refuses_a_stream_it_cannot_fill(argv, depth, horizon):
+    code, out, err = _run_quiet(argv.split())
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == (f"error: a prefix search of depth {depth} needs a stream horizon of at least "
+                   f"{2 * depth}, got {horizon}\n")
+
+
 _FIELD = st.one_of(st.integers(-2, 4).map(str), st.sampled_from(["", "x", "1.5", "+2"]))
 
 

@@ -1,7 +1,9 @@
 import json
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schramsey import families as fm
 from schramsey import ordinal as o
@@ -123,6 +125,40 @@ def test_hereditary_kernel_constant_side():
     assert aa_pair in dropped.members
     assert aa_pair not in kern.members
     assert fm.is_hereditary(kern)
+
+
+def _union_of_hereditary_subfamilies(F):
+    # every hereditary family holds the empty sequence, so the candidates
+    # are () plus each subset of the other members
+    rest = sorted(F.members - {()}, key=lambda m: (len(m), m))
+    union = set()
+    for size in range(len(rest) + 1):
+        for sub in combinations(rest, size):
+            H = F.replace({(), *sub})
+            if fm.is_hereditary(H):
+                union |= H.members
+    return union
+
+
+# side-consistent sequences of at most 2 letters, and of exactly 3
+POOLS = {side: ([s for s in universe(AB, side, 2)], [s for s in universe(AB, side, 3) if sum(map(len, s)) == 3])
+         for side in ("constant", "variable")}
+
+
+@st.composite
+def small_families(draw):
+    side = draw(st.sampled_from(["constant", "variable"]))
+    short, long = POOLS[side]
+    members = draw(st.sets(st.sampled_from(short), max_size=5)) | draw(st.sets(st.sampled_from(long), max_size=3))
+    if draw(st.booleans()):
+        members.add(())
+    return fm.FamilyOfSeqs(AB, side, frozenset(members))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_families())
+def test_hereditary_kernel_is_the_union_of_hereditary_subfamilies(F):
+    assert fm.hereditary_kernel(F).members == _union_of_hereditary_subfamilies(F)
 
 
 def test_pointwise_closed_trunc():

@@ -9,6 +9,7 @@ example after a deliberate change of a report), run
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -16,7 +17,7 @@ import sys
 
 import pytest
 
-from schramsey import cli
+from schramsey import cli, wxi
 
 FAMILIES = {
     # a constant-side tree
@@ -156,12 +157,12 @@ EXPECTED = {
     "verify-ramsey-none": (1, "b76bda7dfcb4369b23dc1735e2e830bed5dc11f8b54685bfae4420e91df9dc14", NONE),
     "verify-subspace": (0, "661f8f9cafbdc7c6a6f491f1d827a83d580097f98a6cb28fd32f693da58b5a34", NONE),
     "words-d": (0, "6ec87a9a0c19859107a54d61658afc6495a69246c0e41c865d9547dd43b406e3", NONE),
-    "words-d-csv": (0, "ec1a784f955893397bcd0b5bd4787833168f048139f3e94e78e6465503080546", NONE),
+    "words-d-csv": (0, "cb0f6672b8b150f969b3571b64b03a64918872ca74df7d9165a7ff336b4627c0", NONE),
     "words-reduce": (0, "97e3116b707b13900f0182404187cb8125016ec08b283a7bf1bf5a324f577073", NONE),
     "words-reduce-list": (0, "c16b082297d1c42a1c1123f83f4a0964bd8c29f17bf196a07d532ee7a3330d5e", NONE),
     "words-reduce-plain": (0, "f05e62f4a49d1a4803b164200e584a3dad24a2b6166a34f4ac7a01d8a7f8bddb", NONE),
     "words-reductions": (0, "b3955b881737074b0752d8d74c81c9b6a1238197a6dd45e1aab1e939681ccf47", NONE),
-    "words-reductions-csv": (0, "599c84101405223cbfe572588baa33b2c91b618339e89b7385857ec9e024885c", NONE),
+    "words-reductions-csv": (0, "17860847456ee2c9fe59c78c58b401ae572c56c32069239a0912ed28bce9ec2d", NONE),
     "words-reductions-plain": (0, "f8227cde6e63a09d256df391a0665ad59f49dc6728dc7b8f80b64f5f5506a174", NONE),
     "wxi-decompose-c": (0, "3dca305adaff64337e4b06a73e146c2708c54ce2d7810e80c62f43c6338ad733", NONE),
     "wxi-decompose-v": (0, "875186633ddc55b1f9483fe36eb5845bb9c48cc6d067af9f14c72d9295d76b40", NONE),
@@ -179,7 +180,7 @@ EXPECTED = {
     "schreier-decompose": (0, "1495a21d36ae84b4bcadb9c3192e5f28b87deb3cc07f2e185220812c72c2c1e2", NONE),
     "schreier-enumerate": (0, "c326eae48af31149efd8af51babe972094c034fed067febfc3c0b02034f2c120", NONE),
     "schreier-enumerate-csv": (0, "7dd8d5572b93ec1b512e1f80e35d173bdbd2fc8140b43a19e3aad969cbbc9092", NONE),
-    "schreier-enumerate-csv-succ": (0, "01a60265ca6c6619800a26d974046a6bd3f0b67c2d524d96037a63ad30d5c9f7", NONE),
+    "schreier-enumerate-csv-succ": (0, "f62b5ea28089671f3623720a0775c0d18babfd53a2ca9cdb076fd767b1b92446", NONE),
     "schreier-enumerate-plain": (0, "44368a2da99487bfb4d1319495dae414e4e9df9b94b9414f346e2cc6c037c613", NONE),
     "schreier-enumerate-plain-succ": (0, "b57e7c5426cf246e4062e6d68a125daa1c22a529138da355bfc6d16e3c09632f", NONE),
     "schreier-enumerate-succ": (0, "e573107d536eb2e9b1c59a49acb8f4447df3220005be621e24dff020f38497b0", NONE),
@@ -190,13 +191,18 @@ EXPECTED = {
 }
 
 
-def run_job(argv, paths):
+def capture(argv, paths):
     argv = [a.format(**paths) for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_job(argv, paths):
+    code, out, err = capture(argv, paths)
     digest = lambda s: hashlib.sha256(s.encode()).hexdigest()
-    return code, digest(out.getvalue()), digest(err.getvalue())
+    return code, digest(out), digest(err)
 
 
 def write_families(directory):
@@ -216,6 +222,22 @@ def family_paths(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(JOBS))
 def test_golden_job(name, family_paths):
     assert run_job(JOBS[name], family_paths) == EXPECTED[name]
+
+
+@pytest.mark.parametrize("name", sorted(n for n in JOBS if "csv" in JOBS[n]))
+def test_csv_jobs_read_back_as_one_header_and_one_row(name, family_paths):
+    code, out, _ = capture(JOBS[name], family_paths)
+    header, row = csv.reader(io.StringIO(out))
+    assert code == 0 and len(header) == len(row)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in JOBS if "--base" in JOBS[n]))
+def test_member_base_matches_the_sequence_once(name, family_paths, monkeypatch):
+    calls = []
+    match = wxi.match_reduction
+    monkeypatch.setattr(wxi, "match_reduction", lambda *args: calls.append(args) or match(*args))
+    assert run_job(JOBS[name], family_paths) == EXPECTED[name]
+    assert len(calls) == 1
 
 
 if __name__ == "__main__":

@@ -12,7 +12,16 @@ from schramsey import ordinal as o
 from schramsey import schreier as sch
 from schramsey import verify as v
 from schramsey import wxi
-from schramsey.words import Alphabet, block_reductions, reductions, seq_sort_key, seq_text, upsilon_stream, word
+from schramsey.words import (
+    MAX_BLOCK_WORDS,
+    Alphabet,
+    block_reductions,
+    reductions,
+    seq_sort_key,
+    seq_text,
+    upsilon_stream,
+    word,
+)
 
 P = o.parse
 AB = Alphabet(("a", "b"))
@@ -272,12 +281,12 @@ def _scratch_carlson(xi, chi1, chi2, stream, depth, rule="fixed"):
     prefix of the candidate at every node, testing membership with the
     reference recursion under `rule`."""
     alph = stream.alph
-    per_step = sum(len(alph.full) ** b - len(alph.symbols) ** b for b in range(1, v.BLOCK_CAP + 1))
+    per_step = sum(len(alph.full) ** b - len(alph.symbols) ** b for b in range(1, MAX_BLOCK_WORDS + 1))
     visited_leaves = 0
     pruned_leaves = 0
 
     def blocks_from(k):
-        for b in range(1, min(v.BLOCK_CAP, stream.horizon - k) + 1):
+        for b in range(1, min(MAX_BLOCK_WORDS, stream.horizon - k) + 1):
             for blk in block_reductions(stream.prefix[k : k + b], alph, "variable"):
                 yield blk, b
 
@@ -317,7 +326,7 @@ def _scratch_carlson(xi, chi1, chi2, stream, depth, rule="fixed"):
         kind="reduction_prefix",
         payload=(found, str(xi), chi1, chi2, alph.symbols),
         certificate=cert,
-        bounds=(("depth", depth), ("block_cap", v.BLOCK_CAP), ("horizon", stream.horizon)),
+        bounds=(("depth", depth), ("block_cap", MAX_BLOCK_WORDS), ("horizon", stream.horizon)),
     )
     return v.SearchOutcome(witness, visited_leaves + pruned_leaves, per_step**depth)
 

@@ -5,6 +5,7 @@ import pytest
 
 from schramsey.errors import HorizonExceeded, ReductionMismatch
 from schramsey.words import (
+    MAX_BLOCK_WORDS,
     Alphabet,
     VarWordStream,
     d_map,
@@ -16,6 +17,7 @@ from schramsey.words import (
     seq_text,
     side_consistent,
     span,
+    steps,
     upsilon_stream,
     word,
 )
@@ -207,3 +209,42 @@ def test_pattern_stream():
     assert list(s.prefix) == ["_", "__", "__", "__"]
     with pytest.raises(HorizonExceeded):
         s.word_at(5)
+
+
+STEP_STREAMS = [
+    ([], ["_"]),
+    (["_"], ["__"]),
+    (["_"], ["a_"]),
+    (["__"], ["_"]),
+    (["_", "_"], ["_", "__"]),
+]
+
+
+@pytest.mark.parametrize("head, repeat", STEP_STREAMS)
+@pytest.mark.parametrize("side", ["constant", "variable"])
+def test_steps_are_the_one_block_extensions(head, repeat, side):
+    # appended to a reduction ending at stream word k, the entries of the
+    # table at k are the side-consistent letter-words of 1..MAX_BLOCK_WORDS
+    # letters in order, each accepted by the stream matcher and ending
+    # where the table says; the table is cut exactly where the horizon
+    # leaves fewer than MAX_BLOCK_WORDS words
+    horizon = 6
+    st = pattern_stream(AB, head, repeat, horizon)
+    fill = "_" if side == "variable" else "a"
+    letters = AB.full if side == "variable" else AB.symbols
+    for k in range(horizon + 1):
+        member = (reduce_word(st, fill * k),) if k else ()
+        entries, cut = steps(st, k, side)
+        assert cut == (k + MAX_BLOCK_WORDS > horizon)
+        expected = [
+            "".join(t)
+            for b in range(1, min(MAX_BLOCK_WORDS, horizon - k) + 1)
+            for t in product(letters, repeat=b)
+            if (AB.variable in t) == (side == "variable")
+        ]
+        recovered = []
+        for chunk, end in entries:
+            t = match_reduction(st, member + (chunk,), side)
+            assert sum(map(len, t)) == end
+            recovered.append(t[-1])
+        assert recovered == expected

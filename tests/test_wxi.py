@@ -6,7 +6,7 @@ import pytest
 from schramsey import ordinal as o
 from schramsey import schreier as sch
 from schramsey import wxi
-from schramsey.errors import HorizonExceeded
+from schramsey.errors import HorizonExceeded, ReductionMismatch
 from schramsey.words import (
     VAR,
     Alphabet,
@@ -30,7 +30,14 @@ def w(text, alph=AB):
 
 
 def member(xi, seq, alph=AB, side="constant", base=None):
-    return wxi.in_wxi(P(xi) if isinstance(xi, str) else xi, alph, side, seq, base=base)
+    """Membership, relative to `base` as `wxi member --base` decides it:
+    a non-reduction of the base is not a member."""
+    if base is not None:
+        try:
+            seq = wxi.match_reduction(base, seq, side)
+        except ReductionMismatch:
+            return False
+    return wxi.in_wxi(P(xi) if isinstance(xi, str) else xi, alph, side, seq)
 
 
 def test_in_wxi_examples():
