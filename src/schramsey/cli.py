@@ -248,14 +248,11 @@ def _cmd_wxi(args) -> int:
     code = EXIT_FOUND
     if args.action == "member":
         base = _parse_stream(args.base, alph) if args.base else None
-        seq = t = _parse_seq(args.seq, alph)
-        if base is not None:
-            # relative membership is membership of the letter-word sequence
-            try:
-                t = wxi.match_reduction(base, seq, side)
-            except ReductionMismatch:
-                t = None
-        value = t is not None and wxi.in_wxi(xi, alph, side, t)
+        seq = _parse_seq(args.seq, alph)
+        if base is None:
+            value = wxi.in_wxi(xi, alph, side, seq)
+        else:
+            value, t = wxi.in_wxi_relative(xi, alph, side, seq, base)
         report.update({"seq": words.seq_text(seq), "member": value})
         if seq:
             report["d"] = list(words.d_map(seq))

@@ -13,7 +13,7 @@ directly on the offset stream.
 from __future__ import annotations
 
 from . import schreier
-from .errors import BudgetExceeded, HorizonExceeded
+from .errors import BudgetExceeded, HorizonExceeded, ReductionMismatch
 from .ordinal import Ordinal
 from .words import (
     Alphabet,
@@ -53,12 +53,22 @@ def in_level(xi: Ordinal, seq: WordSeq, mem_fn) -> bool:
 
 
 def in_wxi(xi: Ordinal, alph: Alphabet, side: str, useq: WordSeq) -> bool:
-    """Membership in the level-xi family over alph on one side.  Relative
-    to a base stream, useq is a member when it is a reduction of the base
-    whose letter-word sequence `match_reduction(base, useq, side)` is one."""
+    """Membership of the sequence useq itself (absolute, its own offsets)
+    in the level-xi family over alph on one side."""
     if side not in ("constant", "variable"):
         raise ValueError(f"unknown side {side!r}")
     return side_consistent(useq, side) and in_level(xi, useq, schreier.mem)
+
+
+def in_wxi_relative(xi: Ordinal, alph: Alphabet, side: str, useq: WordSeq, base: VarWordStream):
+    """Membership relative to a base stream: (in_wxi of t, t) for the
+    letter-word sequence t with base[t] == useq, or (False, None) when
+    there is none.  Running past the base's horizon raises HorizonExceeded."""
+    try:
+        t = match_reduction(base, useq, side)
+    except ReductionMismatch:
+        return False, None
+    return in_wxi(xi, alph, side, t), t
 
 
 def canonical_rep(xi: Ordinal, seq: WordSeq) -> tuple[tuple[int, ...], bool]:

@@ -443,8 +443,9 @@ def test_hj_bounds_that_cannot_run_are_usage_errors(argv):
 
 
 @pytest.mark.parametrize("argv, depth, horizon", [
-    # below 2 * depth stream words some step lists are cut; these exited 1
-    # with visited 0 of expected, or found a witness over a cut table
+    # below 2 * depth stream words some step lists are cut, so an
+    # exhausted search would not have covered its space; a witness found
+    # over a cut table (as e:5 at depth 3 would give) is given up with it
     ("verify carlson --xi 1 --stream e:3 --depth 4", 4, 3),
     ("verify subspace --xi 1 --stream e:5 --depth 3", 3, 5),
     ("verify subspace --xi 1 --stream e:2 --depth 3", 3, 2),
@@ -454,6 +455,29 @@ def test_prefix_search_refuses_a_stream_it_cannot_fill(argv, depth, horizon):
     assert (code, out) == (cli.EXIT_USAGE, "")
     assert err == (f"error: a prefix search of depth {depth} needs a stream horizon of at least "
                    f"{2 * depth}, got {horizon}\n")
+
+
+BASE = ["--alphabet", "ab", "--base", "list:a_,_b,__,__,_"]
+
+
+@pytest.mark.parametrize("args, code, member, relative_d", [
+    # (aa,bb) is the base reduced by the letter words (a,b), offsets {2}
+    ("--xi 1 --side c --seq (aa,bb)", cli.EXIT_FOUND, True, [2]),
+    ("--xi 2 --side c --seq (aa,bb)", cli.EXIT_EXHAUSTED, False, [2]),
+    # non-reductions of the base, side-consistent or not, are non-members
+    ("--xi 1 --side v --seq (a_b,__)", cli.EXIT_EXHAUSTED, False, None),
+    ("--xi 1 --side c --seq (bb,bb)", cli.EXIT_EXHAUSTED, False, None),
+])
+def test_wxi_member_relative_to_base(args, code, member, relative_d):
+    got, out, err = _run_quiet(["wxi", "member", *BASE, *args.split()])
+    report = json.loads(out)
+    assert (got, err) == (code, "")
+    assert (report["member"], report["relative_d"]) == (member, relative_d)
+
+
+def test_wxi_member_past_the_base_horizon_is_a_usage_error():
+    argv = ["wxi", "member", *BASE, *"--xi 1 --side c --seq (aa,ab,aa,aa,a,a)".split()]
+    assert _run_quiet(argv) == (cli.EXIT_USAGE, "", "error: stream 'explicit' has horizon 5\n")
 
 
 _FIELD = st.one_of(st.integers(-2, 4).map(str), st.sampled_from(["", "x", "1.5", "+2"]))

@@ -6,7 +6,7 @@ import pytest
 from schramsey import ordinal as o
 from schramsey import schreier as sch
 from schramsey import wxi
-from schramsey.errors import HorizonExceeded, ReductionMismatch
+from schramsey.errors import HorizonExceeded
 from schramsey.words import (
     VAR,
     Alphabet,
@@ -29,14 +29,7 @@ def w(text, alph=AB):
     return word(text, alph)
 
 
-def member(xi, seq, alph=AB, side="constant", base=None):
-    """Membership, relative to `base` as `wxi member --base` decides it:
-    a non-reduction of the base is not a member."""
-    if base is not None:
-        try:
-            seq = wxi.match_reduction(base, seq, side)
-        except ReductionMismatch:
-            return False
+def member(xi, seq, alph=AB, side="constant"):
     return wxi.in_wxi(P(xi) if isinstance(xi, str) else xi, alph, side, seq)
 
 
@@ -59,16 +52,20 @@ def test_in_wxi_side_consistency():
 
 def test_in_wxi_relative_to_base():
     base = VarWordStream(AB, (w("a_"), w("_b"), w("__"), w("__"), w("_")))
+
+    def rel(xi, seq, side="constant"):
+        return wxi.in_wxi_relative(P(xi), AB, side, seq, base)
+
     u = reduce_seq(base, (w("a"), w("b")))
     assert d_map(u) == (3,)  # own offsets
-    assert member("1", u, base=base)  # block offsets {2} land at level 1
-    assert not member("2", u, base=base)
-    assert not member("1", (w("bb"), w("bb")), base=base)
+    assert rel("1", u) == (True, (w("a"), w("b")))  # block offsets {2} land at level 1
+    assert rel("2", u) == (False, (w("a"), w("b")))
+    assert rel("1", (w("bb"), w("bb"))) == (False, None)
     # a side-consistent non-reduction is a non-member too; running past
     # the base's horizon stays an error
-    assert not member("1", (w("a_b"), w("__")), side="variable", base=base)
+    assert rel("1", (w("a_b"), w("__")), side="variable") == (False, None)
     with pytest.raises(HorizonExceeded):
-        member("1", (w("aa"), w("ab"), w("aa"), w("aa"), w("a"), w("a")), base=base)
+        rel("1", (w("aa"), w("ab"), w("aa"), w("aa"), w("a"), w("a")))
 
 
 def test_match_reduction_roundtrip_random():
