@@ -21,34 +21,22 @@ from __future__ import annotations
 from functools import partial
 from itertools import combinations, product
 from math import comb
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import ordinal as o
-from . import schreier, wxi
+from . import schreier
 from .errors import BudgetExceeded
 from .ordinal import Ordinal
 from .schreier import DEFAULT_CONFIG, FinSet, SchreierConfig
-from .words import (
-    MAX_BLOCK_WORDS,
-    Alphabet,
-    VarWordStream,
-    WordSeq,
-    fill_words,
-    finite_reductions,
-    pattern_stream,
-    reduce_seq,
-    reductions,
-    seq_sort_key,
-    seq_text,
-    shapes,
-    side_consistent,
-    steps,
-    universe,
-    upsilon_stream,
-    word,
-)
+
+if TYPE_CHECKING:
+    from .words import Alphabet, VarWordStream, WordSeq
+
+# The word-side searches and checkers import `words` and `wxi` where they
+# run, so a set-side job (Ramsey search, pair sweep) loads neither.
 
 MAX_COLORING_SPACE = 1 << 20
+MAX_CHECK_STEPS = 1 << 17  # mem_direct recursion steps of one mono_set check
 
 
 # --- independent membership checker ------------------------------------
@@ -67,9 +55,13 @@ def _splits(s: tuple, count: int):
         yield tuple(s[bounds[i] : bounds[i + 1]] for i in range(count))
 
 
-def mem_direct(xi: Ordinal, s, cfg: SchreierConfig = DEFAULT_CONFIG) -> bool:
+def mem_direct(xi: Ordinal, s, cfg: SchreierConfig = DEFAULT_CONFIG, tick=None) -> bool:
     """Membership by the recursive definition with exhaustive split search
-    (no greedy shortcut); the independent oracle for mem."""
+    (no greedy shortcut); the independent oracle for mem.  `tick`, if
+    given, is called once per recursion step, so a caller can meter the
+    work."""
+    if tick is not None:
+        tick()
     t = tuple(s)
     if not xi:
         return t == ()
@@ -77,22 +69,22 @@ def mem_direct(xi: Ordinal, s, cfg: SchreierConfig = DEFAULT_CONFIG) -> bool:
         return False
     k = o.kind(xi)
     if k == "successor":
-        return mem_direct(o.pred(xi), t[1:], cfg)
+        return mem_direct(o.pred(xi), t[1:], cfg, tick)
     if len(xi) == 1 and xi[0][1] == 1:
         e = xi[0][0]
         n = t[0]
         if o.kind(e) == "successor":
             below = o.omega_pow(o.pred(e))
             return any(
-                all(mem_direct(below, blk, cfg) for blk in split)
+                all(mem_direct(below, blk, cfg, tick) for blk in split)
                 for split in _splits(t, n)
             )
-        return mem_direct(o.omega_pow(cfg.step(e, n)), t, cfg)
+        return mem_direct(o.omega_pow(cfg.step(e, n)), t, cfg, tick)
     powers = []
     for exp, count in reversed(xi):
         powers.extend([o.omega_pow(exp)] * count)
     return any(
-        all(mem_direct(p, blk, cfg) for p, blk in zip(powers, split))
+        all(mem_direct(p, blk, cfg, tick) for p, blk in zip(powers, split))
         for split in _splits(t, len(powers))
     )
 
@@ -286,7 +278,8 @@ def _lex_rank(L: FinSet, n: int) -> int:
 def check_mono_set_witness(w: Witness, cfg: SchreierConfig = DEFAULT_CONFIG) -> bool:
     """Re-derive a mono_set certificate from scratch: enumerate subsets of
     L directly, test membership with the split-searching recursion, and
-    re-apply the coloring."""
+    re-apply the coloring.  The subsets and the membership steps are
+    each held to a budget."""
     L, xi_text, coloring = w.payload
     if 1 << len(L) > MAX_COLORING_SPACE:
         raise BudgetExceeded(
@@ -294,12 +287,22 @@ def check_mono_set_witness(w: Witness, cfg: SchreierConfig = DEFAULT_CONFIG) -> 
             f"frontier |L|={len(L)}"
         )
     xi = o.parse(xi_text)
-    expected = [
-        (sub, coloring(sub))
-        for size in range(len(L) + 1)
-        for sub in combinations(L, size)
-        if mem_direct(xi, sub, cfg)
-    ]
+    spent = size = 0
+
+    def tick():
+        nonlocal spent
+        if spent == MAX_CHECK_STEPS:
+            raise BudgetExceeded(
+                f"mono_set check exceeded its budget of {MAX_CHECK_STEPS} membership steps "
+                f"({spent} spent); frontier: subsets of size {size} of |L|={len(L)}"
+            )
+        spent += 1
+
+    expected = []
+    for size in range(len(L) + 1):
+        for sub in combinations(L, size):
+            if mem_direct(xi, sub, cfg, tick):
+                expected.append((sub, coloring(sub)))
     return _certificate_holds(w.certificate, expected)
 
 
@@ -344,8 +347,11 @@ def _family_reductions(u: WordSeq, xi: Ordinal, alph: Alphabet, side: str, cfg: 
     """The level-xi reductions on one side of the stream prefix u (of
     every prefix of u, block-wise), deduplicated, rebuilt from scratch
     with the independent membership test: the checkers' view."""
-    seen = {seq for used in range(1, len(u) + 1) for seq, _d in reductions(u[:used], alph, side)}
-    return tuple(sorted((s for s in seen if wxi.in_level(xi, s, partial(mem_direct, cfg=cfg))), key=seq_sort_key))
+    from . import words, wxi
+
+    seen = {seq for used in range(1, len(u) + 1) for seq, _d in words.reductions(u[:used], alph, side)}
+    member = partial(mem_direct, cfg=cfg)
+    return tuple(sorted((s for s in seen if wxi.in_level(xi, s, member)), key=words.seq_sort_key))
 
 
 def _colored_sides(chi1, chi2) -> list:
@@ -370,16 +376,18 @@ def carlson_witness_search(xi: Ordinal, chi1, chi2, stream: VarWordStream, depth
     only the reductions that use its new block, and checks their colors
     against the parent's.
     """
+    from . import words, wxi
+
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    if depth * MAX_BLOCK_WORDS > stream.horizon:
+    if depth * words.MAX_BLOCK_WORDS > stream.horizon:
         raise ValueError(
             f"a prefix search of depth {depth} needs a stream horizon of at least "
-            f"{depth * MAX_BLOCK_WORDS}, got {stream.horizon}"
+            f"{depth * words.MAX_BLOCK_WORDS}, got {stream.horizon}"
         )
     alph = stream.alph
     sides = _colored_sides(chi1, chi2)
-    per_step = len(steps(stream, 0, "variable")[0])
+    per_step = len(words.steps(stream, 0, "variable")[0])
     visited_leaves = 0
     pruned_leaves = 0
 
@@ -394,7 +402,7 @@ def carlson_witness_search(xi: Ordinal, chi1, chi2, stream: VarWordStream, depth
             # reduction in the parent's frontier; a cut d fixes the word lengths,
             # so the level test depends on d alone
             level: dict[tuple, bool] = {}
-            for seq, d in reductions(cand, alph, side):
+            for seq, d in words.reductions(cand, alph, side):
                 if d not in level:
                     level[d] = wxi.in_level(xi, seq, schreier.mem)
                 if level[d]:
@@ -411,7 +419,7 @@ def carlson_witness_search(xi: Ordinal, chi1, chi2, stream: VarWordStream, depth
         if len(u) == depth:
             visited_leaves += 1
             return u, frontiers
-        for blk, end in steps(stream, k, "variable")[0]:
+        for blk, end in words.steps(stream, k, "variable")[0]:
             cand = u + (blk,)
             grown = grow(frontiers, cand)
             if grown is None:
@@ -427,15 +435,15 @@ def carlson_witness_search(xi: Ordinal, chi1, chi2, stream: VarWordStream, depth
         return SearchOutcome(None, visited_leaves + pruned_leaves, per_step**depth)
     u, frontiers = found
     cert = tuple(
-        (tag, seq_text(s), frontier[s])
+        (tag, words.seq_text(s), frontier[s])
         for (tag, _side, _chi), frontier in zip(sides, frontiers)
-        for s in sorted(frontier, key=seq_sort_key)
+        for s in sorted(frontier, key=words.seq_sort_key)
     )
     witness = Witness(
         kind="reduction_prefix",
         payload=(u, str(xi), chi1, chi2, alph.symbols),
         certificate=cert,
-        bounds=(("depth", depth), ("block_cap", MAX_BLOCK_WORDS), ("horizon", stream.horizon)),
+        bounds=(("depth", depth), ("block_cap", words.MAX_BLOCK_WORDS), ("horizon", stream.horizon)),
     )
     return SearchOutcome(witness, visited_leaves + pruned_leaves, per_step**depth)
 
@@ -443,14 +451,16 @@ def carlson_witness_search(xi: Ordinal, chi1, chi2, stream: VarWordStream, depth
 def check_reduction_prefix_witness(w: Witness, cfg: SchreierConfig = DEFAULT_CONFIG) -> bool:
     """Re-derive a reduction_prefix certificate with the independent
     membership recursion and fresh reduction enumeration."""
+    from . import words
+
     words_text, xi_text, chi1, chi2, symbols = w.payload
-    alph = Alphabet(tuple(symbols))
+    alph = words.Alphabet(tuple(symbols))
     xi = o.parse(xi_text)
-    u = tuple(word(t, alph) for t in words_text)
-    if not side_consistent(u, "variable"):
+    u = tuple(words.word(t, alph) for t in words_text)
+    if not words.side_consistent(u, "variable"):
         return False
     expected = [
-        (tag, seq_text(s), chi(s))
+        (tag, words.seq_text(s), chi(s))
         for tag, side, chi in _colored_sides(chi1, chi2)
         for s in _family_reductions(u, xi, alph, side, cfg)
     ]
@@ -461,6 +471,8 @@ def subspace_search(xi: Ordinal, chi, stream: VarWordStream, depth: int) -> Sear
     """Search for a prefix all of whose level-xi variable reductions span
     subspaces of one chi-color: the prefix search on the variable side
     alone, with the subspace coloring pulled back to generators."""
+    from . import wxi
+
     pulled = lambda seq: chi(frozenset(wxi.subspace_points(seq, stream.alph)))
     out = carlson_witness_search(xi, None, pulled, stream, depth)
     if out.witness is None:
@@ -476,12 +488,14 @@ def subspace_search(xi: Ordinal, chi, stream: VarWordStream, depth: int) -> Sear
 
 
 def check_subspace_witness(w: Witness, cfg: SchreierConfig = DEFAULT_CONFIG) -> bool:
+    from . import words, wxi
+
     words_text, xi_text, chi, symbols = w.payload
-    alph = Alphabet(tuple(symbols))
+    alph = words.Alphabet(tuple(symbols))
     xi = o.parse(xi_text)
-    u = tuple(word(t, alph) for t in words_text)
+    u = tuple(words.word(t, alph) for t in words_text)
     expected = [
-        (seq_text(s), chi(frozenset(wxi.subspace_points(s, alph))))
+        (words.seq_text(s), chi(frozenset(wxi.subspace_points(s, alph))))
         for s in _family_reductions(u, xi, alph, "variable", cfg)
     ]
     return _certificate_holds(w.certificate, expected)
@@ -495,6 +509,8 @@ _LETTERS = "abcdefgh"
 
 def _hj_cube(xi: Ordinal, alph: Alphabet, M: int) -> tuple[WordSeq, ...]:
     """Level-xi sequences whose word lengths sum to exactly M."""
+    from . import wxi
+
     return tuple(
         s
         for s in wxi.enumerate_wxi(xi, alph, "constant", M)
@@ -505,11 +521,13 @@ def _hj_cube(xi: Ordinal, alph: Alphabet, M: int) -> tuple[WordSeq, ...]:
 def _hj_generators(xi: Ordinal, alph: Alphabet, M: int, n: int):
     """Variable n-word generators of total length M, paired with their
     level-xi reduction sets (full consumption, own offsets)."""
+    from . import words, wxi
+
     gens = []
-    for shape in shapes(M, n) if n <= M else ():
-        for g in fill_words(shape, "variable", alph):
+    for shape in words.shapes(M, n) if n <= M else ():
+        for g in words.fill_words(shape, "variable", alph):
             rset = tuple(
-                seq for seq, _d in finite_reductions(g, alph)[0] if wxi.in_level(xi, seq, schreier.mem)
+                seq for seq, _d in words.finite_reductions(g, alph)[0] if wxi.in_level(xi, seq, schreier.mem)
             )
             if rset:
                 gens.append((g, rset))
@@ -520,7 +538,9 @@ def hj_level(r: int, n: int, k: int, xi: Ordinal, M: int):
     """Exhaust every r-coloring of the level-xi length-M sequences: does
     each one admit a monochromatic n-word generator?  Returns
     (ok, defeating assignment or None, colorings checked, cube)."""
-    alph = Alphabet(tuple(_LETTERS[:k]))
+    from . import words
+
+    alph = words.Alphabet(tuple(_LETTERS[:k]))
     cube = _hj_cube(xi, alph, M)
     if not cube:
         return (False, None, 0, cube)
@@ -549,6 +569,8 @@ def hales_jewett_M(r: int, n: int, k: int, xi: Ordinal, m_max: int) -> dict:
     check), n < 1 and more letters than _LETTERS holds, so the bounds
     it stamps are the ones that ran.
     """
+    from . import words
+
     if r < 1 or n < 1:
         raise ValueError(f"hales_jewett_M needs r >= 1 and n >= 1, got r={r}, n={n}")
     if k > len(_LETTERS):
@@ -568,7 +590,7 @@ def hales_jewett_M(r: int, n: int, k: int, xi: Ordinal, m_max: int) -> dict:
         "M": found,
         "cube_size": cube_size,
         "colorings_checked": checked,
-        "defeaters": {mm: {seq_text(s): c for s, c in d.items()} for mm, d in defeaters.items()},
+        "defeaters": {mm: {words.seq_text(s): c for s, c in d.items()} for mm, d in defeaters.items()},
         "bounds": {"m_max": m_max, "r": r, "n": n, "k": k, "xi": str(xi)},
     }
 
@@ -576,13 +598,15 @@ def hales_jewett_M(r: int, n: int, k: int, xi: Ordinal, m_max: int) -> dict:
 def hj_line_search(coloring, xi: Ordinal, alph: Alphabet, M: int, n: int = 1) -> SearchOutcome:
     """Single-coloring mode: the canonically least monochromatic n-word
     generator of total length M for the given coloring."""
+    from . import words
+
     gens = _hj_generators(xi, alph, M, n)
     visited = 0
     for g, rset in gens:
         visited += 1
         colors = {coloring(s) for s in rset}
         if len(colors) == 1:
-            cert = tuple((seq_text(s), coloring(s)) for s in rset)
+            cert = tuple((words.seq_text(s), coloring(s)) for s in rset)
             witness = Witness(
                 kind="hj_line",
                 payload=(g, str(xi), coloring, alph.symbols, M),
@@ -594,15 +618,17 @@ def hj_line_search(coloring, xi: Ordinal, alph: Alphabet, M: int, n: int = 1) ->
 
 
 def check_hj_line_witness(w: Witness, cfg: SchreierConfig = DEFAULT_CONFIG) -> bool:
+    from . import words, wxi
+
     words_text, xi_text, coloring, symbols, M = w.payload
-    alph = Alphabet(tuple(symbols))
+    alph = words.Alphabet(tuple(symbols))
     xi = o.parse(xi_text)
-    g = tuple(word(t, alph) for t in words_text)
-    if sum(len(x) for x in g) != M or not side_consistent(g, "variable"):
+    g = tuple(words.word(t, alph) for t in words_text)
+    if sum(len(x) for x in g) != M or not words.side_consistent(g, "variable"):
         return False
     expected = [
-        (seq_text(seq), coloring(seq))
-        for seq, _d in finite_reductions(g, alph)[0]
+        (words.seq_text(seq), coloring(seq))
+        for seq, _d in words.finite_reductions(g, alph)[0]
         if wxi.in_level(xi, seq, partial(mem_direct, cfg=cfg))
     ]
     return _certificate_holds(w.certificate, expected)
@@ -663,7 +689,7 @@ def nw_fixture_check(fixture: str, alph: Alphabet, letter_budget: int = 8) -> di
     Also reports the chain-closedness of a small materialized shadow and
     its derivative profile, both horizon-qualified.
     """
-    from . import cbindex, families
+    from . import cbindex, families, words, wxi
 
     report: dict = {"fixture": fixture, "letter_budget": letter_budget}
     if fixture == "empty":
@@ -680,14 +706,14 @@ def nw_fixture_check(fixture: str, alph: Alphabet, letter_budget: int = 8) -> di
                 "horn": "inside",
             }
         )
-        shadow_members = {s for s in universe(alph, "variable", 6) if wide_fixture_member(s)}
+        shadow_members = {s for s in words.universe(alph, "variable", 6) if wide_fixture_member(s)}
         shadow = families.FamilyOfSeqs(alph, "variable", frozenset(shadow_members) | {()})
     elif fixture == "narrow":
-        stream = pattern_stream(alph, ["_"], ["__"], 5)
+        stream = words.pattern_stream(alph, ["_"], ["__"], 5)
         outside = []
         probed = 0
-        for t in universe(alph, "variable", stream.horizon):
-            v = reduce_seq(stream, t)
+        for t in words.universe(alph, "variable", stream.horizon):
+            v = words.reduce_seq(stream, t)
             if wxi.in_level(o.OMEGA, v, schreier.mem):
                 probed += 1
                 if not narrow_fixture_member(v):
@@ -700,11 +726,11 @@ def nw_fixture_check(fixture: str, alph: Alphabet, letter_budget: int = 8) -> di
                 "horn": "complement",
             }
         )
-        shadow_members = {s for s in universe(alph, "variable", 5) if narrow_fixture_member(s)}
+        shadow_members = {s for s in words.universe(alph, "variable", 5) if narrow_fixture_member(s)}
         shadow = families.FamilyOfSeqs(alph, "variable", frozenset(shadow_members) | {()})
     else:
         raise ValueError(f"unknown fixture {fixture!r}")
-    e = upsilon_stream(alph, 24)
+    e = words.upsilon_stream(alph, 24)
     state_fam = cbindex.explicit_cb_family(alph, "variable", shadow.members, label=fixture)
     profile = cbindex.derivative_profile(
         state_fam, e, cbindex.ChainOracle("horizon", horizon=3), 2

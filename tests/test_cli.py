@@ -268,6 +268,10 @@ def test_mono_set_checker_budget_stops_fast(capsys):
                  "descent exceeded its budget of 1000 steps; "
                  "reached w^(w^4*4 + w^3*4 + w^2*4 + w*4 + 4)*4 + w^(w^4*4 + w^3*4 + w^2*4 + w*4 + 3)*4 + ...",
                  id="fixed-seq-succ"),
+    # 2^20 subsets pass the subset budget, but each w^2 membership is a split search
+    pytest.param("verify ramsey --xi w^2 --max-n 20 --coloring const:1 --target 20",
+                 "mono_set check exceeded its budget of 131072 membership steps (131072 spent); "
+                 "frontier: subsets of size 5 of |L|=20", id="mono-set-steps"),
 ])
 def test_unbounded_walks_stop_at_their_budget(argv, message):
     # each of these ran for more than 6 s; a subprocess, so that one that
@@ -371,7 +375,10 @@ LAYER_JOBS = {
     "cbindex-file": (["cbindex", "--family", "{tree}", "--stream", "e:12", "--oracle", "horizon:3"],
                      {"words", "families", "cbindex"}),
     "verify": (["verify", "ramsey", "--xi", "2", "--max-n", "8", "--target", "4"],
-               {"ordinal", "schreier", "words", "wxi", "verify"}),
+               {"ordinal", "schreier", "verify"}),
+    "verify-pair-sweep": (["verify", "pair-sweep", "--max-n", "4"], {"ordinal", "schreier", "verify"}),
+    "verify-carlson": (["verify", "carlson", "--xi", "1", "--stream", "e:6", "--depth", "2"],
+                       {"ordinal", "schreier", "words", "wxi", "verify"}),
 }
 HEAVY = {"dataclasses", "inspect"}
 
@@ -392,6 +399,29 @@ def test_jobs_import_only_their_layers(name, tmp_path):
                              *[a.format(tree=path) for a in argv])
     assert {m for m in loaded if m.startswith("schramsey.")} == {f"schramsey.{m}" for m in {"cli", "errors"} | layers}
     assert loaded & HEAVY <= _loaded_modules("import sys") & HEAVY
+
+
+# --- interpreter exit ---------------------------------------------------------
+
+FREEZE_PROBE = "import atexit, gc, {module}\natexit._run_exitfuncs()\nprint(gc.get_freeze_count())"
+
+
+@pytest.mark.parametrize("module, frozen", [("schramsey.cli", True), ("schramsey.schreier", False)])
+def test_only_the_cli_freezes_the_heap_at_exit(module, frozen):
+    proc = subprocess.run([sys.executable, "-c", FREEZE_PROBE.format(module=module)],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert (int(proc.stdout) > 0) is frozen
+
+
+def test_largest_report_arrives_whole_through_the_exit_freeze():
+    argv = ["schreier", "enumerate", "--xi", "w^w", "--max-n", "20"]
+    proc = subprocess.run([sys.executable, "-m", "schramsey.cli", *argv], capture_output=True, text=True, timeout=20)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_FOUND, "")
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    rep = json.loads(lines[0])
+    assert rep["count"] == 21181 == len(rep["members"])
 
 
 # --- coloring specs ---------------------------------------------------------

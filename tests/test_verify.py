@@ -11,7 +11,7 @@ from schramsey import cli
 from schramsey import ordinal as o
 from schramsey import schreier as sch
 from schramsey import verify as v
-from schramsey import wxi
+from schramsey import words, wxi
 from schramsey.words import (
     MAX_BLOCK_WORDS,
     Alphabet,
@@ -381,7 +381,7 @@ def test_carlson_one_kernel_call_per_candidate_and_side(monkeypatch, capsys):
         calls.append((ws, side))
         return reductions(ws, alph, side)
 
-    monkeypatch.setattr(v, "reductions", counting)
+    monkeypatch.setattr(words, "reductions", counting)
     argv = "verify carlson --xi 2 --chi1 total_len_mod:2 --chi2 first_len_mod:2 --stream e:10 --depth 4"
     assert cli.main(argv.split()) == 0
     out = capsys.readouterr().out
@@ -400,7 +400,7 @@ def test_subspace_search_walks_the_variable_side_only(monkeypatch, capsys):
         sides.append(side)
         return reductions(ws, alph, side)
 
-    monkeypatch.setattr(v, "reductions", counting)
+    monkeypatch.setattr(words, "reductions", counting)
     argv = "verify subspace --xi 1 --chi size_mod:2 --stream e:10 --depth 3"
     assert cli.main(argv.split()) == 0
     assert json.loads(capsys.readouterr().out)["witness_checked"]
