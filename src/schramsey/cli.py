@@ -73,12 +73,21 @@ def _parse_seq(text: str, alph: words.Alphabet):
     return tuple(words.word(part.strip(), alph) for part in body.split(","))
 
 
+def _spec_int(spec: str, field: str, text: str) -> int:
+    """An integer field of a spec; a malformed one is a usage error that
+    names the spec."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{spec} needs an integer {field}, got {text!r}") from None
+
+
 def _parse_stream(text: str, alph: words.Alphabet) -> words.VarWordStream:
     from . import words
 
     kind, _, rest = text.partition(":")
     if kind == "e":
-        return words.upsilon_stream(alph, int(rest))
+        return words.upsilon_stream(alph, _spec_int(f"stream spec {text!r}", "horizon", rest))
     if kind == "list":
         items = rest.split(",")
         return words.VarWordStream(alph, tuple(words.word(t, alph) for t in items))
@@ -87,7 +96,7 @@ def _parse_stream(text: str, alph: words.Alphabet) -> words.VarWordStream:
         head_s, _, repeat_s = spec.partition(";")
         head = head_s.split(",") if head_s else []
         repeat = repeat_s.split(",") if repeat_s else []
-        return words.pattern_stream(alph, head, repeat, int(horizon))
+        return words.pattern_stream(alph, head, repeat, _spec_int(f"stream spec {text!r}", "horizon", horizon))
     raise ValueError(f"unknown stream spec {text!r} (use e:N, list:..., pat:h;r:N)")
 
 
@@ -325,7 +334,7 @@ def _cmd_cbindex(args) -> int:
 
     alph = _parse_alphabet(args.alphabet)
     if args.family.startswith("len:"):
-        max_len = _count("len", int(args.family.split(":")[1]))
+        max_len = _count("len", _spec_int("--family len:K", "K", args.family.split(":")[1]))
         letters = max_len if args.seed_letters is None else _count("seed-letters", args.seed_letters)
         fam = cbindex.length_truncation_family(alph, args.side_full, max_len, letters)
     else:
@@ -336,11 +345,7 @@ def _cmd_cbindex(args) -> int:
     if mode == "exact":
         oracle = cbindex.ChainOracle(mode, rule=param or "length")
     elif mode == "horizon" and param:
-        try:
-            horizon = int(param)
-        except ValueError:
-            raise ValueError(f"--oracle horizon:H needs an integer H, got {param!r}") from None
-        oracle = cbindex.ChainOracle(mode, horizon=horizon)
+        oracle = cbindex.ChainOracle(mode, horizon=_spec_int("--oracle horizon:H", "H", param))
     else:
         oracle = cbindex.ChainOracle(mode)  # refused: an unknown mode, or horizon without H
     report = {
@@ -493,6 +498,18 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _check_config_value(key: str, value, action) -> None:
+    """A config value passes the checks its flag's value would: a switch
+    takes true or false, an integer option an integer, any other option
+    a string, and an option with choices one of them."""
+    kind = bool if action.nargs == 0 else action.type or str
+    if type(value) is not kind:
+        expected = {bool: "true or false", int: "an integer"}.get(kind, "a string")
+        raise ValueError(f"config key {key!r} takes {expected}, got {json.dumps(value)}")
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"config key {key!r} takes one of {', '.join(map(repr, action.choices))}, got {value!r}")
+
+
 def _preload_config(argv, parser):
     """Apply config-file values as parser defaults; explicit flags win."""
     if argv is None:
@@ -514,6 +531,11 @@ def _preload_config(argv, parser):
         unknown = sorted(k for k in defaults if k.replace("-", "_") not in dests)
         if unknown:
             raise ValueError(f"unknown config key{'s' if len(unknown) > 1 else ''} {', '.join(map(repr, unknown))}")
+        # a key may belong to several subcommands; its value must suit each
+        for key, value in defaults.items():
+            for action in (a for sub in parser._all_parsers for a in sub._actions):
+                if action.dest == key.replace("-", "_"):
+                    _check_config_value(key, value, action)
         # subcommands parse into a fresh namespace, so each parser that
         # knows the option needs the default installed
         for sub in parser._all_parsers:

@@ -7,8 +7,7 @@ witnesses: a variable sequence witnesses a constant one when the latter
 lies in its word-by-word substitution span.
 
 All closures here are exact set transforms on explicit finite families;
-the two horizon-bound checks (chain existence, tree dichotomy) label
-their answers with the bounds used.
+the tree dichotomy check labels its answer with the bounds used.
 """
 
 from __future__ import annotations
@@ -16,12 +15,10 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING
 
-from .errors import HorizonExceeded, ReductionMismatch
 from .words import (
     Alphabet,
     VarWordStream,
     WordSeq,
-    align,
     fill_words,
     finite_reductions,
     reduce_seq,
@@ -165,36 +162,6 @@ def hereditary_kernel(fam: FamilyOfSeqs) -> FamilyOfSeqs:
         if ts and all(t in good for t in ts):
             kept.add(s)
     return fam.replace(kept)
-
-
-def pointwise_closed_trunc(fam: FamilyOfSeqs, stream: VarWordStream, horizon: int):
-    """Search for a reduction chain of length `horizon` all of whose
-    prefixes are members.  Returns ('open', chain) with the witness, or
-    ('closed', horizon); the answer is only meaningful at this horizon.
-    """
-    children: dict[WordSeq, set] = {}
-    for m in fam.members:
-        if m:
-            children.setdefault(m[:-1], set()).add(m[-1])
-
-    def dfs(cur: WordSeq, k: int):
-        if len(cur) >= horizon:
-            return cur
-        for x in sorted(children.get(cur, ()), key=lambda w: (len(w), w)):
-            # x must reduce whole stream words starting after position k
-            try:
-                _, end = align(stream, k, x, fam.side)
-            except (ReductionMismatch, HorizonExceeded):
-                continue
-            hit = dfs(cur + (x,), end)
-            if hit is not None:
-                return hit
-        return None
-
-    chain = dfs(EMPTY, 0)
-    if chain is not None:
-        return ("open", chain)
-    return ("closed", horizon)
 
 
 def tree_dichotomy_check(fam: FamilyOfSeqs, xi: Ordinal, stream: VarWordStream, letter_budget: int) -> dict:

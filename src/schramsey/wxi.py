@@ -138,21 +138,15 @@ def enumerate_reductions_wxi(
 
 def star_status(xi: Ordinal, seq: WordSeq) -> str:
     """'member', 'segment' (proper initial part of a member), or 'outside'
-    of the level-xi family, decided on the offset stream."""
-    if not xi:
-        if not seq:
-            return "segment"
-        return "member" if len(seq) == 1 else "outside"
+    of the level-xi family, read off the canonical splitting."""
     if not seq:
         return "segment"
-    offsets = d_map(seq)
-    try:
-        end = schreier._consume(xi, offsets, 0)
-    except HorizonExceeded:
-        return "segment"
-    if end == len(offsets):
+    if not xi:
+        return "member" if len(seq) == 1 else "outside"
+    boundaries, _ = canonical_rep(xi, seq)
+    if boundaries == (len(seq),):
         return "member"
-    return "outside"
+    return "outside" if boundaries else "segment"
 
 
 def subspace_points(gen: WordSeq, alph: Alphabet) -> tuple[Word, ...]:

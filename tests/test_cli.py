@@ -175,6 +175,18 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _ = run_cli(["ordinal", "eval", "w^"], capsys)
     assert code == 2
+    # a number that does not parse names the spec it came in
+    words_reduce = ["words", "reduce", "--alphabet", "ab", "--seq", "(a)", "--stream"]
+    cases = [
+        (words_reduce + ["e:x"], "stream spec 'e:x' needs an integer horizon, got 'x'"),
+        (words_reduce + ["e:"], "stream spec 'e:' needs an integer horizon, got ''"),
+        (words_reduce + ["pat:_;__:x"], "stream spec 'pat:_;__:x' needs an integer horizon, got 'x'"),
+        (["cbindex", "--family", "len:x"], "--family len:K needs an integer K, got 'x'"),
+    ]
+    for argv, message in cases:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (cli.EXIT_USAGE, "", f"error: {message}\n"), argv
 
 
 def test_multi_character_alphabet_symbol_is_a_usage_error(tmp_path, capsys):
@@ -238,6 +250,10 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         ({"max_nn": 3}, "error: unknown config key 'max_nn'\n"),
         ({"threads": 8, "max-nn": 3}, "error: unknown config keys 'max-nn', 'threads'\n"),
         ([1, 2], "error: config file must hold a JSON object\n"),
+        # values pass the type and choice checks of their flags
+        ({"max_n": 3.5}, "error: config key 'max_n' takes an integer, got 3.5\n"),
+        ({"max_n": True}, "error: config key 'max_n' takes an integer, got true\n"),
+        ({"format": "xml"}, "error: config key 'format' takes one of 'json', 'plain', 'csv', got 'xml'\n"),
     ]
     for data, message in cases:
         cfgfile = tmp_path / "cfg.json"
@@ -379,6 +395,8 @@ LAYER_JOBS = {
     "verify-pair-sweep": (["verify", "pair-sweep", "--max-n", "4"], {"ordinal", "schreier", "verify"}),
     "verify-carlson": (["verify", "carlson", "--xi", "1", "--stream", "e:6", "--depth", "2"],
                        {"ordinal", "schreier", "words", "wxi", "verify"}),
+    "verify-nw": (["verify", "nw", "--fixture", "narrow", "--letters", "5"],
+                  {"ordinal", "schreier", "words", "wxi", "cbindex", "verify"}),
 }
 HEAVY = {"dataclasses", "inspect"}
 

@@ -161,40 +161,6 @@ def test_hereditary_kernel_is_the_union_of_hereditary_subfamilies(F):
     assert fm.hereditary_kernel(F).members == _union_of_hereditary_subfamilies(F)
 
 
-def test_pointwise_closed_trunc():
-    short = fm.FamilyOfSeqs(
-        A1,
-        "constant",
-        frozenset(
-            [(), (word("a", A1),), (word("aa", A1),)]
-            + [
-                (word("a", A1), word("a", A1)),
-                (word("a", A1), word("aa", A1)),
-                (word("aa", A1), word("a", A1)),
-            ]
-        ),
-    )
-    verdict = fm.pointwise_closed_trunc(short, upsilon_stream(A1, 6), 3)
-    assert verdict == ("closed", 3)
-    allv = fm.substar(fam("variable", [["_"] * 4], A1))
-    kind, chain = fm.pointwise_closed_trunc(allv, upsilon_stream(A1, 6), 3)
-    assert kind == "open" and len(chain) == 3
-
-
-def test_pointwise_open_chain_respects_stream():
-    # over the pair stream every chain word has even length
-    F = fm.substar(fam("variable", [["_", "_", "_", "_"]], A1))
-    from schramsey.words import pattern_stream
-
-    pairs = pattern_stream(A1, [], ["__"], 4)
-    kind, chain = fm.pointwise_closed_trunc(F, pairs, 2)
-    assert kind == "open"
-    assert all(len(x) % 2 == 0 for x in chain)
-    # and a three-word generator cannot fill two pair blocks
-    F3 = fm.substar(fam("variable", [["_", "_", "_"]], A1))
-    assert fm.pointwise_closed_trunc(F3, pairs, 2) == ("closed", 2)
-
-
 def test_tree_dichotomy_trivial_cases():
     e3 = upsilon_stream(AB, 3)
     G_empty = fm.FamilyOfSeqs(AB, "constant", frozenset({()}))

@@ -6,6 +6,9 @@ pin keeps every report byte for byte.  To print the current values (for
 example after a deliberate change of a report), run
 
     PYTHONPATH=src python tests/test_golden.py
+
+It first prints, as comments, each job whose pin moved with its new
+output, so a re-pin can be reviewed report by report.
 """
 
 import contextlib
@@ -151,8 +154,8 @@ EXPECTED = {
     "verify-carlson-0": (0, "ce2903194c99ab5b9ef7238d6315103aaef6225222a945cd332dbcddbc96179a", NONE),
     "verify-hj": (1, "a5144edb9396318f7e0ca3d86f8ed8a3dc64705cd0198126e6a0c765a9ed4876", NONE),
     "verify-hj-0": (0, "f09c47272d6462c729eeac7657638005dd4db6f8fc0a9a20f4292dd40f3a2a81", NONE),
-    "verify-nw-narrow": (0, "a8cabd255e36a3c1512ce3a388d7803ab0c2da4659bb6323f19b988de7655dbd", NONE),
-    "verify-nw-wide": (0, "7a877809e540b91b9ffb3936ea99141474a7c9eb6ec246c0bc9da1d1872d6103", NONE),
+    "verify-nw-narrow": (0, "79cf815b4b95898de8fda699e9d46c6ec9c690e13069e470e9ac4bb40541bcc1", NONE),
+    "verify-nw-wide": (0, "05afd37eb12eaa0b256e69d084147b2f8d259ebf65418f521313668d36f7b08a", NONE),
     "verify-ramsey": (0, "880223417494f7bd3394191ff5d85800554fbc57fa8adaf7d13cd8ea9810f41b", NONE),
     "verify-ramsey-none": (1, "b76bda7dfcb4369b23dc1735e2e830bed5dc11f8b54685bfae4420e91df9dc14", NONE),
     "verify-subspace": (0, "661f8f9cafbdc7c6a6f491f1d827a83d580097f98a6cb28fd32f693da58b5a34", NONE),
@@ -199,9 +202,12 @@ def capture(argv, paths):
     return code, out.getvalue(), err.getvalue()
 
 
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def run_job(argv, paths):
     code, out, err = capture(argv, paths)
-    digest = lambda s: hashlib.sha256(s.encode()).hexdigest()
     return code, digest(out), digest(err)
 
 
@@ -246,7 +252,13 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         paths = write_families(pathlib.Path(tmp))
-        for name in sorted(JOBS):
-            code, out, err = run_job(JOBS[name], paths)
-            quote = lambda h: "NONE" if h == NONE else f'"{h}"'
-            sys.stdout.write(f'    "{name}": ({code}, {quote(out)}, {quote(err)}),\n')
+        runs = {name: capture(JOBS[name], paths) for name in sorted(JOBS)}
+    pins = {name: (code, digest(out), digest(err)) for name, (code, out, err) in runs.items()}
+    for name, (code, out, err) in runs.items():
+        if pins[name] != EXPECTED.get(name):
+            sys.stdout.write(f"# {name} moved: exit {code}\n")
+            for line in (out + err).splitlines():
+                sys.stdout.write(f"#   {line}\n")
+    quote = lambda h: "NONE" if h == NONE else f'"{h}"'
+    for name, (code, out, err) in pins.items():
+        sys.stdout.write(f'    "{name}": ({code}, {quote(out)}, {quote(err)}),\n')

@@ -525,10 +525,16 @@ def test_narrow_law_matches_definitional_search():
 def test_nw_fixture_reports():
     rep = v.nw_fixture_check("wide", AB, 7)
     assert rep["consistent"] and rep["probed"] > 0
-    assert rep["shadow_closed_at_8"]
     rep2 = v.nw_fixture_check("narrow", AB, 7)
     assert rep2["consistent"] and rep2["probed"] > 0
     assert v.nw_fixture_check("empty", AB)["consistent"]
+
+
+@pytest.mark.parametrize("letters, stamped, probed", [(3, 3, 1), (4, 4, 11), (5, 5, 74), (9, 5, 74)])
+def test_nw_narrow_stamps_the_letter_budget_it_ran(letters, stamped, probed):
+    # the narrow stream holds 5 letters, so a larger budget probes no more
+    rep = v.nw_fixture_check("narrow", AB, letters)
+    assert (rep["letter_budget"], rep["probed"], rep["outside"]) == (stamped, probed, probed)
 
 
 def test_nw_wide_derivative_profile_matches_hand_count():

@@ -139,6 +139,20 @@ def test_star_status():
     assert wxi.star_status(o.ZERO, (w("a"), w("b"))) == "outside"
 
 
+@pytest.mark.parametrize("xs", ["w", "w+1", "w*2", "w^2", "w^w"])
+def test_star_status_matches_its_definition(xs):
+    xi = P(xs)
+    for seq in universe(AB, "constant", 7):
+        d = d_map(seq)
+        if sch.mem(xi, d):
+            expected = "member"
+        elif any(sch.mem(xi, d[:i]) for i in range(1, len(d))):
+            expected = "outside"
+        else:
+            expected = "segment"
+        assert wxi.star_status(xi, seq) == expected, (xs, seq)
+
+
 def test_enumeration_matches_identity_stream_reductions():
     for xs in ["0", "1", "2", "w"]:
         xi = P(xs)
