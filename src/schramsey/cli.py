@@ -107,16 +107,16 @@ def _count(name: str, value: int) -> int:
     return value
 
 
-def _read_family(path: str):
-    """The family in a JSON file; an unreadable file is a usage error."""
-    from . import families
-
+def _read_json(path: str, what: str):
+    """The JSON value in a file; a file that cannot be read or decoded is
+    a usage error, and one that is not JSON names its path."""
     try:
         with open(path) as fh:
-            text = fh.read()
+            return json.load(fh)
     except OSError as exc:
         raise ValueError(str(exc)) from None
-    return families.family_from_json(text)
+    except ValueError as exc:
+        raise ValueError(f"{what} {path!r} is not JSON: {exc}") from None
 
 
 def _emit(report: dict, args, code: int) -> int:
@@ -239,14 +239,10 @@ def _cmd_words(args) -> int:
         report.update({"seq": words.seq_text(seq), "d": list(words.d_map(seq))})
     elif args.action == "reductions":
         seq = _parse_seq(args.seq, alph)
-        rw, vrw = words.finite_reductions(seq, alph)
-        report.update(
-            {
-                "seq": words.seq_text(seq),
-                "constant": [[words.seq_text(s), list(d)] for s, d in rw],
-                "variable": [[words.seq_text(s), list(d)] for s, d in vrw],
-            }
-        )
+        report["seq"] = words.seq_text(seq)
+        for side in ("constant", "variable"):
+            pairs = words.finite_reductions(seq, alph, side)
+            report[side] = [[words.seq_text(s), list(d)] for s, d in pairs]
     return _emit(report, args, EXIT_FOUND)
 
 
@@ -294,7 +290,7 @@ def _cmd_wxi(args) -> int:
 def _cmd_family(args) -> int:
     from . import families, words
 
-    fam = _read_family(args.file)
+    fam = families.family_from_json(_read_json(args.file, "family file"))
     report = {"command": f"family {args.action}", "members": len(fam.members), "side": fam.side}
     code = EXIT_FOUND
     if args.action == "close":
@@ -338,7 +334,9 @@ def _cmd_cbindex(args) -> int:
         letters = max_len if args.seed_letters is None else _count("seed-letters", args.seed_letters)
         fam = cbindex.length_truncation_family(alph, args.side_full, max_len, letters)
     else:
-        f = _read_family(args.family)
+        from . import families
+
+        f = families.family_from_json(_read_json(args.family, "family file"))
         fam = cbindex.explicit_cb_family(f.alph, f.side, f.members)
     stream = _parse_stream(args.stream, fam.alph)
     mode, _, param = args.oracle.partition(":")
@@ -522,18 +520,19 @@ def _preload_config(argv, parser):
         elif token.startswith("--config="):
             path = token.split("=", 1)[1]
     if path:
-        with open(path) as fh:
-            defaults = json.load(fh)
+        defaults = _read_json(path, "config file")
         if not isinstance(defaults, dict):
             raise ValueError("config file must hold a JSON object")
         cleaned = {k.replace("-", "_"): v for k, v in defaults.items()}
-        dests = {a.dest for sub in parser._all_parsers for a in sub._actions}
-        unknown = sorted(k for k in defaults if k.replace("-", "_") not in dests)
+        # only a flag's value can come from a file: not --help, --config or a positional
+        options = [a for sub in parser._all_parsers for a in sub._actions
+                   if a.option_strings and a.dest not in ("help", "config")]
+        unknown = sorted(k for k in defaults if k.replace("-", "_") not in {a.dest for a in options})
         if unknown:
             raise ValueError(f"unknown config key{'s' if len(unknown) > 1 else ''} {', '.join(map(repr, unknown))}")
         # a key may belong to several subcommands; its value must suit each
         for key, value in defaults.items():
-            for action in (a for sub in parser._all_parsers for a in sub._actions):
+            for action in options:
                 if action.dest == key.replace("-", "_"):
                     _check_config_value(key, value, action)
         # subcommands parse into a fresh namespace, so each parser that

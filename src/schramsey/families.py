@@ -20,7 +20,7 @@ from .words import (
     VarWordStream,
     WordSeq,
     fill_words,
-    finite_reductions,
+    hereditary_reductions,
     reduce_seq,
     seq_is_prefix,
     seq_sort_key,
@@ -87,19 +87,13 @@ def is_thin(fam: FamilyOfSeqs) -> bool:
 
 
 def substar(fam: FamilyOfSeqs) -> FamilyOfSeqs:
-    """Hereditary closure of a variable-side family: total variable
-    reductions of members and their initial segments, plus the empty
-    sequence."""
+    """Hereditary closure of a variable-side family: the variable
+    reductions of members' initial segments, plus the empty sequence."""
     if fam.side != "variable":
         raise ValueError("substar closes variable-side families; use g_substar")
     out = {EMPTY}
-    for m in star_closure(fam).members:
-        if m == EMPTY:
-            continue
-        _, vrw = finite_reductions(m, fam.alph)
-        for seq, _d in vrw:
-            if seq:
-                out.add(seq)
+    for m in fam.members:
+        out.update(hereditary_reductions(m, fam.alph, "variable"))
     return fam.replace(out)
 
 
@@ -140,8 +134,8 @@ def g_substar(fam: FamilyOfSeqs) -> FamilyOfSeqs:
 def hereditary_kernel(fam: FamilyOfSeqs) -> FamilyOfSeqs:
     """Largest hereditary subfamily (with the empty sequence adjoined).
 
-    Variable side: keep members all of whose initial segments (taken
-    reflexively) have their nonempty variable reductions in the family.
+    Variable side: keep members whose `hereditary_reductions` all lie in
+    the family.
     Constant side: keep members that have a variable witness and whose
     every witness lies in the variable kernel of the witness family
     f_g(fam), as g_substar closes through substar(f_g(fam)); for a
@@ -150,10 +144,7 @@ def hereditary_kernel(fam: FamilyOfSeqs) -> FamilyOfSeqs:
     """
     kept = {EMPTY}
     if fam.side == "variable":
-        for t in fam.members:
-            if all(u in fam.members for i in range(1, len(t) + 1)
-                   for u, _d in finite_reductions(t[:i], fam.alph)[1] if u):
-                kept.add(t)
+        kept.update(t for t in fam.members if fam.members.issuperset(hereditary_reductions(t, fam.alph, "variable")))
         return fam.replace(kept)
     witnesses = f_g(fam)
     good = hereditary_kernel(witnesses).members
@@ -206,8 +197,8 @@ def tree_dichotomy_check(fam: FamilyOfSeqs, xi: Ordinal, stream: VarWordStream, 
     return report
 
 
-def family_from_json(text: str) -> FamilyOfSeqs:
-    data = json.loads(text)
+def family_from_json(data) -> FamilyOfSeqs:
+    """The family a decoded family file describes."""
     if not (isinstance(data, dict) and {"alphabet", "side", "members"} <= data.keys()
             and isinstance(data["alphabet"], (list, str)) and isinstance(data["members"], list)):
         raise ValueError('a family file is an object with an "alphabet" list, a "side" and a "members" list')

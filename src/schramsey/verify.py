@@ -343,17 +343,6 @@ def ramsey_pair_sweep(max_n: int, target: int = 3) -> dict:
 # --- reduction-prefix witness search -------------------------------------
 
 
-def _family_reductions(u: WordSeq, xi: Ordinal, alph: Alphabet, side: str, cfg: SchreierConfig):
-    """The level-xi reductions on one side of the stream prefix u (of
-    every prefix of u, block-wise), deduplicated, rebuilt from scratch
-    with the independent membership test: the checkers' view."""
-    from . import words, wxi
-
-    seen = {seq for used in range(1, len(u) + 1) for seq, _d in words.reductions(u[:used], alph, side)}
-    member = partial(mem_direct, cfg=cfg)
-    return tuple(sorted((s for s in seen if wxi.in_level(xi, s, member)), key=words.seq_sort_key))
-
-
 def _colored_sides(chi1, chi2) -> list:
     """(certificate tag, side, coloring) for each side with a coloring."""
     both = (("c", "constant", chi1), ("v", "variable", chi2))
@@ -386,6 +375,8 @@ def carlson_witness_search(xi: Ordinal, chi1, chi2, stream: VarWordStream, depth
             f"{depth * words.MAX_BLOCK_WORDS}, got {stream.horizon}"
         )
     alph = stream.alph
+    # the checker lists the found prefix's reductions under this budget
+    words.require_reduction_budget(depth, alph)
     sides = _colored_sides(chi1, chi2)
     per_step = len(words.steps(stream, 0, "variable")[0])
     visited_leaves = 0
@@ -450,8 +441,9 @@ def carlson_witness_search(xi: Ordinal, chi1, chi2, stream: VarWordStream, depth
 
 def check_reduction_prefix_witness(w: Witness, cfg: SchreierConfig = DEFAULT_CONFIG) -> bool:
     """Re-derive a reduction_prefix certificate with the independent
-    membership recursion and fresh reduction enumeration."""
-    from . import words
+    membership recursion and a fresh listing of the reductions a
+    hereditary family holding the prefix must hold."""
+    from . import words, wxi
 
     words_text, xi_text, chi1, chi2, symbols = w.payload
     alph = words.Alphabet(tuple(symbols))
@@ -462,7 +454,8 @@ def check_reduction_prefix_witness(w: Witness, cfg: SchreierConfig = DEFAULT_CON
     expected = [
         (tag, words.seq_text(s), chi(s))
         for tag, side, chi in _colored_sides(chi1, chi2)
-        for s in _family_reductions(u, xi, alph, side, cfg)
+        for s in words.hereditary_reductions(u, alph, side)
+        if wxi.in_level(xi, s, partial(mem_direct, cfg=cfg))
     ]
     return _certificate_holds(w.certificate, expected)
 
@@ -471,9 +464,9 @@ def subspace_search(xi: Ordinal, chi, stream: VarWordStream, depth: int) -> Sear
     """Search for a prefix all of whose level-xi variable reductions span
     subspaces of one chi-color: the prefix search on the variable side
     alone, with the subspace coloring pulled back to generators."""
-    from . import wxi
+    from . import words
 
-    pulled = lambda seq: chi(frozenset(wxi.subspace_points(seq, stream.alph)))
+    pulled = lambda seq: chi(frozenset(words.reduced_words(seq, stream.alph, "constant")))
     out = carlson_witness_search(xi, None, pulled, stream, depth)
     if out.witness is None:
         return out
@@ -488,17 +481,16 @@ def subspace_search(xi: Ordinal, chi, stream: VarWordStream, depth: int) -> Sear
 
 
 def check_subspace_witness(w: Witness, cfg: SchreierConfig = DEFAULT_CONFIG) -> bool:
-    from . import words, wxi
+    """A subspace_prefix witness holds when the reduction_prefix witness
+    of its coloring pulled back to generators, on the variable side, does."""
+    from . import words
 
     words_text, xi_text, chi, symbols = w.payload
     alph = words.Alphabet(tuple(symbols))
-    xi = o.parse(xi_text)
-    u = tuple(words.word(t, alph) for t in words_text)
-    expected = [
-        (words.seq_text(s), chi(frozenset(wxi.subspace_points(s, alph))))
-        for s in _family_reductions(u, xi, alph, "variable", cfg)
-    ]
-    return _certificate_holds(w.certificate, expected)
+    pulled = lambda seq: chi(frozenset(words.reduced_words(seq, alph, "constant")))
+    prefix = Witness("reduction_prefix", (words_text, xi_text, None, pulled, symbols),
+                     tuple(("v", *entry) for entry in w.certificate), w.bounds)
+    return check_reduction_prefix_witness(prefix, cfg)
 
 
 # --- Hales-Jewett instances ----------------------------------------------
@@ -527,7 +519,7 @@ def _hj_generators(xi: Ordinal, alph: Alphabet, M: int, n: int):
     for shape in words.shapes(M, n) if n <= M else ():
         for g in words.fill_words(shape, "variable", alph):
             rset = tuple(
-                seq for seq, _d in words.finite_reductions(g, alph)[0] if wxi.in_level(xi, seq, schreier.mem)
+                seq for seq, _d in words.finite_reductions(g, alph, "constant") if wxi.in_level(xi, seq, schreier.mem)
             )
             if rset:
                 gens.append((g, rset))
@@ -628,7 +620,7 @@ def check_hj_line_witness(w: Witness, cfg: SchreierConfig = DEFAULT_CONFIG) -> b
         return False
     expected = [
         (words.seq_text(seq), coloring(seq))
-        for seq, _d in words.finite_reductions(g, alph)[0]
+        for seq, _d in words.finite_reductions(g, alph, "constant")
         if wxi.in_level(xi, seq, partial(mem_direct, cfg=cfg))
     ]
     return _certificate_holds(w.certificate, expected)

@@ -31,9 +31,7 @@ VAR = "_"
 Word = str
 WordSeq = tuple[str, ...]
 
-# Block cuts x substitutions that finite_reductions may enumerate:
-# 2^(n-1) * |alphabet + variable|^n for n words.
-MAX_REDUCTION_CASES = 1 << 20
+MAX_REDUCTION_CASES = 1 << 20  # block cuts x substitutions of one listing
 MAX_BLOCK_WORDS = 2  # stream words in the one new block of a `steps` entry
 
 
@@ -251,44 +249,45 @@ def reduce_seq(stream: VarWordStream, t: WordSeq) -> WordSeq:
     return tuple(out)
 
 
-def _require_variable_words(seq: WordSeq, who: str) -> None:
-    for w in seq:
-        if VAR not in w:
-            raise ValueError(f"{who} needs variable words")
+def reduced_words(seq: WordSeq, alph: Alphabet, side: str) -> tuple[Word, ...]:
+    """The reduced words of a finite variable-word block on one side:
+    every side-consistent per-word substitution, concatenated, sorted."""
+    if not side_consistent(seq, "variable"):
+        raise ValueError("reduced_words needs variable words")
+    return tuple(sorted(set(block_reductions(seq, alph, side))))
 
 
-def reduced_words(seq: WordSeq, alph: Alphabet) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
-    """(constant, variable) reduced words of a finite variable-word block:
-    every per-word substitution, concatenated."""
-    _require_variable_words(seq, "reduced_words")
-    return (
-        tuple(sorted(set(block_reductions(seq, alph, "constant")))),
-        tuple(sorted(set(block_reductions(seq, alph, "variable")))),
-    )
-
-
-def finite_reductions(seq: WordSeq, alph: Alphabet):
-    """All block-partition x substitution reductions consuming seq entirely.
-
-    Returns (constant, variable) lists of (sequence, d-value) pairs, each
-    including the empty sequence with d = ().  The variable side keeps
-    the reductions every block of which carries the variable.
-    """
-    n = len(seq)
+def require_reduction_budget(n: int, alph: Alphabet) -> None:
+    """Refuse, before any work, a listing of the reductions of n words
+    with more block cuts x substitutions than MAX_REDUCTION_CASES."""
     cases = 2 ** max(n - 1, 0) * len(alph.full) ** n
     if cases > MAX_REDUCTION_CASES:
         raise BudgetExceeded(
             f"finite_reductions of {n} words needs {cases} cases, over its budget of {MAX_REDUCTION_CASES}"
         )
-    _require_variable_words(seq, "finite_reductions")
-    return tuple(_dedup(reductions(seq, alph, side) if seq else ()) for side in ("constant", "variable"))
 
 
-def _dedup(pairs):
+def finite_reductions(seq: WordSeq, alph: Alphabet, side: str) -> tuple[tuple[WordSeq, tuple[int, ...]], ...]:
+    """All block-partition x substitution reductions on one side that
+    consume seq entirely: (sequence, d-value) pairs in canonical order,
+    led by the empty sequence with d = ().  The variable side keeps the
+    reductions every block of which carries the variable."""
+    require_reduction_budget(len(seq), alph)
+    if not side_consistent(seq, "variable"):
+        raise ValueError("finite_reductions needs variable words")
     # a reduced sequence fixes its cut, since words are non-empty
-    seen = dict(pairs)
-    seen[()] = ()
-    return tuple(sorted(seen.items(), key=lambda kv: seq_sort_key(kv[0])))
+    found = dict(reductions(seq, alph, side)) if seq else {}
+    found[()] = ()
+    return tuple(sorted(found.items(), key=lambda kv: seq_sort_key(kv[0])))
+
+
+def hereditary_reductions(seq: WordSeq, alph: Alphabet, side: str) -> tuple[WordSeq, ...]:
+    """What a hereditary family holding seq must hold on one side: the
+    non-empty reductions of seq's non-empty initial segments, in canonical
+    order.  A reduction of seq[:k] extends to one of seq by one more block,
+    so these are the non-empty initial segments of seq's own reductions."""
+    found = {r[:i] for r, _d in finite_reductions(seq, alph, side) for i in range(1, len(r) + 1)}
+    return tuple(sorted(found, key=seq_sort_key))
 
 
 def align(stream: VarWordStream, start: int, u: Word, side: str) -> tuple[Word, int]:

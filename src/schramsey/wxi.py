@@ -18,13 +18,11 @@ from .ordinal import Ordinal
 from .words import (
     Alphabet,
     VarWordStream,
-    Word,
     WordSeq,
     align,
     d_map,
     fill_words,
     reduce_seq,
-    reduced_words,
     seq_sort_key,
     side_consistent,
 )
@@ -147,11 +145,3 @@ def star_status(xi: Ordinal, seq: WordSeq) -> str:
     if boundaries == (len(seq),):
         return "member"
     return "outside" if boundaries else "segment"
-
-
-def subspace_points(gen: WordSeq, alph: Alphabet) -> tuple[Word, ...]:
-    """The constant words spanned by a variable generator sequence: all
-    per-word substitutions, concatenated."""
-    rw, _ = reduced_words(gen, alph)
-    return rw
-

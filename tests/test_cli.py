@@ -170,7 +170,7 @@ def test_verify_commands(capsys):
     assert code == 0 and rep["consistent"] is True
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(tmp_path, capsys):
     code, _ = run_cli(["schreier", "mem", "--xi", "w+w", "--set", "{1}"], capsys)
     assert code == 2
     code, _ = run_cli(["ordinal", "eval", "w^"], capsys)
@@ -182,6 +182,15 @@ def test_usage_errors(capsys):
         (words_reduce + ["e:"], "stream spec 'e:' needs an integer horizon, got ''"),
         (words_reduce + ["pat:_;__:x"], "stream spec 'pat:_;__:x' needs an integer horizon, got 'x'"),
         (["cbindex", "--family", "len:x"], "--family len:K needs an integer K, got 'x'"),
+    ]
+    # a file that is not JSON is named
+    bad = tmp_path / "bad.json"
+    bad.write_text("")
+    decode = "is not JSON: Expecting value: line 1 column 1 (char 0)"
+    cases += [
+        (["family", "dichotomy", "--file", str(bad)], f"family file {str(bad)!r} {decode}"),
+        (["cbindex", "--family", str(bad)], f"family file {str(bad)!r} {decode}"),
+        (["--config", str(bad), "ordinal", "eval", "w"], f"config file {str(bad)!r} {decode}"),
     ]
     for argv, message in cases:
         code = cli.main(argv)
@@ -254,6 +263,12 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         ({"max_n": 3.5}, "error: config key 'max_n' takes an integer, got 3.5\n"),
         ({"max_n": True}, "error: config key 'max_n' takes an integer, got true\n"),
         ({"format": "xml"}, "error: config key 'format' takes one of 'json', 'plain', 'csv', got 'xml'\n"),
+        # only a flag's value can come from a file
+        ({"help": True}, "error: unknown config key 'help'\n"),
+        ({"config": "x"}, "error: unknown config key 'config'\n"),
+        ({"module": "ordinal"}, "error: unknown config key 'module'\n"),
+        ({"action": "enumerate"}, "error: unknown config key 'action'\n"),
+        ({"expr": "w"}, "error: unknown config key 'expr'\n"),
     ]
     for data, message in cases:
         cfgfile = tmp_path / "cfg.json"
@@ -288,6 +303,10 @@ def test_mono_set_checker_budget_stops_fast(capsys):
     pytest.param("verify ramsey --xi w^2 --max-n 20 --coloring const:1 --target 20",
                  "mono_set check exceeded its budget of 131072 membership steps (131072 spent); "
                  "frontier: subsets of size 5 of |L|=20", id="mono-set-steps"),
+    # the checker would list the found prefix's reductions over their budget
+    pytest.param("verify carlson --xi 1 --chi1 first_letter:2 --chi2 first_len_mod:2 --stream e:40 --depth 12",
+                 "finite_reductions of 12 words needs 1088391168 cases, over its budget of 1048576",
+                 id="carlson-depth-12"),
 ])
 def test_unbounded_walks_stop_at_their_budget(argv, message):
     # each of these ran for more than 6 s; a subprocess, so that one that

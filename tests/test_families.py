@@ -195,5 +195,5 @@ def test_family_json_roundtrip():
     F = fm.substar(fam("variable", [["_", "_"]]))
     members = [list(m) for m in F.sorted_members()]
     text = json.dumps({"alphabet": list(F.alph.symbols), "side": F.side, "members": members})
-    back = fm.family_from_json(text)
+    back = fm.family_from_json(json.loads(text))
     assert back.members == F.members and back.side == F.side

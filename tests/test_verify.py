@@ -247,18 +247,23 @@ WITNESSES = {
     "hj_line": lambda: v.hj_line_search(v.Coloring("wordseqs", 2, "total_len_mod"), o.ZERO, AB, 2),
 }
 TAMPERINGS = {
-    "drop": lambda cert: cert[:-1],
-    "recolor": lambda cert: (cert[0][:-1] + (cert[0][-1] % 2 + 1,),) + cert[1:],
-    "duplicate": lambda cert: cert + cert[:1],
+    "drop": lambda wit: wit._replace(certificate=wit.certificate[:-1]),
+    "recolor": lambda wit: wit._replace(
+        certificate=(wit.certificate[0][:-1] + (wit.certificate[0][-1] % 2 + 1,),) + wit.certificate[1:]
+    ),
+    "duplicate": lambda wit: wit._replace(certificate=wit.certificate + wit.certificate[:1]),
+    # a prefix search yields variable words only; a checker refuses a constant one
+    "constant_word": lambda wit: wit._replace(payload=(("a",) + tuple(wit.payload[0][1:]),) + wit.payload[1:]),
 }
+TAMPER_CASES = [(kind, tamper) for kind in sorted(WITNESSES) for tamper in ("drop", "duplicate", "recolor")]
+TAMPER_CASES += [("reduction_prefix", "constant_word"), ("subspace_prefix", "constant_word")]
 
 
-@pytest.mark.parametrize("tamper", sorted(TAMPERINGS))
-@pytest.mark.parametrize("kind", sorted(WITNESSES))
+@pytest.mark.parametrize("kind, tamper", TAMPER_CASES)
 def test_carlson_certificate_rejects_tampering(kind, tamper):
     wit = WITNESSES[kind]().witness
     assert wit.kind == kind and v.check_witness(wit)
-    assert not v.check_witness(wit._replace(certificate=TAMPERINGS[tamper](wit.certificate)))
+    assert not v.check_witness(TAMPERINGS[tamper](wit))
 
 
 def test_subspace_search_trivial_and_checked():
@@ -333,7 +338,7 @@ def _scratch_carlson(xi, chi1, chi2, stream, depth, rule="fixed"):
 
 def _scratch_subspace(xi, chi, stream, depth, rule="fixed"):
     """Reference: the subspace search on top of the from-scratch prefix search."""
-    pulled = lambda seq: chi(frozenset(wxi.subspace_points(seq, stream.alph)))
+    pulled = lambda seq: chi(frozenset(words.reduced_words(seq, stream.alph, "constant")))
     out = _scratch_carlson(xi, v.Coloring("wordseqs", 1, "const", (1,)), pulled, stream, depth, rule)
     if out.witness is None:
         return out
@@ -385,9 +390,9 @@ def test_carlson_one_kernel_call_per_candidate_and_side(monkeypatch, capsys):
     argv = "verify carlson --xi 2 --chi1 total_len_mod:2 --chi2 first_len_mod:2 --stream e:10 --depth 4"
     assert cli.main(argv.split()) == 0
     out = capsys.readouterr().out
-    # 89 distinct (prefix, side) pairs; the checker's rebuild adds 4 prefixes x 2 sides
-    # (the from-scratch search made 344 calls)
-    assert len(set(calls)) == 89 and len(calls) == 97
+    # 89 distinct (prefix, side) pairs; the checker's rebuild lists the whole
+    # prefix once per side (the from-scratch search made 344 calls)
+    assert len(set(calls)) == 89 and len(calls) == 91
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "3fdb4902db1c9be429d2daf6b260e3eddc13afcacc7cf98d9984e5fe5bb3fe47"
     )

@@ -2,6 +2,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schramsey.errors import HorizonExceeded, ReductionMismatch
 from schramsey.words import (
@@ -10,10 +11,12 @@ from schramsey.words import (
     VarWordStream,
     d_map,
     finite_reductions,
+    hereditary_reductions,
     pattern_stream,
     reduce_seq,
     reduce_word,
     reduced_words,
+    seq_sort_key,
     seq_text,
     side_consistent,
     span,
@@ -84,31 +87,26 @@ def test_reduce_seq():
 
 
 def test_reduced_words_enumeration():
-    rw, vrw = reduced_words((w("_"), w("_")), AB)
-    assert list(rw) == ["aa", "ab", "ba", "bb"]
-    assert list(vrw) == ["__", "_a", "_b", "a_", "b_"]
-    rw2, _ = reduced_words((w("a_"), w("_")), AB)
-    assert list(rw2) == ["aaa", "aab", "aba", "abb"]
-    _, vrw1 = reduced_words((w("_"),), AB)
-    assert list(vrw1) == ["_"]
+    assert list(reduced_words((w("_"), w("_")), AB, "constant")) == ["aa", "ab", "ba", "bb"]
+    assert list(reduced_words((w("_"), w("_")), AB, "variable")) == ["__", "_a", "_b", "a_", "b_"]
+    assert list(reduced_words((w("a_"), w("_")), AB, "constant")) == ["aaa", "aab", "aba", "abb"]
+    assert list(reduced_words((w("_"),), AB, "variable")) == ["_"]
 
 
 def test_reduced_words_cardinality():
     # distinct substitution results: |constant side| = |alphabet|^n
-    rw, _ = reduced_words((w("_a"), w("b_"), w("_")), AB)
+    rw = reduced_words((w("_a"), w("b_"), w("_")), AB, "constant")
     assert len(rw) == 2**3
     # collisions keep it below the bound
-    rw2, _ = reduced_words((word("_", A1), word("_", A1)), A1)
+    rw2 = reduced_words((word("_", A1), word("_", A1)), A1, "constant")
     assert len(rw2) <= 1**2 or len(rw2) == 1
 
 
-def test_finite_reductions_counts():
-    # independent count: compositions x assignments, then dedup
-    seq = (w("a_"), w("b_"))
-    rw, vrw = finite_reductions(seq, AB)
-    raw_const = set()
-    raw_var = set()
+def _product_reductions(seq, side):
+    """Independent listing: every cut of seq x every assignment of a letter
+    or the variable to each word, kept when every block is on `side`."""
     n = len(seq)
+    out = set()
     for cuts in product([False, True], repeat=n - 1):
         bounds = [0] + [i + 1 for i, c in enumerate(cuts) if c] + [n]
         for assign in product(AB.full, repeat=n):
@@ -121,18 +119,39 @@ def test_finite_reductions_counts():
                     letters += seq[idx].replace(AB.variable, assign[idx])
                 blocks.append(letters)
                 sides.append(any(a == AB.variable for a in assign[lo:hi]))
-            if not any(sides):
-                raw_const.add(tuple(blocks))
-            elif all(sides):
-                raw_var.add(tuple(blocks))
-    assert {s for s, _ in rw if s} == raw_const
-    assert {s for s, _ in vrw if s} == raw_var
+            if (not any(sides)) if side == "constant" else all(sides):
+                out.add(tuple(blocks))
+    return out
+
+
+def test_finite_reductions_counts():
+    # independent count: compositions x assignments, then dedup
+    seq = (w("a_"), w("b_"))
+    rw, vrw = (finite_reductions(seq, AB, side) for side in ("constant", "variable"))
+    assert {s for s, _ in rw if s} == _product_reductions(seq, "constant")
+    assert {s for s, _ in vrw if s} == _product_reductions(seq, "variable")
     assert ((), ()) in rw and ((), ()) in vrw
+
+
+VAR_WORDS = st.text("ab_", min_size=1, max_size=3).filter(lambda t: "_" in t)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(VAR_WORDS, max_size=4), st.sampled_from(["constant", "variable"]))
+def test_hereditary_reductions_match_two_oracles(texts, side):
+    seq = tuple(texts)
+    listed = hereditary_reductions(seq, AB, side)
+    assert list(listed) == sorted(set(listed), key=seq_sort_key)
+    # the reductions of every non-empty prefix, listed independently
+    by_prefix = set().union(*(_product_reductions(seq[:k], side) for k in range(1, len(seq) + 1)))
+    # the non-empty initial segments of the reductions of seq itself
+    segments = {r[:i] for r, _d in finite_reductions(seq, AB, side) for i in range(1, len(r) + 1)}
+    assert set(listed) == by_prefix == segments
 
 
 def test_finite_reductions_carry_offsets():
     seq = (w("_"), w("_"), w("_"))
-    rw, _ = finite_reductions(seq, AB)
+    rw = finite_reductions(seq, AB, "constant")
     for s, d in rw:
         if s:
             expected = []

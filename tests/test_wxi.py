@@ -13,6 +13,7 @@ from schramsey.words import (
     VarWordStream,
     d_map,
     reduce_seq,
+    reduced_words,
     seq_sort_key,
     span,
     universe,
@@ -221,7 +222,7 @@ def test_transfer_check_variable_side():
 
 
 def test_subspace_points_and_span():
-    pts = wxi.subspace_points((w("_"), w("_")), AB)
+    pts = reduced_words((w("_"), w("_")), AB, "constant")
     assert list(pts) == ["aa", "ab", "ba", "bb"]
     sp = span((w("_a"), w("b_")), AB)
     texts = set(sp)
