@@ -53,7 +53,7 @@ def _parse_finset(text: str):
     body = text.strip().strip("{}")
     if not body:
         return ()
-    return tuple(int(x) for x in body.split(","))
+    return tuple(_spec_int(f"set spec {text!r}", "element", x) for x in body.split(","))
 
 
 def _parse_alphabet(text: str) -> words.Alphabet:
@@ -115,7 +115,7 @@ def _read_json(path: str, what: str):
             return json.load(fh)
     except OSError as exc:
         raise ValueError(str(exc)) from None
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # nested past the decoder's recursion limit
         raise ValueError(f"{what} {path!r} is not JSON: {exc}") from None
 
 
@@ -546,12 +546,7 @@ def _preload_config(argv, parser):
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        argv = _preload_config(argv, parser)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    args = parser.parse_args(argv)
-    try:
+        args = parser.parse_args(_preload_config(argv, parser))
         # every integer option counts something, so none may be negative
         for dest, value in vars(args).items():
             if type(value) is int:

@@ -73,9 +73,9 @@ def from_int(n: int) -> Ordinal:
 
 
 def tower_depth(a: Ordinal) -> int:
-    if not a:
-        return 0
-    return 1 + max(tower_depth(e) for e, _ in a)
+    """The nesting depth of w^ in a.  Below e_0 a smaller ordinal is never
+    deeper, so in a normal form the leading exponent decides."""
+    return 1 + tower_depth(a[0][0]) if a else 0
 
 
 def add(a: Ordinal, b: Ordinal) -> Ordinal:
@@ -158,8 +158,10 @@ def fixed_seq(lam: Ordinal, n: int) -> Ordinal:
 
 
 def charge_descent(steps: int, reached: Ordinal) -> None:
-    """Refuse a descent walk (`fixed_seq_path`, `schreier.transfer_index`)
-    once it has taken more than MAX_DESCENT_STEPS steps."""
+    """Refuse a descent walk (`fixed_seq_path`, `schreier.transfer_index`,
+    and each chain of block expansions that Schreier membership and
+    enumeration walk at one minimum) once it has taken more than
+    MAX_DESCENT_STEPS steps."""
     if steps > MAX_DESCENT_STEPS:
         text = format_ordinal(reached)
         if len(text) > 80:
@@ -201,6 +203,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.nest = 0  # the w^ atoms open around pos
 
     def error(self, msg: str):
         raise OrdinalParseError(msg, self.pos)
@@ -240,12 +243,17 @@ class _Parser:
             if self.peek() != "^":
                 return OMEGA
             self.pos += 1
+            self.nest += 1  # each open w^ is a level of tower depth: refuse before recursing
+            if self.nest > MAX_TOWER_DEPTH:
+                raise OrdinalRangeError("w**a would exceed the supported tower depth")
             if self.peek() == "(":
                 self.pos += 1
                 inner = self.expr()
                 self.take(")")
-                return omega_pow(inner)
-            return omega_pow(self.atom())
+            else:
+                inner = self.atom()
+            self.nest -= 1
+            return omega_pow(inner)
         self.error("expected a number, 'w', or 'w^'")
 
     def term(self) -> Ordinal:

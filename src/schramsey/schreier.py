@@ -173,18 +173,23 @@ def _consume(xi: Ordinal, stream, pos: int) -> int:
 
     Walks block lists with an explicit stack of owed (plan, count)
     groups, so deep indices never reach the interpreter's recursion
-    limit."""
+    limit.  The expansions between two consumed elements form one chain
+    at one minimum, and each chain is charged to the descent budget."""
     end = len(stream)
     pending = [(plan(xi), 1)] if xi else []  # innermost last
+    steps = 0  # expansions since the last consumed element
     while pending:
         p, count = pending.pop()
         if p.kind == ONE:
             pos += count
+            steps = 0
             if pos > end:
                 raise HorizonExceeded("stream exhausted while consuming a member")
             continue
         if pos >= end or _too_short(p, stream[pos], end - pos):
             raise HorizonExceeded("stream exhausted while consuming a member")
+        steps += 1
+        o.charge_descent(steps, p.xi)
         if count > 1:
             pending.append((p, count - 1))
         pending.extend(reversed(p.blocks(stream[pos])))
@@ -241,20 +246,33 @@ class _Tables:
         return got
 
     def at(self, blocks: tuple, m: int) -> tuple[FinSet, ...]:
-        """Concatenations of the block list with min m."""
-        key = (blocks, m)
-        got = self.at_min.get(key)
-        if got is None:
-            (p, count), rest = blocks[0], blocks[1:]
+        """Concatenations of the block list with min m.
+
+        The first blocks at m form a chain: each block list's first plan
+        expands into the next.  The chain is walked in a loop, charged to
+        the descent budget, down to a singleton, a filled table or a block
+        that cannot fit; then its block lists get their tables, innermost
+        first."""
+        chain: list[tuple] = []  # block lists owed a table, outermost first
+        while (got := self.at_min.get((blocks, m))) is None:
+            p, count = blocks[0]
             room = self.hi - m + 1
             if count > room or _too_short(p, m, room):
-                got = ()  # every block has an element
-            else:
-                firsts = ((m,),) if p.kind == ONE else self.at(p.blocks(m), m)
-                if count > 1:
-                    rest = ((p, count - 1), *rest)
-                got = tuple([f + r for f in firsts for r in self.since(rest, f[-1] + 1)]) if rest else firsts
-            self.at_min[key] = got
+                got = self.at_min[blocks, m] = ()  # every block has an element
+                break
+            chain.append(blocks)
+            if p.kind == ONE:
+                got = ((m,),)
+                break
+            o.charge_descent(len(chain), p.xi)
+            blocks = p.blocks(m)
+        for blocks in reversed(chain):  # got: the concatenations of blocks[0] alone
+            (p, count), rest = blocks[0], blocks[1:]
+            if count > 1:
+                rest = ((p, count - 1), *rest)
+            if rest:
+                got = tuple([f + r for f in got for r in self.since(rest, f[-1] + 1)])
+            self.at_min[blocks, m] = got
         return got
 
 

@@ -206,6 +206,29 @@ class SearchOutcome(NamedTuple):
         return self.witness is not None
 
 
+def _backtrack(root, children, depth: int):
+    """The depth-first core of the witness searches: the first node
+    `depth` steps below root, where `children(node)` yields each child in
+    order, or None for a child cut at a color clash.  Returns that leaf
+    (None when the search is exhausted), the number of children tried, and
+    the number of children cut at each level 0..depth."""
+    tried, cuts = 0, [0] * (depth + 1)
+
+    def walk(node, level: int):
+        nonlocal tried
+        if level == depth:
+            return node
+        for child in children(node):
+            tried += 1
+            if child is None:
+                cuts[level + 1] += 1
+            elif (leaf := walk(child, level + 1)) is not None:
+                return leaf
+        return None
+
+    return walk(root, 0), tried, cuts
+
+
 # --- ordinal Ramsey search ----------------------------------------------
 
 
@@ -230,14 +253,10 @@ def ramsey_schreier_search(xi: Ordinal, max_n: int, coloring: Coloring, target: 
     for m in members:
         if m:
             by_max[m[-1]].append((sum(1 << x for x in m[:-1]), m))
-    nodes = 0
 
-    def extend(L: FinSet, mask: int, color):
-        nonlocal nodes
-        if len(L) == target:
-            return L
+    def children(node):
+        L, mask, color = node
         for x in range(L[-1] + 1 if L else 1, max_n + 2 - (target - len(L))):
-            nodes += 1
             c = color
             for others, m in by_max[x]:
                 if others & mask == others:
@@ -245,17 +264,16 @@ def ramsey_schreier_search(xi: Ordinal, max_n: int, coloring: Coloring, target: 
                     if c is None:
                         c = got
                     elif got != c:
+                        yield None
                         break
             else:
-                hit = extend(L + (x,), mask | 1 << x, c)
-                if hit is not None:
-                    return hit
-        return None
+                yield L + (x,), mask | 1 << x, c
 
-    L = extend((), 0, None)
-    if L is None:
+    leaf, nodes, _cuts = _backtrack(((), 0, None), children, target)
+    if leaf is None:
         expected = sum(comb(max_n, size) for size in range(target, max_n + 1))
         return SearchOutcome(None, expected, expected, nodes)
+    L = leaf[0]
     ls = set(L)
     witness = Witness(
         kind="mono_set",
@@ -379,8 +397,6 @@ def carlson_witness_search(xi: Ordinal, chi1, chi2, stream: VarWordStream, depth
     words.require_reduction_budget(depth, alph)
     sides = _colored_sides(chi1, chi2)
     per_step = len(words.steps(stream, 0, "variable")[0])
-    visited_leaves = 0
-    pruned_leaves = 0
 
     def grow(frontiers: list, cand: WordSeq):
         """The frontiers of cand, one per searched side, or None on a
@@ -405,26 +421,19 @@ def carlson_witness_search(xi: Ordinal, chi1, chi2, stream: VarWordStream, depth
             grown.append(new)
         return grown
 
-    def dfs(u: WordSeq, k: int, frontiers: list):
-        nonlocal visited_leaves, pruned_leaves
-        if len(u) == depth:
-            visited_leaves += 1
-            return u, frontiers
+    def children(node):
+        u, k, frontiers = node
         for blk, end in words.steps(stream, k, "variable")[0]:
             cand = u + (blk,)
             grown = grow(frontiers, cand)
-            if grown is None:
-                pruned_leaves += per_step ** (depth - len(cand))
-                continue
-            hit = dfs(cand, end, grown)
-            if hit is not None:
-                return hit
-        return None
+            yield None if grown is None else (cand, end, grown)
 
-    found = dfs((), 0, [{} for _ in sides])
-    if found is None:
-        return SearchOutcome(None, visited_leaves + pruned_leaves, per_step**depth)
-    u, frontiers = found
+    leaf, _tried, cuts = _backtrack(((), 0, [{} for _ in sides]), children, depth)
+    # a cut at level l decides the per_step^(depth - l) leaves below it
+    visited = (leaf is not None) + sum(c * per_step ** (depth - level) for level, c in enumerate(cuts))
+    if leaf is None:
+        return SearchOutcome(None, visited, per_step**depth)
+    u, _end, frontiers = leaf
     cert = tuple(
         (tag, words.seq_text(s), frontier[s])
         for (tag, _side, _chi), frontier in zip(sides, frontiers)
@@ -436,7 +445,7 @@ def carlson_witness_search(xi: Ordinal, chi1, chi2, stream: VarWordStream, depth
         certificate=cert,
         bounds=(("depth", depth), ("block_cap", words.MAX_BLOCK_WORDS), ("horizon", stream.horizon)),
     )
-    return SearchOutcome(witness, visited_leaves + pruned_leaves, per_step**depth)
+    return SearchOutcome(witness, visited, per_step**depth)
 
 
 def check_reduction_prefix_witness(w: Witness, cfg: SchreierConfig = DEFAULT_CONFIG) -> bool:
@@ -593,20 +602,19 @@ def hj_line_search(coloring, xi: Ordinal, alph: Alphabet, M: int, n: int = 1) ->
     from . import words
 
     gens = _hj_generators(xi, alph, M, n)
-    visited = 0
-    for g, rset in gens:
-        visited += 1
-        colors = {coloring(s) for s in rset}
-        if len(colors) == 1:
-            cert = tuple((words.seq_text(s), coloring(s)) for s in rset)
-            witness = Witness(
-                kind="hj_line",
-                payload=(g, str(xi), coloring, alph.symbols, M),
-                certificate=cert,
-                bounds=(("M", M), ("n", n)),
-            )
-            return SearchOutcome(witness, visited, len(gens))
-    return SearchOutcome(None, visited, len(gens))
+    # a depth-1 search: each generator is a leaf, cut unless monochromatic
+    mono = lambda _root: (gen if len({coloring(s) for s in gen[1]}) == 1 else None for gen in gens)
+    leaf, visited, _cuts = _backtrack(None, mono, 1)
+    if leaf is None:
+        return SearchOutcome(None, visited, len(gens))
+    g, rset = leaf
+    witness = Witness(
+        kind="hj_line",
+        payload=(g, str(xi), coloring, alph.symbols, M),
+        certificate=tuple((words.seq_text(s), coloring(s)) for s in rset),
+        bounds=(("M", M), ("n", n)),
+    )
+    return SearchOutcome(witness, visited, len(gens))
 
 
 def check_hj_line_witness(w: Witness, cfg: SchreierConfig = DEFAULT_CONFIG) -> bool:

@@ -192,6 +192,23 @@ def test_usage_errors(tmp_path, capsys):
         (["cbindex", "--family", str(bad)], f"family file {str(bad)!r} {decode}"),
         (["--config", str(bad), "ordinal", "eval", "w"], f"config file {str(bad)!r} {decode}"),
     ]
+    # so is one nested past the decoder's recursion limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    nested = "is not JSON: maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+    cases += [
+        (["--config", str(deep), "ordinal", "eval", "w"], f"config file {str(deep)!r} {nested}"),
+        (["family", "tree", "--file", str(deep)], f"family file {str(deep)!r} {nested}"),
+        (["cbindex", "--family", str(deep)], f"family file {str(deep)!r} {nested}"),
+    ]
+    # an ordinal nested past the tower-depth cap stops before the parser recurses
+    tower = "w**a would exceed the supported tower depth"
+    cases += [
+        (["ordinal", "eval", "w^(" * 400 + "1" + ")" * 400], tower),
+        (["ordinal", "eval", "w^" * 1000], tower),
+        (["verify", "ramsey", "--xi", "w^" * 1000 + "0"], tower),
+    ]
+    cases.append((["schreier", "mem", "--xi", "w", "--set", "{a}"], "set spec '{a}' needs an integer element, got 'a'"))
     for argv, message in cases:
         code = cli.main(argv)
         captured = capsys.readouterr()
@@ -289,6 +306,10 @@ def test_mono_set_checker_budget_stops_fast(capsys):
     assert elapsed < 1.0
 
 
+WALK_STOP = ("descent exceeded its budget of 1000 steps; reached "
+             "w^(w^(w^4*4 + w^3*4 + w^2*4 + w*4 + 4)*4 + w^(w^4*4 + w^3*4 + w^2*4 + w*4 + 3)*4...")
+
+
 @pytest.mark.parametrize("argv, message", [
     pytest.param("verify pair-sweep --max-n 9", "coloring space 2^36 exceeds budget; n=9", id="pair-sweep"),
     pytest.param("verify pair-sweep --max-n 7", "coloring space 2^21 exceeds budget; n=7", id="pair-sweep-7"),
@@ -307,6 +328,11 @@ def test_mono_set_checker_budget_stops_fast(capsys):
     pytest.param("verify carlson --xi 1 --chi1 first_letter:2 --chi2 first_len_mod:2 --stream e:40 --depth 12",
                  "finite_reductions of 12 words needs 1088391168 cases, over its budget of 1048576",
                  id="carlson-depth-12"),
+    # at minimum 5 the first blocks of w^(w^(w^w)) form a chain of 3,907
+    # expansions; membership ran on past 20 s, and enumeration crashed
+    pytest.param("schreier mem --xi w^(w^(w^w)) --set {5,6,7}", WALK_STOP, id="mem-chain"),
+    pytest.param("schreier enumerate --xi w^(w^(w^w)) --max-n 5", WALK_STOP, id="enumerate-chain"),
+    pytest.param("verify ramsey --xi w^(w^(w^w)) --max-n 5", WALK_STOP, id="ramsey-chain"),
 ])
 def test_unbounded_walks_stop_at_their_budget(argv, message):
     # each of these ran for more than 6 s; a subprocess, so that one that
@@ -564,6 +590,126 @@ def test_coloring_specs_never_crash(option, rule, fields):
         assert out == "" and re.fullmatch(r"error: [^\n]*\n", err), (spec, err)
     else:
         assert err == "" and json.loads(out)["witness_checked"] in (True, None), spec
+
+
+# --- argv fuzz ----------------------------------------------------------------
+
+
+def _mostly(valid, malformed):
+    """Valid text seven times in eight, malformed text otherwise."""
+    return st.integers(0, 7).flatmap(lambda i: malformed if i == 0 else valid)
+
+
+def _small(hi):
+    return st.integers(0, hi).map(str)
+
+
+# cheap indices, or text that is no ordinal, not a normal form, or too deep
+XI = _mostly(st.sampled_from(["0", "1", "2", "3", "w", "w+1", "w*2", "w^2", "w^w", "w^(w+1)", "w^2*2+w+3"]),
+             st.sampled_from(["", "x", "w+w", "1+w", "w^", "w^(", "w*0", "1.5", "-1",
+                              "w^" * 65 + "0", "w^(" * 400 + "1" + ")" * 400, "w^" * 1000]))
+ALPHABET = _mostly(st.sampled_from(["ab", "abc", "a"]), st.sampled_from(["", "aa", "a_"]))
+STREAM = _mostly(
+    st.one_of(_small(8).map("e:{}".format), st.sampled_from(["list:_,a_,_b,__", "list:_"]),
+              st.tuples(st.sampled_from(["_", "a_", "_;__", ";_b", "a_,_b;__"]), _small(8))
+              .map(lambda t: f"pat:{t[0]}:{t[1]}")),
+    st.sampled_from(["list:a", "e:x", "e:", "e:-1", "pat:_;__:x", "pat::4", "pat:c_:4", "q:3", ""]),
+)
+SEQ = _mostly(st.sampled_from(["()", "(a)", "(ab,_)", "(a_,b,_b)", "(_,_,_)", "(_,a_)", "(b_,_)"]),
+              st.sampled_from(["(a", "(c)", "(,)", "a b", "(ab,ab,ab,ab,ab,ab,ab,ab,ab)"]))
+SET = _mostly(st.sampled_from(["{}", "{1}", "{3,5,9}", "{2,3,4}", "{1,2,3,4,5,6,7,8}", "{4,5,6,7,8,9}"]),
+              st.sampled_from(["{a}", "{3,2}", "{0}", "{-1}", "{1,,2}", "{1.5}", "{"]))
+FINITE_STREAM = _mostly(st.sampled_from(["3,7,8,9,10", "2,3,5,7,8,9,10,11,12", "1,2"]),
+                        st.sampled_from(["", "2,1", "x", "3"]))
+COLORING = _mostly(
+    st.sampled_from(["min_mod:2", "min_mod:3", "size_mod", "set_size_mod:2", "const:1", "const:2:2",
+                     "first_letter:2", "first_len_mod:2", "total_len_mod:3", "min_len_mod:2"]),
+    st.tuples(st.sampled_from([*verify.RULES, "bogus", ""]), st.lists(_FIELD, max_size=3))
+    .map(lambda t: ":".join([t[0], *t[1]])),
+)
+# files by name: families, configs, and files that are not one
+FILES = {
+    "@tree": json.dumps(TREE),
+    "@var": json.dumps({"alphabet": ["a", "b"], "side": "variable", "members": [[], ["_"], ["_", "a_"]]}),
+    "@empty": "",
+    "@deep": "[" * 100_000 + "]" * 100_000,
+    "@shape": json.dumps([["a"]]),
+    "@config": json.dumps({"max_n": 4, "letters": 3}),
+    "@config-key": json.dumps({"threads": 2}),
+}
+FAMILY = _mostly(st.sampled_from(["@tree", "@var"]), st.sampled_from(["@empty", "@deep", "@shape", "@missing"]))
+CONFIG = _mostly(st.just("@config"), st.sampled_from(["@config-key", "@deep", "@empty", "@shape", "@missing"]))
+
+
+def _flags(required=(), **options):
+    """argv for the named options: the required ones always given, the
+    others given or left out."""
+    parts = []
+    for flag, value in options.items():
+        part = value.map(lambda v, f=flag: [f, v])
+        parts.append(part if flag in required else st.one_of(st.just([]), part))
+    return st.tuples(*parts).map(lambda got: [token for part in got for token in part])
+
+
+def _command(module, actions, required=(), **options):
+    return st.tuples(st.sampled_from(actions), _flags(required, **options)).map(lambda t: [module, t[0], *t[1]])
+
+
+COMMANDS = st.one_of(
+    st.tuples(st.sampled_from(["eval", "classify", "fixed-seq"]), XI, _flags(**{"-n": _small(4)}),
+              st.sampled_from([[], ["--succ"]])).map(lambda t: ["ordinal", t[0], t[1], *t[2], *t[3]]),
+    _command("schreier", ["mem", "decompose", "enumerate", "transfer"], ["--xi"], **{
+        "--xi": XI, "--set": SET, "--stream": FINITE_STREAM, "--max-n": _small(9), "-n": _small(4)}),
+    _command("words", ["reduce", "d", "reductions"], ["--alphabet", "--seq"],
+             **{"--alphabet": ALPHABET, "--seq": SEQ, "--stream": STREAM}),
+    _command("wxi", ["member", "decompose", "enumerate"], ["--xi", "--alphabet"], **{
+        "--xi": XI, "--alphabet": ALPHABET, "--side": st.sampled_from("cv"), "--seq": SEQ, "--base": STREAM,
+        "--letters": _small(5)}),
+    _command("family", ["close", "kernel", "thin", "tree", "dichotomy"], ["--file"], **{
+        "--file": FAMILY, "--closure": st.sampled_from(["star", "hereditary"]), "--xi": XI, "--stream": STREAM,
+        "--letters": _small(5)}),
+    _flags(**{
+        "--alphabet": ALPHABET, "--side-full": st.sampled_from(["constant", "variable"]),
+        "--seed-letters": _small(5), "--stream": STREAM,
+        "--oracle": st.one_of(_small(8).map("horizon:{}".format),
+                              st.sampled_from(["exact", "exact:length", "exact:bogus", "horizon", "bogus:2"])),
+        "--budget": _small(4), "--levels": _small(3),
+    }).flatmap(lambda flags: st.one_of(_small(3).map("len:{}".format), FAMILY, st.sampled_from(["len:x", "len:"]))
+               .map(lambda family: ["cbindex", "--family", family, *flags])),
+    _command("verify", ["ramsey", "pair-sweep", "carlson", "hj", "subspace", "nw"], **{
+        "--xi": XI, "--alphabet": ALPHABET, "--max-n": _small(9), "--target": _small(9), "--coloring": COLORING,
+        "--chi1": COLORING, "--chi2": COLORING, "--chi": COLORING, "--stream": STREAM, "--depth": _small(3),
+        "--r": _small(2), "--n": _small(2), "--k": _small(3), "--mmax": _small(2),
+        "--fixture": st.sampled_from(["wide", "narrow", "empty"]), "--letters": _small(5)}),
+)
+# defaults past the small bounds above; a flag the command draws comes later and wins
+SMALL_DEFAULTS = {"verify": ["--stream", "e:4", "--letters", "4", "--mmax", "2"],
+                  "cbindex": ["--stream", "e:6", "--budget", "3"]}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, text in FILES.items():
+        (root / f"{name[1:]}.json").write_text(text)
+    return root
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(command=COMMANDS, top=_flags(**{"--format": st.sampled_from(["json", "plain", "csv"]),
+                                       "--rule": st.sampled_from(["fixed", "succ"]), "--config": CONFIG}))
+def test_argv_fuzz_never_crashes(fuzz_dir, command, top):
+    # every argv gets an answer, a usage error or a budget stop: exit 4 or a
+    # traceback fails, and an error is one stderr line with nothing on stdout
+    module, *rest = command
+    argv = [*top, module, *SMALL_DEFAULTS.get(module, []), *rest]
+    argv = [str(fuzz_dir / f"{a[1:]}.json") if a.startswith("@") else a for a in argv]
+    code, out, err = _run_quiet(argv)
+    assert code in (cli.EXIT_FOUND, cli.EXIT_EXHAUSTED, cli.EXIT_USAGE, cli.EXIT_BUDGET), (argv, err)
+    if code in (cli.EXIT_USAGE, cli.EXIT_BUDGET):
+        assert out == "" and re.fullmatch(r"error: [^\n]*\n", err), (argv, err)
+    else:
+        assert err == "" and out.endswith("\n"), argv
 
 
 # --- README -----------------------------------------------------------------

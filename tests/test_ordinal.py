@@ -151,6 +151,22 @@ def test_range_errors():
     with pytest.raises(OrdinalRangeError):
         for _ in range(100):
             a = o.omega_pow(a)
+    # 64 nested w^ is the deepest tower; past it the parser stops at the
+    # cap, not at the interpreter's recursion limit
+    assert o.tower_depth(P("w^" * 64 + "0")) == 64
+    for text in ["w^" * 65 + "0", "w^(" * 400 + "1" + ")" * 400, "w^" * 1000, "w^(" * 100_000]:
+        with pytest.raises(OrdinalRangeError, match="tower depth"):
+            P(text)
+
+
+def _full_tower_depth(a):
+    return 1 + max(_full_tower_depth(e) for e, _ in a) if a else 0
+
+
+@settings(max_examples=100)
+@given(ordinals())
+def test_tower_depth_reads_the_leading_exponent(a):
+    assert o.tower_depth(a) == _full_tower_depth(a)
 
 
 @settings(max_examples=100)

@@ -251,6 +251,19 @@ def test_deep_indices_are_answered():
         sch.transfer_index(P("w^100000"), 2)
 
 
+def test_descent_chains_are_charged_per_minimum():
+    # at a fixed minimum m the first blocks form one chain of expansions;
+    # each chain is charged to the descent budget on its own.  For
+    # w^(w^(w^2)) they are up to 601 long at m <= 24, so enumeration answers
+    assert sch.enumerate_members(P("w^(w^(w^2))"), 24) == ((1,),)
+    # w^(w^(w^w)) has a chain of 3,907 at m = 5: both walks stop on the budget,
+    # enumeration at the budget and not at the interpreter's recursion limit
+    deep = P("w^(w^(w^w))")
+    for walk in (lambda: sch.mem(deep, (5, 6, 7)), lambda: sch.enumerate_members(deep, 5)):
+        with pytest.raises(BudgetExceeded, match="^descent exceeded its budget of 1000 steps"):
+            walk()
+
+
 def _exponent(a, b):
     """w*a + b, an exponent below w^2."""
     return o.add(o.nat_mul(o.OMEGA, a) if a else o.ZERO, o.from_int(b))

@@ -6,6 +6,7 @@ from itertools import combinations, product
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schramsey import cli
 from schramsey import ordinal as o
@@ -66,6 +67,34 @@ def test_named_rules():
     assert v.Coloring("wordseqs", 2, "total_len_mod")((w("ab"),)) == 1
     assert v.Coloring("wordseqs", 2, "first_letter", (AB.symbols,))((w("b_"), w("a"))) == 2
     assert v.Coloring("wordset", 3, "min_len_mod")(frozenset({w("ab"), w("aba")})) == 3
+
+
+# --- the backtracking core ---------------------------------------------------
+
+
+@st.composite
+def cut_trees(draw):
+    """A depth <= 4 and a set of cut nodes of the ternary tree, each node
+    the tuple of child indices that leads to it."""
+    depth = draw(st.integers(0, 4))
+    nodes = st.lists(st.integers(0, 2), min_size=1, max_size=max(depth, 1)).map(tuple)
+    return depth, draw(st.sets(nodes, max_size=12)) if depth else set()
+
+
+@settings(max_examples=300, deadline=None)
+@given(cut_trees())
+def test_backtrack_matches_a_listing_of_all_prefixes(tree):
+    depth, cut = tree
+    leaf, tried, cuts = v._backtrack((), lambda node: (None if node + (i,) in cut else node + (i,) for i in range(3)),
+                                     depth)
+    # tuple order lists a prefix before its extensions: a depth-first listing
+    prefixes = sorted(p for size in range(depth + 1) for p in product(range(3), repeat=size))
+    reached = [p for p in prefixes if not any(p[:j] in cut for j in range(1, len(p)))]
+    leaves = [p for p in reached if len(p) == depth and p not in cut]
+    assert leaf == (leaves[0] if leaves else None)
+    seen = [p for p in reached if p and (leaf is None or p <= leaf)]
+    assert tried == len(seen)
+    assert cuts == [sum(1 for p in seen if p in cut and len(p) == level) for level in range(depth + 1)]
 
 
 # --- ordinal Ramsey ---------------------------------------------------------
