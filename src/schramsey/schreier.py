@@ -32,7 +32,7 @@ reference.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
+from itertools import combinations
 
 from . import ordinal as o
 from .errors import BudgetExceeded, HorizonExceeded
@@ -164,35 +164,41 @@ def _too_short(p: Plan, n: int, room: int) -> bool:
     return p.kind == POW_SUCC and n > 1 and (p.k >= 64 or n**p.k > room)
 
 
-# --- membership ------------------------------------------------------------
+# --- the walk --------------------------------------------------------------
+
+
+def _take(pending: list, x: int, room: int) -> bool:
+    """Feed the element x to the owed (plan, count) groups, innermost
+    last, in place; `room` counts the elements from x on.  The groups x
+    starts expand down to a singleton: one chain at one minimum, charged
+    to the descent budget.  False when a group cannot fit in `room`
+    elements (every block has an element)."""
+    steps = 0
+    while True:
+        p, count = pending.pop()
+        if count > room or _too_short(p, x, room):
+            return False
+        if count > 1:
+            pending.append((p, count - 1))
+        if p.kind == ONE:
+            return True
+        steps += 1
+        o.charge_descent(steps, p.xi)
+        pending.extend(reversed(p.blocks(x)))
 
 
 def _consume(xi: Ordinal, stream, pos: int) -> int:
     """Greedily consume one A_xi member from stream[pos:]; return the end
     position.  Raises HorizonExceeded if the stream runs out mid-member.
 
-    Walks block lists with an explicit stack of owed (plan, count)
-    groups, so deep indices never reach the interpreter's recursion
-    limit.  The expansions between two consumed elements form one chain
-    at one minimum, and each chain is charged to the descent budget."""
+    The owed groups are an explicit stack, so deep indices never reach
+    the interpreter's recursion limit."""
     end = len(stream)
     pending = [(plan(xi), 1)] if xi else []  # innermost last
-    steps = 0  # expansions since the last consumed element
     while pending:
-        p, count = pending.pop()
-        if p.kind == ONE:
-            pos += count
-            steps = 0
-            if pos > end:
-                raise HorizonExceeded("stream exhausted while consuming a member")
-            continue
-        if pos >= end or _too_short(p, stream[pos], end - pos):
+        if pos >= end or not _take(pending, stream[pos], end - pos):
             raise HorizonExceeded("stream exhausted while consuming a member")
-        steps += 1
-        o.charge_descent(steps, p.xi)
-        if count > 1:
-            pending.append((p, count - 1))
-        pending.extend(reversed(p.blocks(stream[pos])))
+        pos += 1
     return pos
 
 
@@ -217,75 +223,42 @@ def mem(xi: Ordinal, s) -> bool:
     return end == len(t)
 
 
-# --- enumeration -----------------------------------------------------------
-
-
-class _Tables:
-    """Concatenations of block lists inside {1..hi}, for one enumeration.
-    Every table entry is in lexicographic order: its members are
-    concatenations f + r with f from a thin family, so ordering by f,
-    then by r, is lexicographic."""
-
-    def __init__(self, hi: int):
-        self.hi = hi
-        self.at_min: dict[tuple, tuple[FinSet, ...]] = {}  # (blocks, m): min m
-        self.from_min: dict[tuple, tuple[FinSet, ...]] = {}  # (blocks, lo): min >= lo
-
-    def members(self, p: Plan, lo: int) -> tuple[FinSet, ...]:
-        """Members of p with min >= lo, lexicographically."""
-        if p.kind == ZERO:
-            return ((),)
-        return self.since(((p, 1),), lo)
-
-    def since(self, blocks: tuple, lo: int) -> tuple[FinSet, ...]:
-        """Concatenations of the (non-empty) block list with min >= lo."""
-        key = (blocks, lo)
-        got = self.from_min.get(key)
-        if got is None:
-            got = self.from_min[key] = tuple(chain.from_iterable(self.at(blocks, m) for m in range(lo, self.hi + 1)))
-        return got
-
-    def at(self, blocks: tuple, m: int) -> tuple[FinSet, ...]:
-        """Concatenations of the block list with min m.
-
-        The first blocks at m form a chain: each block list's first plan
-        expands into the next.  The chain is walked in a loop, charged to
-        the descent budget, down to a singleton, a filled table or a block
-        that cannot fit; then its block lists get their tables, innermost
-        first."""
-        chain: list[tuple] = []  # block lists owed a table, outermost first
-        while (got := self.at_min.get((blocks, m))) is None:
-            p, count = blocks[0]
-            room = self.hi - m + 1
-            if count > room or _too_short(p, m, room):
-                got = self.at_min[blocks, m] = ()  # every block has an element
-                break
-            chain.append(blocks)
-            if p.kind == ONE:
-                got = ((m,),)
-                break
-            o.charge_descent(len(chain), p.xi)
-            blocks = p.blocks(m)
-        for blocks in reversed(chain):  # got: the concatenations of blocks[0] alone
-            (p, count), rest = blocks[0], blocks[1:]
-            if count > 1:
-                rest = ((p, count - 1), *rest)
-            if rest:
-                got = tuple([f + r for f in got for r in self.since(rest, f[-1] + 1)])
-            self.at_min[blocks, m] = got
-        return got
-
-
 def enumerate_members(xi: Ordinal, max_n: int, min_n: int = 1) -> tuple[FinSet, ...]:
     """All members of A_xi contained in {min_n..max_n}, in lexicographic
-    order.
+    order; agrees pointwise with mem.
 
-    Generated per minimum element from the plan of xi, with tables that
-    live for this call only; agrees pointwise with mem.
-    """
+    Membership's walk, branched over each next element x in ascending
+    order.  Once only singletons are owed, the rest of a member is any
+    choice of that many later elements.  A state (owed groups, lo) that
+    completed no member is kept in `dead` for this call and not walked
+    again."""
     if max_n > MAX_ENUM_GROUND:
         raise BudgetExceeded(f"enumeration ground set capped at {MAX_ENUM_GROUND}")
-    return _Tables(max_n).members(plan(xi), min_n)
+    if not xi:
+        return ((),)
+    out: list[FinSet] = []
+    dead: set[tuple] = set()
+
+    def walk(pending: list, lo: int, prefix: FinSet) -> bool:
+        if all(p.kind == ONE for p, _ in pending):
+            before = len(out)
+            owed = sum(count for _, count in pending)
+            out.extend(prefix + rest for rest in combinations(range(lo, max_n + 1), owed))
+            return len(out) > before
+        key = (tuple(pending), lo)
+        if key in dead:
+            return False
+        found = False
+        for x in range(lo, max_n + 1):
+            step = pending.copy()
+            if _take(step, x, max_n - x + 1) and walk(step, x + 1, (*prefix, x)):
+                found = True
+        if not found:
+            dead.add(key)
+        return found
+
+    walk([(plan(xi), 1)], min_n, ())
+    return tuple(out)
 
 
 # --- transfer --------------------------------------------------------------

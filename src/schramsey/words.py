@@ -33,6 +33,7 @@ WordSeq = tuple[str, ...]
 
 MAX_REDUCTION_CASES = 1 << 20  # block cuts x substitutions of one listing
 MAX_BLOCK_WORDS = 2  # stream words in the one new block of a `steps` entry
+MAX_HORIZON = 1 << 20  # stream words: about the chain search's 500,000 nodes x MAX_BLOCK_WORDS
 
 
 class Alphabet:
@@ -130,10 +131,37 @@ def fill_words(shape: tuple[int, ...], side: str, alph: Alphabet):
     return product(*[list(side_words(alph, side, length)) for length in shape])
 
 
+def _require_universe_budget(alph: Alphabet, side: str, letter_budget: int, max_words: int | None = None) -> None:
+    """Refuse, before any work, a `universe` listing of more than
+    MAX_REDUCTION_CASES sequences, counted letter by letter up to the first
+    total past the budget: a letter extends the last word or starts a new
+    one.  done[w] counts the sequences of w words whose last word is
+    side-consistent, open_[w] those whose last word lacks the variable."""
+    k = len(alph.symbols)
+    done, open_ = [1], [0]  # the empty sequence
+    count = 0
+    for total in range(1, letter_budget + 1):
+        ws = range(1, (total if max_words is None else min(total, max_words)) + 1)
+        done, open_ = done + [0], open_ + [0]
+        if side == "constant":
+            done = [0] + [k * (done[w] + done[w - 1]) for w in ws]
+        else:
+            done, open_ = ([0] + [(k + 1) * done[w] + open_[w] + done[w - 1] for w in ws],
+                           [0] + [k * (open_[w] + done[w - 1]) for w in ws])
+        count += sum(done)
+        if count > MAX_REDUCTION_CASES:
+            raise BudgetExceeded(
+                f"universe of {side} sequences with up to {letter_budget} letters lists {count} sequences "
+                f"by {total} letters, over its budget of {MAX_REDUCTION_CASES}"
+            )
+
+
 def universe(alph: Alphabet, side: str, letter_budget: int, max_words: int | None = None):
     """Every side-consistent word sequence with 1..letter_budget letters
     (and at most max_words words), by total letters, then word count,
-    then word lengths, then letters."""
+    then word lengths, then letters.  A listing over its budget is
+    refused before the first sequence."""
+    _require_universe_budget(alph, side, letter_budget, max_words)
     for total in range(1, letter_budget + 1):
         most = total if max_words is None else min(total, max_words)
         for parts in range(1, most + 1):
@@ -215,12 +243,20 @@ class VarWordStream:
         return self.prefix[start : start + count]
 
 
+def _require_horizon(spec: str, horizon: int) -> None:
+    """Refuse, before allocating, a stream of more than MAX_HORIZON words."""
+    if horizon > MAX_HORIZON:
+        raise BudgetExceeded(f"stream {spec} has horizon {horizon}, over its budget of {MAX_HORIZON} words")
+
+
 def upsilon_stream(alph: Alphabet, horizon: int) -> VarWordStream:
     """The identity stream: the bare variable repeated."""
+    _require_horizon(f"e:{horizon}", horizon)
     return VarWordStream(alph, (VAR,) * horizon, label="e")
 
 
 def pattern_stream(alph: Alphabet, head: list[str], repeat: list[str], horizon: int) -> VarWordStream:
+    _require_horizon(f"pat:{','.join(head)};{','.join(repeat)}:{horizon}", horizon)
     words = [word(t, alph) for t in head]
     body = [word(t, alph) for t in repeat]
     if not body and len(words) < horizon:

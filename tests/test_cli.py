@@ -308,6 +308,8 @@ def test_mono_set_checker_budget_stops_fast(capsys):
 
 WALK_STOP = ("descent exceeded its budget of 1000 steps; reached "
              "w^(w^(w^4*4 + w^3*4 + w^2*4 + w*4 + 4)*4 + w^(w^4*4 + w^3*4 + w^2*4 + w*4 + 3)*4...")
+UNIVERSE_STOP = ("universe of constant sequences with up to 11 letters lists 2796202 sequences by 11 letters, "
+                 "over its budget of 1048576")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -333,16 +335,35 @@ WALK_STOP = ("descent exceeded its budget of 1000 steps; reached "
     pytest.param("schreier mem --xi w^(w^(w^w)) --set {5,6,7}", WALK_STOP, id="mem-chain"),
     pytest.param("schreier enumerate --xi w^(w^(w^w)) --max-n 5", WALK_STOP, id="enumerate-chain"),
     pytest.param("verify ramsey --xi w^(w^(w^w)) --max-n 5", WALK_STOP, id="ramsey-chain"),
+    # the sequence universes over ab grow x4 a letter: both listed 11 million
+    # sequences in several GB; the count is taken before the listing
+    pytest.param("cbindex --family len:11", UNIVERSE_STOP, id="cbindex-universe"),
+    pytest.param("family dichotomy --file FAMILY --xi 1 --stream e:11 --letters 11", UNIVERSE_STOP,
+                 id="dichotomy-universe"),
 ])
-def test_unbounded_walks_stop_at_their_budget(argv, message):
+def test_unbounded_walks_stop_at_their_budget(argv, message, tmp_path):
     # each of these ran for more than 6 s; a subprocess, so that one that
     # never ends fails the test at its timeout
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({"alphabet": ["a", "b"], "side": "constant", "members": [["a"], []]}))
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "schramsey.cli", *argv.split()],
+    proc = subprocess.run([sys.executable, "-m", "schramsey.cli", *argv.replace("FAMILY", str(family)).split()],
                           capture_output=True, text=True, timeout=10)
     elapsed = time.perf_counter() - start
     assert (proc.returncode, proc.stdout, proc.stderr) == (cli.EXIT_BUDGET, "", f"error: {message}\n")
     assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("spec", ["e:1048577", "pat:_;__:1048577"])
+def test_stream_horizon_over_its_budget_stops_before_allocating(spec, capsys):
+    # the horizon was an allocation: a large one exhausted memory
+    code = cli.main(["words", "reduce", "--alphabet", "ab", "--seq", "(a)", "--stream", spec])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (cli.EXIT_BUDGET, "")
+    assert captured.err == f"error: stream {spec} has horizon 1048577, over its budget of 1048576 words\n"
+    # a horizon at the budget is still read
+    code, rep = run_json(["words", "reduce", "--alphabet", "ab", "--seq", "(a)", "--stream", "e:1048576"], capsys)
+    assert code == cli.EXIT_FOUND and rep["reduced"] == "(a)"
 
 
 @pytest.mark.parametrize("argv, name, value", [

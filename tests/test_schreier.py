@@ -264,6 +264,24 @@ def test_descent_chains_are_charged_per_minimum():
             walk()
 
 
+@pytest.mark.parametrize("xs", ["w*3+3", "w^2*3", "w^w*3"])
+def test_enumeration_walks_a_dead_state_once(xs, monkeypatch):
+    # none of these has a member inside {1..24}; a state (owed groups, lo)
+    # that completed no member is not walked again, so the walk takes a
+    # few thousand steps, where walking every state again takes millions
+    steps = 0
+    take = sch._take
+
+    def counted(pending, x, room):
+        nonlocal steps
+        steps += 1
+        return take(pending, x, room)
+
+    monkeypatch.setattr(sch, "_take", counted)
+    assert sch.enumerate_members(P(xs), 24) == ()
+    assert 0 < steps < 20_000
+
+
 def _exponent(a, b):
     """w*a + b, an exponent below w^2."""
     return o.add(o.nat_mul(o.OMEGA, a) if a else o.ZERO, o.from_int(b))

@@ -1,10 +1,12 @@
 import random
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schramsey.errors import HorizonExceeded, ReductionMismatch
+from schramsey import words
+from schramsey.errors import BudgetExceeded, HorizonExceeded, ReductionMismatch
 from schramsey.words import (
     MAX_BLOCK_WORDS,
     Alphabet,
@@ -21,6 +23,7 @@ from schramsey.words import (
     side_consistent,
     span,
     steps,
+    universe,
     upsilon_stream,
     word,
 )
@@ -267,3 +270,18 @@ def test_steps_are_the_one_block_extensions(head, repeat, side):
             assert sum(map(len, t)) == end
             recovered.append(t[-1])
         assert recovered == expected
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(["a", "ab", "abc"]), st.sampled_from(["constant", "variable"]),
+       st.integers(1, 6), st.one_of(st.none(), st.integers(1, 6)))
+def test_universe_budget_counts_the_listing(symbols, side, letters, max_words):
+    # the count taken before the listing is the listing's length: a budget
+    # one below it refuses, naming it, and a budget of exactly it lists
+    alph = Alphabet(tuple(symbols))
+    n = len(list(universe(alph, side, letters, max_words)))
+    with mock.patch.object(words, "MAX_REDUCTION_CASES", n - 1):
+        with pytest.raises(BudgetExceeded, match=f" lists {n} sequences by {letters} letters, over its budget of {n - 1}$"):
+            next(universe(alph, side, letters, max_words))
+    with mock.patch.object(words, "MAX_REDUCTION_CASES", n):
+        assert len(list(universe(alph, side, letters, max_words))) == n
