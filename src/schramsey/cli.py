@@ -407,146 +407,126 @@ def _cmd_verify(args) -> int:
     return _emit(report, args, code)
 
 
-# --- parser wiring --------------------------------------------------------
+# --- options ---------------------------------------------------------------
+
+# Every argument of the top level (key None) and of each subcommand, one
+# row each: its name and argparse's own keywords.  `build_parser` adds the
+# rows, and `_config_defaults` takes a flag row's dest as a `--config` key
+# and checks its value by the row's keywords.
+OPTIONS = {
+    None: [
+        ("--config", dict(help="JSON file with default option values")),
+        ("--format", dict(choices=["json", "plain", "csv"], default="json")),
+        ("--rule", dict(choices=["fixed", "succ"], default="fixed",
+                        help="report label only: both limit rules give the same families; the engines walk 'fixed'")),
+    ],
+    "ordinal": [
+        ("action", dict(choices=["eval", "classify", "fixed-seq"])), ("expr", dict()),
+        ("-n", dict(type=int, default=1)), ("--succ", dict(action="store_true")),
+    ],
+    "schreier": [
+        ("action", dict(choices=["mem", "decompose", "enumerate", "transfer"])), ("--xi", dict(required=True)),
+        ("--set", dict(default="{}")), ("--stream", dict(default="")),
+        ("--max-n", dict(type=int, default=8)), ("-n", dict(type=int, default=1)),
+    ],
+    "words": [
+        ("action", dict(choices=["reduce", "d", "reductions"])),
+        ("--alphabet", dict(required=True)), ("--seq", dict(required=True)), ("--stream", dict(default="e:8")),
+    ],
+    "wxi": [
+        ("action", dict(choices=["member", "decompose", "enumerate"])),
+        ("--xi", dict(required=True)), ("--alphabet", dict(required=True)),
+        ("--side", dict(choices=["c", "v"], default="c")), ("--seq", dict(default="()")),
+        ("--base", dict(default=None)), ("--letters", dict(type=int, default=6)),
+    ],
+    "family": [
+        ("action", dict(choices=["close", "kernel", "thin", "tree", "dichotomy"])), ("--file", dict(required=True)),
+        ("--closure", dict(choices=["star", "hereditary"], default="star")), ("--xi", dict(default="1")),
+        ("--stream", dict(default="e:6")), ("--letters", dict(type=int, default=4)),
+    ],
+    "cbindex": [
+        ("--family", dict(required=True, help="len:K or a family JSON file")), ("--alphabet", dict(default="ab")),
+        ("--side-full", dict(choices=["constant", "variable"], default="constant")),
+        ("--seed-letters", dict(type=int, default=None)), ("--stream", dict(default="e:40")),
+        ("--oracle", dict(default="exact:length")), ("--budget", dict(type=int, default=16)),
+        ("--levels", dict(type=int, default=None)),
+    ],
+    "verify": [
+        ("action", dict(choices=["ramsey", "pair-sweep", "carlson", "hj", "subspace", "nw"])),
+        ("--xi", dict(default="1")), ("--alphabet", dict(default="ab")),
+        ("--max-n", dict(type=int, default=6)), ("--target", dict(type=int, default=3)),
+        ("--coloring", dict(default="min_mod:2")), ("--chi1", dict(default="const:1")),
+        ("--chi2", dict(default="const:1")), ("--chi", dict(default="set_size_mod:2")),
+        ("--stream", dict(default="e:10")), ("--depth", dict(type=int, default=2)),
+        ("--r", dict(type=int, default=2)), ("--n", dict(type=int, default=1)), ("--k", dict(type=int, default=2)),
+        ("--mmax", dict(type=int, default=4)), ("--fixture", dict(choices=["wide", "narrow", "empty"], default="wide")),
+        ("--letters", dict(type=int, default=7)),
+    ],
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _dest(name: str) -> str:
+    return name.lstrip("-").replace("-", "_")
+
+
+def build_parser(defaults=None) -> argparse.ArgumentParser:
+    """The parser of every row of OPTIONS, with `defaults` (by dest) in
+    place of the flag rows' own, so explicit flags still win."""
+    defaults = defaults or {}
     top = argparse.ArgumentParser(prog="schramsey")
-    top.add_argument("--config", help="JSON file with default option values")
-    top.add_argument("--format", choices=["json", "plain", "csv"], default="json")
-    top.add_argument("--rule", choices=["fixed", "succ"], default="fixed",
-                     help="report label only: both limit rules give the same families; the engines walk 'fixed'")
-    top._all_parsers = [top]
     sub = top.add_subparsers(dest="module", required=True)
-
-    p = sub.add_parser("ordinal")
-    p.add_argument("action", choices=["eval", "classify", "fixed-seq"])
-    p.add_argument("expr")
-    p.add_argument("-n", type=int, default=1)
-    p.add_argument("--succ", action="store_true")
-    p.set_defaults(handler=_cmd_ordinal)
-
-    p = sub.add_parser("schreier")
-    p.add_argument("action", choices=["mem", "decompose", "enumerate", "transfer"])
-    p.add_argument("--xi", required=True)
-    p.add_argument("--set", default="{}")
-    p.add_argument("--stream", default="")
-    p.add_argument("--max-n", type=int, default=8)
-    p.add_argument("-n", type=int, default=1)
-    p.set_defaults(handler=_cmd_schreier)
-
-    p = sub.add_parser("words")
-    p.add_argument("action", choices=["reduce", "d", "reductions"])
-    p.add_argument("--alphabet", required=True)
-    p.add_argument("--seq", required=True)
-    p.add_argument("--stream", default="e:8")
-    p.set_defaults(handler=_cmd_words)
-
-    p = sub.add_parser("wxi")
-    p.add_argument("action", choices=["member", "decompose", "enumerate"])
-    p.add_argument("--xi", required=True)
-    p.add_argument("--alphabet", required=True)
-    p.add_argument("--side", choices=["c", "v"], default="c")
-    p.add_argument("--seq", default="()")
-    p.add_argument("--base", default=None)
-    p.add_argument("--letters", type=int, default=6)
-    p.set_defaults(handler=_cmd_wxi)
-
-    p = sub.add_parser("family")
-    p.add_argument("action", choices=["close", "kernel", "thin", "tree", "dichotomy"])
-    p.add_argument("--file", required=True)
-    p.add_argument("--closure", choices=["star", "hereditary"], default="star")
-    p.add_argument("--xi", default="1")
-    p.add_argument("--stream", default="e:6")
-    p.add_argument("--letters", type=int, default=4)
-    p.set_defaults(handler=_cmd_family)
-
-    p = sub.add_parser("cbindex")
-    p.add_argument("--family", required=True, help="len:K or a family JSON file")
-    p.add_argument("--alphabet", default="ab")
-    p.add_argument("--side-full", choices=["constant", "variable"], default="constant")
-    p.add_argument("--seed-letters", type=int, default=None)
-    p.add_argument("--stream", default="e:40")
-    p.add_argument("--oracle", default="exact:length")
-    p.add_argument("--budget", type=int, default=16)
-    p.add_argument("--levels", type=int, default=None)
-    p.set_defaults(handler=_cmd_cbindex)
-
-    p = sub.add_parser("verify")
-    p.add_argument("action", choices=["ramsey", "pair-sweep", "carlson", "hj", "subspace", "nw"])
-    p.add_argument("--xi", default="1")
-    p.add_argument("--alphabet", default="ab")
-    p.add_argument("--max-n", type=int, default=6)
-    p.add_argument("--target", type=int, default=3)
-    p.add_argument("--coloring", default="min_mod:2")
-    p.add_argument("--chi1", default="const:1")
-    p.add_argument("--chi2", default="const:1")
-    p.add_argument("--chi", default="set_size_mod:2")
-    p.add_argument("--stream", default="e:10")
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--mmax", type=int, default=4)
-    p.add_argument("--fixture", choices=["wide", "narrow", "empty"], default="wide")
-    p.add_argument("--letters", type=int, default=7)
-    p.set_defaults(handler=_cmd_verify)
-
-    top._all_parsers += list(sub.choices.values())
+    for module, rows in OPTIONS.items():
+        p = top
+        if module is not None:
+            p = sub.add_parser(module)
+            p.set_defaults(handler=globals()[f"_cmd_{module}"])  # looked up at each build, not at import
+        for name, kw in rows:
+            if name.startswith("-") and _dest(name) in defaults:
+                kw = {**kw, "default": defaults[_dest(name)]}
+            p.add_argument(name, **kw)
     return top
 
 
-def _check_config_value(key: str, value, action) -> None:
-    """A config value passes the checks its flag's value would: a switch
-    takes true or false, an integer option an integer, any other option
-    a string, and an option with choices one of them."""
-    kind = bool if action.nargs == 0 else action.type or str
-    if type(value) is not kind:
-        expected = {bool: "true or false", int: "an integer"}.get(kind, "a string")
-        raise ValueError(f"config key {key!r} takes {expected}, got {json.dumps(value)}")
-    if action.choices is not None and value not in action.choices:
-        raise ValueError(f"config key {key!r} takes one of {', '.join(map(repr, action.choices))}, got {value!r}")
-
-
-def _preload_config(argv, parser):
-    """Apply config-file values as parser defaults; explicit flags win."""
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = list(argv)
+def _config_defaults(argv) -> dict:
+    """The `--config` file's values by dest.  Each key must name a flag
+    row, and each value pass the checks its flag's value would for every
+    row of that dest: a switch takes true or false, an integer option an
+    integer, any other option a string, and an option with choices one
+    of them."""
     path = None
     for i, token in enumerate(argv):
         if token == "--config" and i + 1 < len(argv):
             path = argv[i + 1]
         elif token.startswith("--config="):
             path = token.split("=", 1)[1]
-    if path:
-        defaults = _read_json(path, "config file")
-        if not isinstance(defaults, dict):
-            raise ValueError("config file must hold a JSON object")
-        cleaned = {k.replace("-", "_"): v for k, v in defaults.items()}
-        # only a flag's value can come from a file: not --help, --config or a positional
-        options = [a for sub in parser._all_parsers for a in sub._actions
-                   if a.option_strings and a.dest not in ("help", "config")]
-        unknown = sorted(k for k in defaults if k.replace("-", "_") not in {a.dest for a in options})
-        if unknown:
-            raise ValueError(f"unknown config key{'s' if len(unknown) > 1 else ''} {', '.join(map(repr, unknown))}")
-        # a key may belong to several subcommands; its value must suit each
-        for key, value in defaults.items():
-            for action in options:
-                if action.dest == key.replace("-", "_"):
-                    _check_config_value(key, value, action)
-        # subcommands parse into a fresh namespace, so each parser that
-        # knows the option needs the default installed
-        for sub in parser._all_parsers:
-            known = {a.dest for a in sub._actions}
-            sub.set_defaults(**{k: v for k, v in cleaned.items() if k in known})
-    return argv
+    if not path:
+        return {}
+    values = _read_json(path, "config file")
+    if not isinstance(values, dict):
+        raise ValueError("config file must hold a JSON object")
+    # only a flag's value can come from a file: not --config or a positional
+    flags = [(_dest(name), kw) for rows in OPTIONS.values() for name, kw in rows
+             if name.startswith("-") and name != "--config"]
+    unknown = sorted(k for k in values if k.replace("-", "_") not in {dest for dest, _ in flags})
+    if unknown:
+        raise ValueError(f"unknown config key{'s' if len(unknown) > 1 else ''} {', '.join(map(repr, unknown))}")
+    # a key may belong to several subcommands; its value must suit each
+    for key, value in values.items():
+        for kw in [kw for dest, kw in flags if dest == key.replace("-", "_")]:
+            kind = bool if kw.get("action") == "store_true" else kw.get("type", str)
+            if type(value) is not kind:
+                expected = {bool: "true or false", int: "an integer"}.get(kind, "a string")
+                raise ValueError(f"config key {key!r} takes {expected}, got {json.dumps(value)}")
+            choices = kw.get("choices")
+            if choices is not None and value not in choices:
+                raise ValueError(f"config key {key!r} takes one of {', '.join(map(repr, choices))}, got {value!r}")
+    return {k.replace("-", "_"): v for k, v in values.items()}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(_preload_config(argv, parser))
+        args = build_parser(_config_defaults(argv)).parse_args(argv)
         # every integer option counts something, so none may be negative
         for dest, value in vars(args).items():
             if type(value) is int:

@@ -34,6 +34,7 @@ WordSeq = tuple[str, ...]
 MAX_REDUCTION_CASES = 1 << 20  # block cuts x substitutions of one listing
 MAX_BLOCK_WORDS = 2  # stream words in the one new block of a `steps` entry
 MAX_HORIZON = 1 << 20  # stream words: about the chain search's 500,000 nodes x MAX_BLOCK_WORDS
+MAX_UNIVERSE_LETTERS = 1 << 24  # letters of one `universe` listing, over all its sequences
 
 
 class Alphabet:
@@ -133,13 +134,15 @@ def fill_words(shape: tuple[int, ...], side: str, alph: Alphabet):
 
 def _require_universe_budget(alph: Alphabet, side: str, letter_budget: int, max_words: int | None = None) -> None:
     """Refuse, before any work, a `universe` listing of more than
-    MAX_REDUCTION_CASES sequences, counted letter by letter up to the first
-    total past the budget: a letter extends the last word or starts a new
-    one.  done[w] counts the sequences of w words whose last word is
-    side-consistent, open_[w] those whose last word lacks the variable."""
+    MAX_REDUCTION_CASES sequences or MAX_UNIVERSE_LETTERS letters, counted
+    letter by letter up to the first total past a budget: a letter extends
+    the last word or starts a new one.  done[w] counts the sequences of w
+    words whose last word is side-consistent, open_[w] those whose last
+    word lacks the variable."""
     k = len(alph.symbols)
     done, open_ = [1], [0]  # the empty sequence
-    count = 0
+    count = letters = 0
+    listing = f"universe of {side} sequences with up to {letter_budget} letters lists"
     for total in range(1, letter_budget + 1):
         ws = range(1, (total if max_words is None else min(total, max_words)) + 1)
         done, open_ = done + [0], open_ + [0]
@@ -149,10 +152,14 @@ def _require_universe_budget(alph: Alphabet, side: str, letter_budget: int, max_
             done, open_ = ([0] + [(k + 1) * done[w] + open_[w] + done[w - 1] for w in ws],
                            [0] + [k * (open_[w] + done[w - 1]) for w in ws])
         count += sum(done)
+        letters += total * sum(done)
         if count > MAX_REDUCTION_CASES:
             raise BudgetExceeded(
-                f"universe of {side} sequences with up to {letter_budget} letters lists {count} sequences "
-                f"by {total} letters, over its budget of {MAX_REDUCTION_CASES}"
+                f"{listing} {count} sequences by {total} letters, over its budget of {MAX_REDUCTION_CASES}"
+            )
+        if letters > MAX_UNIVERSE_LETTERS:
+            raise BudgetExceeded(
+                f"{listing} {letters} letters by {total} letters, over its budget of {MAX_UNIVERSE_LETTERS} letters"
             )
 
 

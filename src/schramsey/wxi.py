@@ -12,7 +12,9 @@ directly on the offset stream.
 
 from __future__ import annotations
 
-from . import schreier
+from math import prod
+
+from . import schreier, words
 from .errors import BudgetExceeded, HorizonExceeded, ReductionMismatch
 from .ordinal import Ordinal
 from .words import (
@@ -103,23 +105,29 @@ def canonical_rep(xi: Ordinal, seq: WordSeq) -> tuple[tuple[int, ...], bool]:
 def enumerate_wxi(xi: Ordinal, alph: Alphabet, side: str, letter_budget: int) -> tuple[WordSeq, ...]:
     """All level-xi sequences with total letter count <= letter_budget.
 
-    Enumerates offset sets first (the sparse constraint), then shapes,
-    then letters; output sorted canonically.
+    Enumerates offset sets first (the sparse constraint), then word-length
+    shapes, then letters; output sorted canonically.  The shapes' fillings
+    are counted first, and a listing of more than MAX_REDUCTION_CASES
+    sequences is refused before any is built.
     """
     if letter_budget > MAX_LETTER_BUDGET:
         raise BudgetExceeded(f"letter budget capped at {MAX_LETTER_BUDGET}")
-    out = []
     if not xi:
-        for total in range(1, letter_budget + 1):
-            out.extend(fill_words((total,), side, alph))
-        return tuple(sorted(out, key=seq_sort_key))
-    for d in schreier.enumerate_members(xi, letter_budget, min_n=2):
-        starts = (1,) + d
-        for total in range(starts[-1], letter_budget + 1):
-            shape = tuple(starts[i + 1] - starts[i] for i in range(len(starts) - 1))
-            shape += (total - starts[-1] + 1,)
-            out.extend(fill_words(shape, side, alph))
-    return tuple(sorted(out, key=seq_sort_key))
+        shapes = [(total,) for total in range(1, letter_budget + 1)]
+    else:
+        shapes = []
+        for d in schreier.enumerate_members(xi, letter_budget, min_n=2):
+            starts = (1,) + d
+            gaps = tuple(b - a for a, b in zip(starts, starts[1:]))
+            shapes.extend(gaps + (total - starts[-1] + 1,) for total in range(starts[-1], letter_budget + 1))
+    k = len(alph.symbols)
+    count = sum(prod(k**n if side == "constant" else (k + 1) ** n - k**n for n in shape) for shape in shapes)
+    if count > words.MAX_REDUCTION_CASES:
+        raise BudgetExceeded(
+            f"level-{xi} listing of {side} sequences with up to {letter_budget} letters holds {count} sequences, "
+            f"over its budget of {words.MAX_REDUCTION_CASES}"
+        )
+    return tuple(sorted((seq for shape in shapes for seq in fill_words(shape, side, alph)), key=seq_sort_key))
 
 
 def enumerate_reductions_wxi(

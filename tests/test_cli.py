@@ -295,6 +295,69 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         assert (code, captured.out, captured.err) == (2, "", message), data
 
 
+# every flag row of the option table but --config, with its subcommand (None: the top level)
+FLAG_ROWS = [pytest.param(module, name, kw, id=f"{module or 'top'}{name}") for module, rows in cli.OPTIONS.items()
+             for name, kw in rows if name.startswith("-") and name != "--config"]
+# an argv that parses for each subcommand, with its required flags given
+PARSING_ARGV = {
+    None: ["ordinal", "eval", "w"],
+    "ordinal": ["ordinal", "eval", "w"],
+    "schreier": ["schreier", "mem", "--xi", "w"],
+    "words": ["words", "d", "--alphabet", "ab", "--seq", "(a)"],
+    "wxi": ["wxi", "member", "--xi", "1", "--alphabet", "ab"],
+    "family": ["family", "close", "--file", "fam.json"],
+    "cbindex": ["cbindex", "--family", "len:1"],
+    "verify": ["verify", "hj"],
+}
+
+
+@pytest.mark.parametrize("module, name, kw", FLAG_ROWS)
+def test_every_flag_row_is_a_config_key(module, name, kw, tmp_path, monkeypatch):
+    # the row's dest, spelled with _ or with -, sets the flag's default;
+    # a required flag stays required
+    dest = name.lstrip("-").replace("-", "_")
+    if kw.get("action") == "store_true":
+        value = True
+    elif "choices" in kw:
+        value = kw["choices"][-1]
+    elif kw.get("type") is int:
+        value = (kw.get("default") or 0) + 5
+    else:
+        value = "from-config"
+    seen = []
+    monkeypatch.setattr(cli, f"_cmd_{module or 'ordinal'}", lambda args: seen.append(args) or 0)
+    argv = PARSING_ARGV[module]
+    cfgfile = tmp_path / "cfg.json"
+    for key in {dest, name.lstrip("-")}:
+        cfgfile.write_text(json.dumps({key: value}))
+        if kw.get("required"):
+            i = argv.index(name)
+            with pytest.raises(SystemExit):
+                cli.main(["--config", str(cfgfile), *argv[:i], *argv[i + 2:]])
+        else:
+            assert cli.main(["--config", str(cfgfile), *argv]) == 0
+            assert vars(seen.pop())[dest] == value, key
+
+
+@pytest.mark.parametrize("module, name, kw", FLAG_ROWS)
+def test_every_flag_row_checks_its_config_value(module, name, kw, tmp_path, capsys):
+    dest = name.lstrip("-").replace("-", "_")
+    if kw.get("action") == "store_true":
+        cases = [(1, "true or false, got 1")]
+    elif kw.get("type") is int:
+        cases = [("4", 'an integer, got "4"'), (3.5, "an integer, got 3.5")]
+    else:
+        cases = [(3, "a string, got 3")]
+    if "choices" in kw:
+        cases.append(("bogus", f"one of {', '.join(map(repr, kw['choices']))}, got 'bogus'"))
+    cfgfile = tmp_path / "cfg.json"
+    for value, message in cases:
+        cfgfile.write_text(json.dumps({dest: value}))
+        code = cli.main(["--config", str(cfgfile), *PARSING_ARGV[module]])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: config key {dest!r} takes {message}\n")
+
+
 def test_mono_set_checker_budget_stops_fast(capsys):
     # the search answers at once; walking the 2^22 subsets of L would not
     start = time.perf_counter()
@@ -340,6 +403,18 @@ UNIVERSE_STOP = ("universe of constant sequences with up to 11 letters lists 279
     pytest.param("cbindex --family len:11", UNIVERSE_STOP, id="cbindex-universe"),
     pytest.param("family dichotomy --file FAMILY --xi 1 --stream e:11 --letters 11", UNIVERSE_STOP,
                  id="dichotomy-universe"),
+    # the level-xi listing is counted by its shapes before it is built: these
+    # listed for 3-6 s in 0.5 GB
+    pytest.param("wxi enumerate --xi w --alphabet abc --side v --letters 10",
+                 "level-w listing of variable sequences with up to 10 letters holds 2362735 sequences, "
+                 "over its budget of 1048576", id="wxi-enumerate-w"),
+    pytest.param("wxi enumerate --xi 0 --alphabet abc --letters 13",
+                 "level-0 listing of constant sequences with up to 13 letters holds 2391483 sequences, "
+                 "over its budget of 1048576", id="wxi-enumerate-0"),
+    # few but long seeds: 20,000 seeds of 1..20,000 letters took 8 s
+    pytest.param("cbindex --alphabet a --family len:1 --seed-letters 20000 --levels 0",
+                 "universe of constant sequences with up to 20000 letters lists 16782321 letters by 5793 letters, "
+                 "over its budget of 16777216 letters", id="cbindex-universe-letters"),
 ])
 def test_unbounded_walks_stop_at_their_budget(argv, message, tmp_path):
     # each of these ran for more than 6 s; a subprocess, so that one that
@@ -662,46 +737,59 @@ FAMILY = _mostly(st.sampled_from(["@tree", "@var"]), st.sampled_from(["@empty", 
 CONFIG = _mostly(st.just("@config"), st.sampled_from(["@config-key", "@deep", "@empty", "@shape", "@missing"]))
 
 
+SWITCH = st.just(None)  # a flag that takes no value
+
+# the values drawn for each flag, by subcommand (None: the top level): one
+# entry per flag row of the option table, so that no option skips the fuzz
+FLAGS = {
+    None: {"--config": CONFIG, "--format": st.sampled_from(["json", "plain", "csv"]),
+           "--rule": st.sampled_from(["fixed", "succ"])},
+    "ordinal": {"-n": _small(4), "--succ": SWITCH},
+    "schreier": {"--xi": XI, "--set": SET, "--stream": FINITE_STREAM, "--max-n": _small(9), "-n": _small(4)},
+    "words": {"--alphabet": ALPHABET, "--seq": SEQ, "--stream": STREAM},
+    "wxi": {"--xi": XI, "--alphabet": ALPHABET, "--side": st.sampled_from("cv"), "--seq": SEQ, "--base": STREAM,
+            "--letters": _small(5)},
+    "family": {"--file": FAMILY, "--closure": st.sampled_from(["star", "hereditary"]), "--xi": XI,
+               "--stream": STREAM, "--letters": _small(5)},
+    "cbindex": {
+        "--family": st.one_of(_small(3).map("len:{}".format), FAMILY, st.sampled_from(["len:x", "len:"])),
+        "--alphabet": ALPHABET, "--side-full": st.sampled_from(["constant", "variable"]),
+        "--seed-letters": _small(5), "--stream": STREAM,
+        "--oracle": st.one_of(_small(8).map("horizon:{}".format),
+                              st.sampled_from(["exact", "exact:length", "exact:bogus", "horizon", "bogus:2"])),
+        "--budget": _small(4), "--levels": _small(3)},
+    "verify": {
+        "--xi": XI, "--alphabet": ALPHABET, "--max-n": _small(9), "--target": _small(9), "--coloring": COLORING,
+        "--chi1": COLORING, "--chi2": COLORING, "--chi": COLORING, "--stream": STREAM, "--depth": _small(3),
+        "--r": _small(2), "--n": _small(2), "--k": _small(3), "--mmax": _small(2),
+        "--fixture": st.sampled_from(["wide", "narrow", "empty"]), "--letters": _small(5)},
+}
+
+
 def _flags(required=(), **options):
     """argv for the named options: the required ones always given, the
     others given or left out."""
     parts = []
     for flag, value in options.items():
-        part = value.map(lambda v, f=flag: [f, v])
+        part = value.map(lambda v, f=flag: [f] if v is None else [f, v])
         parts.append(part if flag in required else st.one_of(st.just([]), part))
     return st.tuples(*parts).map(lambda got: [token for part in got for token in part])
 
 
-def _command(module, actions, required=(), **options):
-    return st.tuples(st.sampled_from(actions), _flags(required, **options)).map(lambda t: [module, t[0], *t[1]])
+def _command(module, actions, required=()):
+    return st.tuples(st.sampled_from(actions), _flags(required, **FLAGS[module])).map(
+        lambda t: [module, t[0], *t[1]])
 
 
 COMMANDS = st.one_of(
-    st.tuples(st.sampled_from(["eval", "classify", "fixed-seq"]), XI, _flags(**{"-n": _small(4)}),
-              st.sampled_from([[], ["--succ"]])).map(lambda t: ["ordinal", t[0], t[1], *t[2], *t[3]]),
-    _command("schreier", ["mem", "decompose", "enumerate", "transfer"], ["--xi"], **{
-        "--xi": XI, "--set": SET, "--stream": FINITE_STREAM, "--max-n": _small(9), "-n": _small(4)}),
-    _command("words", ["reduce", "d", "reductions"], ["--alphabet", "--seq"],
-             **{"--alphabet": ALPHABET, "--seq": SEQ, "--stream": STREAM}),
-    _command("wxi", ["member", "decompose", "enumerate"], ["--xi", "--alphabet"], **{
-        "--xi": XI, "--alphabet": ALPHABET, "--side": st.sampled_from("cv"), "--seq": SEQ, "--base": STREAM,
-        "--letters": _small(5)}),
-    _command("family", ["close", "kernel", "thin", "tree", "dichotomy"], ["--file"], **{
-        "--file": FAMILY, "--closure": st.sampled_from(["star", "hereditary"]), "--xi": XI, "--stream": STREAM,
-        "--letters": _small(5)}),
-    _flags(**{
-        "--alphabet": ALPHABET, "--side-full": st.sampled_from(["constant", "variable"]),
-        "--seed-letters": _small(5), "--stream": STREAM,
-        "--oracle": st.one_of(_small(8).map("horizon:{}".format),
-                              st.sampled_from(["exact", "exact:length", "exact:bogus", "horizon", "bogus:2"])),
-        "--budget": _small(4), "--levels": _small(3),
-    }).flatmap(lambda flags: st.one_of(_small(3).map("len:{}".format), FAMILY, st.sampled_from(["len:x", "len:"]))
-               .map(lambda family: ["cbindex", "--family", family, *flags])),
-    _command("verify", ["ramsey", "pair-sweep", "carlson", "hj", "subspace", "nw"], **{
-        "--xi": XI, "--alphabet": ALPHABET, "--max-n": _small(9), "--target": _small(9), "--coloring": COLORING,
-        "--chi1": COLORING, "--chi2": COLORING, "--chi": COLORING, "--stream": STREAM, "--depth": _small(3),
-        "--r": _small(2), "--n": _small(2), "--k": _small(3), "--mmax": _small(2),
-        "--fixture": st.sampled_from(["wide", "narrow", "empty"]), "--letters": _small(5)}),
+    st.tuples(st.sampled_from(["eval", "classify", "fixed-seq"]), XI, _flags(**FLAGS["ordinal"]))
+    .map(lambda t: ["ordinal", t[0], t[1], *t[2]]),
+    _command("schreier", ["mem", "decompose", "enumerate", "transfer"], ["--xi"]),
+    _command("words", ["reduce", "d", "reductions"], ["--alphabet", "--seq"]),
+    _command("wxi", ["member", "decompose", "enumerate"], ["--xi", "--alphabet"]),
+    _command("family", ["close", "kernel", "thin", "tree", "dichotomy"], ["--file"]),
+    _flags(["--family"], **FLAGS["cbindex"]).map(lambda flags: ["cbindex", *flags]),
+    _command("verify", ["ramsey", "pair-sweep", "carlson", "hj", "subspace", "nw"]),
 )
 # defaults past the small bounds above; a flag the command draws comes later and wins
 SMALL_DEFAULTS = {"verify": ["--stream", "e:4", "--letters", "4", "--mmax", "2"],
@@ -717,8 +805,7 @@ def fuzz_dir(tmp_path_factory):
 
 
 @settings(max_examples=600, deadline=None, derandomize=True)
-@given(command=COMMANDS, top=_flags(**{"--format": st.sampled_from(["json", "plain", "csv"]),
-                                       "--rule": st.sampled_from(["fixed", "succ"]), "--config": CONFIG}))
+@given(command=COMMANDS, top=_flags(**FLAGS[None]))
 def test_argv_fuzz_never_crashes(fuzz_dir, command, top):
     # every argv gets an answer, a usage error or a budget stop: exit 4 or a
     # traceback fails, and an error is one stderr line with nothing on stdout
@@ -731,6 +818,11 @@ def test_argv_fuzz_never_crashes(fuzz_dir, command, top):
         assert out == "" and re.fullmatch(r"error: [^\n]*\n", err), (argv, err)
     else:
         assert err == "" and out.endswith("\n"), argv
+
+
+def test_argv_fuzz_draws_every_flag_row():
+    table = {module: sorted(name for name, _ in rows if name.startswith("-")) for module, rows in cli.OPTIONS.items()}
+    assert {module: sorted(flags) for module, flags in FLAGS.items()} == table
 
 
 # --- README -----------------------------------------------------------------

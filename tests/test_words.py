@@ -285,3 +285,20 @@ def test_universe_budget_counts_the_listing(symbols, side, letters, max_words):
             next(universe(alph, side, letters, max_words))
     with mock.patch.object(words, "MAX_REDUCTION_CASES", n):
         assert len(list(universe(alph, side, letters, max_words))) == n
+    # and so is the letter count, checked after the sequence count
+    total = sum(len(word) for seq in universe(alph, side, letters, max_words) for word in seq)
+    with mock.patch.object(words, "MAX_UNIVERSE_LETTERS", total - 1):
+        with pytest.raises(BudgetExceeded, match=f" lists {total} letters by {letters} letters, "
+                                                 f"over its budget of {total - 1} letters$"):
+            next(universe(alph, side, letters, max_words))
+    with mock.patch.object(words, "MAX_UNIVERSE_LETTERS", total):
+        assert len(list(universe(alph, side, letters, max_words))) == n
+
+
+def test_universe_letter_budget_stops_long_seeds():
+    # one-letter seeds of 1..L letters hold L(L+1)/2 letters: 5,792 letters
+    # stay within 2^24, and 5,793 pass it
+    words._require_universe_budget(A1, "constant", 5792, max_words=1)
+    stop = "lists 16782321 letters by 5793 letters, over its budget of 16777216 letters$"
+    with pytest.raises(BudgetExceeded, match=stop):
+        words._require_universe_budget(A1, "constant", 20000, max_words=1)

@@ -5,8 +5,8 @@ import pytest
 
 from schramsey import ordinal as o
 from schramsey import schreier as sch
-from schramsey import wxi
-from schramsey.errors import HorizonExceeded
+from schramsey import words, wxi
+from schramsey.errors import BudgetExceeded, HorizonExceeded
 from schramsey.words import (
     VAR,
     Alphabet,
@@ -171,6 +171,22 @@ def test_enumeration_matches_filter_oracle():
         xi = P(xs)
         expected = sorted((s for s in seqs if member(xi, s)), key=seq_sort_key)
         assert list(wxi.enumerate_wxi(xi, AB, "constant", budget)) == expected
+
+
+@pytest.mark.parametrize("xs", ["0", "1", "2", "w", "w+1", "w^2"])
+@pytest.mark.parametrize("alph", [AB, Alphabet(("a", "b", "c"))], ids=["ab", "abc"])
+def test_enumeration_counts_its_listing_before_it_lists(xs, alph, monkeypatch):
+    # the count taken from the shapes is the listing's length: a budget of
+    # exactly it lists, one below it refuses
+    for side in ("constant", "variable"):
+        for letters in range(1, 8):
+            n = len(wxi.enumerate_wxi(P(xs), alph, side, letters))
+            monkeypatch.setattr(words, "MAX_REDUCTION_CASES", n - 1)
+            with pytest.raises(BudgetExceeded, match=f" holds {n} sequences, over its budget of {n - 1}$"):
+                wxi.enumerate_wxi(P(xs), alph, side, letters)
+            monkeypatch.setattr(words, "MAX_REDUCTION_CASES", n)
+            assert len(wxi.enumerate_wxi(P(xs), alph, side, letters)) == n
+            monkeypatch.undo()
 
 
 def test_enumeration_thin_on_unit_words():
