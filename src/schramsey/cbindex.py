@@ -43,12 +43,13 @@ from .words import (
     WordSeq,
     align,
     seq_sort_key,
+    seq_text,
     steps,
     universe,
 )
 
 
-MAX_CHAIN_NODES = 500_000  # nodes one horizon chain search may visit
+MAX_CHAIN_NODES = 500_000  # nodes the horizon chain searches of one derivation may visit
 
 
 class ChainOracle:
@@ -186,7 +187,8 @@ class Derivation:
         for level in range(1, budget + 1):
             if not self.survivors(level):
                 return level
-        raise BudgetExceeded(f"family not empty after {budget} derivative passes")
+        left = len(self.survivors(budget))
+        raise BudgetExceeded("derivation needs pass", budget + 1, budget, f"{left} seeds left", unit="passes")
 
     # -- escape decision at a level --------------------------------------
     def escapes(self, seq: WordSeq, end: int, level: int) -> bool:
@@ -210,7 +212,8 @@ class Derivation:
             nonlocal touched_horizon
             self.nodes += 1
             if self.nodes > MAX_CHAIN_NODES:
-                raise BudgetExceeded("chain search exceeded its node budget")
+                raise BudgetExceeded("chain searches visit", self.nodes, MAX_CHAIN_NODES,
+                                     f"level {level}, sequence {seq_text(seq)}", noun="nodes")
             if k not in self.step_memo:
                 self.step_memo[k] = steps(self.stream, k, self.family.side)
             entries, cut = self.step_memo[k]

@@ -487,20 +487,12 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
     return top
 
 
-def _config_defaults(argv) -> dict:
-    """The `--config` file's values by dest.  Each key must name a flag
-    row, and each value pass the checks its flag's value would for every
-    row of that dest: a switch takes true or false, an integer option an
-    integer, any other option a string, and an option with choices one
-    of them."""
-    path = None
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif token.startswith("--config="):
-            path = token.split("=", 1)[1]
-    if not path:
-        return {}
+def _config_defaults(path: str) -> dict:
+    """The values of the `--config` file at path, by dest.  Each key must
+    name a flag row, and each value pass the checks its flag's value
+    would for every row of that dest: a switch takes true or false, an
+    integer option an integer, any other option a string, and an option
+    with choices one of them."""
     values = _read_json(path, "config file")
     if not isinstance(values, dict):
         raise ValueError("config file must hold a JSON object")
@@ -526,7 +518,10 @@ def _config_defaults(argv) -> dict:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser(_config_defaults(argv)).parse_args(argv)
+        # argparse finds the --config path under any spelling it accepts
+        args = build_parser().parse_args(argv)
+        if args.config:
+            args = build_parser(_config_defaults(args.config)).parse_args(argv)
         # every integer option counts something, so none may be negative
         for dest, value in vars(args).items():
             if type(value) is int:

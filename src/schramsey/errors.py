@@ -22,7 +22,19 @@ class HorizonExceeded(SchramseyError):
 
 
 class BudgetExceeded(SchramseyError):
-    """An enumeration or search grew past its configured budget."""
+    """A walk, listing or search grew past its budget.  Every budget stop
+    is worded here, from its fields, as
+
+        <what> <amount>[ <noun>], over its budget of <budget>[ <unit>][; frontier <frontier>]
+
+    where `noun` and `unit` name what the amount and the budget count, and
+    the frontier, where the walk stood, is cut to 80 characters."""
+
+    def __init__(self, what: str, amount: int, budget: int, frontier: str | None = None, noun="", unit=""):
+        text = f"{what} {amount} {noun}".rstrip() + f", over its budget of {budget} {unit}".rstrip()
+        if frontier is not None:
+            text += "; frontier " + (frontier if len(frontier) <= 80 else frontier[:80] + "...")
+        super().__init__(text)
 
 
 class OracleUndecided(SchramseyError):

@@ -163,10 +163,7 @@ def charge_descent(steps: int, reached: Ordinal) -> None:
     enumeration walk at one minimum) once it has taken more than
     MAX_DESCENT_STEPS steps."""
     if steps > MAX_DESCENT_STEPS:
-        text = format_ordinal(reached)
-        if len(text) > 80:
-            text = text[:80] + "..."
-        raise BudgetExceeded(f"descent exceeded its budget of {MAX_DESCENT_STEPS} steps; reached {text}")
+        raise BudgetExceeded("descent takes", steps, MAX_DESCENT_STEPS, format_ordinal(reached), noun="steps")
 
 
 def fixed_seq_path(lam: Ordinal, n: int) -> tuple[Ordinal, ...]:

@@ -233,7 +233,7 @@ def enumerate_members(xi: Ordinal, max_n: int, min_n: int = 1) -> tuple[FinSet, 
     completed no member is kept in `dead` for this call and not walked
     again."""
     if max_n > MAX_ENUM_GROUND:
-        raise BudgetExceeded(f"enumeration ground set capped at {MAX_ENUM_GROUND}")
+        raise BudgetExceeded("enumeration ground set reaches", max_n, MAX_ENUM_GROUND, f"xi={xi}")
     if not xi:
         return ((),)
     out: list[FinSet] = []
@@ -285,7 +285,7 @@ def transfer_index(xi: Ordinal, n: int) -> Ordinal:
             # j = k-1 .. 0, then the transfer of w^lam, the block at n = 1
             if n > 1:
                 if p.k > MAX_TRANSFER_TERMS:
-                    raise BudgetExceeded(f"transfer index would have {p.k} terms (cap {MAX_TRANSFER_TERMS})")
+                    raise BudgetExceeded("transfer index needs", p.k, MAX_TRANSFER_TERMS, str(p.xi), noun="terms")
                 coeff = o.check_coeff(n - 1)
                 heads.append(Ordinal((_plus(p.lam, j), coeff) for j in range(p.k - 1, -1, -1)))
             p = p.blocks(1)[0][0]

@@ -300,20 +300,15 @@ def check_mono_set_witness(w: Witness, cfg: SchreierConfig = DEFAULT_CONFIG) -> 
     each held to a budget."""
     L, xi_text, coloring = w.payload
     if 1 << len(L) > MAX_COLORING_SPACE:
-        raise BudgetExceeded(
-            f"mono_set check walks {1 << len(L)} subsets, over its budget of {MAX_COLORING_SPACE}; "
-            f"frontier |L|={len(L)}"
-        )
+        raise BudgetExceeded("mono_set check walks", 1 << len(L), MAX_COLORING_SPACE, f"|L|={len(L)}", noun="subsets")
     xi = o.parse(xi_text)
     spent = size = 0
 
     def tick():
         nonlocal spent
         if spent == MAX_CHECK_STEPS:
-            raise BudgetExceeded(
-                f"mono_set check exceeded its budget of {MAX_CHECK_STEPS} membership steps "
-                f"({spent} spent); frontier: subsets of size {size} of |L|={len(L)}"
-            )
+            raise BudgetExceeded("mono_set check takes", spent + 1, MAX_CHECK_STEPS,
+                                 f"subsets of size {size} of |L|={len(L)}", noun="membership steps")
         spent += 1
 
     expected = []
@@ -331,8 +326,9 @@ def ramsey_pair_sweep(max_n: int, target: int = 3) -> dict:
     Refuses, before any work, a space over MAX_COLORING_SPACE.
     """
     exponent = comb(max_n, 2)
-    if exponent >= MAX_COLORING_SPACE.bit_length():  # 2^exponent > MAX_COLORING_SPACE
-        raise BudgetExceeded(f"coloring space 2^{exponent} exceeds budget; n={max_n}")
+    if exponent >= MAX_COLORING_SPACE.bit_length():  # 2^exponent > MAX_COLORING_SPACE; 2^exponent is never built
+        raise BudgetExceeded("pair-sweep colors", exponent, MAX_COLORING_SPACE.bit_length() - 1, f"n={max_n}",
+                             noun="pairs", unit="pairs")
     pairs = list(combinations(range(1, max_n + 1), 2))
     triple_masks = []
     for trip in combinations(range(1, max_n + 1), target):
@@ -547,7 +543,7 @@ def hj_level(r: int, n: int, k: int, xi: Ordinal, M: int):
         return (False, None, 0, cube)
     space = r ** len(cube)
     if space > MAX_COLORING_SPACE:
-        raise BudgetExceeded(f"coloring space {space} exceeds budget; frontier M={M}")
+        raise BudgetExceeded("hj coloring space holds", space, MAX_COLORING_SPACE, f"M={M}", noun="colorings")
     gens = _hj_generators(xi, alph, M, n)
     index = {s: i for i, s in enumerate(cube)}
     # every level-xi reduction of a length-M generator is in the cube

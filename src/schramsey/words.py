@@ -154,13 +154,10 @@ def _require_universe_budget(alph: Alphabet, side: str, letter_budget: int, max_
         count += sum(done)
         letters += total * sum(done)
         if count > MAX_REDUCTION_CASES:
-            raise BudgetExceeded(
-                f"{listing} {count} sequences by {total} letters, over its budget of {MAX_REDUCTION_CASES}"
-            )
+            raise BudgetExceeded(listing, count, MAX_REDUCTION_CASES, noun=f"sequences by {total} letters")
         if letters > MAX_UNIVERSE_LETTERS:
-            raise BudgetExceeded(
-                f"{listing} {letters} letters by {total} letters, over its budget of {MAX_UNIVERSE_LETTERS} letters"
-            )
+            raise BudgetExceeded(listing, letters, MAX_UNIVERSE_LETTERS, noun=f"letters by {total} letters",
+                                 unit="letters")
 
 
 def universe(alph: Alphabet, side: str, letter_budget: int, max_words: int | None = None):
@@ -253,7 +250,8 @@ class VarWordStream:
 def _require_horizon(spec: str, horizon: int) -> None:
     """Refuse, before allocating, a stream of more than MAX_HORIZON words."""
     if horizon > MAX_HORIZON:
-        raise BudgetExceeded(f"stream {spec} has horizon {horizon}, over its budget of {MAX_HORIZON} words")
+        what = f"stream {spec} has horizon"
+        raise BudgetExceeded(what, horizon, MAX_HORIZON, unit="words")
 
 
 def upsilon_stream(alph: Alphabet, horizon: int) -> VarWordStream:
@@ -305,9 +303,8 @@ def require_reduction_budget(n: int, alph: Alphabet) -> None:
     with more block cuts x substitutions than MAX_REDUCTION_CASES."""
     cases = 2 ** max(n - 1, 0) * len(alph.full) ** n
     if cases > MAX_REDUCTION_CASES:
-        raise BudgetExceeded(
-            f"finite_reductions of {n} words needs {cases} cases, over its budget of {MAX_REDUCTION_CASES}"
-        )
+        what = f"finite_reductions of {n} words needs"
+        raise BudgetExceeded(what, cases, MAX_REDUCTION_CASES, noun="cases")
 
 
 def finite_reductions(seq: WordSeq, alph: Alphabet, side: str) -> tuple[tuple[WordSeq, tuple[int, ...]], ...]:

@@ -111,7 +111,8 @@ def enumerate_wxi(xi: Ordinal, alph: Alphabet, side: str, letter_budget: int) ->
     sequences is refused before any is built.
     """
     if letter_budget > MAX_LETTER_BUDGET:
-        raise BudgetExceeded(f"letter budget capped at {MAX_LETTER_BUDGET}")
+        raise BudgetExceeded("level-xi listing asks for", letter_budget, MAX_LETTER_BUDGET, f"xi={xi}, side={side}",
+                             noun="letters")
     if not xi:
         shapes = [(total,) for total in range(1, letter_budget + 1)]
     else:
@@ -123,10 +124,8 @@ def enumerate_wxi(xi: Ordinal, alph: Alphabet, side: str, letter_budget: int) ->
     k = len(alph.symbols)
     count = sum(prod(k**n if side == "constant" else (k + 1) ** n - k**n for n in shape) for shape in shapes)
     if count > words.MAX_REDUCTION_CASES:
-        raise BudgetExceeded(
-            f"level-{xi} listing of {side} sequences with up to {letter_budget} letters holds {count} sequences, "
-            f"over its budget of {words.MAX_REDUCTION_CASES}"
-        )
+        listing = f"level-{xi} listing of {side} sequences with up to {letter_budget} letters holds"
+        raise BudgetExceeded(listing, count, words.MAX_REDUCTION_CASES, noun="sequences")
     return tuple(sorted((seq for shape in shapes for seq in fill_words(shape, side, alph)), key=seq_sort_key))
 
 

@@ -125,15 +125,6 @@ def test_cbindex_bad_oracle_is_a_usage_error(oracle, message, capsys):
     assert (code, captured.out, captured.err) == (cli.EXIT_USAGE, "", message)
 
 
-def test_deep_horizon_search_does_not_crash(capsys):
-    # chains of 1200 steps nested inside each other's escape tests: the
-    # search runs out of nodes, and says so, rather than out of stack
-    code = cli.main(["cbindex", "--family", "len:1", "--stream", "e:1500", "--oracle", "horizon:1200"])
-    captured = capsys.readouterr()
-    assert code == cli.EXIT_BUDGET
-    assert captured.err == "error: chain search exceeded its node budget\n"
-
-
 def test_deep_successor_index_is_answered(capsys):
     # a successor index in the thousands is decided, not a stack overflow
     for top, member, code in ((2500, False, cli.EXIT_EXHAUSTED), (3000, True, cli.EXIT_FOUND)):
@@ -269,6 +260,17 @@ def test_config_file_defaults(tmp_path, capsys):
     assert rep["max_n"] == 4
 
 
+@pytest.mark.parametrize("flag", ["--config"[:i] for i in range(3, 9)])
+@pytest.mark.parametrize("joined", [False, True], ids=["spaced", "joined"])
+def test_config_file_loads_under_every_spelling(flag, joined, tmp_path, capsys):
+    # argparse accepts any unambiguous prefix of --config, as --x F or --x=F
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"max_n": 4}))
+    spelled = [f"{flag}={cfgfile}"] if joined else [flag, str(cfgfile)]
+    code, rep = run_json([*spelled, "schreier", "enumerate", "--xi", "w"], capsys)
+    assert (code, rep["max_n"], rep["count"]) == (0, 4, 3)
+
+
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     # the removed `threads` and a misspelled `max_n` are usage errors, not silent drops
     cases = [
@@ -369,26 +371,29 @@ def test_mono_set_checker_budget_stops_fast(capsys):
     assert elapsed < 1.0
 
 
-WALK_STOP = ("descent exceeded its budget of 1000 steps; reached "
+WALK_STOP = ("descent takes 1001 steps, over its budget of 1000; frontier "
              "w^(w^(w^4*4 + w^3*4 + w^2*4 + w*4 + 4)*4 + w^(w^4*4 + w^3*4 + w^2*4 + w*4 + 3)*4...")
 UNIVERSE_STOP = ("universe of constant sequences with up to 11 letters lists 2796202 sequences by 11 letters, "
                  "over its budget of 1048576")
 
 
 @pytest.mark.parametrize("argv, message", [
-    pytest.param("verify pair-sweep --max-n 9", "coloring space 2^36 exceeds budget; n=9", id="pair-sweep"),
-    pytest.param("verify pair-sweep --max-n 7", "coloring space 2^21 exceeds budget; n=7", id="pair-sweep-7"),
+    # 2^36 and 2^21 colorings of the pairs, over the 2^20 of the budget
+    pytest.param("verify pair-sweep --max-n 9", "pair-sweep colors 36 pairs, over its budget of 20 pairs; frontier n=9",
+                 id="pair-sweep"),
+    pytest.param("verify pair-sweep --max-n 7", "pair-sweep colors 21 pairs, over its budget of 20 pairs; frontier n=7",
+                 id="pair-sweep-7"),
     pytest.param("schreier transfer --xi w^w^9 -n 4",
-                 "descent exceeded its budget of 1000 steps; "
-                 "reached w^(w^8*3 + w^7*3 + w^6*3 + w^5*2 + w^4 + w^3 + w^2 + w + 4)", id="transfer"),
+                 "descent takes 1001 steps, over its budget of 1000; "
+                 "frontier w^(w^8*3 + w^7*3 + w^6*3 + w^5*2 + w^4 + w^3 + w^2 + w + 4)", id="transfer"),
     pytest.param("ordinal fixed-seq w^w^w -n 5 --succ",
-                 "descent exceeded its budget of 1000 steps; "
-                 "reached w^(w^4*4 + w^3*4 + w^2*4 + w*4 + 4)*4 + w^(w^4*4 + w^3*4 + w^2*4 + w*4 + 3)*4 + ...",
+                 "descent takes 1001 steps, over its budget of 1000; "
+                 "frontier w^(w^4*4 + w^3*4 + w^2*4 + w*4 + 4)*4 + w^(w^4*4 + w^3*4 + w^2*4 + w*4 + 3)*4 + ...",
                  id="fixed-seq-succ"),
     # 2^20 subsets pass the subset budget, but each w^2 membership is a split search
     pytest.param("verify ramsey --xi w^2 --max-n 20 --coloring const:1 --target 20",
-                 "mono_set check exceeded its budget of 131072 membership steps (131072 spent); "
-                 "frontier: subsets of size 5 of |L|=20", id="mono-set-steps"),
+                 "mono_set check takes 131073 membership steps, over its budget of 131072; "
+                 "frontier subsets of size 5 of |L|=20", id="mono-set-steps"),
     # the checker would list the found prefix's reductions over their budget
     pytest.param("verify carlson --xi 1 --chi1 first_letter:2 --chi2 first_len_mod:2 --stream e:40 --depth 12",
                  "finite_reductions of 12 words needs 1088391168 cases, over its budget of 1048576",
@@ -415,6 +420,23 @@ UNIVERSE_STOP = ("universe of constant sequences with up to 11 letters lists 279
     pytest.param("cbindex --alphabet a --family len:1 --seed-letters 20000 --levels 0",
                  "universe of constant sequences with up to 20000 letters lists 16782321 letters by 5793 letters, "
                  "over its budget of 16777216 letters", id="cbindex-universe-letters"),
+    pytest.param("schreier enumerate --xi w --max-n 25",
+                 "enumeration ground set reaches 25, over its budget of 24; frontier xi=w", id="enumerate-ground"),
+    pytest.param("schreier transfer --xi w^10001 -n 2",
+                 "transfer index needs 10001 terms, over its budget of 10000; frontier w^10001", id="transfer-terms"),
+    pytest.param("wxi enumerate --xi 1 --alphabet ab --letters 17",
+                 "level-xi listing asks for 17 letters, over its budget of 16; frontier xi=1, side=constant",
+                 id="wxi-letters"),
+    pytest.param("verify hj --xi 0 --k 3 --r 2 --mmax 4",
+                 "hj coloring space holds 134217728 colorings, over its budget of 1048576; frontier M=3",
+                 id="hj-space"),
+    pytest.param("cbindex --family len:2 --budget 0",
+                 "derivation needs pass 1, over its budget of 0 passes; frontier 11 seeds left", id="cbindex-passes"),
+    # chains of 1200 steps nested inside each other's escape tests: the
+    # search runs out of nodes, and says so, rather than out of stack
+    pytest.param("cbindex --family len:1 --stream e:1500 --oracle horizon:1200",
+                 "chain searches visit 500001 nodes, over its budget of 500000; frontier level 0, sequence "
+                 "(" + "a" * 61 + "...", id="chain-nodes"),  # the frontier is cut to 80 characters
 ])
 def test_unbounded_walks_stop_at_their_budget(argv, message, tmp_path):
     # each of these ran for more than 6 s; a subprocess, so that one that

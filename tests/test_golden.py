@@ -138,7 +138,7 @@ EXPECTED = {
     "error-constant-word": (2, NONE, "c9b9bfbc16562a501a2aeb09c2aaf292714f93276c6bff806210da3d8774acd7"),
     "error-horizon": (2, NONE, "a6808ab841eac529eb5e02c2bee5e1f1498eb0829d12b7e70584c401a06e0f2b"),
     "error-letter": (2, NONE, "d7891e2adb69d12b3fd5552c031ea8dde8c2fe4e7655e33c7a827c4b589b4b8e"),
-    "error-letter-budget": (3, NONE, "53ef6fb78ff95f1ebba84e6e72be22a42adeeb6133d557119e45f87b872b8bec"),
+    "error-letter-budget": (3, NONE, "011b364f8e14245857e1cc32c3ac5d1f3babc15feccf7cfcb8e8dafbbad0b3aa"),
     "error-mismatch": (1, "54e77857c3b8373b2c4fc8854bc2b68d6b72297db2546aa8ac0fac0c6651b2a3", NONE),
     "error-stream": (2, NONE, "bf126b75093e76bdcdba027ae2060f8984e1bb3cc1dbddc25ed26537cc266f7d"),
     "family-close-c": (0, "fd99acd9e98d0365641f31d62751d0b3ed17ae0e305ae045be75007d87580ab6", NONE),

@@ -1,13 +1,17 @@
 """The library has no test-only surface: every public top-level function
 or class in `src/schramsey` is named somewhere in `src/` or `bench/`
 outside its own definition, or is the reference behind an acceptance
-criterion and listed here with it."""
+criterion and listed here with it.  And every budget stop in it is
+worded by `BudgetExceeded` from its fields, never by its caller."""
 
 import ast
+import inspect
 from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from schramsey.errors import BudgetExceeded
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "schramsey"
@@ -73,3 +77,35 @@ def test_guard_catches_a_test_only_addition(tmp_path, name, source):
         (tmp_path / path.name).write_text(path.read_text())
     (tmp_path / "words.py").write_text((PACKAGE / "words.py").read_text() + "\n\n" + source)
     assert f"words.{name}" in unreferenced(tmp_path)
+
+
+def preformatted_budget_stops(package: Path) -> list:
+    """`module:line` of each `BudgetExceeded(...)` call in the package that
+    does not bind the structured fields of its one constructor (what, amount,
+    budget, ...) or passes text as the amount or the budget."""
+    signature = inspect.signature(BudgetExceeded)
+    out = []
+    for path in sorted(package.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "BudgetExceeded"):
+                continue
+            try:
+                bound = signature.bind(*n.args, **{k.arg: k.value for k in n.keywords}).arguments
+            except TypeError:
+                bound = {}
+            fields = [bound.get("amount"), bound.get("budget")]
+            if any(f is None or isinstance(f, ast.JoinedStr) or isinstance(getattr(f, "value", None), str)
+                   for f in fields):
+                out.append(f"{path.stem}:{n.lineno}")
+    return out
+
+
+def test_every_budget_stop_passes_its_fields():
+    assert preformatted_budget_stops(PACKAGE) == []
+
+
+def test_guard_catches_a_preformatted_budget_stop(tmp_path):
+    source = (PACKAGE / "words.py").read_text()
+    (tmp_path / "words.py").write_text(source + '\n\ndef stop():\n    raise BudgetExceeded(f"x")\n')
+    lines = source.count("\n") + 4
+    assert preformatted_budget_stops(tmp_path) == [f"words:{lines}"]

@@ -1,7 +1,7 @@
 import hashlib
 import json
 import time
-from functools import lru_cache, partial
+from functools import partial
 from itertools import combinations, product
 from math import comb
 
@@ -23,6 +23,8 @@ from schramsey.words import (
     upsilon_stream,
     word,
 )
+
+from reference import reference_members
 
 P = o.parse
 AB = Alphabet(("a", "b"))
@@ -124,19 +126,10 @@ def test_ramsey_exhaustion_counts():
     assert out.visited == out.expected == 1
 
 
-@lru_cache(maxsize=None)
-def _reference_members(xi, max_n, rule):
-    """The subsets of {1..max_n} that the split-searching recursion
-    accepts under a limit rule, in lexicographic order."""
-    cfg = sch.SchreierConfig(rule)
-    subsets = (L for size in range(max_n + 1) for L in combinations(range(1, max_n + 1), size))
-    return tuple(sorted(L for L in subsets if v.mem_direct(xi, L, cfg)))
-
-
 def _sweep_ramsey(xi, max_n, coloring, target, rule="fixed"):
     """Reference: the size-then-lex sweep over every subset, filtering every
     member (by the reference recursion under `rule`) for each one."""
-    members = _reference_members(xi, max_n, rule)
+    members = reference_members(xi, max_n, rule)
     visited = 0
     for size in range(target, max_n + 1):
         for L in combinations(range(1, max_n + 1), size):
