@@ -50,6 +50,7 @@ from .words import (
 
 
 MAX_CHAIN_NODES = 500_000  # nodes the horizon chain searches of one derivation may visit
+MAX_PASSES = 16  # derivative passes that may empty the family, unless `cbindex --budget` says otherwise
 
 
 class ChainOracle:
@@ -182,7 +183,7 @@ class Derivation:
             self.survivor_memo[level] = tuple(m for m in pool if self.member_at(m, level, self.end_pos(m)))
         return self.survivor_memo[level]
 
-    def first_empty(self, budget: int = 32) -> int:
+    def first_empty(self, budget: int) -> int:
         """The first level, 1..budget, at which no seed survives."""
         for level in range(1, budget + 1):
             if not self.survivors(level):
@@ -245,9 +246,7 @@ class Derivation:
         return self.maxlen_memo[level]
 
 
-def so_index(
-    family: CBFamily, stream: VarWordStream, oracle: ChainOracle, budget: int = 32
-) -> int:
+def so_index(family: CBFamily, stream: VarWordStream, oracle: ChainOracle, budget: int = MAX_PASSES) -> int:
     """Smallest level at which the derived family is empty: the family
     seen after j+1 passes is the level-j derivative, so the returned
     index matches the convention that level 0 is the once-derived family.

@@ -346,18 +346,19 @@ def _cmd_cbindex(args) -> int:
         oracle = cbindex.ChainOracle(mode, horizon=_spec_int("--oracle horizon:H", "H", param))
     else:
         oracle = cbindex.ChainOracle(mode)  # refused: an unknown mode, or horizon without H
+    budget = cbindex.MAX_PASSES if args.budget is None else args.budget
     report = {
         "command": "cbindex",
         "family": fam.label,
         "oracle": args.oracle,
-        "budget": args.budget,
+        "budget": budget,
         "stream_horizon": stream.horizon,
     }
     deriv = cbindex.Derivation(fam, stream, oracle)
     if args.levels is not None:
         report["profile"] = [len(deriv.survivors(level)) for level in range(args.levels + 1)]
     else:
-        report["so_index"] = deriv.first_empty(args.budget) - 1
+        report["so_index"] = deriv.first_empty(budget) - 1
     report["nodes"] = deriv.nodes
     return _emit(report, args, EXIT_FOUND)
 
@@ -448,7 +449,7 @@ OPTIONS = {
         ("--family", dict(required=True, help="len:K or a family JSON file")), ("--alphabet", dict(default="ab")),
         ("--side-full", dict(choices=["constant", "variable"], default="constant")),
         ("--seed-letters", dict(type=int, default=None)), ("--stream", dict(default="e:40")),
-        ("--oracle", dict(default="exact:length")), ("--budget", dict(type=int, default=16)),
+        ("--oracle", dict(default="exact:length")), ("--budget", dict(type=int, default=None)),
         ("--levels", dict(type=int, default=None)),
     ],
     "verify": [

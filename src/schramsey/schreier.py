@@ -296,11 +296,3 @@ def transfer_index(xi: Ordinal, n: int) -> Ordinal:
         out = o.add(head, out)
     return out
 
-
-def shifted_members(xi: Ordinal, n: int, max_n: int):
-    """A_xi(n) within {n+1..max_n}: tails of members whose minimum is n."""
-    out = []
-    for s in enumerate_members(xi, max_n):
-        if s and s[0] == n:
-            out.append(s[1:])
-    return tuple(sorted(out))

@@ -541,6 +541,13 @@ def hj_level(r: int, n: int, k: int, xi: Ordinal, M: int):
     cube = _hj_cube(xi, alph, M)
     if not cube:
         return (False, None, 0, cube)
+    # r^points colorings, at least 2^log2_at_least.  From 2^64 on, the stop
+    # is decided and worded on that bound, since r^points may have more
+    # digits than an int prints; below it, the power is built and named
+    log2_at_least = len(cube) * (r.bit_length() - 1)
+    if log2_at_least >= 64:
+        raise BudgetExceeded("hj coloring space has a log2 of at least", log2_at_least,
+                             MAX_COLORING_SPACE.bit_length() - 1, f"M={M}")
     space = r ** len(cube)
     if space > MAX_COLORING_SPACE:
         raise BudgetExceeded("hj coloring space holds", space, MAX_COLORING_SPACE, f"M={M}", noun="colorings")
@@ -672,7 +679,7 @@ def narrow_fixture_member(t: WordSeq) -> bool:
     return 2 * len(t) <= c
 
 
-def nw_fixture_check(fixture: str, alph: Alphabet, letter_budget: int = 8) -> dict:
+def nw_fixture_check(fixture: str, alph: Alphabet, letter_budget: int) -> dict:
     """Probe a dichotomy fixture at truncation.
 
     wide:   every first-limit-level sequence in the reduction universe of

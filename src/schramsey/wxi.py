@@ -24,7 +24,6 @@ from .words import (
     align,
     d_map,
     fill_words,
-    reduce_seq,
     seq_sort_key,
     side_consistent,
 )
@@ -127,18 +126,6 @@ def enumerate_wxi(xi: Ordinal, alph: Alphabet, side: str, letter_budget: int) ->
         listing = f"level-{xi} listing of {side} sequences with up to {letter_budget} letters holds"
         raise BudgetExceeded(listing, count, words.MAX_REDUCTION_CASES, noun="sequences")
     return tuple(sorted((seq for shape in shapes for seq in fill_words(shape, side, alph)), key=seq_sort_key))
-
-
-def enumerate_reductions_wxi(
-    xi: Ordinal, stream: VarWordStream, side: str, letter_budget: int
-) -> tuple[WordSeq, ...]:
-    """Level-xi reductions of the stream (relative block structure), for
-    letter-word sequences within the budget and the stream horizon."""
-    budget = min(letter_budget, stream.horizon)
-    out = []
-    for t in enumerate_wxi(xi, stream.alph, side, budget):
-        out.append(reduce_seq(stream, t))
-    return tuple(sorted(out, key=seq_sort_key))
 
 
 def star_status(xi: Ordinal, seq: WordSeq) -> str:

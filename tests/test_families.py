@@ -1,6 +1,5 @@
 import json
 import random
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +14,8 @@ from schramsey.words import (
     upsilon_stream,
     word,
 )
+
+from reference import union_of_hereditary_subfamilies
 
 P = o.parse
 AB = Alphabet(("a", "b"))
@@ -127,19 +128,6 @@ def test_hereditary_kernel_constant_side():
     assert fm.is_hereditary(kern)
 
 
-def _union_of_hereditary_subfamilies(F):
-    # every hereditary family holds the empty sequence, so the candidates
-    # are () plus each subset of the other members
-    rest = sorted(F.members - {()}, key=lambda m: (len(m), m))
-    union = set()
-    for size in range(len(rest) + 1):
-        for sub in combinations(rest, size):
-            H = F.replace({(), *sub})
-            if fm.is_hereditary(H):
-                union |= H.members
-    return union
-
-
 # side-consistent sequences of at most 2 letters, and of exactly 3
 POOLS = {side: ([s for s in universe(AB, side, 2)], [s for s in universe(AB, side, 3) if sum(map(len, s)) == 3])
          for side in ("constant", "variable")}
@@ -158,7 +146,7 @@ def small_families(draw):
 @settings(max_examples=60, deadline=None)
 @given(small_families())
 def test_hereditary_kernel_is_the_union_of_hereditary_subfamilies(F):
-    assert fm.hereditary_kernel(F).members == _union_of_hereditary_subfamilies(F)
+    assert fm.hereditary_kernel(F).members == union_of_hereditary_subfamilies(F.members, AB, F.side)
 
 
 def test_tree_dichotomy_trivial_cases():

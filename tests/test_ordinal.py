@@ -6,6 +6,8 @@ from schramsey import ordinal as o
 from schramsey import schreier as sch
 from schramsey.errors import OrdinalParseError, OrdinalRangeError
 
+from reference import compare
+
 P = o.parse
 
 
@@ -18,20 +20,6 @@ def ordinals():
         )
 
     return st.recursive(base, extend, max_leaves=5)
-
-
-def compare(a, b):
-    """-1, 0, 1 as a <, =, > b: the recursive term-by-term comparison that
-    tuple order replaces, kept as the reference."""
-    for (ea, ca), (eb, cb) in zip(a, b):
-        c = compare(ea, eb)
-        if c != 0:
-            return c
-        if ca != cb:
-            return -1 if ca < cb else 1
-    if len(a) != len(b):
-        return -1 if len(a) < len(b) else 1
-    return 0
 
 
 def assert_normal(a):

@@ -1,8 +1,9 @@
 """The library has no test-only surface: every public top-level function
 or class in `src/schramsey` is named somewhere in `src/` or `bench/`
 outside its own definition, or is the reference behind an acceptance
-criterion and listed here with it.  And every budget stop in it is
-worded by `BudgetExceeded` from its fields, never by its caller."""
+criterion and listed here with it.  Every budget stop in it is worded by
+`BudgetExceeded` from its fields, never by its caller.  And the tests'
+reference module imports no engine code."""
 
 import ast
 import inspect
@@ -16,12 +17,11 @@ from schramsey.errors import BudgetExceeded
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "schramsey"
 BENCH = sorted((ROOT / "bench").glob("*.py"))  # bench/tests/ is test code
+REFERENCE = ROOT / "tests" / "reference.py"
 
 # Public names no program path calls, kept as the reference that
 # tests/test_acceptance.py checks the criterion against.
 CRITERION_REFERENCES = {
-    "schreier.shifted_members": "03",
-    "wxi.enumerate_reductions_wxi": "05",
     "cbindex.so_index": "06",
     "verify.hj_line_search": "09",
 }
@@ -109,3 +109,42 @@ def test_guard_catches_a_preformatted_budget_stop(tmp_path):
     (tmp_path / "words.py").write_text(source + '\n\ndef stop():\n    raise BudgetExceeded(f"x")\n')
     lines = source.count("\n") + 4
     assert preformatted_budget_stops(tmp_path) == [f"words:{lines}"]
+
+
+# What tests/reference.py may import from the package, by module: ordinal
+# parsing and type, the independent recursion mem_direct with its config,
+# record and coloring types, and the alphabet type, constants and text
+# helpers of words.  Nothing that lists, reduces, aligns, enumerates or walks.
+REFERENCE_IMPORTS = {
+    "ordinal": {"parse", "Ordinal"},
+    "schreier": {"SchreierConfig"},
+    "verify": {"mem_direct", "Witness", "SearchOutcome", "Coloring"},
+    "words": {"Alphabet", "VAR", "MAX_BLOCK_WORDS", "seq_text", "seq_sort_key"},
+}
+
+
+def engine_imports(path: Path) -> list:
+    """`module.name` for each name the file imports from the package
+    outside REFERENCE_IMPORTS; a module imported whole is never allowed."""
+    out = []
+    for n in ast.walk(ast.parse(path.read_text())):
+        if isinstance(n, ast.Import):
+            out += [a.name for a in n.names if a.name.split(".")[0] == "schramsey"]
+        elif isinstance(n, ast.ImportFrom) and (n.module or "").split(".")[0] == "schramsey":
+            module = n.module.partition(".")[2] or "schramsey"
+            out += [f"{module}.{a.name}" for a in n.names if a.name not in REFERENCE_IMPORTS.get(module, ())]
+    return out
+
+
+def test_reference_module_imports_no_engine_code():
+    assert engine_imports(REFERENCE) == []
+
+
+@pytest.mark.parametrize("line, caught", [
+    ("from schramsey.words import reductions", "words.reductions"),
+    ("from schramsey import words", "schramsey.words"),
+    ("import schramsey.wxi", "schramsey.wxi"),
+], ids=["name", "module", "import"])
+def test_guard_catches_an_engine_import_in_the_reference(tmp_path, line, caught):
+    (tmp_path / "reference.py").write_text(REFERENCE.read_text() + "\n" + line + "\n")
+    assert engine_imports(tmp_path / "reference.py") == [caught]

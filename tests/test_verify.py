@@ -1,7 +1,6 @@
 import hashlib
 import json
 import time
-from functools import partial
 from itertools import combinations, product
 from math import comb
 
@@ -12,19 +11,16 @@ from schramsey import cli
 from schramsey import ordinal as o
 from schramsey import schreier as sch
 from schramsey import verify as v
-from schramsey import words, wxi
-from schramsey.words import (
-    MAX_BLOCK_WORDS,
-    Alphabet,
-    block_reductions,
-    reductions,
-    seq_sort_key,
-    seq_text,
-    upsilon_stream,
-    word,
-)
+from schramsey import words
+from schramsey.words import Alphabet, reductions, upsilon_stream, word
 
-from reference import reference_members
+from reference import (
+    all_small_var_seqs,
+    definitional_substar,
+    scratch_carlson,
+    scratch_subspace,
+    sweep_ramsey,
+)
 
 P = o.parse
 AB = Alphabet(("a", "b"))
@@ -126,30 +122,6 @@ def test_ramsey_exhaustion_counts():
     assert out.visited == out.expected == 1
 
 
-def _sweep_ramsey(xi, max_n, coloring, target, rule="fixed"):
-    """Reference: the size-then-lex sweep over every subset, filtering every
-    member (by the reference recursion under `rule`) for each one."""
-    members = reference_members(xi, max_n, rule)
-    visited = 0
-    for size in range(target, max_n + 1):
-        for L in combinations(range(1, max_n + 1), size):
-            visited += 1
-            ls = set(L)
-            inside = [m for m in members if set(m) <= ls]
-            colors = {coloring(m) for m in inside}
-            if len(colors) <= 1:
-                cert = tuple((m, coloring(m)) for m in inside)
-                witness = v.Witness(
-                    kind="mono_set",
-                    payload=(L, str(xi), coloring),
-                    certificate=cert,
-                    bounds=(("max_n", max_n), ("target", target)),
-                )
-                return v.SearchOutcome(witness, visited)
-    expected = sum(comb(max_n, size) for size in range(target, max_n + 1))
-    return v.SearchOutcome(None, visited, expected)
-
-
 FINSET_COLORINGS = [
     v.Coloring("finsets", 2, "min_mod"),
     v.Coloring("finsets", 3, "min_mod"),
@@ -168,7 +140,7 @@ def test_ramsey_dfs_matches_sweep(rule, xs):
             for target in range(0, max_n + 2):
                 out = v.ramsey_schreier_search(xi, max_n, col, target)
                 assert out.nodes is not None
-                assert out._replace(nodes=None) == _sweep_ramsey(xi, max_n, col, target, rule), (max_n, col, target)
+                assert out._replace(nodes=None) == sweep_ramsey(xi, max_n, col, target, rule), (max_n, col, target)
 
 
 @pytest.mark.parametrize("xs, max_n, nodes", [("3", 12, 250), ("2", 13, 169)])
@@ -192,15 +164,6 @@ def test_ramsey_schreier_w_probe_answers_fast(capsys):
 def test_ramsey_rejects_negative_target():
     with pytest.raises(ValueError):
         v.ramsey_schreier_search(P("1"), 5, FINSET_COLORINGS[0], -1)
-
-
-def test_pair_sweep_thresholds():
-    full = v.ramsey_pair_sweep(6, 3)
-    assert full["all_have_witness"]
-    assert full["visited"] == full["colorings"] == 2**15
-    small = v.ramsey_pair_sweep(5, 3)
-    assert not small["all_have_witness"]
-    assert small["defeating_coloring"] is not None
 
 
 def test_pentagon_coloring_defeats_independently():
@@ -297,83 +260,6 @@ def test_subspace_search_trivial_and_checked():
     assert out2.found and v.check_witness(out2.witness)
 
 
-def _scratch_family(u, xi, alph, side, rule):
-    seen = {seq for used in range(1, len(u) + 1) for seq, _d in reductions(u[:used], alph, side)}
-    member = partial(v.mem_direct, cfg=sch.SchreierConfig(rule))
-    return tuple(sorted((s for s in seen if wxi.in_level(xi, s, member)), key=seq_sort_key))
-
-
-def _scratch_carlson(xi, chi1, chi2, stream, depth, rule="fixed"):
-    """Reference: the prefix search that rebuilds the reductions of every
-    prefix of the candidate at every node, testing membership with the
-    reference recursion under `rule`."""
-    alph = stream.alph
-    per_step = sum(len(alph.full) ** b - len(alph.symbols) ** b for b in range(1, MAX_BLOCK_WORDS + 1))
-    visited_leaves = 0
-    pruned_leaves = 0
-
-    def blocks_from(k):
-        for b in range(1, min(MAX_BLOCK_WORDS, stream.horizon - k) + 1):
-            for blk in block_reductions(stream.prefix[k : k + b], alph, "variable"):
-                yield blk, b
-
-    def mono(u):
-        const = _scratch_family(u, xi, alph, "constant", rule)
-        if len({chi1(s) for s in const}) > 1:
-            return None
-        var = _scratch_family(u, xi, alph, "variable", rule)
-        if len({chi2(s) for s in var}) > 1:
-            return None
-        return const, var
-
-    def dfs(u, k):
-        nonlocal visited_leaves, pruned_leaves
-        if len(u) == depth:
-            visited_leaves += 1
-            return u
-        for blk, b in blocks_from(k):
-            cand = u + (blk,)
-            if mono(cand) is None:
-                pruned_leaves += per_step ** (depth - len(cand))
-                continue
-            hit = dfs(cand, k + b)
-            if hit is not None:
-                return hit
-        return None
-
-    found = dfs((), 0)
-    if found is None:
-        return v.SearchOutcome(None, visited_leaves + pruned_leaves, per_step**depth)
-    const, var = mono(found)
-    cert = tuple(
-        [("c", seq_text(s), chi1(s)) for s in const]
-        + [("v", seq_text(s), chi2(s)) for s in var]
-    )
-    witness = v.Witness(
-        kind="reduction_prefix",
-        payload=(found, str(xi), chi1, chi2, alph.symbols),
-        certificate=cert,
-        bounds=(("depth", depth), ("block_cap", MAX_BLOCK_WORDS), ("horizon", stream.horizon)),
-    )
-    return v.SearchOutcome(witness, visited_leaves + pruned_leaves, per_step**depth)
-
-
-def _scratch_subspace(xi, chi, stream, depth, rule="fixed"):
-    """Reference: the subspace search on top of the from-scratch prefix search."""
-    pulled = lambda seq: chi(frozenset(words.reduced_words(seq, stream.alph, "constant")))
-    out = _scratch_carlson(xi, v.Coloring("wordseqs", 1, "const", (1,)), pulled, stream, depth, rule)
-    if out.witness is None:
-        return out
-    base = out.witness
-    witness = v.Witness(
-        kind="subspace_prefix",
-        payload=(base.payload[0], str(xi), chi, stream.alph.symbols),
-        certificate=tuple((t, c) for side, t, c in base.certificate if side == "v"),
-        bounds=base.bounds,
-    )
-    return v.SearchOutcome(witness, out.visited, out.expected)
-
-
 # the bench's sequence colorings: const:1, first_len_mod:2, total_len_mod:2, first_letter:2
 SEQ_COLORINGS = [
     v.Coloring("wordseqs", 2, "const", (1,)),
@@ -395,10 +281,10 @@ def test_carlson_frontier_matches_scratch_search(rule, xs):
         stream = upsilon_stream(AB, horizon)
         for chi1, chi2 in product(SEQ_COLORINGS, repeat=2):
             args = (P(xs), chi1, chi2, stream, 3)
-            assert v.carlson_witness_search(*args) == _scratch_carlson(*args, rule), (chi1, chi2, horizon)
+            assert v.carlson_witness_search(*args) == scratch_carlson(*args, rule), (chi1, chi2, horizon)
         for chi in SET_COLORINGS:
             args = (P(xs), chi, stream, 3)
-            assert v.subspace_search(*args) == _scratch_subspace(*args, rule), (chi, horizon)
+            assert v.subspace_search(*args) == scratch_subspace(*args, rule), (chi, horizon)
 
 
 def test_carlson_one_kernel_call_per_candidate_and_side(monkeypatch, capsys):
@@ -438,15 +324,6 @@ def test_subspace_search_walks_the_variable_side_only(monkeypatch, capsys):
 # --- Hales-Jewett -----------------------------------------------------------
 
 
-def test_hj_base_instance():
-    rep = v.hales_jewett_M(2, 1, 2, o.ZERO, 4)
-    assert rep["M"] == 2
-    assert rep["colorings_checked"][2] == 16
-    assert 1 in rep["defeaters"]
-    defeat = rep["defeaters"][1]
-    assert set(defeat.values()) == {1, 2}  # the two length-1 words split
-
-
 def test_hj_monotone_in_length():
     # once every coloring is coverable it stays coverable at larger sizes
     for M in (2, 3):
@@ -484,35 +361,6 @@ def test_hj_pair_generator_single_coloring():
 # --- dichotomy fixtures -------------------------------------------------------
 
 
-def _compositions(n):
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield (first,) + rest
-
-
-def _definitional_prefix(shape, raw_ok, slack=12):
-    for total in range(len(shape), len(shape) + slack):
-        cand = shape + (1,) * (total - len(shape))
-        if raw_ok(cand):
-            return True
-    return False
-
-
-def _definitional_substar(t, raw_ok):
-    """Split each word into pieces and test whether some refinement's shape
-    extends to a raw member shape; piece feasibility is guaranteed because
-    every segment can host the variable or echo one of its own letters."""
-    per_word = [list(_compositions(len(x))) for x in t]
-    for combo in product(*per_word):
-        shape = tuple(piece for word_pieces in combo for piece in word_pieces)
-        if _definitional_prefix(shape, raw_ok):
-            return True
-    return False
-
-
 def _raw_wide(shape):
     L = len(shape)
     return L >= 6 and L % 2 == 0 and shape[0] == (L - 4) // 2
@@ -523,30 +371,14 @@ def _raw_narrow(shape):
     return L >= 2 and shape[0] == 2 * L - 3
 
 
-def _all_small_var_seqs(max_letters):
-    out = []
-    for total in range(1, max_letters + 1):
-        for shape in _compositions(total):
-            fills = []
-            for length in shape:
-                opts = []
-                for letters in product(AB.full, repeat=length):
-                    if AB.variable in letters:
-                        opts.append("".join(letters))
-                fills.append(opts)
-            for chosen in product(*fills):
-                out.append(tuple(chosen))
-    return out
-
-
 def test_wide_law_matches_definitional_search():
-    for t in _all_small_var_seqs(5):
-        assert v.wide_fixture_member(t) == _definitional_substar(t, _raw_wide), list(t)
+    for t in all_small_var_seqs(AB, 5):
+        assert v.wide_fixture_member(t) == definitional_substar(t, _raw_wide), list(t)
 
 
 def test_narrow_law_matches_definitional_search():
-    for t in _all_small_var_seqs(5):
-        assert v.narrow_fixture_member(t) == _definitional_substar(t, _raw_narrow), list(t)
+    for t in all_small_var_seqs(AB, 5):
+        assert v.narrow_fixture_member(t) == definitional_substar(t, _raw_narrow), list(t)
 
 
 def test_nw_fixture_reports():
@@ -554,7 +386,7 @@ def test_nw_fixture_reports():
     assert rep["consistent"] and rep["probed"] > 0
     rep2 = v.nw_fixture_check("narrow", AB, 7)
     assert rep2["consistent"] and rep2["probed"] > 0
-    assert v.nw_fixture_check("empty", AB)["consistent"]
+    assert v.nw_fixture_check("empty", AB, 7)["consistent"]
 
 
 @pytest.mark.parametrize("letters, stamped, probed", [(3, 3, 1), (4, 4, 11), (5, 5, 74), (9, 5, 74)])

@@ -29,6 +29,8 @@ from schramsey.words import (
 )
 from schramsey.wxi import match_reduction
 
+import reference
+
 AB = Alphabet(("a", "b"))
 A1 = Alphabet(("a",))
 
@@ -105,34 +107,12 @@ def test_reduced_words_cardinality():
     assert len(rw2) <= 1**2 or len(rw2) == 1
 
 
-def _product_reductions(seq, side):
-    """Independent listing: every cut of seq x every assignment of a letter
-    or the variable to each word, kept when every block is on `side`."""
-    n = len(seq)
-    out = set()
-    for cuts in product([False, True], repeat=n - 1):
-        bounds = [0] + [i + 1 for i, c in enumerate(cuts) if c] + [n]
-        for assign in product(AB.full, repeat=n):
-            blocks = []
-            sides = []
-            for bi in range(len(bounds) - 1):
-                lo, hi = bounds[bi], bounds[bi + 1]
-                letters = ""
-                for idx in range(lo, hi):
-                    letters += seq[idx].replace(AB.variable, assign[idx])
-                blocks.append(letters)
-                sides.append(any(a == AB.variable for a in assign[lo:hi]))
-            if (not any(sides)) if side == "constant" else all(sides):
-                out.add(tuple(blocks))
-    return out
-
-
 def test_finite_reductions_counts():
     # independent count: compositions x assignments, then dedup
     seq = (w("a_"), w("b_"))
     rw, vrw = (finite_reductions(seq, AB, side) for side in ("constant", "variable"))
-    assert {s for s, _ in rw if s} == _product_reductions(seq, "constant")
-    assert {s for s, _ in vrw if s} == _product_reductions(seq, "variable")
+    assert {s for s, _ in rw if s} == set(reference.product_reductions(seq, AB, "constant"))
+    assert {s for s, _ in vrw if s} == set(reference.product_reductions(seq, AB, "variable"))
     assert ((), ()) in rw and ((), ()) in vrw
 
 
@@ -145,11 +125,11 @@ def test_hereditary_reductions_match_two_oracles(texts, side):
     seq = tuple(texts)
     listed = hereditary_reductions(seq, AB, side)
     assert list(listed) == sorted(set(listed), key=seq_sort_key)
-    # the reductions of every non-empty prefix, listed independently
-    by_prefix = set().union(*(_product_reductions(seq[:k], side) for k in range(1, len(seq) + 1)))
     # the non-empty initial segments of the reductions of seq itself
     segments = {r[:i] for r, _d in finite_reductions(seq, AB, side) for i in range(1, len(r) + 1)}
-    assert set(listed) == by_prefix == segments
+    # and the reductions of every non-empty prefix, listed independently
+    assert listed == reference.hereditary_reductions(seq, AB, side)
+    assert set(listed) == segments
 
 
 def test_finite_reductions_carry_offsets():

@@ -1,5 +1,4 @@
 import random
-from itertools import product
 
 import pytest
 
@@ -17,9 +16,10 @@ from schramsey.words import (
     seq_sort_key,
     span,
     universe,
-    upsilon_stream,
     word,
 )
+
+from reference import product_reductions
 
 P = o.parse
 AB = Alphabet(("a", "b"))
@@ -154,14 +154,6 @@ def test_star_status_matches_its_definition(xs):
         assert wxi.star_status(xi, seq) == expected, (xs, seq)
 
 
-def test_enumeration_matches_identity_stream_reductions():
-    for xs in ["0", "1", "2", "w"]:
-        xi = P(xs)
-        direct = wxi.enumerate_wxi(xi, AB, "constant", 6)
-        via_e = wxi.enumerate_reductions_wxi(xi, upsilon_stream(AB, 6), "constant", 6)
-        assert direct == via_e
-
-
 def test_enumeration_matches_filter_oracle():
     # independent oracle: generate every sequence within the budget and
     # filter by the membership predicate
@@ -256,25 +248,6 @@ def test_is_xi_subspace():
     assert member("1", (w("_"), w("_")), side="variable")
 
 
-def _vrw_prefixes(horizon):
-    """Full-horizon variable reductions of the identity stream."""
-    out = []
-    for cuts in product([False, True], repeat=horizon - 1):
-        bounds = [0] + [i + 1 for i, c in enumerate(cuts) if c] + [horizon]
-        for assign in product(AB.full, repeat=horizon):
-            blocks = []
-            ok = True
-            for bi in range(len(bounds) - 1):
-                seg = assign[bounds[bi] : bounds[bi + 1]]
-                if AB.variable not in seg:
-                    ok = False
-                    break
-                blocks.append("".join(seg))
-            if ok:
-                out.append(tuple(blocks))
-    return out
-
-
 def test_containment_equivalence_at_truncation():
     # Containment of level-xi reductions in G is equivalent to: for every
     # full-horizon variable reduction, the unique level-xi initial block
@@ -283,7 +256,8 @@ def test_containment_equivalence_at_truncation():
     horizon = 4
     members = wxi.enumerate_wxi(xi, AB, "constant", horizon)
     rng = random.Random(9)
-    reductions = _vrw_prefixes(horizon)
+    # the full-horizon variable reductions of the identity stream
+    reductions = product_reductions((VAR,) * horizon, AB, "variable")
 
     def rhs_holds(G):
         for vr in reductions:
