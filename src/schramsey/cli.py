@@ -294,18 +294,12 @@ def _cmd_family(args) -> int:
     report = {"command": f"family {args.action}", "members": len(fam.members), "side": fam.side}
     code = EXIT_FOUND
     if args.action == "close":
-        closed = families.star_closure(fam) if args.closure == "star" else (
-            families.substar(fam) if fam.side == "variable" else families.g_substar(fam)
-        )
-        report.update(
-            {"closure": args.closure, "closed_size": len(closed.members),
-             "closed": [words.seq_text(m) for m in closed.sorted_members()]}
-        )
+        closed = families.star_closure(fam) if args.closure == "star" else families.hereditary_closure(fam)
+        report.update({"closure": args.closure, "closed_size": len(closed.members),
+                       "closed": [words.seq_text(m) for m in closed.sorted_members()]})
     elif args.action == "kernel":
         kern = families.hereditary_kernel(fam)
-        report.update(
-            {"kernel_size": len(kern.members), "kernel": [words.seq_text(m) for m in kern.sorted_members()]}
-        )
+        report.update({"kernel_size": len(kern.members), "kernel": [words.seq_text(m) for m in kern.sorted_members()]})
     elif args.action == "thin":
         value = families.is_thin(fam)
         report["thin"] = value
@@ -331,7 +325,7 @@ def _cmd_cbindex(args) -> int:
     alph = _parse_alphabet(args.alphabet)
     if args.family.startswith("len:"):
         max_len = _count("len", _spec_int("--family len:K", "K", args.family.split(":")[1]))
-        letters = max_len if args.seed_letters is None else _count("seed-letters", args.seed_letters)
+        letters = max_len if args.seed_letters is None else args.seed_letters
         fam = cbindex.length_truncation_family(alph, args.side_full, max_len, letters)
     else:
         from . import families

@@ -97,10 +97,14 @@ def substar(fam: FamilyOfSeqs) -> FamilyOfSeqs:
     return fam.replace(out)
 
 
+def hereditary_closure(fam: FamilyOfSeqs) -> FamilyOfSeqs:
+    """Hereditary closure on the family's own side: `substar` for a
+    variable-side family, `g_substar` for a constant-side one."""
+    return substar(fam) if fam.side == "variable" else g_substar(fam)
+
+
 def is_hereditary(fam: FamilyOfSeqs) -> bool:
-    if fam.side == "variable":
-        return substar(fam).members == fam.members
-    return g_substar(fam).members == fam.members
+    return hereditary_closure(fam).members == fam.members
 
 
 def f_g(fam: FamilyOfSeqs) -> FamilyOfSeqs:

@@ -77,35 +77,38 @@ def test_criterion_03_transfer_identity():
     _report(3, "transfer identity at N=12", t0, limit=10.0)
 
 
+def _random_seq(rng, count, letters):
+    """count words of 1..3 letters each, drawn from letters."""
+    return tuple("".join(rng.choice(letters) for _ in range(rng.randint(1, 3))) for _ in range(count))
+
+
 def test_criterion_04_canonical_representation():
     t0 = time.time()
-    rng = random.Random(2024)
     xis = [P(t) for t in ["1", "2", "w", "w+1", "w^2"]]
-    streams = []
-    for _ in range(200):
-        seq = []
-        for _ in range(rng.randint(6, 10)):
-            length = rng.randint(1, 3)
-            seq.append("".join(rng.choice(AB.symbols) for _ in range(length)))
-        streams.append(tuple(seq))
-    for seq in streams:
+    # 200 constant sequences of 6..10 words, each at every index; then 40
+    # sequences of 2..9 words over letters and the variable per index
+    rng = random.Random(2024)
+    streams = [_random_seq(rng, rng.randint(6, 10), AB.symbols) for _ in range(200)]
+    cases = [(xi, seq) for seq in streams for xi in xis]
+    rng = random.Random(5)
+    cases += [(xi, _random_seq(rng, rng.randint(2, 9), AB.full)) for xi in xis for _ in range(40)]
+    for xi, seq in cases:
         offsets = d_map(seq)
-        for xi in xis:
-            bounds, residual = wxi.canonical_rep(xi, seq)
-            assert all(b2 > b1 for b1, b2 in zip(bounds, bounds[1:]))
-            pos = 0
-            for m in bounds:
-                block = offsets[pos : m - 1]
-                assert sch.mem(xi, block)
-                for cut in range(len(block)):
-                    assert not sch.mem(xi, block[:cut])
-                pos = m - 1
-            if residual:
-                tail = offsets[pos:]
-                for cut in range(len(tail) + 1):
-                    assert not sch.mem(xi, tail[:cut])
-            else:
-                assert not bounds or bounds[-1] == len(seq)
+        bounds, residual = wxi.canonical_rep(xi, seq)
+        assert all(b2 > b1 for b1, b2 in zip(bounds, bounds[1:]))
+        pos = 0
+        for m in bounds:
+            block = offsets[pos : m - 1]
+            assert sch.mem(xi, block)
+            for cut in range(len(block)):
+                assert not sch.mem(xi, block[:cut])
+            pos = m - 1
+        if residual:
+            tail = offsets[pos:]
+            for cut in range(len(tail) + 1):
+                assert not sch.mem(xi, tail[:cut])
+        else:
+            assert not bounds or bounds[-1] == len(seq)
     _report(4, "canonical block representation", t0)
 
 

@@ -1,3 +1,8 @@
+"""The CLI: answers, and one table per other outcome.  Every input gets an
+answer (exit 0 or 1), a usage error (exit 2, USAGE_ERRORS) or a budget
+stop (exit 3, the table of `test_unbounded_walks_stop_at_their_budget`).
+`run_cli` is the one in-process runner, here and in tests/test_golden.py."""
+
 import contextlib
 import io
 import json
@@ -7,6 +12,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,263 +20,269 @@ from hypothesis import given, settings, strategies as st
 from schramsey import cli, verify
 
 
-def run_cli(args, capsys):
-    code = cli.main(args)
-    out = capsys.readouterr().out
-    return code, out
+class Run(NamedTuple):
+    code: int
+    out: str
+    err: str
+
+    @property
+    def report(self) -> dict:
+        return json.loads(self.out)
 
 
-def run_json(args, capsys):
-    code, out = run_cli(args, capsys)
-    return code, json.loads(out)
+def run_cli(argv) -> Run:
+    """`cli.main(argv)` in process, with its exit code, stdout and stderr;
+    a string argv is split on whitespace."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv.split() if isinstance(argv, str) else argv)
+    return Run(code, out.getvalue(), err.getvalue())
 
 
-def test_schreier_mem_true(capsys):
-    code, rep = run_json(["schreier", "mem", "--xi", "w", "--set", "{3,5,9}"], capsys)
-    assert code == 0 and rep["member"] is True
+TREE = {"alphabet": ["a", "b"], "side": "constant", "members": [[], ["a"], ["a", "b"]]}
+
+# files by name, which argv tables name as {name}: families, configs, and
+# files that are not one
+FILES = {
+    "tree": json.dumps(TREE),
+    "var": json.dumps({"alphabet": ["a", "b"], "side": "variable", "members": [[], ["_"], ["_", "a_"]]}),
+    "fam": json.dumps({"alphabet": ["a", "b"], "side": "constant", "members": [["a"], []]}),
+    "empty": "",
+    "deep": "[" * 100_000 + "]" * 100_000,
+    "shape": json.dumps([["a"]]),
+    "config": json.dumps({"max_n": 4, "letters": 3}),
+    "config_key": json.dumps({"threads": 2}),
+    "symbol": json.dumps({"alphabet": ["ab", "c"], "side": "constant", "members": [["c"]]}),
+    "no_alphabet": json.dumps({"side": "constant", "members": [["a"]]}),
+    "member_3": json.dumps({"alphabet": ["a", "b"], "side": "constant", "members": [["a"], 3]}),
+    "array": json.dumps([["a"], ["a", "b"]]),
+}
 
 
-def test_schreier_mem_false_exit(capsys):
-    code, rep = run_json(["schreier", "mem", "--xi", "w", "--set", "{2,3,4}"], capsys)
-    assert code == 1 and rep["member"] is False
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """The path of each file of FILES; `missing` names no file and `dir` a directory."""
+    root = tmp_path_factory.mktemp("files")
+    for name, text in FILES.items():
+        (root / f"{name}.json").write_text(text)
+    return {"dir": str(root), "missing": str(root / "missing.json"), **{n: str(root / f"{n}.json") for n in FILES}}
 
 
-def test_schreier_decompose(capsys):
-    code, rep = run_json(
-        ["schreier", "decompose", "--xi", "w", "--stream", "3,7,8,9,10"], capsys
-    )
-    assert code == 0 and rep["initial_segment"] == [3, 7, 8]
+def test_schreier_mem_true():
+    run = run_cli("schreier mem --xi w --set {3,5,9}")
+    assert run.code == 0 and run.report["member"] is True
 
 
-def test_schreier_enumerate_and_transfer(capsys):
-    code, rep = run_json(["schreier", "enumerate", "--xi", "w", "--max-n", "4"], capsys)
-    assert code == 0 and rep["members"] == [[1], [2, 3], [2, 4]]
-    code, rep = run_json(["schreier", "transfer", "--xi", "w", "-n", "3"], capsys)
-    assert code == 0 and rep["transfer_index"] == "2"
+def test_schreier_mem_false_exit():
+    run = run_cli("schreier mem --xi w --set {2,3,4}")
+    assert run.code == 1 and run.report["member"] is False
 
 
-def test_ordinal_commands(capsys):
-    code, rep = run_json(["ordinal", "eval", "w^2*3 + w + 5"], capsys)
-    assert code == 0 and rep["canonical"] == "w^2*3 + w + 5"
-    code, rep = run_json(["ordinal", "fixed-seq", "w^w", "-n", "2", "--succ"], capsys)
-    assert rep["value"] == "w + 2"
-    code, rep = run_json(["ordinal", "classify", "w+4"], capsys)
+def test_schreier_decompose():
+    run = run_cli("schreier decompose --xi w --stream 3,7,8,9,10")
+    assert run.code == 0 and run.report["initial_segment"] == [3, 7, 8]
+
+
+def test_schreier_enumerate_and_transfer():
+    run = run_cli("schreier enumerate --xi w --max-n 4")
+    assert run.code == 0 and run.report["members"] == [[1], [2, 3], [2, 4]]
+    run = run_cli("schreier transfer --xi w -n 3")
+    assert run.code == 0 and run.report["transfer_index"] == "2"
+
+
+def test_ordinal_commands():
+    run = run_cli(["ordinal", "eval", "w^2*3 + w + 5"])
+    assert run.code == 0 and run.report["canonical"] == "w^2*3 + w + 5"
+    assert run_cli("ordinal fixed-seq w^w -n 2 --succ").report["value"] == "w + 2"
+    rep = run_cli("ordinal classify w+4").report
     assert rep["kind"] == "successor" and rep["pred"] == "w + 3"
 
 
-def test_words_and_wxi_commands(capsys):
-    code, rep = run_json(
-        ["words", "d", "--alphabet", "ab", "--seq", "(ab,ba,aab)"], capsys
-    )
-    assert rep["d"] == [3, 5]
-    code, rep = run_json(
-        ["wxi", "member", "--xi", "2", "--alphabet", "ab", "--side", "c", "--seq", "(ab,ba,aab)"],
-        capsys,
-    )
-    assert code == 0 and rep["member"] is True
-    code, rep = run_json(
-        ["wxi", "decompose", "--xi", "1", "--alphabet", "ab", "--seq", "(a,b,a)"], capsys
-    )
+def test_words_and_wxi_commands():
+    assert run_cli("words d --alphabet ab --seq (ab,ba,aab)").report["d"] == [3, 5]
+    run = run_cli("wxi member --xi 2 --alphabet ab --side c --seq (ab,ba,aab)")
+    assert run.code == 0 and run.report["member"] is True
+    rep = run_cli("wxi decompose --xi 1 --alphabet ab --seq (a,b,a)").report
     assert rep["boundaries"] == [2, 3] and rep["residual"] is False
 
 
-def test_family_commands(tmp_path, capsys):
-    fam = {
-        "alphabet": ["a", "b"],
-        "side": "constant",
-        "members": [["a"], []],
-    }
-    path = tmp_path / "fam.json"
-    path.write_text(json.dumps(fam))
-    code, rep = run_json(["family", "tree", "--file", str(path)], capsys)
-    assert code == 0 and rep["tree"] is True
-    code, rep = run_json(
-        ["family", "dichotomy", "--file", str(path), "--xi", "1", "--stream", "e:3", "--letters", "3"],
-        capsys,
-    )
-    assert code == 0 and rep["equivalent"] is True
+def test_family_commands(files):
+    run = run_cli(["family", "tree", "--file", files["fam"]])
+    assert run.code == 0 and run.report["tree"] is True
+    run = run_cli(["family", "dichotomy", "--file", files["fam"], *"--xi 1 --stream e:3 --letters 3".split()])
+    assert run.code == 0 and run.report["equivalent"] is True
 
 
-def test_cbindex_command(capsys):
-    code, rep = run_json(
-        ["cbindex", "--family", "len:2", "--stream", "e:40", "--oracle", "exact:length"],
-        capsys,
-    )
-    assert code == 0 and rep["so_index"] == 2 and rep["nodes"] == 0
-    code, rep = run_json(
-        ["cbindex", "--family", "len:1", "--stream", "e:30", "--oracle", "horizon:3", "--levels", "2"],
-        capsys,
-    )
+def test_cbindex_command():
+    run = run_cli("cbindex --family len:2 --stream e:40 --oracle exact:length")
+    assert run.code == 0 and run.report["so_index"] == 2 and run.report["nodes"] == 0
+    rep = run_cli("cbindex --family len:1 --stream e:30 --oracle horizon:3 --levels 2").report
     assert rep["profile"] == [3, 1, 0]  # seeds, then only the empty sequence, then nothing
     assert rep["nodes"] > 0
 
 
-def test_cbindex_seed_letters_zero_is_a_budget(capsys):
+def test_cbindex_seed_letters_zero_is_a_budget():
     # 0 letters seed only the empty sequence; it is not read as "unset"
     for letters, profile in (("0", [1]), ("1", [3]), ("2", [11])):
-        code, rep = run_json(["cbindex", "--family", "len:2", "--seed-letters", letters, "--levels", "0"], capsys)
-        assert code == 0 and rep["profile"] == profile, letters
+        run = run_cli(["cbindex", "--family", "len:2", "--seed-letters", letters, "--levels", "0"])
+        assert run.code == 0 and run.report["profile"] == profile, letters
 
 
-@pytest.mark.parametrize("oracle, message", [
-    ("bogus:4", "error: unknown oracle mode 'bogus'\n"),
-    ("horizon", "error: horizon mode needs H (horizon:H)\n"),
-    ("horizon:x", "error: --oracle horizon:H needs an integer H, got 'x'\n"),
-    ("bogus:x", "error: unknown oracle mode 'bogus'\n"),
-])
-def test_cbindex_bad_oracle_is_a_usage_error(oracle, message, capsys):
-    code = cli.main(["cbindex", "--family", "len:2", "--oracle", oracle])
-    captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (cli.EXIT_USAGE, "", message)
-
-
-def test_deep_successor_index_is_answered(capsys):
+def test_deep_successor_index_is_answered():
     # a successor index in the thousands is decided, not a stack overflow
     for top, member, code in ((2500, False, cli.EXIT_EXHAUSTED), (3000, True, cli.EXIT_FOUND)):
         members = ",".join(str(i) for i in range(1, top + 1))
-        got, rep = run_json(["schreier", "mem", "--xi", "3000", "--set", "{" + members + "}"], capsys)
-        assert got == code and rep["member"] is member
+        run = run_cli(["schreier", "mem", "--xi", "3000", "--set", "{" + members + "}"])
+        assert run.code == code and run.report["member"] is member
 
 
-def test_unexpected_exception_in_handler_exits_4(monkeypatch, capsys):
+def test_unexpected_exception_in_handler_exits_4(monkeypatch):
     def broken(args):
         raise RuntimeError("boom\nsecond line")
 
     monkeypatch.setattr(cli, "_cmd_ordinal", broken)
-    code = cli.main(["ordinal", "eval", "w"])
-    captured = capsys.readouterr()
-    assert code == cli.EXIT_INTERNAL and captured.out == ""
-    assert captured.err == "internal error: RuntimeError: boom second line\n"
+    assert run_cli("ordinal eval w") == (cli.EXIT_INTERNAL, "", "internal error: RuntimeError: boom second line\n")
 
 
-def test_verify_commands(capsys):
-    code, rep = run_json(
-        ["verify", "hj", "--r", "2", "--n", "1", "--k", "2", "--xi", "0", "--mmax", "4"],
-        capsys,
-    )
-    assert code == 0 and rep["M"] == 2
-    code, rep = run_json(
-        ["verify", "ramsey", "--xi", "1", "--max-n", "5", "--coloring", "min_mod:2", "--target", "3"],
-        capsys,
-    )
-    assert code == 0 and rep["found"] and rep["witness_checked"] is True
-    code, rep = run_json(
-        ["verify", "nw", "--fixture", "narrow", "--alphabet", "ab", "--letters", "6"], capsys
-    )
-    assert code == 0 and rep["consistent"] is True
+def test_verify_commands():
+    run = run_cli("verify hj --r 2 --n 1 --k 2 --xi 0 --mmax 4")
+    assert run.code == 0 and run.report["M"] == 2
+    run = run_cli("verify ramsey --xi 1 --max-n 5 --coloring min_mod:2 --target 3")
+    assert run.code == 0 and run.report["found"] and run.report["witness_checked"] is True
+    run = run_cli("verify nw --fixture narrow --alphabet ab --letters 6")
+    assert run.code == 0 and run.report["consistent"] is True
 
 
-def test_usage_errors(tmp_path, capsys):
-    code, _ = run_cli(["schreier", "mem", "--xi", "w+w", "--set", "{1}"], capsys)
-    assert code == 2
-    code, _ = run_cli(["ordinal", "eval", "w^"], capsys)
-    assert code == 2
+TOWER = "w**a would exceed the supported tower depth"
+NOT_JSON = "is not JSON: Expecting value: line 1 column 1 (char 0)"
+NESTED = "is not JSON: maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+FAMILY_SHAPE = 'a family file is an object with an "alphabet" list, a "side" and a "members" list'
+
+# Each input that is refused before any answer: its argv, and its one line
+# of stderr after "error: ", or a pattern for that line where the OS words
+# it.  Both are formatted with the paths of FILES, so a literal brace is
+# doubled.
+USAGE_ERRORS = {
+    # an ordinal that does not parse, or is nested past the tower-depth cap
+    # (stopped before the parser recurses)
+    "xi-not-normal-form": ("schreier mem --xi w+w --set {{1}}",
+                           "terms not in strictly decreasing exponent order (at position 2)"),
+    "ordinal-incomplete": ("ordinal eval w^", "expected a number, 'w', or 'w^' (at position 2)"),
+    "tower-parens": ("ordinal eval " + "w^(" * 400 + "1" + ")" * 400, TOWER),
+    "tower-bare": ("ordinal eval " + "w^" * 1000, TOWER),
+    "tower-ramsey": ("verify ramsey --xi " + "w^" * 1000 + "0", TOWER),
     # a number that does not parse names the spec it came in
-    words_reduce = ["words", "reduce", "--alphabet", "ab", "--seq", "(a)", "--stream"]
-    cases = [
-        (words_reduce + ["e:x"], "stream spec 'e:x' needs an integer horizon, got 'x'"),
-        (words_reduce + ["e:"], "stream spec 'e:' needs an integer horizon, got ''"),
-        (words_reduce + ["pat:_;__:x"], "stream spec 'pat:_;__:x' needs an integer horizon, got 'x'"),
-        (["cbindex", "--family", "len:x"], "--family len:K needs an integer K, got 'x'"),
-    ]
-    # a file that is not JSON is named
-    bad = tmp_path / "bad.json"
-    bad.write_text("")
-    decode = "is not JSON: Expecting value: line 1 column 1 (char 0)"
-    cases += [
-        (["family", "dichotomy", "--file", str(bad)], f"family file {str(bad)!r} {decode}"),
-        (["cbindex", "--family", str(bad)], f"family file {str(bad)!r} {decode}"),
-        (["--config", str(bad), "ordinal", "eval", "w"], f"config file {str(bad)!r} {decode}"),
-    ]
-    # so is one nested past the decoder's recursion limit
-    deep = tmp_path / "deep.json"
-    deep.write_text("[" * 100_000 + "]" * 100_000)
-    nested = "is not JSON: maximum recursion depth exceeded while decoding a JSON array from a unicode string"
-    cases += [
-        (["--config", str(deep), "ordinal", "eval", "w"], f"config file {str(deep)!r} {nested}"),
-        (["family", "tree", "--file", str(deep)], f"family file {str(deep)!r} {nested}"),
-        (["cbindex", "--family", str(deep)], f"family file {str(deep)!r} {nested}"),
-    ]
-    # an ordinal nested past the tower-depth cap stops before the parser recurses
-    tower = "w**a would exceed the supported tower depth"
-    cases += [
-        (["ordinal", "eval", "w^(" * 400 + "1" + ")" * 400], tower),
-        (["ordinal", "eval", "w^" * 1000], tower),
-        (["verify", "ramsey", "--xi", "w^" * 1000 + "0"], tower),
-    ]
-    cases.append((["schreier", "mem", "--xi", "w", "--set", "{a}"], "set spec '{a}' needs an integer element, got 'a'"))
-    for argv, message in cases:
-        code = cli.main(argv)
-        captured = capsys.readouterr()
-        assert (code, captured.out, captured.err) == (cli.EXIT_USAGE, "", f"error: {message}\n"), argv
+    "stream-e-x": ("words reduce --alphabet ab --seq (a) --stream e:x",
+                   "stream spec 'e:x' needs an integer horizon, got 'x'"),
+    "stream-e-empty": ("words reduce --alphabet ab --seq (a) --stream e:",
+                       "stream spec 'e:' needs an integer horizon, got ''"),
+    "stream-pat-x": ("words reduce --alphabet ab --seq (a) --stream pat:_;__:x",
+                     "stream spec 'pat:_;__:x' needs an integer horizon, got 'x'"),
+    "family-len-x": ("cbindex --family len:x", "--family len:K needs an integer K, got 'x'"),
+    "set-element": ("schreier mem --xi w --set {{a}}", "set spec '{{a}}' needs an integer element, got 'a'"),
+    # a file that is not JSON is named, also one nested past the decoder's recursion limit
+    "family-file-empty": ("family dichotomy --file {empty}", f"family file '{{empty}}' {NOT_JSON}"),
+    "cbindex-family-empty": ("cbindex --family {empty}", f"family file '{{empty}}' {NOT_JSON}"),
+    "config-empty": ("--config {empty} ordinal eval w", f"config file '{{empty}}' {NOT_JSON}"),
+    "config-deep": ("--config {deep} ordinal eval w", f"config file '{{deep}}' {NESTED}"),
+    "family-file-deep": ("family tree --file {deep}", f"family file '{{deep}}' {NESTED}"),
+    "cbindex-family-deep": ("cbindex --family {deep}", f"family file '{{deep}}' {NESTED}"),
+    # a file that cannot be read
+    "family-missing": ("family tree --file {missing}", re.compile(r"\[Errno [^\n]*")),
+    "cbindex-missing": ("cbindex --family {missing}", re.compile(r"\[Errno [^\n]*")),
+    "family-directory": ("family tree --file {dir}", re.compile(r"\[Errno [^\n]*")),
+    # a family file that is JSON but no family
+    "alphabet-symbol": ("family tree --file {symbol}", "alphabet symbol 'ab' is not a single character"),
+    "family-no-alphabet": ("family tree --file {no_alphabet}", FAMILY_SHAPE),
+    "cbindex-no-alphabet": ("cbindex --family {no_alphabet}", FAMILY_SHAPE),
+    "family-member-not-a-list": ("family tree --file {member_3}", "family member 3 is not a list of words"),
+    "cbindex-member-not-a-list": ("cbindex --family {member_3}", "family member 3 is not a list of words"),
+    "family-top-level-array": ("family tree --file {array}", FAMILY_SHAPE),
+    "cbindex-top-level-array": ("cbindex --family {array}", FAMILY_SHAPE),
+    "oracle-bogus": ("cbindex --family len:2 --oracle bogus:4", "unknown oracle mode 'bogus'"),
+    "oracle-bogus-x": ("cbindex --family len:2 --oracle bogus:x", "unknown oracle mode 'bogus'"),
+    "oracle-horizon": ("cbindex --family len:2 --oracle horizon", "horizon mode needs H (horizon:H)"),
+    "oracle-horizon-x": ("cbindex --family len:2 --oracle horizon:x",
+                         "--oracle horizon:H needs an integer H, got 'x'"),
+    # each of these crashed (exit 4) or answered for a rule its domain lacks
+    "chi1-min-mod": ("verify carlson --chi1 min_mod:2 --stream e:6 --depth 2",
+                     "coloring 'min_mod:2': no rule 'min_mod' on wordseqs "
+                     "(rules: const, size_mod, first_len_mod, total_len_mod, first_letter, min_len_mod)"),
+    "coloring-min-mod-0": ("verify ramsey --coloring min_mod:0", "coloring 'min_mod:0': colors must be >= 1, got 0"),
+    "coloring-first-len-mod": ("verify ramsey --coloring first_len_mod:2 --max-n 0 --target 0",
+                               "coloring 'first_len_mod:2': no rule 'first_len_mod' on finsets "
+                               "(rules: const, size_mod, min_mod)"),
+    "coloring-const-color-7": ("verify ramsey --coloring const:1:7", "coloring 'const:1:7': color 7 is outside 1..1"),
+    "chi-min-len-mod-two": ("verify subspace --chi min_len_mod:two",
+                            "coloring 'min_len_mod:two': fields must be integers"),
+    "coloring-size-mod-fields": ("verify ramsey --coloring size_mod:2:1",
+                                 "coloring 'size_mod:2:1': too many fields for size_mod"),
+    # a recursion crash, a threshold claimed from zero colorings, and a
+    # report stamped with more letters than ran
+    "hj-n-0": ("verify hj --n 0", "hales_jewett_M needs r >= 1 and n >= 1, got r=2, n=0"),
+    "hj-r-0": ("verify hj --r 0", "hales_jewett_M needs r >= 1 and n >= 1, got r=0, n=1"),
+    "hj-k-12": ("verify hj --xi 0 --k 12 --mmax 1 --r 1", "k=12 letters exceeds the 8 available"),
+    # below 2 * depth stream words some step lists are cut, so an exhausted
+    # search would not have covered its space; a witness found over a cut
+    # table (as e:5 at depth 3 would give) is given up with it
+    "carlson-stream-3-depth-4": ("verify carlson --xi 1 --stream e:3 --depth 4",
+                                 "a prefix search of depth 4 needs a stream horizon of at least 8, got 3"),
+    "subspace-stream-5-depth-3": ("verify subspace --xi 1 --stream e:5 --depth 3",
+                                  "a prefix search of depth 3 needs a stream horizon of at least 6, got 5"),
+    "subspace-stream-2-depth-3": ("verify subspace --xi 1 --stream e:2 --depth 3",
+                                  "a prefix search of depth 3 needs a stream horizon of at least 6, got 2"),
+    "wxi-base-horizon": ("wxi member --alphabet ab --base list:a_,_b,__,__,_ --xi 1 --side c --seq (aa,ab,aa,aa,a,a)",
+                         "stream 'explicit' has horizon 5"),
+}
 
 
-def test_multi_character_alphabet_symbol_is_a_usage_error(tmp_path, capsys):
-    path = tmp_path / "fam.json"
-    path.write_text(json.dumps({"alphabet": ["ab", "c"], "side": "constant", "members": [["c"]]}))
-    code = cli.main(["family", "tree", "--file", str(path)])
-    captured = capsys.readouterr()
-    assert code == cli.EXIT_USAGE and captured.out == ""
-    assert captured.err == "error: alphabet symbol 'ab' is not a single character\n"
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS.values(), ids=list(USAGE_ERRORS))
+def test_bad_input_is_a_usage_error(argv, message, files):
+    code, out, err = run_cli([a.format(**files) for a in argv.split()])
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    if isinstance(message, str):
+        assert err == f"error: {message.format(**files)}\n"
+    else:
+        assert re.fullmatch(f"error: {message.pattern}\n", err), err
 
 
-def test_reductions_over_budget_stop_before_any_work(capsys):
-    # 2^13 * 4^14 cases: refused up front, not enumerated
-    start = time.perf_counter()
-    code = cli.main(["words", "reductions", "--alphabet", "abc", "--seq", "(" + ",".join(["_"] * 14) + ")"])
-    elapsed = time.perf_counter() - start
-    captured = capsys.readouterr()
-    assert code == cli.EXIT_BUDGET and elapsed < 1.0
-    assert captured.err == (
-        "error: finite_reductions of 14 words needs 2199023255552 cases, over its budget of 1048576\n"
-    )
+def test_reductions_of_the_empty_sequence():
+    run = run_cli("words reductions --alphabet ab --seq ()")
+    assert run.code == 0
+    assert run.report["constant"] == [["()", []]] and run.report["variable"] == [["()", []]]
 
 
-def test_reductions_of_the_empty_sequence(capsys):
-    code, rep = run_json(["words", "reductions", "--alphabet", "ab", "--seq", "()"], capsys)
-    assert code == 0
-    assert rep["constant"] == [["()", []]] and rep["variable"] == [["()", []]]
-
-
-def test_budget_exit_code(capsys):
-    code, _ = run_cli(["schreier", "enumerate", "--xi", "w", "--max-n", "30"], capsys)
-    assert code == 3
-
-
-def test_reports_embed_bounds(capsys):
-    _, rep = run_json(["verify", "pair-sweep", "--max-n", "5"], capsys)
+def test_reports_embed_bounds():
+    rep = run_cli("verify pair-sweep --max-n 5").report
     assert rep["colorings"] == 1024 and "max_n" in rep
     assert rep["schema_version"] == 1
 
 
-def test_plain_and_csv_formats(capsys):
-    code, out = run_cli(["--format", "plain", "ordinal", "eval", "w"], capsys)
+def test_plain_and_csv_formats():
+    code, out, _ = run_cli("--format plain ordinal eval w")
     assert code == 0 and "canonical: w" in out
-    code, out = run_cli(["--format", "csv", "schreier", "transfer", "--xi", "w", "-n", "2"], capsys)
+    code, out, _ = run_cli("--format csv schreier transfer --xi w -n 2")
     assert code == 0 and out.count("\n") == 2
 
 
-def test_config_file_defaults(tmp_path, capsys):
+def test_config_file_defaults(tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"max_n": 4}))
-    _, rep = run_json(
-        ["--config", str(cfgfile), "schreier", "enumerate", "--xi", "w"], capsys
-    )
-    assert rep["max_n"] == 4
+    assert run_cli(["--config", str(cfgfile), *"schreier enumerate --xi w".split()]).report["max_n"] == 4
 
 
 @pytest.mark.parametrize("flag", ["--config"[:i] for i in range(3, 9)])
 @pytest.mark.parametrize("joined", [False, True], ids=["spaced", "joined"])
-def test_config_file_loads_under_every_spelling(flag, joined, tmp_path, capsys):
+def test_config_file_loads_under_every_spelling(flag, joined, tmp_path):
     # argparse accepts any unambiguous prefix of --config, as --x F or --x=F
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"max_n": 4}))
     spelled = [f"{flag}={cfgfile}"] if joined else [flag, str(cfgfile)]
-    code, rep = run_json([*spelled, "schreier", "enumerate", "--xi", "w"], capsys)
-    assert (code, rep["max_n"], rep["count"]) == (0, 4, 3)
+    run = run_cli([*spelled, "schreier", "enumerate", "--xi", "w"])
+    assert (run.code, run.report["max_n"], run.report["count"]) == (0, 4, 3)
 
 
-def test_config_file_rejects_unknown_keys(tmp_path, capsys):
+def test_config_file_rejects_unknown_keys(tmp_path):
     # the removed `threads` and a misspelled `max_n` are usage errors, not silent drops
     cases = [
         ({"threads": 8}, "error: unknown config key 'threads'\n"),
@@ -291,9 +303,7 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     for data, message in cases:
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(data))
-        code = cli.main(["--config", str(cfgfile), "schreier", "enumerate", "--xi", "w"])
-        captured = capsys.readouterr()
-        assert (code, captured.out, captured.err) == (2, "", message), data
+        assert run_cli(["--config", str(cfgfile), *"schreier enumerate --xi w".split()]) == (2, "", message), data
 
 
 # every flag row of the option table but --config, with its subcommand (None: the top level)
@@ -334,14 +344,14 @@ def test_every_flag_row_is_a_config_key(module, name, kw, tmp_path, monkeypatch)
         if kw.get("required"):
             i = argv.index(name)
             with pytest.raises(SystemExit):
-                cli.main(["--config", str(cfgfile), *argv[:i], *argv[i + 2:]])
+                run_cli(["--config", str(cfgfile), *argv[:i], *argv[i + 2:]])
         else:
-            assert cli.main(["--config", str(cfgfile), *argv]) == 0
+            assert run_cli(["--config", str(cfgfile), *argv]).code == 0
             assert vars(seen.pop())[dest] == value, key
 
 
 @pytest.mark.parametrize("module, name, kw", FLAG_ROWS)
-def test_every_flag_row_checks_its_config_value(module, name, kw, tmp_path, capsys):
+def test_every_flag_row_checks_its_config_value(module, name, kw, tmp_path):
     dest = name.lstrip("-").replace("-", "_")
     if kw.get("action") == "store_true":
         cases = [(1, "true or false, got 1")]
@@ -354,19 +364,17 @@ def test_every_flag_row_checks_its_config_value(module, name, kw, tmp_path, caps
     cfgfile = tmp_path / "cfg.json"
     for value, message in cases:
         cfgfile.write_text(json.dumps({dest: value}))
-        code = cli.main(["--config", str(cfgfile), *PARSING_ARGV[module]])
-        captured = capsys.readouterr()
-        assert (code, captured.out, captured.err) == (2, "", f"error: config key {dest!r} takes {message}\n")
+        run = run_cli(["--config", str(cfgfile), *PARSING_ARGV[module]])
+        assert run == (2, "", f"error: config key {dest!r} takes {message}\n")
 
 
-def test_mono_set_checker_budget_stops_fast(capsys):
+def test_mono_set_checker_budget_stops_fast():
     # the search answers at once; walking the 2^22 subsets of L would not
     start = time.perf_counter()
-    code = cli.main(["verify", "ramsey", "--xi", "1", "--max-n", "22", "--coloring", "const:1", "--target", "22"])
+    run = run_cli("verify ramsey --xi 1 --max-n 22 --coloring const:1 --target 22")
     elapsed = time.perf_counter() - start
-    captured = capsys.readouterr()
-    assert code == 3 and captured.out == ""
-    assert captured.err == f"error: mono_set check walks {1 << 22} subsets, over its budget of {1 << 20}; frontier |L|=22\n"
+    assert run.code == 3 and run.out == ""
+    assert run.err == f"error: mono_set check walks {1 << 22} subsets, over its budget of {1 << 20}; frontier |L|=22\n"
     assert elapsed < 1.0
 
 
@@ -374,6 +382,8 @@ WALK_STOP = ("descent takes 1001 steps, over its budget of 1000; frontier "
              "w^(w^(w^4*4 + w^3*4 + w^2*4 + w*4 + 4)*4 + w^(w^4*4 + w^3*4 + w^2*4 + w*4 + 3)*4...")
 UNIVERSE_STOP = ("universe of constant sequences with up to 11 letters lists 2796202 sequences by 11 letters, "
                  "over its budget of 1048576")
+# a stop made before any work keeps the tighter bound it had in process
+STOP_SECONDS = {"reductions-14": 1.0}
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -397,15 +407,19 @@ UNIVERSE_STOP = ("universe of constant sequences with up to 11 letters lists 279
     pytest.param("verify carlson --xi 1 --chi1 first_letter:2 --chi2 first_len_mod:2 --stream e:40 --depth 12",
                  "finite_reductions of 12 words needs 1088391168 cases, over its budget of 1048576",
                  id="carlson-depth-12"),
+    # 2^13 * 4^14 cases: refused up front, not enumerated
+    pytest.param("words reductions --alphabet abc --seq (" + ",".join(["_"] * 14) + ")",
+                 "finite_reductions of 14 words needs 2199023255552 cases, over its budget of 1048576",
+                 id="reductions-14"),
     # at minimum 5 the first blocks of w^(w^(w^w)) form a chain of 3,907
     # expansions; membership ran on past 20 s, and enumeration crashed
-    pytest.param("schreier mem --xi w^(w^(w^w)) --set {5,6,7}", WALK_STOP, id="mem-chain"),
+    pytest.param("schreier mem --xi w^(w^(w^w)) --set {{5,6,7}}", WALK_STOP, id="mem-chain"),
     pytest.param("schreier enumerate --xi w^(w^(w^w)) --max-n 5", WALK_STOP, id="enumerate-chain"),
     pytest.param("verify ramsey --xi w^(w^(w^w)) --max-n 5", WALK_STOP, id="ramsey-chain"),
     # the sequence universes over ab grow x4 a letter: both listed 11 million
     # sequences in several GB; the count is taken before the listing
     pytest.param("cbindex --family len:11", UNIVERSE_STOP, id="cbindex-universe"),
-    pytest.param("family dichotomy --file FAMILY --xi 1 --stream e:11 --letters 11", UNIVERSE_STOP,
+    pytest.param("family dichotomy --file {fam} --xi 1 --stream e:11 --letters 11", UNIVERSE_STOP,
                  id="dichotomy-universe"),
     # the level-xi listing is counted by its shapes before it is built: these
     # listed for 3-6 s in 0.5 GB
@@ -421,11 +435,18 @@ UNIVERSE_STOP = ("universe of constant sequences with up to 11 letters lists 279
                  "over its budget of 16777216 letters", id="cbindex-universe-letters"),
     pytest.param("schreier enumerate --xi w --max-n 25",
                  "enumeration ground set reaches 25, over its budget of 24; frontier xi=w", id="enumerate-ground"),
+    pytest.param("schreier enumerate --xi w --max-n 30",
+                 "enumeration ground set reaches 30, over its budget of 24; frontier xi=w", id="enumerate-ground-30"),
     pytest.param("schreier transfer --xi w^10001 -n 2",
                  "transfer index needs 10001 terms, over its budget of 10000; frontier w^10001", id="transfer-terms"),
     pytest.param("wxi enumerate --xi 1 --alphabet ab --letters 17",
                  "level-xi listing asks for 17 letters, over its budget of 16; frontier xi=1, side=constant",
                  id="wxi-letters"),
+    # the horizon was an allocation: a large one exhausted memory
+    pytest.param("words reduce --alphabet ab --seq (a) --stream e:1048577",
+                 "stream e:1048577 has horizon 1048577, over its budget of 1048576 words", id="stream-e"),
+    pytest.param("words reduce --alphabet ab --seq (a) --stream pat:_;__:1048577",
+                 "stream pat:_;__:1048577 has horizon 1048577, over its budget of 1048576 words", id="stream-pat"),
     pytest.param("verify hj --xi 0 --k 3 --r 2 --mmax 4",
                  "hj coloring space holds 134217728 colorings, over its budget of 1048576; frontier M=3",
                  id="hj-space"),
@@ -445,29 +466,21 @@ UNIVERSE_STOP = ("universe of constant sequences with up to 11 letters lists 279
                  "chain searches visit 500001 nodes, over its budget of 500000; frontier level 0, sequence "
                  "(" + "a" * 61 + "...", id="chain-nodes"),  # the frontier is cut to 80 characters
 ])
-def test_unbounded_walks_stop_at_their_budget(argv, message, tmp_path):
-    # each of these ran for more than 6 s; a subprocess, so that one that
-    # never ends fails the test at its timeout
-    family = tmp_path / "family.json"
-    family.write_text(json.dumps({"alphabet": ["a", "b"], "side": "constant", "members": [["a"], []]}))
+def test_unbounded_walks_stop_at_their_budget(argv, message, files, request):
+    # each walk ran for more than 6 s, or an allocation took the memory; a
+    # subprocess, so that one that never ends fails the test at its timeout
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "schramsey.cli", *argv.replace("FAMILY", str(family)).split()],
+    proc = subprocess.run([sys.executable, "-m", "schramsey.cli", *[a.format(**files) for a in argv.split()]],
                           capture_output=True, text=True, timeout=10)
     elapsed = time.perf_counter() - start
     assert (proc.returncode, proc.stdout, proc.stderr) == (cli.EXIT_BUDGET, "", f"error: {message}\n")
-    assert elapsed < 2.0
+    assert elapsed < STOP_SECONDS.get(request.node.callspec.id, 2.0)
 
 
-@pytest.mark.parametrize("spec", ["e:1048577", "pat:_;__:1048577"])
-def test_stream_horizon_over_its_budget_stops_before_allocating(spec, capsys):
-    # the horizon was an allocation: a large one exhausted memory
-    code = cli.main(["words", "reduce", "--alphabet", "ab", "--seq", "(a)", "--stream", spec])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (cli.EXIT_BUDGET, "")
-    assert captured.err == f"error: stream {spec} has horizon 1048577, over its budget of 1048576 words\n"
-    # a horizon at the budget is still read
-    code, rep = run_json(["words", "reduce", "--alphabet", "ab", "--seq", "(a)", "--stream", "e:1048576"], capsys)
-    assert code == cli.EXIT_FOUND and rep["reduced"] == "(a)"
+def test_stream_horizon_at_its_budget_is_read():
+    # one word past it is a budget stop (the stream-e row above)
+    run = run_cli("words reduce --alphabet ab --seq (a) --stream e:1048576")
+    assert run.code == cli.EXIT_FOUND and run.report["reduced"] == "(a)"
 
 
 @pytest.mark.parametrize("argv, name, value", [
@@ -484,7 +497,7 @@ def test_stream_horizon_over_its_budget_stops_before_allocating(spec, capsys):
                  id="wxi-letters"),
     pytest.param(["schreier", "enumerate", "--xi", "w", "--max-n", "-3"], "max-n", -3, id="schreier-max-n"),
 ])
-def test_negative_depth_is_a_usage_error(argv, name, value, capsys):
+def test_negative_depth_is_a_usage_error(argv, name, value):
     # a subprocess, so that a search which never ends fails the test at its timeout
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "schramsey.cli", *argv], capture_output=True, text=True, timeout=10)
@@ -492,38 +505,9 @@ def test_negative_depth_is_a_usage_error(argv, name, value, capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {name} must be >= 0, got {value}\n")
     assert elapsed < 1.0
     # 0 is a size like any other
-    assert cli.main([a.replace(str(value), "0") for a in argv]) in (cli.EXIT_FOUND, cli.EXIT_EXHAUSTED)
-    assert capsys.readouterr().err == ""
+    code, _, err = run_cli([a.replace(str(value), "0") for a in argv])
+    assert code in (cli.EXIT_FOUND, cli.EXIT_EXHAUSTED) and err == ""
 
-
-def test_missing_input_file_is_a_usage_error(tmp_path, capsys):
-    missing = str(tmp_path / "missing.json")
-    cases = [["family", "tree", "--file", missing], ["cbindex", "--family", missing],
-             ["family", "tree", "--file", str(tmp_path)]]  # a directory
-    for argv in cases:
-        code = cli.main(argv)
-        captured = capsys.readouterr()
-        assert code == cli.EXIT_USAGE and captured.out == "", argv
-        assert captured.err.startswith("error: [Errno ") and captured.err.count("\n") == 1, argv
-
-
-@pytest.mark.parametrize("data, message", [
-    ({"side": "constant", "members": [["a"]]},
-     'error: a family file is an object with an "alphabet" list, a "side" and a "members" list\n'),
-    ({"alphabet": ["a", "b"], "side": "constant", "members": [["a"], 3]},
-     "error: family member 3 is not a list of words\n"),
-    ([["a"], ["a", "b"]], 'error: a family file is an object with an "alphabet" list, a "side" and a "members" list\n'),
-], ids=["no-alphabet", "member-not-a-list", "top-level-array"])
-def test_malformed_family_file_is_a_usage_error(tmp_path, capsys, data, message):
-    path = tmp_path / "family.json"
-    path.write_text(json.dumps(data))
-    for argv in (["family", "tree", "--file", str(path)], ["cbindex", "--family", str(path)]):
-        code = cli.main(argv)
-        captured = capsys.readouterr()
-        assert (code, captured.out, captured.err) == (cli.EXIT_USAGE, "", message), argv
-
-
-TREE = {"alphabet": ["a", "b"], "side": "constant", "members": [[], ["a"], ["a", "b"]]}
 
 # Each job is a fresh interpreter, so it loads only the layers its subcommand runs.
 LAYER_JOBS = {
@@ -556,12 +540,10 @@ def _loaded_modules(code: str, *argv) -> set:
 
 
 @pytest.mark.parametrize("name", sorted(LAYER_JOBS))
-def test_jobs_import_only_their_layers(name, tmp_path):
-    path = tmp_path / "tree.json"
-    path.write_text(json.dumps(TREE))
+def test_jobs_import_only_their_layers(name, files):
     argv, layers = LAYER_JOBS[name]
     loaded = _loaded_modules("import sys\nfrom schramsey import cli\ncli.main(sys.argv[1:])",
-                             *[a.format(tree=path) for a in argv])
+                             *[a.format(**files) for a in argv])
     assert {m for m in loaded if m.startswith("schramsey.")} == {f"schramsey.{m}" for m in {"cli", "errors"} | layers}
     assert loaded & HEAVY <= _loaded_modules("import sys") & HEAVY
 
@@ -591,14 +573,6 @@ def test_largest_report_arrives_whole_through_the_exit_freeze():
 
 # --- coloring specs ---------------------------------------------------------
 
-
-def _run_quiet(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 # each coloring option with small bounds
 COLORING_JOBS = {
     "--coloring": ["verify", "ramsey", "--xi", "2", "--max-n", "5", "--target", "3"],
@@ -606,50 +580,6 @@ COLORING_JOBS = {
     "--chi2": ["verify", "carlson", "--xi", "1", "--stream", "e:6", "--depth", "2"],
     "--chi": ["verify", "subspace", "--xi", "0", "--stream", "e:6", "--depth", "2"],
 }
-
-
-@pytest.mark.parametrize("argv, message", [
-    # each of these crashed (exit 4) or answered for a rule its domain lacks
-    ("verify carlson --chi1 min_mod:2 --stream e:6 --depth 2",
-     "coloring 'min_mod:2': no rule 'min_mod' on wordseqs "
-     "(rules: const, size_mod, first_len_mod, total_len_mod, first_letter, min_len_mod)"),
-    ("verify ramsey --coloring min_mod:0", "coloring 'min_mod:0': colors must be >= 1, got 0"),
-    ("verify ramsey --coloring first_len_mod:2 --max-n 0 --target 0",
-     "coloring 'first_len_mod:2': no rule 'first_len_mod' on finsets (rules: const, size_mod, min_mod)"),
-    ("verify ramsey --coloring const:1:7", "coloring 'const:1:7': color 7 is outside 1..1"),
-    ("verify subspace --chi min_len_mod:two", "coloring 'min_len_mod:two': fields must be integers"),
-    ("verify ramsey --coloring size_mod:2:1", "coloring 'size_mod:2:1': too many fields for size_mod"),
-])
-def test_bad_coloring_is_a_usage_error(argv, message):
-    assert _run_quiet(argv.split()) == (cli.EXIT_USAGE, "", f"error: {message}\n")
-
-
-@pytest.mark.parametrize("argv", [
-    # a recursion crash, a threshold claimed from zero colorings, and a
-    # report stamped with more letters than ran
-    "verify hj --n 0",
-    "verify hj --r 0",
-    "verify hj --xi 0 --k 12 --mmax 1 --r 1",
-])
-def test_hj_bounds_that_cannot_run_are_usage_errors(argv):
-    code, out, err = _run_quiet(argv.split())
-    assert (code, out) == (cli.EXIT_USAGE, "")
-    assert re.fullmatch(r"error: [^\n]*\n", err), err
-
-
-@pytest.mark.parametrize("argv, depth, horizon", [
-    # below 2 * depth stream words some step lists are cut, so an
-    # exhausted search would not have covered its space; a witness found
-    # over a cut table (as e:5 at depth 3 would give) is given up with it
-    ("verify carlson --xi 1 --stream e:3 --depth 4", 4, 3),
-    ("verify subspace --xi 1 --stream e:5 --depth 3", 3, 5),
-    ("verify subspace --xi 1 --stream e:2 --depth 3", 3, 2),
-])
-def test_prefix_search_refuses_a_stream_it_cannot_fill(argv, depth, horizon):
-    code, out, err = _run_quiet(argv.split())
-    assert (code, out) == (cli.EXIT_USAGE, "")
-    assert err == (f"error: a prefix search of depth {depth} needs a stream horizon of at least "
-                   f"{2 * depth}, got {horizon}\n")
 
 
 BASE = ["--alphabet", "ab", "--base", "list:a_,_b,__,__,_"]
@@ -664,15 +594,9 @@ BASE = ["--alphabet", "ab", "--base", "list:a_,_b,__,__,_"]
     ("--xi 1 --side c --seq (bb,bb)", cli.EXIT_EXHAUSTED, False, None),
 ])
 def test_wxi_member_relative_to_base(args, code, member, relative_d):
-    got, out, err = _run_quiet(["wxi", "member", *BASE, *args.split()])
-    report = json.loads(out)
-    assert (got, err) == (code, "")
-    assert (report["member"], report["relative_d"]) == (member, relative_d)
-
-
-def test_wxi_member_past_the_base_horizon_is_a_usage_error():
-    argv = ["wxi", "member", *BASE, *"--xi 1 --side c --seq (aa,ab,aa,aa,a,a)".split()]
-    assert _run_quiet(argv) == (cli.EXIT_USAGE, "", "error: stream 'explicit' has horizon 5\n")
+    run = run_cli(["wxi", "member", *BASE, *args.split()])
+    assert (run.code, run.err) == (code, "")
+    assert (run.report["member"], run.report["relative_d"]) == (member, relative_d)
 
 
 _FIELD = st.one_of(st.integers(-2, 4).map(str), st.sampled_from(["", "x", "1.5", "+2"]))
@@ -686,7 +610,7 @@ _FIELD = st.one_of(st.integers(-2, 4).map(str), st.sampled_from(["", "x", "1.5",
 )
 def test_coloring_specs_never_crash(option, rule, fields):
     spec = ":".join([rule, *fields])
-    code, out, err = _run_quiet(COLORING_JOBS[option] + [option, spec])
+    code, out, err = run_cli(COLORING_JOBS[option] + [option, spec])
     assert code in (cli.EXIT_FOUND, cli.EXIT_EXHAUSTED, cli.EXIT_USAGE), (spec, err)
     if code == cli.EXIT_USAGE:
         assert out == "" and re.fullmatch(r"error: [^\n]*\n", err), (spec, err)
@@ -729,18 +653,9 @@ COLORING = _mostly(
     st.tuples(st.sampled_from([*verify.RULES, "bogus", ""]), st.lists(_FIELD, max_size=3))
     .map(lambda t: ":".join([t[0], *t[1]])),
 )
-# files by name: families, configs, and files that are not one
-FILES = {
-    "@tree": json.dumps(TREE),
-    "@var": json.dumps({"alphabet": ["a", "b"], "side": "variable", "members": [[], ["_"], ["_", "a_"]]}),
-    "@empty": "",
-    "@deep": "[" * 100_000 + "]" * 100_000,
-    "@shape": json.dumps([["a"]]),
-    "@config": json.dumps({"max_n": 4, "letters": 3}),
-    "@config-key": json.dumps({"threads": 2}),
-}
+# a file of FILES by @name
 FAMILY = _mostly(st.sampled_from(["@tree", "@var"]), st.sampled_from(["@empty", "@deep", "@shape", "@missing"]))
-CONFIG = _mostly(st.just("@config"), st.sampled_from(["@config-key", "@deep", "@empty", "@shape", "@missing"]))
+CONFIG = _mostly(st.just("@config"), st.sampled_from(["@config_key", "@deep", "@empty", "@shape", "@missing"]))
 
 
 SWITCH = st.just(None)  # a flag that takes no value
@@ -802,23 +717,14 @@ SMALL_DEFAULTS = {"verify": ["--stream", "e:4", "--letters", "4", "--mmax", "2"]
                   "cbindex": ["--stream", "e:6", "--budget", "3"]}
 
 
-@pytest.fixture(scope="module")
-def fuzz_dir(tmp_path_factory):
-    root = tmp_path_factory.mktemp("fuzz")
-    for name, text in FILES.items():
-        (root / f"{name[1:]}.json").write_text(text)
-    return root
-
-
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(command=COMMANDS, top=_flags(**FLAGS[None]))
-def test_argv_fuzz_never_crashes(fuzz_dir, command, top):
+def test_argv_fuzz_never_crashes(files, command, top):
     # every argv gets an answer, a usage error or a budget stop: exit 4 or a
     # traceback fails, and an error is one stderr line with nothing on stdout
     module, *rest = command
     argv = [*top, module, *SMALL_DEFAULTS.get(module, []), *rest]
-    argv = [str(fuzz_dir / f"{a[1:]}.json") if a.startswith("@") else a for a in argv]
-    code, out, err = _run_quiet(argv)
+    code, out, err = run_cli([files[a[1:]] if a.startswith("@") else a for a in argv])
     assert code in (cli.EXIT_FOUND, cli.EXIT_EXHAUSTED, cli.EXIT_USAGE, cli.EXIT_BUDGET), (argv, err)
     if code in (cli.EXIT_USAGE, cli.EXIT_BUDGET):
         assert out == "" and re.fullmatch(r"error: [^\n]*\n", err), (argv, err)
@@ -842,6 +748,6 @@ README_LINES = [line for line in (Path(__file__).resolve().parents[1] / "README.
 def test_readme_cli_examples_run(line, tmp_path, monkeypatch):
     (tmp_path / "fam.json").write_text(json.dumps(TREE))
     monkeypatch.chdir(tmp_path)
-    code, out, err = _run_quiet(shlex.split(line)[1:])
+    code, out, err = run_cli(shlex.split(line)[1:])
     assert code in (cli.EXIT_FOUND, cli.EXIT_EXHAUSTED), err
     assert json.loads(out)["schema_version"] == 1

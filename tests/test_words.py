@@ -1,4 +1,3 @@
-import random
 from itertools import product
 from unittest import mock
 
@@ -152,31 +151,6 @@ def test_match_word_reduction_roundtrip():
     assert match_reduction(s, (r,), "variable") == ("ab_a",)
     with pytest.raises(ReductionMismatch):
         match_reduction(s, (w("bb"),), "constant")
-
-
-def test_d_coherence_random():
-    rng = random.Random(11)
-    for _ in range(200):
-        horizon = rng.randint(3, 7)
-        prefix = []
-        for _ in range(horizon):
-            length = rng.randint(1, 3)
-            letters = [rng.choice(AB.full) for _ in range(length)]
-            letters[rng.randrange(length)] = AB.variable
-            prefix.append("".join(letters))
-        stream = VarWordStream(AB, tuple(prefix))
-        used = rng.randint(1, horizon)
-        cuts = sorted(rng.sample(range(1, used), rng.randint(0, used - 1))) if used > 1 else []
-        bounds = [0] + cuts + [used]
-        t = []
-        for bi in range(len(bounds) - 1):
-            letters = [rng.choice(AB.symbols) for _ in range(bounds[bi + 1] - bounds[bi])]
-            t.append("".join(letters))
-        t = tuple(t)
-        u = reduce_seq(stream, t)
-        # the stream's block structure of the output equals the offsets of t
-        assert match_reduction(stream, u, "constant") == t
-        assert d_map(t) == d_map(t)
 
 
 def test_reduction_composition_preserves_prefix_order():

@@ -104,33 +104,6 @@ def test_canonical_rep_examples():
         wxi.canonical_rep(o.ZERO, units)
 
 
-def test_canonical_rep_blocks_are_members_and_minimal():
-    rng = random.Random(5)
-    sample = [P(t) for t in ["1", "2", "w", "w+1", "w^2"]]
-    for xi in sample:
-        for _ in range(40):
-            seq = []
-            for _ in range(rng.randint(2, 9)):
-                length = rng.randint(1, 3)
-                seq.append("".join(rng.choice(AB.full) for _ in range(length)))
-            seq = tuple(seq)
-            bounds, residual = wxi.canonical_rep(xi, seq)
-            offsets = d_map(seq)
-            pos = 0
-            for m in bounds:
-                block = offsets[pos : m - 1]
-                assert sch.mem(xi, block)
-                for cut in range(len(block)):
-                    assert not sch.mem(xi, block[:cut])
-                pos = m - 1
-            if not residual and bounds:
-                assert bounds[-1] == len(seq)
-            if residual:
-                tail = offsets[pos:]
-                for cut in range(len(tail) + 1):
-                    assert not sch.mem(xi, tail[:cut])
-
-
 def test_star_status():
     assert wxi.star_status(o.from_int(1), (w("a"), w("b"))) == "member"
     assert wxi.star_status(o.from_int(1), (w("a"),)) == "segment"
