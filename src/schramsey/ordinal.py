@@ -28,9 +28,10 @@ class Ordinal(tuple):
     """A Cantor-normal-form ordinal: the tuple of its terms.
 
     The constructor does not check normal form: `parse`, the arithmetic
-    below and `schreier.transfer_index` build only normal forms, and
-    every coefficient they can grow passes `check_coeff`.  Tuple `+` and `*` are disabled, since
-    they would build non-normal forms; ordinal sum is `add`.
+    below and `schreier.transfer_index` (a read of a Schreier walk's
+    stack) build only normal forms, and every coefficient they can grow
+    passes `check_coeff`.  Tuple `+` and `*` are disabled, since they
+    would build non-normal forms; ordinal sum is `add`.
     """
 
     __slots__ = ()
@@ -158,9 +159,9 @@ def fixed_seq(lam: Ordinal, n: int) -> Ordinal:
 
 
 def charge_descent(steps: int, reached: Ordinal) -> None:
-    """Refuse a descent walk (`fixed_seq_path`, `schreier.transfer_index`,
-    and each chain of block expansions that Schreier membership and
-    enumeration walk at one minimum) once it has taken more than
+    """Refuse a descent walk (`fixed_seq_path`, and `schreier._take`: each
+    chain of block expansions that Schreier membership, enumeration and
+    the transfer index walk at one minimum) once it has taken more than
     MAX_DESCENT_STEPS steps."""
     if steps > MAX_DESCENT_STEPS:
         raise BudgetExceeded("descent takes", steps, MAX_DESCENT_STEPS, format_ordinal(reached), noun="steps")

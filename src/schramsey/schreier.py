@@ -18,8 +18,10 @@ The case split of an index is resolved once per index into a `Plan`,
 whose one accessor `blocks(n)` lists the (plan, count) groups of a
 member with minimum n.  A successor lam + k is a sum whose first group
 is k singletons, so popping a minimum is taking one singleton block.
-Membership, enumeration and the transfer index all walk these block
-lists down to the singletons.
+One step, `_take`, walks these block lists down to the singletons: it
+feeds one element to a stack of owed groups.  Membership and
+enumeration feed it the elements of a set, and the transfer index is
+the stack that one `_take` of n leaves, read as an ordinal.
 
 Iterating the approximating sequence down to a successor (`succ` in
 `SchreierConfig`) defines the same families: a plan consults l[n] only
@@ -78,7 +80,7 @@ def validate_finset(s) -> FinSet:
 
 # --- plans ---------------------------------------------------------------
 
-ZERO, ONE, POW_SUCC, POW_LIMIT, SUM = "zero", "one", "pow_succ", "pow_limit", "sum"
+ONE, POW_SUCC, POW_LIMIT = "one", "pow_succ", "pow_limit"
 
 
 def _split_finite(a: Ordinal) -> tuple[Ordinal, int]:
@@ -93,42 +95,42 @@ def _plus(lam: Ordinal, k: int) -> Ordinal:
 
 
 class Plan:
-    """The case split of A_xi.
+    """The case split of A_xi, xi >= 1.
 
     `kind` is one of
-      'zero'       xi = 0: the empty set only;
       'one'        xi = 1: the singletons;
       'pow_succ'   xi = w^(lam + k) (lam zero or a limit, k >= 1): n = min s
                    blocks of A_(w^(lam+k-1)); at n = 1 that is one
                    A_(w^lam) member;
       'pow_limit'  xi = w^lam, lam a limit: at min n, an A_(w^(lam[n]))
                    member;
-      'sum'        any other xi, successors included: consecutive blocks,
+      None         any other xi, successors included: consecutive blocks,
                    `groups` holding (power plan, count) pairs in
                    consumption order, so lam + k starts with (one, k).
 
-    `blocks(n)` is the one accessor the walks use: the (plan, count)
+    `blocks(n)` is the one accessor the walk uses: the (plan, count)
     groups that make up a member with minimum n, consumed in order from
-    its first element.  Block lists are built on first use and kept, so
-    a walk never re-derives a case split or hashes an ordinal.  `plan`
-    interns nodes, so they compare and hash by identity.
+    its first element.  A tower w^(lam + k) at n >= 2 lists its first
+    blocks unfolded, (w^lam, n), (w^(lam+1), n-1), ..., (w^(lam+k-1),
+    n-1): each first block of w^(lam+j+1) is n blocks of w^(lam+j), so
+    the tower costs one expansion, not k.  Block lists are built on
+    first use and kept, so a walk never re-derives a case split or
+    hashes an ordinal.  `plan` interns nodes, so they compare and hash
+    by identity.
     """
 
     __slots__ = ("xi", "kind", "k", "lam", "groups", "_blocks")
 
     def __init__(self, xi: Ordinal):
         self.xi = xi
-        self.k, self.lam, self.groups = 0, o.ZERO, ()
+        self.kind, self.k, self.lam, self.groups = None, 0, o.ZERO, ()
         self._blocks: dict[int, tuple[tuple[Plan, int], ...]] = {}
-        if not xi:
-            self.kind = ZERO
-        elif xi == o.ONE:
+        if xi == o.ONE:
             self.kind = ONE
         elif len(xi) == 1 and xi[0][1] == 1:
             self.lam, self.k = _split_finite(xi[0][0])
             self.kind = POW_SUCC if self.k else POW_LIMIT
         else:
-            self.kind = SUM
             self.groups = tuple((plan(o.omega_pow(exp)), count) for exp, count in reversed(xi))
 
     def blocks(self, n: int) -> tuple[tuple[Plan, int], ...]:
@@ -138,13 +140,17 @@ class Plan:
         got = self._blocks.get(n)
         if got is None:
             if self.kind == POW_LIMIT:
-                exp, count = o.fixed_seq(self.lam, n), 1
+                run = ((o.fixed_seq(self.lam, n), 1),)
             elif n == 1:
-                exp, count = self.lam, 1
+                run = ((self.lam, 1),)
             else:
-                exp, count = _plus(self.lam, self.k - 1), n
-            got = self._blocks[n] = ((plan(o.omega_pow(exp)), count),)
+                run = ((self.lam, n), *((_plus(self.lam, j), n - 1) for j in range(1, self.k)))
+            got = self._blocks[n] = tuple((plan(o.omega_pow(exp)), count) for exp, count in run)
         return got
+
+    def width(self, n: int) -> int:
+        """len(blocks(n)), without unfolding a tower."""
+        return self.k if self.kind == POW_SUCC and n > 1 else len(self.blocks(n))
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -167,16 +173,22 @@ def _too_short(p: Plan, n: int, room: int) -> bool:
 # --- the walk --------------------------------------------------------------
 
 
-def _take(pending: list, x: int, room: int) -> bool:
+def _take(pending: list, x: int, room: int | None) -> bool:
     """Feed the element x to the owed (plan, count) groups, innermost
-    last, in place; `room` counts the elements from x on.  The groups x
-    starts expand down to a singleton: one chain at one minimum, charged
-    to the descent budget.  False when a group cannot fit in `room`
-    elements (every block has an element)."""
+    last, in place; `room` counts the elements from x on, and None cuts
+    nothing.  The groups x starts expand down to a singleton: one chain
+    at one minimum, charged to the descent budget.  False when a group
+    cannot fit in `room` elements (every block has an element).
+
+    Read bottom-first, the owed groups are the index of what is still
+    owed, in normal form: a group expands in place into smaller powers,
+    pushed largest first, so the exponents strictly decrease up the
+    stack and never need merging.  `transfer_index` is this read; the
+    stack is charged to the terms budget before it grows."""
     steps = 0
     while True:
         p, count = pending.pop()
-        if count > room or _too_short(p, x, room):
+        if room is not None and (count > room or _too_short(p, x, room)):
             return False
         if count > 1:
             pending.append((p, count - 1))
@@ -184,6 +196,9 @@ def _take(pending: list, x: int, room: int) -> bool:
             return True
         steps += 1
         o.charge_descent(steps, p.xi)
+        owed = len(pending) + p.width(x)
+        if owed > MAX_TRANSFER_TERMS:
+            raise BudgetExceeded("transfer index needs", owed, MAX_TRANSFER_TERMS, str(p.xi), noun="terms")
         pending.extend(reversed(p.blocks(x)))
 
 
@@ -266,33 +281,12 @@ def enumerate_members(xi: Ordinal, max_n: int, min_n: int = 1) -> tuple[FinSet, 
 
 def transfer_index(xi: Ordinal, n: int) -> Ordinal:
     """The index xi_n with  A_xi(n) = A_(xi_n) restricted to {n+1, n+2, ...},
-    where A_xi(n) collects the sets s > {n} with {n} u s in A_xi."""
+    where A_xi(n) collects the sets s > {n} with {n} u s in A_xi: the
+    groups still owed once n is taken, read bottom-first (see `_take`)."""
     if n < 1:
         raise ValueError("transfer_index needs n >= 1")
     if not xi:
         raise ValueError("transfer_index needs xi >= 1")
-    p = plan(xi)
-    heads = []  # summands in front of the block holding n, outermost first
-    steps = 0
-    while p.kind != ONE:
-        steps += 1
-        o.charge_descent(steps, p.xi)
-        if p.kind == SUM:
-            # every block group but one copy of the smallest power comes after n
-            heads.append(o.shed_last(p.xi))
-        elif p.kind == POW_SUCC:
-            # w^(lam+k) at n: the n-1 further blocks of every w^(lam+j),
-            # j = k-1 .. 0, then the transfer of w^lam, the block at n = 1
-            if n > 1:
-                if p.k > MAX_TRANSFER_TERMS:
-                    raise BudgetExceeded("transfer index needs", p.k, MAX_TRANSFER_TERMS, str(p.xi), noun="terms")
-                coeff = o.check_coeff(n - 1)
-                heads.append(Ordinal((_plus(p.lam, j), coeff) for j in range(p.k - 1, -1, -1)))
-            p = p.blocks(1)[0][0]
-            continue
-        p = p.blocks(n)[0][0]
-    out = o.ZERO
-    for head in reversed(heads):
-        out = o.add(head, out)
-    return out
-
+    pending = [(plan(xi), 1)]
+    _take(pending, n, None)
+    return Ordinal((p.xi[0][0], o.check_coeff(count)) for p, count in pending)

@@ -231,6 +231,9 @@ USAGE_ERRORS = {
                                   "a prefix search of depth 3 needs a stream horizon of at least 6, got 5"),
     "subspace-stream-2-depth-3": ("verify subspace --xi 1 --stream e:2 --depth 3",
                                   "a prefix search of depth 3 needs a stream horizon of at least 6, got 2"),
+    # a stream that ends inside a member, the one error a greedy decomposition raises
+    "decompose-short-stream": ("schreier decompose --xi w --stream {{3,4}}",
+                               "stream exhausted while consuming a member"),
     "wxi-base-horizon": ("wxi member --alphabet ab --base list:a_,_b,__,__,_ --xi 1 --side c --seq (aa,ab,aa,aa,a,a)",
                          "stream 'explicit' has horizon 5"),
 }
@@ -439,6 +442,16 @@ STOP_SECONDS = {"reductions-14": 1.0}
                  "enumeration ground set reaches 30, over its budget of 24; frontier xi=w", id="enumerate-ground-30"),
     pytest.param("schreier transfer --xi w^10001 -n 2",
                  "transfer index needs 10001 terms, over its budget of 10000; frontier w^10001", id="transfer-terms"),
+    # the budget counts the whole index, not one tower: at -n 499 this
+    # answered with 497,005 terms (5.4 MB) in 3 s
+    pytest.param("schreier transfer --xi w^(w^2) -n 101",
+                 "transfer index needs 10100 terms, over its budget of 10000; frontier w^(w + 101)",
+                 id="transfer-terms-whole-index"),
+    # membership answers false here through the room cut; the transfer has no room to cut
+    pytest.param("schreier transfer --xi w^(w^(w^2)) -n 3",
+                 "descent takes 1001 steps, over its budget of 1000; "
+                 "frontier w^(w^(w*2 + 2)*2 + w^(w*2 + 1)*2 + w^(w*2) + w^(w + 2) + w^w*2 + w^2*2 + w*2)",
+                 id="transfer-chain"),
     pytest.param("wxi enumerate --xi 1 --alphabet ab --letters 17",
                  "level-xi listing asks for 17 letters, over its budget of 16; frontier xi=1, side=constant",
                  id="wxi-letters"),

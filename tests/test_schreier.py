@@ -73,6 +73,16 @@ def test_enumerate_examples():
     assert sch.enumerate_members(o.ZERO, 5) == ((),)
 
 
+def test_first_limit_counts_are_fibonacci():
+    # a member of A_w has exactly min s elements, and {1..N} holds F_N of them
+    fib = [0, 1]
+    while len(fib) <= 24:
+        fib.append(fib[-1] + fib[-2])
+    for n in range(1, 25):
+        assert len(sch.enumerate_members(o.OMEGA, n)) == fib[n], n
+    assert (fib[20], fib[24]) == (6_765, 46_368)
+
+
 def test_enumerate_agrees_with_mem():
     for xs in SAMPLE:
         xi = P(xs)
@@ -196,8 +206,18 @@ def test_deep_indices_are_answered():
     assert sch.enumerate_members(P("w+3000"), 24) == ()
     assert sch.transfer_index(deep, 1) == o.ZERO
     assert sch.transfer_index(deep, 2).terms[0] == (o.from_int(2999), 1)
-    with pytest.raises(BudgetExceeded):
+    # at n = 1 a tower is one block, however tall; at n = 2 it is one term
+    # per level, so 10,000 levels fill the terms budget and 100,000 pass it
+    taller = P("w^20000")
+    assert sch.mem(taller, (1,)) and sch.transfer_index(taller, 1) == o.ZERO
+    assert len(sch.transfer_index(P("w^10000"), 2)) == 10_000
+    assert len(sch.transfer_index(P("w^(w^2)"), 100)) == 10_000  # 100 towers; at 101 a budget stop
+    built = sch.plan.cache_info().misses
+    with pytest.raises(BudgetExceeded, match="^transfer index needs 100000 terms, "):
         sch.transfer_index(P("w^100000"), 2)
+    assert sch.plan.cache_info().misses - built <= 2  # refused before its levels are built
+    # the room cut answers where the unbounded transfer stops on its descent
+    assert not sch.mem(P("w^(w^(w^2))"), (3, 4, 5))
 
 
 def test_descent_chains_are_charged_per_minimum():
