@@ -167,6 +167,12 @@ JOBS = {
                           0, "0c8be55b151111b781055a4e75b2112ee6d9cb03d4596a7564a3727bef5be05b", NONE),
     "schreier-transfer-succ": ("--rule succ schreier transfer --xi w^(w*2)+w -n 3",
                                0, "035b5c22d445cfe97af694a4407d440e9ec8b45efec892dbf5ccddd9120910a3", NONE),
+    "schreier-transfer-tower": ("schreier transfer --xi w^1500 -n 2",
+                                0, "c5458e61725c8e18f0d9565cc25143e766dc795e871f13316a34a63683a57e68", NONE),
+    "schreier-transfer-limit-tower": ("schreier transfer --xi w^(w^w)*2+w^(w^2) -n 4",
+                                      0, "912e2d6642a8c7c11b614d92d3895ad53e707972b7e2b0a86b832114a38ba397", NONE),
+    "schreier-mem-room-cut": ("schreier mem --xi w^(w^(w^2)) --set {{3,4,5}}",
+                              1, "bb22003d919064c6cc5150eda49cb44ac8c60436cccf67ecaf9fe9b480291288", NONE),
     "ordinal-classify": ("ordinal classify w^2+3",
                          0, "33ec608cf4531938310c73e223666381f2c1da70788bb64f1ee1db0f0cef0e18", NONE),
     "ordinal-classify-limit": ("ordinal classify w^w*2+w",

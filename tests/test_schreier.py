@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -143,25 +144,34 @@ def test_hard_indices_enumerate_mem_transfer():
 DEEP = ["w^w^w", "w^(w^w+w)", "w^w^(w+1)", "w^(w^2*2+w*3+1)", "w^w^w+w^(w*2)+w^2*2+w+3"]
 
 
+def _outcome(walk):
+    """The value of walk(), or the text of its budget stop."""
+    try:
+        return walk()
+    except BudgetExceeded as e:
+        return str(e)
+
+
 @pytest.mark.parametrize("xs", DEEP)
-def test_deep_indices_match_successor_rule(xs):
+def test_deep_indices_match_successor_rule(xs, monkeypatch):
     # N = 12: every member with min >= 2 of these indices has far more
     # than 12 elements, so the sets compared are mostly non-members.  The
-    # plan walks check the delegation itself at n = 1..6: from the limit
-    # part lam of each exponent, the fixed walk stops at w^(fixed_seq_succ(lam, n))
+    # transfers check the delegation itself at n = 1..6: from the limit
+    # part lam of each exponent, the fixed walk reaches w^(fixed_seq_succ(lam, n))
+    # and goes on from there, so both transfer alike, up to the same
+    # terms-budget stop.  The fixed walk's chain is longer by the descent
+    # of lam, so the descent budget is raised for the comparison.
     xi = P(xs)
     assert sch.enumerate_members(xi, 12) == reference_members(xi, 12, "succ")
+    monkeypatch.setattr(o, "MAX_DESCENT_STEPS", 100_000)
     for exp, _count in xi:
-        top = sch.plan(o.omega_pow(exp))
-        if top.kind == sch.POW_SUCC:
-            top = top.blocks(1)[0][0]  # w^lam for exp = lam + k
-        if top.kind != sch.POW_LIMIT:
+        lam = o.Ordinal(exp[:-1]) if o.kind(exp) == "successor" else exp  # exp = lam + k
+        if not lam:
             continue
         for n in range(1, 7):
-            p = top
-            while p.kind == sch.POW_LIMIT:
-                p = p.blocks(n)[0][0]
-            assert p.xi == o.omega_pow(o.fixed_seq_succ(top.lam, n)), (xs, str(exp), n)
+            fixed = _outcome(lambda: sch.transfer_index(o.omega_pow(lam), n))
+            succ = _outcome(lambda: sch.transfer_index(o.omega_pow(o.fixed_seq_succ(lam, n)), n))
+            assert fixed == succ, (xs, str(exp), n)
 
 
 def test_validate_finset():
@@ -173,7 +183,7 @@ def test_validate_finset():
         sch.mem(o.OMEGA, (5, 2))
 
 
-# values of the recursion before enumeration was driven by plans
+# values of the plain recursion, pinned before enumeration became a walk
 GOLDEN = [("w^w", 20, 21181, "83ecaa9b7653a3d0"), ("w^w*2", 16, 2012, "751fe7e57f4cc0d9")]
 
 
@@ -212,12 +222,36 @@ def test_deep_indices_are_answered():
     assert sch.mem(taller, (1,)) and sch.transfer_index(taller, 1) == o.ZERO
     assert len(sch.transfer_index(P("w^10000"), 2)) == 10_000
     assert len(sch.transfer_index(P("w^(w^2)"), 100)) == 10_000  # 100 towers; at 101 a budget stop
-    built = sch.plan.cache_info().misses
-    with pytest.raises(BudgetExceeded, match="^transfer index needs 100000 terms, "):
-        sch.transfer_index(P("w^100000"), 2)
-    assert sch.plan.cache_info().misses - built <= 2  # refused before its levels are built
+    tallest = P("w^100000")
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="^transfer index needs 100000 terms, "):
+            sch.transfer_index(tallest, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # refused before its levels are built: they take megabytes
     # the room cut answers where the unbounded transfer stops on its descent
     assert not sch.mem(P("w^(w^(w^2))"), (3, 4, 5))
+
+
+def test_an_index_over_the_terms_budget_is_a_stop():
+    # a walk starts from the index's own terms, charged to the terms
+    # budget on its first element: w^10001 + ... + w + 1 has 10,002
+    def index(top):
+        return o.Ordinal((*((o.from_int(e), 1) for e in range(top, 0, -1)), (o.ZERO, 1)))
+
+    big = index(sch.MAX_TRANSFER_TERMS + 1)
+    stop = r"^transfer index needs 10002 terms, over its budget of 10000; frontier w\^10001 \+ w\^10000 \+ "
+    for walk in (lambda: sch.mem(big, (1, 2, 3)), lambda: sch.transfer_index(big, 2), lambda: sch.enumerate_members(big, 4)):
+        with pytest.raises(BudgetExceeded, match=stop):
+            walk()
+    assert not sch.mem(big, ())  # no element is fed
+    # 10,000 terms are within the budget
+    edge = index(sch.MAX_TRANSFER_TERMS - 1)
+    assert not sch.mem(edge, (1, 2))
+    assert sch.transfer_index(edge, 2) == o.Ordinal(edge[:-1])
+    assert sch.enumerate_members(edge, 4) == ()
 
 
 def test_descent_chains_are_charged_per_minimum():
@@ -235,7 +269,7 @@ def test_descent_chains_are_charged_per_minimum():
 
 @pytest.mark.parametrize("xs", ["w*3+3", "w^2*3", "w^w*3"])
 def test_enumeration_walks_a_dead_state_once(xs, monkeypatch):
-    # none of these has a member inside {1..24}; a state (owed groups, lo)
+    # none of these has a member inside {1..24}; a state (residual, lo)
     # that completed no member is not walked again, so the walk takes a
     # few thousand steps, where walking every state again takes millions
     steps = 0
@@ -276,7 +310,7 @@ GROUND = 12
     st.integers(1, 6),
     st.integers(1, 4),
 )
-def test_plans_agree_with_independent_paths(xi, rule, s, n, lo):
+def test_walks_agree_with_independent_paths(xi, rule, s, n, lo):
     cfg = SchreierConfig(rule)
     t = tuple(sorted(s))
     members = sch.enumerate_members(xi, GROUND)
@@ -287,5 +321,6 @@ def test_plans_agree_with_independent_paths(xi, rule, s, n, lo):
     assert all(mem_direct(xi, m, cfg) for m in members[:: max(1, len(members) // 20)])
     if xi.terms:
         xin = sch.transfer_index(xi, n)
+        assert o.parse(str(xin)) == xin  # a normal form: the parser refuses any other
         rhs = tuple(m for m in sch.enumerate_members(xin, GROUND) if not m or m[0] > n)
         assert shifted_members(members, n) == rhs
