@@ -88,10 +88,10 @@ class CBFamily(NamedTuple):
     key: Callable[[WordSeq], object] = lambda seq: seq
 
 
-def explicit_cb_family(alph: Alphabet, side: str, members, label: str = "explicit") -> CBFamily:
+def explicit_cb_family(alph: Alphabet, side: str, members) -> CBFamily:
     mset = frozenset(members)
     seeds = tuple(sorted(mset, key=seq_sort_key))
-    return CBFamily(alph, side, lambda seq: seq in mset, seeds, label)
+    return CBFamily(alph, side, lambda seq: seq in mset, seeds, "explicit")
 
 
 def length_truncation_family(

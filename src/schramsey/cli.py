@@ -18,14 +18,7 @@ import json
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import (
-    BudgetExceeded,
-    HorizonExceeded,
-    OracleUndecided,
-    OrdinalParseError,
-    ReductionMismatch,
-    SchramseyError,
-)
+from .errors import BudgetExceeded, OracleUndecided, SchramseyError
 
 if TYPE_CHECKING:
     from . import verify, words
@@ -119,33 +112,36 @@ def _read_json(path: str, what: str):
         raise ValueError(f"{what} {path!r} is not JSON: {exc}") from None
 
 
+def _plain(x):
+    """The JSON-ready data of a report value: a record with a `to_json`
+    method as that method's result (tested first, since a `Coloring` is a
+    tuple), a dict by its values, and a tuple as the list of its items.
+    A list is the encoder's own output and is left as it is, so a value
+    encoded twice (a witness under plain or csv) reads as encoded once."""
+    if hasattr(x, "to_json"):
+        return x.to_json()
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    if isinstance(x, tuple):
+        return [_plain(i) for i in x]
+    return x
+
+
 def _emit(report: dict, args, code: int) -> int:
     report.setdefault("schema_version", SCHEMA_VERSION)
     fmt = args.format
     if fmt == "json":
         sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
-    elif fmt == "plain":
-        for key in sorted(report):
-            sys.stdout.write(f"{key}: {report[key]}\n")
+        return code
+    keys = sorted(report)
+    values = [str(_plain(report[k])) for k in keys]
+    if fmt == "plain":
+        sys.stdout.writelines(f"{k}: {v}\n" for k, v in zip(keys, values))
     elif fmt == "csv":
         import csv
 
-        keys = sorted(report)
-        rows = csv.writer(sys.stdout, lineterminator="\n")
-        rows.writerow(keys)
-        rows.writerow([str(report[k]) for k in keys])
+        csv.writer(sys.stdout, lineterminator="\n").writerows([keys, values])
     return code
-
-
-def _witness_json(w: verify.Witness | None):
-    if w is None:
-        return None
-    return {
-        "kind": w.kind,
-        "payload": _plain(w.payload),
-        "certificate": _plain(w.certificate),
-        "bounds": _plain(w.bounds),
-    }
 
 
 def _search_report(report: dict, out: verify.SearchOutcome) -> int:
@@ -158,23 +154,11 @@ def _search_report(report: dict, out: verify.SearchOutcome) -> int:
             "found": out.found,
             "visited": out.visited,
             "expected": out.expected,
-            "witness": _witness_json(out.witness),
+            "witness": _plain(out.witness._asdict()) if out.witness else None,
             "witness_checked": verify.check_witness(out.witness) if out.witness else None,
         }
     )
     return EXIT_FOUND if out.found else EXIT_EXHAUSTED
-
-
-def _plain(x):
-    from . import verify
-
-    if isinstance(x, verify.Coloring):
-        return x.to_json()
-    if isinstance(x, (list, tuple)):
-        return [_plain(i) for i in x]
-    if isinstance(x, (frozenset, set)):
-        return sorted(_plain(i) for i in x)
-    return x
 
 
 # --- subcommand handlers -------------------------------------------------
@@ -216,9 +200,7 @@ def _cmd_schreier(args) -> int:
         report.update({"stream": list(stream), "initial_segment": list(seg)})
     elif args.action == "enumerate":
         ms = schreier.enumerate_members(xi, args.max_n)
-        # json writes the member tuples as arrays; plain and csv print lists
-        members = ms if args.format == "json" else [list(m) for m in ms]
-        report.update({"max_n": args.max_n, "count": len(ms), "members": members})
+        report.update({"max_n": args.max_n, "count": len(ms), "members": ms})
     elif args.action == "transfer":
         report.update({"n": args.n, "transfer_index": str(schreier.transfer_index(xi, args.n))})
     return _emit(report, args, code)
@@ -322,6 +304,9 @@ def _cmd_family(args) -> int:
 def _cmd_cbindex(args) -> int:
     from . import cbindex
 
+    budget = cbindex.MAX_PASSES if args.budget is None else args.budget
+    if args.levels is not None and args.levels > budget:  # level L is the L-th pass
+        raise BudgetExceeded("derivation needs pass", args.levels, budget, unit="passes")
     alph = _parse_alphabet(args.alphabet)
     if args.family.startswith("len:"):
         max_len = _count("len", _spec_int("--family len:K", "K", args.family.split(":")[1]))
@@ -340,7 +325,6 @@ def _cmd_cbindex(args) -> int:
         oracle = cbindex.ChainOracle(mode, horizon=_spec_int("--oracle horizon:H", "H", param))
     else:
         oracle = cbindex.ChainOracle(mode)  # refused: an unknown mode, or horizon without H
-    budget = cbindex.MAX_PASSES if args.budget is None else args.budget
     report = {
         "command": "cbindex",
         "family": fam.label,
@@ -522,13 +506,10 @@ def main(argv=None) -> int:
             if type(value) is int:
                 _count(dest.replace("_", "-"), value)
         return args.handler(args)
-    except (OrdinalParseError, ReductionMismatch, HorizonExceeded, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (BudgetExceeded, OracleUndecided) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except SchramseyError as exc:
+    except (SchramseyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

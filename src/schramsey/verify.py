@@ -133,13 +133,8 @@ class Coloring(NamedTuple):
 
     @staticmethod
     def from_json(data: dict) -> "Coloring":
-        return Coloring(
-            data["domain"], data["colors"], data["rule"], tuple(map(tuple_or_id, data["params"]))
-        )
-
-
-def tuple_or_id(x):
-    return tuple(x) if isinstance(x, list) else x
+        params = (tuple(p) if isinstance(p, list) else p for p in data["params"])
+        return Coloring(data["domain"], data["colors"], data["rule"], tuple(params))
 
 
 def parse_coloring(text: str, domain: str, symbols: tuple = ()) -> Coloring:
@@ -293,7 +288,7 @@ def _lex_rank(L: FinSet, n: int) -> int:
     return rank
 
 
-def check_mono_set_witness(w: Witness, cfg: SchreierConfig = DEFAULT_CONFIG) -> bool:
+def check_mono_set_witness(w: Witness, cfg: SchreierConfig) -> bool:
     """Re-derive a mono_set certificate from scratch: enumerate subsets of
     L directly, test membership with the split-searching recursion, and
     re-apply the coloring.  The subsets and the membership steps are
@@ -338,9 +333,7 @@ def ramsey_pair_sweep(max_n: int, target: int = 3) -> dict:
         triple_masks.append((trip, mask))
     total = 1 << len(pairs)
     defeater = None
-    visited = 0
     for c in range(total):
-        visited += 1
         ok = any((c & m) == 0 or (c & m) == m for _t, m in triple_masks)
         if not ok and defeater is None:
             defeater = c
@@ -348,7 +341,7 @@ def ramsey_pair_sweep(max_n: int, target: int = 3) -> dict:
         "max_n": max_n,
         "target": target,
         "colorings": total,
-        "visited": visited,
+        "visited": total,
         "all_have_witness": defeater is None,
         "defeating_coloring": defeater,
     }
@@ -444,7 +437,7 @@ def carlson_witness_search(xi: Ordinal, chi1, chi2, stream: VarWordStream, depth
     return SearchOutcome(witness, visited, per_step**depth)
 
 
-def check_reduction_prefix_witness(w: Witness, cfg: SchreierConfig = DEFAULT_CONFIG) -> bool:
+def check_reduction_prefix_witness(w: Witness, cfg: SchreierConfig) -> bool:
     """Re-derive a reduction_prefix certificate with the independent
     membership recursion and a fresh listing of the reductions a
     hereditary family holding the prefix must hold."""
@@ -485,7 +478,7 @@ def subspace_search(xi: Ordinal, chi, stream: VarWordStream, depth: int) -> Sear
     return out._replace(witness=witness)
 
 
-def check_subspace_witness(w: Witness, cfg: SchreierConfig = DEFAULT_CONFIG) -> bool:
+def check_subspace_witness(w: Witness, cfg: SchreierConfig) -> bool:
     """A subspace_prefix witness holds when the reduction_prefix witness
     of its coloring pulled back to generators, on the variable side, does."""
     from . import words
@@ -620,7 +613,7 @@ def hj_line_search(coloring, xi: Ordinal, alph: Alphabet, M: int, n: int = 1) ->
     return SearchOutcome(witness, visited, len(gens))
 
 
-def check_hj_line_witness(w: Witness, cfg: SchreierConfig = DEFAULT_CONFIG) -> bool:
+def check_hj_line_witness(w: Witness, cfg: SchreierConfig) -> bool:
     from . import words, wxi
 
     words_text, xi_text, coloring, symbols, M = w.payload
@@ -717,7 +710,7 @@ def nw_fixture_check(fixture: str, alph: Alphabet, letter_budget: int) -> dict:
         raise ValueError(f"unknown fixture {fixture!r}")
     shadow = [()] + [s for s in words.universe(alph, "variable", shadow_letters) if law(s)]
     profile = cbindex.derivative_profile(
-        cbindex.explicit_cb_family(alph, "variable", shadow, label=fixture),
+        cbindex.explicit_cb_family(alph, "variable", shadow),
         words.upsilon_stream(alph, 24), cbindex.ChainOracle("horizon", horizon=3), 2,
     )
     report.update({"fixture": fixture, "letter_budget": letter_budget, "shadow_size": len(shadow),

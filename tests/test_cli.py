@@ -17,7 +17,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schramsey import cli, verify
+from schramsey import cli, errors, verify
 
 
 class Run(NamedTuple):
@@ -119,6 +119,9 @@ def test_cbindex_command():
     rep = run_cli("cbindex --family len:1 --stream e:30 --oracle horizon:3 --levels 2").report
     assert rep["profile"] == [3, 1, 0]  # seeds, then only the empty sequence, then nothing
     assert rep["nodes"] > 0
+    # --levels L needs L passes; past the budget it is a budget stop (the cbindex-levels row below)
+    run = run_cli("cbindex --family len:1 --stream e:10 --levels 17 --budget 17")
+    assert run.code == 0 and len(run.report["profile"]) == 18
 
 
 def test_cbindex_seed_letters_zero_is_a_budget():
@@ -136,12 +139,37 @@ def test_deep_successor_index_is_answered():
         assert run.code == code and run.report["member"] is member
 
 
-def test_unexpected_exception_in_handler_exits_4(monkeypatch):
+# one instance of each class of `errors`, of ValueError and of an unexpected
+# exception, with the exit code and the one line of stderr it gives
+RAISED = [
+    (errors.SchramseyError("boom"), cli.EXIT_USAGE),
+    (errors.OrdinalRangeError("boom"), cli.EXIT_USAGE),
+    (errors.OrdinalParseError("boom", 3), cli.EXIT_USAGE),
+    (errors.HorizonExceeded("boom"), cli.EXIT_USAGE),
+    (errors.ReductionMismatch("boom"), cli.EXIT_USAGE),
+    (ValueError("boom"), cli.EXIT_USAGE),
+    (errors.BudgetExceeded("walk takes", 5, 4), cli.EXIT_BUDGET),
+    (errors.OracleUndecided("boom"), cli.EXIT_BUDGET),
+    (RuntimeError("boom\nsecond line"), cli.EXIT_INTERNAL),
+]
+
+
+def test_exit_table_holds_every_error_class():
+    classes = {c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, Exception)}
+    assert classes <= {type(exc) for exc, _code in RAISED}
+
+
+@pytest.mark.parametrize("exc, code", RAISED, ids=[type(exc).__name__ for exc, _code in RAISED])
+def test_handler_error_exit_code(exc, code, monkeypatch):
     def broken(args):
-        raise RuntimeError("boom\nsecond line")
+        raise exc
 
     monkeypatch.setattr(cli, "_cmd_ordinal", broken)
-    assert run_cli("ordinal eval w") == (cli.EXIT_INTERNAL, "", "internal error: RuntimeError: boom second line\n")
+    if code == cli.EXIT_INTERNAL:
+        err = f"internal error: {type(exc).__name__}: boom second line\n"
+    else:
+        err = f"error: {exc}\n"
+    assert run_cli("ordinal eval w") == (code, "", err)
 
 
 def test_verify_commands():
@@ -473,6 +501,9 @@ STOP_SECONDS = {"reductions-14": 1.0}
                  id="hj-huge-cube"),
     pytest.param("cbindex --family len:2 --budget 0",
                  "derivation needs pass 1, over its budget of 0 passes; frontier 11 seeds left", id="cbindex-passes"),
+    # each level is a pass: a million levels answered with a 3 MB report of trailing zeros
+    pytest.param("cbindex --family len:1 --stream e:10 --levels 17",
+                 "derivation needs pass 17, over its budget of 16 passes", id="cbindex-levels"),
     # chains of 1200 steps nested inside each other's escape tests: the
     # search runs out of nodes, and says so, rather than out of stack
     pytest.param("cbindex --family len:1 --stream e:1500 --oracle horizon:1200",
@@ -527,6 +558,10 @@ LAYER_JOBS = {
     "ordinal": (["ordinal", "classify", "w^2+3"], {"ordinal"}),
     "schreier": (["schreier", "enumerate", "--xi", "w^2", "--max-n", "6"], {"ordinal", "schreier"}),
     "words": (["words", "d", "--alphabet", "ab", "--seq", "(ab,a)"], {"words"}),
+    # plain and csv render through the one encoder, which loads no layer
+    "words-plain": (["--format", "plain", "words", "d", "--alphabet", "ab", "--seq", "(ab,a)"], {"words"}),
+    "schreier-csv": (["--format", "csv", "schreier", "enumerate", "--xi", "w", "--max-n", "6"],
+                     {"ordinal", "schreier"}),
     "wxi": (["wxi", "enumerate", "--xi", "1", "--alphabet", "ab", "--letters", "4"],
             {"ordinal", "schreier", "words", "wxi"}),
     "family": (["family", "tree", "--file", "{tree}"], {"words", "families"}),

@@ -251,6 +251,24 @@ def test_carlson_certificate_rejects_tampering(kind, tamper):
     assert not v.check_witness(TAMPERINGS[tamper](wit))
 
 
+# no golden job emits an hj_line witness, so its report field is pinned here
+HJ_LINE_FIELD = {
+    "kind": "hj_line",
+    "payload": [["a_"], "0", {"domain": "wordseqs", "colors": 2, "rule": "total_len_mod", "params": []}, ["a", "b"], 2],
+    "certificate": [["(aa)", 1], ["(ab)", 1]],
+    "bounds": [["M", 2], ["n", 1]],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WITNESSES))
+def test_witness_report_field_is_json_ready(kind):
+    # the CLI's witness field: tuples as lists, a coloring as its to_json object
+    field = cli._plain(WITNESSES[kind]().witness._asdict())
+    assert json.loads(json.dumps(field)) == field
+    if kind == "hj_line":
+        assert field == HJ_LINE_FIELD
+
+
 def test_subspace_search_trivial_and_checked():
     chi = v.Coloring("wordset", 2, "const", (1,))
     out = v.subspace_search(P("0"), chi, upsilon_stream(AB, 6), 2)
