@@ -1,8 +1,8 @@
 """Command-line surface.
 
-One subcommand per module; every report is a single JSON object (or a
-plain/csv rendering of it) that embeds the truncation bounds used, so
-no output can be read as an infinitary claim.
+One subcommand per module; every report is a single JSON object (or its
+values' JSON in plain lines or a csv row) that embeds the truncation
+bounds used, so no output can be read as an infinitary claim.
 
 Exit codes: 0 found/pass, 1 exhausted/closed/inconsistent, 2 usage
 error, 3 budget exceeded or oracle undecided, 4 internal error (an
@@ -112,32 +112,18 @@ def _read_json(path: str, what: str):
         raise ValueError(f"{what} {path!r} is not JSON: {exc}") from None
 
 
-def _plain(x):
-    """The JSON-ready data of a report value: a record with a `to_json`
-    method as that method's result (tested first, since a `Coloring` is a
-    tuple), a dict by its values, and a tuple as the list of its items.
-    A list is the encoder's own output and is left as it is, so a value
-    encoded twice (a witness under plain or csv) reads as encoded once."""
-    if hasattr(x, "to_json"):
-        return x.to_json()
-    if isinstance(x, dict):
-        return {k: _plain(v) for k, v in x.items()}
-    if isinstance(x, tuple):
-        return [_plain(i) for i in x]
-    return x
-
-
 def _emit(report: dict, args, code: int) -> int:
+    """The report as one JSON object, or by sorted key with each value's
+    JSON: a `key: <JSON>` line each (plain), or a header and one row (csv)."""
     report.setdefault("schema_version", SCHEMA_VERSION)
-    fmt = args.format
-    if fmt == "json":
+    if args.format == "json":
         sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
         return code
     keys = sorted(report)
-    values = [str(_plain(report[k])) for k in keys]
-    if fmt == "plain":
+    values = [json.dumps(report[k], sort_keys=True) for k in keys]
+    if args.format == "plain":
         sys.stdout.writelines(f"{k}: {v}\n" for k, v in zip(keys, values))
-    elif fmt == "csv":
+    else:
         import csv
 
         csv.writer(sys.stdout, lineterminator="\n").writerows([keys, values])
@@ -154,7 +140,7 @@ def _search_report(report: dict, out: verify.SearchOutcome) -> int:
             "found": out.found,
             "visited": out.visited,
             "expected": out.expected,
-            "witness": _plain(out.witness._asdict()) if out.witness else None,
+            "witness": out.witness.to_json() if out.witness else None,
             "witness_checked": verify.check_witness(out.witness) if out.witness else None,
         }
     )
@@ -192,12 +178,12 @@ def _cmd_schreier(args) -> int:
     if args.action == "mem":
         s = _parse_finset(args.set)
         value = schreier.mem(xi, s)
-        report.update({"set": list(s), "member": value})
+        report.update({"set": s, "member": value})
         code = EXIT_FOUND if value else EXIT_EXHAUSTED
     elif args.action == "decompose":
         stream = _parse_finset(args.stream)
         seg = schreier.initial_segment(xi, stream)
-        report.update({"stream": list(stream), "initial_segment": list(seg)})
+        report.update({"stream": stream, "initial_segment": seg})
     elif args.action == "enumerate":
         ms = schreier.enumerate_members(xi, args.max_n)
         report.update({"max_n": args.max_n, "count": len(ms), "members": ms})
@@ -215,16 +201,16 @@ def _cmd_words(args) -> int:
         stream = _parse_stream(args.stream, alph)
         seq = _parse_seq(args.seq, alph)
         out = words.reduce_seq(stream, seq)
-        report.update({"seq": words.seq_text(seq), "reduced": words.seq_text(out), "d": list(words.d_map(seq)) if seq else []})
+        report.update({"seq": words.seq_text(seq), "reduced": words.seq_text(out), "d": words.d_map(seq) if seq else []})
     elif args.action == "d":
         seq = _parse_seq(args.seq, alph)
-        report.update({"seq": words.seq_text(seq), "d": list(words.d_map(seq))})
+        report.update({"seq": words.seq_text(seq), "d": words.d_map(seq)})
     elif args.action == "reductions":
         seq = _parse_seq(args.seq, alph)
         report["seq"] = words.seq_text(seq)
         for side in ("constant", "variable"):
             pairs = words.finite_reductions(seq, alph, side)
-            report[side] = [[words.seq_text(s), list(d)] for s, d in pairs]
+            report[side] = [[words.seq_text(s), d] for s, d in pairs]
     return _emit(report, args, EXIT_FOUND)
 
 
@@ -246,21 +232,19 @@ def _cmd_wxi(args) -> int:
         base = _parse_stream(args.base, alph) if args.base else None
         seq = _parse_seq(args.seq, alph)
         if base is None:
-            value = wxi.in_wxi(xi, alph, side, seq)
+            value = wxi.in_wxi(xi, side, seq)
         else:
-            value, t = wxi.in_wxi_relative(xi, alph, side, seq, base)
+            value, t = wxi.in_wxi_relative(xi, side, seq, base)
         report.update({"seq": words.seq_text(seq), "member": value})
         if seq:
-            report["d"] = list(words.d_map(seq))
+            report["d"] = words.d_map(seq)
             if base is not None:
-                report["relative_d"] = None if t is None else list(words.d_map(t))
+                report["relative_d"] = None if t is None else words.d_map(t)
         code = EXIT_FOUND if value else EXIT_EXHAUSTED
     elif args.action == "decompose":
         seq = _parse_seq(args.seq, alph)
         bounds, residual = wxi.canonical_rep(xi, seq)
-        report.update(
-            {"seq": words.seq_text(seq), "boundaries": list(bounds), "residual": residual}
-        )
+        report.update({"seq": words.seq_text(seq), "boundaries": bounds, "residual": residual})
     elif args.action == "enumerate":
         ms = wxi.enumerate_wxi(xi, alph, side, args.letters)
         report.update(

@@ -294,22 +294,6 @@ def parse(text: str) -> Ordinal:
     return value
 
 
-def _atom_text(a: Ordinal) -> str | None:
-    """Render a as a grammar atom if possible (nat, w, or w^atom)."""
-    if not a:
-        return "0"
-    if len(a) == 1 and a[0][0] == ZERO:
-        return str(a[0][1])
-    if len(a) == 1 and a[0][1] == 1:
-        e = a[0][0]
-        if e == ONE:
-            return "w"
-        inner = _atom_text(e)
-        if inner is not None:
-            return f"w^{inner}"
-    return None
-
-
 def format_ordinal(a: Ordinal) -> str:
     if not a:
         return "0"
@@ -321,8 +305,9 @@ def format_ordinal(a: Ordinal) -> str:
         if exp == ONE:
             base = "w"
         else:
-            atom = _atom_text(exp)
-            base = f"w^{atom}" if atom is not None else f"w^({format_ordinal(exp)})"
+            # only a grammar atom (nat | w | w^atom) prints bare: it holds no "+", "*" or "("
+            inner = format_ordinal(exp)
+            base = f"w^({inner})" if any(c in inner for c in "+*(") else f"w^{inner}"
         parts.append(base if coeff == 1 else f"{base}*{coeff}")
     return " + ".join(parts)
 

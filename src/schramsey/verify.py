@@ -175,6 +175,10 @@ class Witness(NamedTuple):
     certificate: tuple
     bounds: tuple
 
+    def to_json(self) -> dict:
+        """The witness as a dict; a coloring, only ever at the payload's top level, as its to_json."""
+        return {**self._asdict(), "payload": [p.to_json() if isinstance(p, Coloring) else p for p in self.payload]}
+
 
 def _certificate_holds(certificate: tuple, expected: list) -> bool:
     """The comparison every checker ends in: the certificate is exactly

@@ -218,17 +218,18 @@ class VarWordStream:
     """Finite materialized prefix of an infinite sequence of variable words.
 
     Reading past the horizon raises instead of fabricating entries.
+    The label is the stream's spec, by default `list:w1,w2,...`.
     """
 
     __slots__ = ("alph", "prefix", "label")
 
-    def __init__(self, alph: Alphabet, prefix: WordSeq, label: str = "explicit"):
+    def __init__(self, alph: Alphabet, prefix: WordSeq, label: str | None = None):
         if not prefix:
             raise ValueError("stream horizon must be >= 1")
         for w in prefix:
             if VAR not in w:
                 raise ValueError("stream entries must be variable words")
-        self.alph, self.prefix, self.label = alph, prefix, label
+        self.alph, self.prefix, self.label = alph, prefix, label or f"list:{','.join(prefix)}"
 
     @property
     def horizon(self) -> int:
@@ -237,7 +238,7 @@ class VarWordStream:
     def word_at(self, i: int) -> Word:
         """1-based access within the horizon."""
         if not 1 <= i <= len(self.prefix):
-            raise HorizonExceeded(f"stream {self.label!r} has horizon {len(self.prefix)}")
+            raise HorizonExceeded(f"stream {self.label} has horizon {len(self.prefix)}")
         return self.prefix[i - 1]
 
     def words(self, start: int, count: int) -> WordSeq:
@@ -247,28 +248,28 @@ class VarWordStream:
         return self.prefix[start : start + count]
 
 
-def _require_horizon(spec: str, horizon: int) -> None:
-    """Refuse, before allocating, a stream of more than MAX_HORIZON words."""
+def _require_horizon(spec: str, horizon: int) -> str:
+    """Refuse, before allocating, a stream of more than MAX_HORIZON words;
+    return its spec, the stream's label."""
     if horizon > MAX_HORIZON:
-        what = f"stream {spec} has horizon"
-        raise BudgetExceeded(what, horizon, MAX_HORIZON, unit="words")
+        raise BudgetExceeded(f"stream {spec} has horizon", horizon, MAX_HORIZON, unit="words")
+    return spec
 
 
 def upsilon_stream(alph: Alphabet, horizon: int) -> VarWordStream:
     """The identity stream: the bare variable repeated."""
-    _require_horizon(f"e:{horizon}", horizon)
-    return VarWordStream(alph, (VAR,) * horizon, label="e")
+    return VarWordStream(alph, (VAR,) * horizon, label=_require_horizon(f"e:{horizon}", horizon))
 
 
 def pattern_stream(alph: Alphabet, head: list[str], repeat: list[str], horizon: int) -> VarWordStream:
-    _require_horizon(f"pat:{','.join(head)};{','.join(repeat)}:{horizon}", horizon)
+    label = _require_horizon(f"pat:{','.join(head)};{','.join(repeat)}:{horizon}", horizon)
     words = [word(t, alph) for t in head]
     body = [word(t, alph) for t in repeat]
     if not body and len(words) < horizon:
         raise ValueError("pattern too short for the requested horizon")
     while len(words) < horizon:
         words.extend(body)
-    return VarWordStream(alph, tuple(words[:horizon]), label=f"pattern:{','.join(head)};{','.join(repeat)}")
+    return VarWordStream(alph, tuple(words[:horizon]), label=label)
 
 
 def reduce_word(stream: VarWordStream, t: Word) -> Word:

@@ -51,15 +51,15 @@ def in_level(xi: Ordinal, seq: WordSeq, mem_fn) -> bool:
     return len(seq) >= 2 and mem_fn(xi, d_map(seq))
 
 
-def in_wxi(xi: Ordinal, alph: Alphabet, side: str, useq: WordSeq) -> bool:
+def in_wxi(xi: Ordinal, side: str, useq: WordSeq) -> bool:
     """Membership of the sequence useq itself (absolute, its own offsets)
-    in the level-xi family over alph on one side."""
+    in the level-xi family on one side."""
     if side not in ("constant", "variable"):
         raise ValueError(f"unknown side {side!r}")
     return side_consistent(useq, side) and in_level(xi, useq, schreier.mem)
 
 
-def in_wxi_relative(xi: Ordinal, alph: Alphabet, side: str, useq: WordSeq, base: VarWordStream):
+def in_wxi_relative(xi: Ordinal, side: str, useq: WordSeq, base: VarWordStream):
     """Membership relative to a base stream: (in_wxi of t, t) for the
     letter-word sequence t with base[t] == useq, or (False, None) when
     there is none.  Running past the base's horizon raises HorizonExceeded."""
@@ -67,7 +67,7 @@ def in_wxi_relative(xi: Ordinal, alph: Alphabet, side: str, useq: WordSeq, base:
         t = match_reduction(base, useq, side)
     except ReductionMismatch:
         return False, None
-    return in_wxi(xi, alph, side, t), t
+    return in_wxi(xi, side, t), t
 
 
 def canonical_rep(xi: Ordinal, seq: WordSeq) -> tuple[tuple[int, ...], bool]:
@@ -112,14 +112,11 @@ def enumerate_wxi(xi: Ordinal, alph: Alphabet, side: str, letter_budget: int) ->
     if letter_budget > MAX_LETTER_BUDGET:
         raise BudgetExceeded("level-xi listing asks for", letter_budget, MAX_LETTER_BUDGET, f"xi={xi}, side={side}",
                              noun="letters")
-    if not xi:
-        shapes = [(total,) for total in range(1, letter_budget + 1)]
-    else:
-        shapes = []
-        for d in schreier.enumerate_members(xi, letter_budget, min_n=2):
-            starts = (1,) + d
-            gaps = tuple(b - a for a, b in zip(starts, starts[1:]))
-            shapes.extend(gaps + (total - starts[-1] + 1,) for total in range(starts[-1], letter_budget + 1))
+    shapes = []
+    for d in schreier.enumerate_members(xi, letter_budget, min_n=2):  # A_0 = {()}: the one-word shapes
+        starts = (1,) + d
+        gaps = tuple(b - a for a, b in zip(starts, starts[1:]))
+        shapes.extend(gaps + (total - starts[-1] + 1,) for total in range(starts[-1], letter_budget + 1))
     k = len(alph.symbols)
     count = sum(prod(k**n if side == "constant" else (k + 1) ** n - k**n for n in shape) for shape in shapes)
     if count > words.MAX_REDUCTION_CASES:

@@ -4,6 +4,7 @@ stop (exit 3, the table of `test_unbounded_walks_stop_at_their_budget`).
 `run_cli` is the one in-process runner, here and in tests/test_golden.py."""
 
 import contextlib
+import csv
 import io
 import json
 import re
@@ -28,6 +29,19 @@ class Run(NamedTuple):
     @property
     def report(self) -> dict:
         return json.loads(self.out)
+
+
+def read_report(fmt: str, out: str) -> dict:
+    """The report a run wrote under `--format fmt`, each value read back
+    from its JSON: a `key: <JSON>` line each (plain), or a header and one
+    row (csv)."""
+    if fmt == "json":
+        return json.loads(out)
+    if fmt == "plain":
+        pairs = [line.split(": ", 1) for line in out.splitlines()]
+    else:
+        pairs = zip(*csv.reader(io.StringIO(out)))
+    return {k: json.loads(v) for k, v in pairs}
 
 
 def run_cli(argv) -> Run:
@@ -263,7 +277,7 @@ USAGE_ERRORS = {
     "decompose-short-stream": ("schreier decompose --xi w --stream {{3,4}}",
                                "stream exhausted while consuming a member"),
     "wxi-base-horizon": ("wxi member --alphabet ab --base list:a_,_b,__,__,_ --xi 1 --side c --seq (aa,ab,aa,aa,a,a)",
-                         "stream 'explicit' has horizon 5"),
+                         "stream list:a_,_b,__,__,_ has horizon 5"),
 }
 
 
@@ -290,10 +304,14 @@ def test_reports_embed_bounds():
 
 
 def test_plain_and_csv_formats():
+    # every value is written as its JSON; csv doubles the quotes of a JSON string
     code, out, _ = run_cli("--format plain ordinal eval w")
-    assert code == 0 and "canonical: w" in out
+    assert code == 0 and 'canonical: "w"\n' in out
     code, out, _ = run_cli("--format csv schreier transfer --xi w -n 2")
-    assert code == 0 and out.count("\n") == 2
+    assert code == 0 and out.splitlines() == [
+        "command,n,rule,schema_version,transfer_index,xi",
+        '"""schreier transfer""",2,"""fixed""",1,"""1""","""w"""',
+    ]
 
 
 def test_config_file_defaults(tmp_path):

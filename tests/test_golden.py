@@ -23,7 +23,7 @@ import pytest
 
 from schramsey import wxi
 
-from test_cli import run_cli
+from test_cli import read_report, run_cli
 
 FAMILIES = {
     # a constant-side tree
@@ -52,19 +52,19 @@ JOBS = {
     "words-reduce": ("words reduce --alphabet ab --seq (a_,b) --stream pat:_;a_:6",
                      0, "97e3116b707b13900f0182404187cb8125016ec08b283a7bf1bf5a324f577073", NONE),
     "words-reduce-plain": ("--format plain words reduce --alphabet abc --seq (_c,ab) --stream pat:a_,_b;__:8",
-                           0, "f05e62f4a49d1a4803b164200e584a3dad24a2b6166a34f4ac7a01d8a7f8bddb", NONE),
+                           0, "6a5d38318484d490a80d4be9ada451d6c1f7498dd66cb31e534527014860ef41", NONE),
     "words-reduce-list": ("words reduce --alphabet ab --seq (b,a_) --stream list:a_,_b,__",
                           0, "c16b082297d1c42a1c1123f83f4a0964bd8c29f17bf196a07d532ee7a3330d5e", NONE),
     "words-d": ("words d --alphabet abc --seq (ab,_c,a)",
                 0, "6ec87a9a0c19859107a54d61658afc6495a69246c0e41c865d9547dd43b406e3", NONE),
     "words-d-csv": ("--format csv words d --alphabet ab --seq (ab,ba,aab)",
-                    0, "cb0f6672b8b150f969b3571b64b03a64918872ca74df7d9165a7ff336b4627c0", NONE),
+                    0, "8ae3e1e56ba8efa2b364cc4db1e4bf034481feeb3ea3a76a31fa3312299f11ef", NONE),
     "words-reductions": ("words reductions --alphabet ab --seq (_,a_,_)",
                          0, "b3955b881737074b0752d8d74c81c9b6a1238197a6dd45e1aab1e939681ccf47", NONE),
     "words-reductions-csv": ("--format csv words reductions --alphabet ab --seq (_b,_)",
-                             0, "17860847456ee2c9fe59c78c58b401ae572c56c32069239a0912ed28bce9ec2d", NONE),
+                             0, "9842e6f6af23d5f3eef564ba09aaa61f0e72fd0d140d1f8d251b6caf275399b2", NONE),
     "words-reductions-plain": ("--format plain words reductions --alphabet abc --seq (_,_)",
-                               0, "f8227cde6e63a09d256df391a0665ad59f49dc6728dc7b8f80b64f5f5506a174", NONE),
+                               0, "e78d3935875dc73fbdca281f4fae2c331190cb934ff33beef5ce14ce86424eef", NONE),
     "wxi-member": ("wxi member --xi w --alphabet ab --side c --seq (ab,a,b)",
                    1, "3a3622ce93f10b6afb12b82bf6b111d0c2042367f980c6a1dfc219a8af4d693f", NONE),
     "wxi-member-base": ("wxi member --xi 1 --alphabet ab --side v --seq (a_,_b__) --base pat:a_;_b,__:8",
@@ -134,7 +134,7 @@ JOBS = {
     "error-letter": ("words d --alphabet ab --seq (ac)",
                      2, NONE, "d7891e2adb69d12b3fd5552c031ea8dde8c2fe4e7655e33c7a827c4b589b4b8e"),
     "error-horizon": ("words reduce --alphabet ab --seq (ab,ab) --stream e:3",
-                      2, NONE, "a6808ab841eac529eb5e02c2bee5e1f1498eb0829d12b7e70584c401a06e0f2b"),
+                      2, NONE, "50231562161f812047c33713a904f72e741b95ba664688aa46c2352f8189951d"),
     "error-mismatch": ("wxi member --xi 1 --alphabet ab --side c --seq (bb,a) --base pat:a_;_:6",
                        1, "54e77857c3b8373b2c4fc8854bc2b68d6b72297db2546aa8ac0fac0c6651b2a3", NONE),
     "error-alphabet": ("words d --alphabet aa --seq (a)",
@@ -150,13 +150,13 @@ JOBS = {
     "schreier-enumerate-succ": ("--rule succ schreier enumerate --xi w*2+1 --max-n 9",
                                 0, "e573107d536eb2e9b1c59a49acb8f4447df3220005be621e24dff020f38497b0", NONE),
     "schreier-enumerate-plain": ("--format plain schreier enumerate --xi w^2 --max-n 8",
-                                 0, "44368a2da99487bfb4d1319495dae414e4e9df9b94b9414f346e2cc6c037c613", NONE),
+                                 0, "dd4083a695b06e03738cbf3434a46ea9967175ab7afdd548f4b6669077a7647c", NONE),
     "schreier-enumerate-plain-succ": ("--format plain --rule succ schreier enumerate --xi w^w --max-n 8",
-                                      0, "b57e7c5426cf246e4062e6d68a125daa1c22a529138da355bfc6d16e3c09632f", NONE),
+                                      0, "a8b929a7b242a29af4f43b59091e4d4f6401faca559ecb36ace42862aeb40f75", NONE),
     "schreier-enumerate-csv": ("--format csv schreier enumerate --xi 0 --max-n 3",
-                               0, "7dd8d5572b93ec1b512e1f80e35d173bdbd2fc8140b43a19e3aad969cbbc9092", NONE),
+                               0, "80ffb8d9d3b4bdeabefadbae65091aa636ab0db4dc32ec04bac2718b4886ab39", NONE),
     "schreier-enumerate-csv-succ": ("--format csv --rule succ schreier enumerate --xi w+2 --max-n 6",
-                                    0, "f62b5ea28089671f3623720a0775c0d18babfd53a2ca9cdb076fd767b1b92446", NONE),
+                                    0, "171a42a4ea562184a896b83474c5b08203351fa1b635cba1e3dc800f7320ee58", NONE),
     "schreier-mem": ("schreier mem --xi w^2 --set {{2,3,4,5,6,7}}",
                      0, "ca73f9290a26dcb3248e552750199f94447d619f8df1ed7e52e4f5d5be609811", NONE),
     "schreier-mem-no": ("--rule succ schreier mem --xi w^2 --set {{2,3,4,5,6}}",
@@ -216,6 +216,19 @@ def test_csv_jobs_read_back_as_one_header_and_one_row(name, family_paths):
     run = run_job(name, family_paths)
     header, row = csv.reader(io.StringIO(run.out))
     assert run.code == 0 and len(header) == len(row)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in JOBS if JOBS[n][1] in (0, 1)))
+def test_plain_and_csv_read_back_as_the_json_report(name, family_paths):
+    # the job under each format, its own --format dropped: every plain line
+    # and csv field is the JSON of the JSON report's value for its key
+    argv = [a.format(**family_paths) for a in JOBS[name][0].split()]
+    if "--format" in argv:
+        del argv[argv.index("--format") : argv.index("--format") + 2]
+    runs = {fmt: run_cli(["--format", fmt, *argv]) for fmt in ("json", "plain", "csv")}
+    assert len({(run.code, run.err) for run in runs.values()}) == 1
+    for fmt in ("plain", "csv"):
+        assert read_report(fmt, runs[fmt].out) == runs["json"].report
 
 
 @pytest.mark.parametrize("name", sorted(n for n in JOBS if "--base" in JOBS[n][0].split()))

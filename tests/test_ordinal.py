@@ -121,6 +121,9 @@ def test_parse_examples():
     assert P("w^(w)") == o.omega_pow(o.OMEGA)
     assert P("  w ^ ( w + 1 ) ") == o.omega_pow(P("w+1"))
     assert P("w^w^2") == o.omega_pow(o.omega_pow(o.from_int(2)))
+    # an exponent is parenthesized exactly when it is not an atom (nat | w | w^atom)
+    for text in ["w^w^2", "w^(w + 1)", "w^(w^2*3)", "w^(w^(w + 1))", "w^(w^w*2 + w)*3"]:
+        assert str(P(text)) == text
 
 
 def test_parse_rejects_bad_input():

@@ -21,6 +21,7 @@ from reference import (
     scratch_subspace,
     sweep_ramsey,
 )
+from test_cli import read_report, run_cli
 
 P = o.parse
 AB = Alphabet(("a", "b"))
@@ -260,13 +261,32 @@ HJ_LINE_FIELD = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(WITNESSES))
-def test_witness_report_field_is_json_ready(kind):
-    # the CLI's witness field: tuples as lists, a coloring as its to_json object
-    field = cli._plain(WITNESSES[kind]().witness._asdict())
-    assert json.loads(json.dumps(field)) == field
-    if kind == "hj_line":
+# the witnesses of WITNESSES, and one whose payload holds a first_letter coloring
+JSON_READY = {
+    **WITNESSES,
+    "reduction_prefix_first_letter": lambda: v.carlson_witness_search(
+        P("1"), v.Coloring("wordseqs", 2, "first_letter", (AB.symbols,)), CONST1, upsilon_stream(AB, 8), 2
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JSON_READY))
+def test_witness_report_field_is_json_ready(case):
+    # the CLI's witness field as json writes it: tuples as lists, a coloring as its to_json object
+    field = json.loads(json.dumps(JSON_READY[case]().witness.to_json()))
+    assert field["kind"] == case.removesuffix("_first_letter")
+    if case == "hj_line":
         assert field == HJ_LINE_FIELD
+    if case == "reduction_prefix_first_letter":
+        assert field["payload"][2]["params"] == [["a", "b"]]
+
+
+@pytest.mark.parametrize("fmt", ["json", "plain", "csv"])
+def test_first_letter_witness_params_read_back_as_lists(fmt):
+    run = run_cli(f"--format {fmt} verify carlson --xi 1 --chi1 first_letter:2 --stream e:8 --depth 2")
+    witness = read_report(fmt, run.out)["witness"]
+    assert run.code == 0 and witness["kind"] == "reduction_prefix"
+    assert witness["payload"][2] == {"domain": "wordseqs", "colors": 2, "rule": "first_letter", "params": [["a", "b"]]}
 
 
 def test_subspace_search_trivial_and_checked():
