@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .errors import BudgetExceeded, HorizonExceeded, OracleUndecided, ReductionMismatch
+from .errors import BudgetExceeded, HorizonExceeded, OracleUndecided
 from .words import (
     Alphabet,
     VarWordStream,
@@ -155,9 +155,10 @@ class Derivation:
         for n in range(n, len(seq)):
             if end is not None:
                 try:
-                    _, end = align(self.stream, end, seq[n], self.family.side)
-                except (ReductionMismatch, HorizonExceeded):
-                    end = None
+                    found = align(self.stream, end, seq[n], self.family.side)
+                except HorizonExceeded:  # past the horizon: outside the universe the derivative sees
+                    found = None
+                end = found[1] if found else None
             memo[seq[: n + 1]] = end
         return end
 

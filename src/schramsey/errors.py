@@ -39,7 +39,3 @@ class BudgetExceeded(SchramseyError):
 
 class OracleUndecided(SchramseyError):
     """A chain oracle could not give a definite answer at its horizon."""
-
-
-class ReductionMismatch(SchramseyError):
-    """A sequence is not a reduction of the given stream."""

@@ -129,9 +129,9 @@ def _take(pending: list, x: int, room: int | None) -> bool:
         pending.append((lam, x))
 
 
-def _consume(xi: Ordinal, stream, pos: int) -> int:
-    """Greedily consume one A_xi member from stream[pos:]; return the end
-    position.  Raises HorizonExceeded if the stream runs out mid-member.
+def _consume(xi: Ordinal, stream, pos: int) -> int | None:
+    """Greedily consume one A_xi member from stream[pos:]; return its end
+    position, or None when the stream runs out mid-member.
 
     The owed stack is explicit, so deep indices never reach the
     interpreter's recursion limit."""
@@ -139,7 +139,7 @@ def _consume(xi: Ordinal, stream, pos: int) -> int:
     pending = list(xi)
     while pending:
         if pos >= end or not _take(pending, stream[pos], end - pos):
-            raise HorizonExceeded("stream exhausted while consuming a member")
+            return None
         pos += 1
     return pos
 
@@ -152,17 +152,15 @@ def initial_segment(xi: Ordinal, stream) -> FinSet:
     """
     t = validate_finset(stream)
     end = _consume(xi, t, 0)
+    if end is None:
+        raise HorizonExceeded("stream exhausted while consuming a member")
     return t[:end]
 
 
 def mem(xi: Ordinal, s) -> bool:
     """Exact membership test for A_xi via greedy decomposition."""
     t = validate_finset(s)
-    try:
-        end = _consume(xi, t, 0)
-    except HorizonExceeded:
-        return False
-    return end == len(t)
+    return _consume(xi, t, 0) == len(t)
 
 
 def enumerate_members(xi: Ordinal, max_n: int, min_n: int = 1) -> tuple[FinSet, ...]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .errors import BudgetExceeded, HorizonExceeded, ReductionMismatch
+from .errors import BudgetExceeded, HorizonExceeded
 
 VAR = "_"
 
@@ -331,35 +331,24 @@ def hereditary_reductions(seq: WordSeq, alph: Alphabet, side: str) -> tuple[Word
     return tuple(sorted(found, key=seq_sort_key))
 
 
-def align(stream: VarWordStream, start: int, u: Word, side: str) -> tuple[Word, int]:
+def align(stream: VarWordStream, start: int, u: Word, side: str) -> tuple[Word, int] | None:
     """Invert one block: the letter-word t with reduce_block(stream words
-    start+1..end, t) == u, and end.  Raises ReductionMismatch when there
-    is none or when t is not on `side` (constant: no variable; variable:
-    some variable), and HorizonExceeded when u runs past the horizon."""
-    letters = []
-    consumed = 0
+    start+1..end, t) == u, and end; None when there is none or when t is
+    not on `side` (constant: no variable; variable: some variable).
+    Raises HorizonExceeded when u runs past the horizon."""
+    t = ""
     end = start
+    consumed = 0
     while consumed < len(u):
         end += 1
         w = stream.word_at(end)
-        if consumed + len(w) > len(u):
-            raise ReductionMismatch("length does not align with stream word boundaries")
         segment = u[consumed : consumed + len(w)]
-        letter = segment[w.index(VAR)]
-        if w.replace(VAR, letter) != segment:
-            for src, got in zip(w, segment):
-                if src == VAR and got != letter:
-                    raise ReductionMismatch("inconsistent variable substitution")
-                if src != VAR and src != got:
-                    raise ReductionMismatch("constant letters disagree")
-        letters.append(letter)
+        letter = segment[w.index(VAR)] if len(segment) == len(w) else None
+        if letter is None or w.replace(VAR, letter) != segment:
+            return None
+        t += letter
         consumed += len(w)
-    t = "".join(letters)
-    if side == "constant" and VAR in t:
-        raise ReductionMismatch("variable letters in a constant-side reduction")
-    if side == "variable" and VAR not in t:
-        raise ReductionMismatch("a block of a variable-side reduction lacks the variable")
-    return t, end
+    return (t, end) if (VAR in t) == (side == "variable") else None
 
 
 def steps(stream: VarWordStream, k: int, side: str) -> tuple[list[tuple[Word, int]], bool]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from math import prod
 
 from . import schreier, words
-from .errors import BudgetExceeded, HorizonExceeded, ReductionMismatch
+from .errors import BudgetExceeded
 from .ordinal import Ordinal
 from .words import (
     Alphabet,
@@ -31,24 +31,26 @@ from .words import (
 MAX_LETTER_BUDGET = 16
 
 
-def match_reduction(stream: VarWordStream, useq: WordSeq, side: str) -> WordSeq:
+def match_reduction(stream: VarWordStream, useq: WordSeq, side: str) -> WordSeq | None:
     """Invert a block reduction: the letter-word sequence t with
-    stream[t] == useq.  Raises ReductionMismatch when there is none,
-    or when t has the wrong side (constant words / variable blocks)."""
+    stream[t] == useq, or None when there is none or when t has the
+    wrong side (constant words / variable blocks)."""
     blocks = []
     pos = 0
     for u in useq:
-        t, pos = align(stream, pos, u, side)
+        found = align(stream, pos, u, side)
+        if found is None:
+            return None
+        t, pos = found
         blocks.append(t)
     return tuple(blocks)
 
 
 def in_level(xi: Ordinal, seq: WordSeq, mem_fn) -> bool:
-    """The level-xi test on a word sequence: one word at level 0, else at
-    least two words whose offsets lie in A_xi by mem_fn(xi, offsets)."""
-    if not xi:
-        return len(seq) == 1
-    return len(seq) >= 2 and mem_fn(xi, d_map(seq))
+    """The level-xi test on a word sequence: a non-empty sequence whose
+    offsets lie in A_xi by mem_fn(xi, offsets).  One word has the offsets
+    (), the one member of A_0."""
+    return bool(seq) and mem_fn(xi, d_map(seq))
 
 
 def in_wxi(xi: Ordinal, side: str, useq: WordSeq) -> bool:
@@ -63,11 +65,8 @@ def in_wxi_relative(xi: Ordinal, side: str, useq: WordSeq, base: VarWordStream):
     """Membership relative to a base stream: (in_wxi of t, t) for the
     letter-word sequence t with base[t] == useq, or (False, None) when
     there is none.  Running past the base's horizon raises HorizonExceeded."""
-    try:
-        t = match_reduction(base, useq, side)
-    except ReductionMismatch:
-        return False, None
-    return in_wxi(xi, side, t), t
+    t = match_reduction(base, useq, side)
+    return t is not None and in_wxi(xi, side, t), t
 
 
 def canonical_rep(xi: Ordinal, seq: WordSeq) -> tuple[tuple[int, ...], bool]:
@@ -86,18 +85,11 @@ def canonical_rep(xi: Ordinal, seq: WordSeq) -> tuple[tuple[int, ...], bool]:
     offsets = d_map(seq)
     boundaries = []
     pos = 0
-    words_done = 1
-    while pos < len(offsets):
-        try:
-            end = schreier._consume(xi, offsets, pos)
-        except HorizonExceeded:
+    while not boundaries or pos < len(offsets):  # A_xi, xi >= 1, holds no empty set
+        pos = schreier._consume(xi, offsets, pos)
+        if pos is None:
             return (tuple(boundaries), True)
-        words_done += end - pos
-        boundaries.append(words_done)
-        pos = end
-    if not boundaries:
-        # single word, xi >= 1: always a proper initial part
-        return ((), True)
+        boundaries.append(pos + 1)  # offset index pos ends at word pos + 1
     return (tuple(boundaries), False)
 
 
@@ -127,12 +119,12 @@ def enumerate_wxi(xi: Ordinal, alph: Alphabet, side: str, letter_budget: int) ->
 
 def star_status(xi: Ordinal, seq: WordSeq) -> str:
     """'member', 'segment' (proper initial part of a member), or 'outside'
-    of the level-xi family, read off the canonical splitting."""
+    of the level-xi family, read off the first member of A_xi that the
+    offsets begin with (A_0 = {()}: one word is the level-0 member)."""
     if not seq:
         return "segment"
-    if not xi:
-        return "member" if len(seq) == 1 else "outside"
-    boundaries, _ = canonical_rep(xi, seq)
-    if boundaries == (len(seq),):
-        return "member"
-    return "outside" if boundaries else "segment"
+    offsets = d_map(seq)
+    end = schreier._consume(xi, offsets, 0)
+    if end is None:
+        return "segment"
+    return "member" if end == len(offsets) else "outside"

@@ -33,14 +33,16 @@ class Run(NamedTuple):
 
 def read_report(fmt: str, out: str) -> dict:
     """The report a run wrote under `--format fmt`, each value read back
-    from its JSON: a `key: <JSON>` line each (plain), or a header and one
-    row (csv)."""
+    from its JSON: a `key: <JSON>` line each (plain), or exactly one
+    header and one row of equal length (csv)."""
     if fmt == "json":
         return json.loads(out)
     if fmt == "plain":
         pairs = [line.split(": ", 1) for line in out.splitlines()]
     else:
-        pairs = zip(*csv.reader(io.StringIO(out)))
+        header, row = csv.reader(io.StringIO(out))
+        assert len(header) == len(row)
+        pairs = zip(header, row)
     return {k: json.loads(v) for k, v in pairs}
 
 
@@ -160,7 +162,6 @@ RAISED = [
     (errors.OrdinalRangeError("boom"), cli.EXIT_USAGE),
     (errors.OrdinalParseError("boom", 3), cli.EXIT_USAGE),
     (errors.HorizonExceeded("boom"), cli.EXIT_USAGE),
-    (errors.ReductionMismatch("boom"), cli.EXIT_USAGE),
     (ValueError("boom"), cli.EXIT_USAGE),
     (errors.BudgetExceeded("walk takes", 5, 4), cli.EXIT_BUDGET),
     (errors.OracleUndecided("boom"), cli.EXIT_BUDGET),

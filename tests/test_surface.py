@@ -2,8 +2,9 @@
 or class in `src/schramsey` is named somewhere in `src/` or `bench/`
 outside its own definition, or is the reference behind an acceptance
 criterion and listed here with it.  Every budget stop in it is worded by
-`BudgetExceeded` from its fields, never by its caller.  And the tests'
-reference module imports no engine code."""
+`BudgetExceeded` from its fields, never by its caller.  No library walk
+catches an exception to learn an answer.  And the tests' reference module
+imports no engine code."""
 
 import ast
 import inspect
@@ -109,6 +110,44 @@ def test_guard_catches_a_preformatted_budget_stop(tmp_path):
     (tmp_path / "words.py").write_text(source + '\n\ndef stop():\n    raise BudgetExceeded(f"x")\n')
     lines = source.count("\n") + 4
     assert preformatted_budget_stops(tmp_path) == [f"words:{lines}"]
+
+
+# The one `except` outside cli.py that answers instead of re-raising, by
+# module and caught type: past the stream horizon, a seed lies outside the
+# universe that the derivative sees.
+ANSWERING_EXCEPTS = {("cbindex", "HorizonExceeded")}
+
+
+def answering_excepts(package: Path) -> list:
+    """`module:line` of each `except` clause of the package outside cli.py
+    whose body does not end in a `raise`, unless ANSWERING_EXCEPTS lists it:
+    a negative answer is a return value, and an exception is an error that
+    the CLI maps to an exit code."""
+    out = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.ExceptHandler) and not isinstance(n.body[-1], ast.Raise):
+                if (path.stem, n.type and ast.unparse(n.type)) not in ANSWERING_EXCEPTS:
+                    out.append(f"{path.stem}:{n.lineno}")
+    return out
+
+
+def test_no_library_walk_catches_an_exception_to_learn_an_answer():
+    assert answering_excepts(PACKAGE) == []
+
+
+@pytest.mark.parametrize("handler", [
+    "except HorizonExceeded:\n        return False",
+    "except ValueError:\n        pass",
+    "except:\n        return None",
+], ids=["typed", "pass", "bare"])
+def test_guard_catches_an_answering_except(tmp_path, handler):
+    source = (PACKAGE / "wxi.py").read_text()
+    (tmp_path / "wxi.py").write_text(source + f"\n\ndef probe():\n    try:\n        return True\n    {handler}\n")
+    lines = source.count("\n") + 6
+    assert answering_excepts(tmp_path) == [f"wxi:{lines}"]
 
 
 # What tests/reference.py may import from the package, by module: ordinal

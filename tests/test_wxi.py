@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schramsey import ordinal as o
 from schramsey import schreier as sch
@@ -10,6 +11,7 @@ from schramsey.words import (
     VAR,
     Alphabet,
     VarWordStream,
+    align,
     d_map,
     reduce_seq,
     reduced_words,
@@ -19,7 +21,7 @@ from schramsey.words import (
     word,
 )
 
-from reference import product_reductions
+from reference import one_block_reductions, product_reductions
 
 P = o.parse
 AB = Alphabet(("a", "b"))
@@ -92,6 +94,20 @@ def test_match_reduction_roundtrip_random():
         t = tuple(blocks)
         u = reduce_seq(stream, t)
         assert wxi.match_reduction(stream, u, "variable") == t
+        # one block from a random start, a reduction with a letter maybe
+        # changed, within the stream's letters so no read passes the horizon:
+        # align answers None exactly when no stretch of stream words holds it
+        start = rng.randrange(horizon)
+        side = rng.choice(["constant", "variable"])
+        stretch = rng.randint(start + 1, horizon)
+        v = rng.choice(one_block_reductions(prefix[start:stretch], AB, side))
+        i = rng.randrange(len(v))
+        v = v[:i] + rng.choice(AB.full) + v[i + 1 :]
+        holders = [end for end in range(start + 1, horizon + 1)
+                   if v in one_block_reductions(prefix[start:end], AB, side)]
+        found = align(stream, start, v, side)
+        assert (found is None) == (not holders), (prefix, start, v, side)
+        assert found is None or found[1] == holders[0]
 
 
 def test_canonical_rep_examples():
@@ -111,6 +127,22 @@ def test_star_status():
     assert wxi.star_status(o.from_int(1), ()) == "segment"
     assert wxi.star_status(o.ZERO, (w("a"),)) == "member"
     assert wxi.star_status(o.ZERO, (w("a"), w("b"))) == "outside"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text("ab", min_size=1, max_size=3), max_size=9),
+       st.sampled_from(["0", "1", "2", "5", "w", "w+1", "w*2", "w^2", "w^w"]))
+def test_star_status_reads_the_canonical_splitting(seq, xs):
+    # the first member alone gives the status the whole splitting gives:
+    # one block ending at the last word is a member, no complete block a
+    # segment, anything else outside; level 0 holds the one-word sequences
+    seq = tuple(seq)
+    if xs == "0":
+        expected = "member" if len(seq) == 1 else "outside" if seq else "segment"
+    else:
+        boundaries, _residual = wxi.canonical_rep(P(xs), seq)
+        expected = "member" if boundaries == (len(seq),) else "outside" if boundaries else "segment"
+    assert wxi.star_status(P(xs), seq) == expected
 
 
 @pytest.mark.parametrize("xs", ["w", "w+1", "w*2", "w^2", "w^w"])
