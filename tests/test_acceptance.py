@@ -17,6 +17,7 @@ from schramsey import wxi
 from schramsey.words import Alphabet, d_map, reduce_seq, universe, upsilon_stream
 
 from reference import reductions_wxi, shifted_members
+from test_golden import JOBS, expected
 
 P = o.parse
 AB = Alphabet(("a", "b"))
@@ -248,25 +249,16 @@ def test_criterion_10_tree_dichotomy():
 
 
 def test_criterion_11_determinism():
+    # each job of the golden battery runs as a CLI process under two hash
+    # seeds, and both runs give the exit code and the bytes its files pin
     t0 = time.time()
-    battery = [
-        ["schreier", "enumerate", "--xi", "w^2", "--max-n", "8"],
-        ["verify", "hj", "--r", "2", "--n", "1", "--k", "2", "--xi", "0", "--mmax", "4"],
-        ["verify", "pair-sweep", "--max-n", "5"],
-        ["verify", "ramsey", "--xi", "2", "--max-n", "6", "--coloring", "min_mod:2", "--target", "3"],
-        ["cbindex", "--family", "len:2", "--stream", "e:40", "--oracle", "horizon:4"],
-        ["wxi", "enumerate", "--xi", "w", "--alphabet", "ab", "--side", "c", "--letters", "5"],
-        ["verify", "nw", "--fixture", "wide", "--alphabet", "ab", "--letters", "6"],
-    ]
-    for args in battery:
-        outputs = []
+    for name in ["schreier-enumerate-w2", "verify-hj-0-m4", "verify-pair-sweep-5", "verify-ramsey-3",
+                 "cbindex-horizon-e40", "wxi-enumerate-w", "verify-nw-wide"]:
         for seed in ("0", "1"):
             proc = subprocess.run(
-                [sys.executable, "-m", "schramsey.cli", *args],
+                [sys.executable, "-m", "schramsey.cli", *JOBS[name][0].split()],
                 capture_output=True,
                 env={**os.environ, "PYTHONHASHSEED": seed},
             )
-            outputs.append((proc.returncode, proc.stdout))
-        assert outputs[0] == outputs[1], args
-        assert outputs[0][1]
+            assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == expected(name), (name, seed)
     _report(11, "byte-identical reports across hash seeds", t0)
