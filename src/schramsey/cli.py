@@ -4,9 +4,12 @@ One subcommand per module; every report is a single JSON object (or its
 values' JSON in plain lines or a csv row) that embeds the truncation
 bounds used, so no output can be read as an infinitary claim.
 
-Exit codes: 0 found/pass, 1 exhausted/closed/inconsistent, 2 usage
-error, 3 budget exceeded or oracle undecided, 4 internal error (an
-unexpected exception; never read as a negative answer).
+Each handler maps the parsed arguments to a report; `main` stamps the
+report's `command` and `schema_version`, writes it, and reads the exit
+code off ANSWERS: 1 when the action's answer field is false or null, 0
+otherwise.  An error exits 2 (usage), 3 (budget exceeded or oracle
+undecided) or 4 (an unexpected exception; never read as a negative
+answer), with one stderr line and no report.
 """
 
 from __future__ import annotations
@@ -112,27 +115,25 @@ def _read_json(path: str, what: str):
         raise ValueError(f"{what} {path!r} is not JSON: {exc}") from None
 
 
-def _emit(report: dict, args, code: int) -> int:
+def _emit(report: dict, fmt: str) -> None:
     """The report as one JSON object, or by sorted key with each value's
     JSON: a `key: <JSON>` line each (plain), or a header and one row (csv)."""
-    report.setdefault("schema_version", SCHEMA_VERSION)
-    if args.format == "json":
+    if fmt == "json":
         sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
-        return code
+        return
     keys = sorted(report)
     values = [json.dumps(report[k], sort_keys=True) for k in keys]
-    if args.format == "plain":
+    if fmt == "plain":
         sys.stdout.writelines(f"{k}: {v}\n" for k, v in zip(keys, values))
     else:
         import csv
 
         csv.writer(sys.stdout, lineterminator="\n").writerows([keys, values])
-    return code
 
 
-def _search_report(report: dict, out: verify.SearchOutcome) -> int:
-    """Add the fields every witness search reports, its answer, work
-    counts and independently checked witness, and return its exit code."""
+def _search_report(report: dict, out: verify.SearchOutcome) -> None:
+    """Add the fields every witness search reports: its answer, work
+    counts and independently checked witness."""
     from . import verify
 
     report.update(
@@ -144,17 +145,27 @@ def _search_report(report: dict, out: verify.SearchOutcome) -> int:
             "witness_checked": verify.check_witness(out.witness) if out.witness else None,
         }
     )
-    return EXIT_FOUND if out.found else EXIT_EXHAUSTED
+
+
+# The report field that holds the yes/no answer of each action that has
+# one, by command: a job exits 1 when that field is false or null, and 0
+# otherwise (also when its action has no such field).
+ANSWERS = {
+    "schreier mem": "member", "wxi member": "member",
+    "family thin": "thin", "family tree": "tree", "family dichotomy": "equivalent",
+    "verify ramsey": "found", "verify carlson": "found", "verify subspace": "found",
+    "verify pair-sweep": "all_have_witness", "verify hj": "M", "verify nw": "consistent",
+}
 
 
 # --- subcommand handlers -------------------------------------------------
 
 
-def _cmd_ordinal(args) -> int:
+def _cmd_ordinal(args) -> dict:
     from . import ordinal
 
     a = ordinal.parse(args.expr)
-    report = {"command": "ordinal", "input": args.expr, "canonical": str(a)}
+    report = {"input": args.expr, "canonical": str(a)}
     if args.action == "classify":
         report["kind"] = ordinal.kind(a)
         if report["kind"] == "successor":
@@ -166,20 +177,17 @@ def _cmd_ordinal(args) -> int:
         else:
             report["value"] = str(ordinal.fixed_seq(a, args.n))
         report["n"] = args.n
-    return _emit(report, args, EXIT_FOUND)
+    return report
 
 
-def _cmd_schreier(args) -> int:
+def _cmd_schreier(args) -> dict:
     from . import ordinal, schreier
 
     xi = ordinal.parse(args.xi)
-    report = {"command": f"schreier {args.action}", "xi": str(xi), "rule": args.rule}
-    code = EXIT_FOUND
+    report = {"xi": str(xi), "rule": args.rule}
     if args.action == "mem":
         s = _parse_finset(args.set)
-        value = schreier.mem(xi, s)
-        report.update({"set": s, "member": value})
-        code = EXIT_FOUND if value else EXIT_EXHAUSTED
+        report.update({"set": s, "member": schreier.mem(xi, s)})
     elif args.action == "decompose":
         stream = _parse_finset(args.stream)
         seg = schreier.initial_segment(xi, stream)
@@ -189,14 +197,14 @@ def _cmd_schreier(args) -> int:
         report.update({"max_n": args.max_n, "count": len(ms), "members": ms})
     elif args.action == "transfer":
         report.update({"n": args.n, "transfer_index": str(schreier.transfer_index(xi, args.n))})
-    return _emit(report, args, code)
+    return report
 
 
-def _cmd_words(args) -> int:
+def _cmd_words(args) -> dict:
     from . import words
 
     alph = _parse_alphabet(args.alphabet)
-    report = {"command": f"words {args.action}", "alphabet": "".join(alph.symbols)}
+    report = {"alphabet": "".join(alph.symbols)}
     if args.action == "reduce":
         stream = _parse_stream(args.stream, alph)
         seq = _parse_seq(args.seq, alph)
@@ -211,36 +219,28 @@ def _cmd_words(args) -> int:
         for side in ("constant", "variable"):
             pairs = words.finite_reductions(seq, alph, side)
             report[side] = [[words.seq_text(s), d] for s, d in pairs]
-    return _emit(report, args, EXIT_FOUND)
+    return report
 
 
-def _cmd_wxi(args) -> int:
+def _cmd_wxi(args) -> dict:
     from . import ordinal, words, wxi
 
     alph = _parse_alphabet(args.alphabet)
     xi = ordinal.parse(args.xi)
     side = {"c": "constant", "v": "variable"}[args.side]
-    report = {
-        "command": f"wxi {args.action}",
-        "xi": str(xi),
-        "alphabet": "".join(alph.symbols),
-        "side": side,
-        "rule": args.rule,
-    }
-    code = EXIT_FOUND
+    report = {"xi": str(xi), "alphabet": "".join(alph.symbols), "side": side, "rule": args.rule}
     if args.action == "member":
         base = _parse_stream(args.base, alph) if args.base else None
         seq = _parse_seq(args.seq, alph)
+        report["seq"] = words.seq_text(seq)
         if base is None:
-            value = wxi.in_wxi(xi, side, seq)
+            report["member"] = wxi.in_wxi(xi, side, seq)
         else:
-            value, t = wxi.in_wxi_relative(xi, side, seq, base)
-        report.update({"seq": words.seq_text(seq), "member": value})
+            report["member"], t = wxi.in_wxi_relative(xi, side, seq, base)
         if seq:
             report["d"] = words.d_map(seq)
             if base is not None:
                 report["relative_d"] = None if t is None else words.d_map(t)
-        code = EXIT_FOUND if value else EXIT_EXHAUSTED
     elif args.action == "decompose":
         seq = _parse_seq(args.seq, alph)
         bounds, residual = wxi.canonical_rep(xi, seq)
@@ -250,15 +250,14 @@ def _cmd_wxi(args) -> int:
         report.update(
             {"letters": args.letters, "count": len(ms), "members": [words.seq_text(m) for m in ms]}
         )
-    return _emit(report, args, code)
+    return report
 
 
-def _cmd_family(args) -> int:
+def _cmd_family(args) -> dict:
     from . import families, words
 
     fam = families.family_from_json(_read_json(args.file, "family file"))
-    report = {"command": f"family {args.action}", "members": len(fam.members), "side": fam.side}
-    code = EXIT_FOUND
+    report = {"members": len(fam.members), "side": fam.side}
     if args.action == "close":
         closed = families.star_closure(fam) if args.closure == "star" else families.hereditary_closure(fam)
         report.update({"closure": args.closure, "closed_size": len(closed.members),
@@ -267,25 +266,19 @@ def _cmd_family(args) -> int:
         kern = families.hereditary_kernel(fam)
         report.update({"kernel_size": len(kern.members), "kernel": [words.seq_text(m) for m in kern.sorted_members()]})
     elif args.action == "thin":
-        value = families.is_thin(fam)
-        report["thin"] = value
-        code = EXIT_FOUND if value else EXIT_EXHAUSTED
+        report["thin"] = families.is_thin(fam)
     elif args.action == "tree":
-        value = families.is_tree(fam)
-        report["tree"] = value
-        code = EXIT_FOUND if value else EXIT_EXHAUSTED
+        report["tree"] = families.is_tree(fam)
     elif args.action == "dichotomy":
         from . import ordinal
 
         stream = _parse_stream(args.stream, fam.alph)
         xi = ordinal.parse(args.xi)
-        rep = families.tree_dichotomy_check(fam, xi, stream, args.letters)
-        report.update(rep)
-        code = EXIT_FOUND if rep["equivalent"] else EXIT_EXHAUSTED
-    return _emit(report, args, code)
+        report.update(families.tree_dichotomy_check(fam, xi, stream, args.letters))
+    return report
 
 
-def _cmd_cbindex(args) -> int:
+def _cmd_cbindex(args) -> dict:
     from . import cbindex
 
     budget = cbindex.MAX_PASSES if args.budget is None else args.budget
@@ -309,37 +302,28 @@ def _cmd_cbindex(args) -> int:
         oracle = cbindex.ChainOracle(mode, horizon=_spec_int("--oracle horizon:H", "H", param))
     else:
         oracle = cbindex.ChainOracle(mode)  # refused: an unknown mode, or horizon without H
-    report = {
-        "command": "cbindex",
-        "family": fam.label,
-        "oracle": args.oracle,
-        "budget": budget,
-        "stream_horizon": stream.horizon,
-    }
+    report = {"family": fam.label, "oracle": args.oracle, "budget": budget, "stream_horizon": stream.horizon}
     deriv = cbindex.Derivation(fam, stream, oracle)
     if args.levels is not None:
         report["profile"] = [len(deriv.survivors(level)) for level in range(args.levels + 1)]
     else:
         report["so_index"] = deriv.first_empty(budget) - 1
     report["nodes"] = deriv.nodes
-    return _emit(report, args, EXIT_FOUND)
+    return report
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> dict:
     from . import ordinal, verify
 
-    report = {"command": f"verify {args.action}", "rule": args.rule}
-    code = EXIT_FOUND
+    report = {"rule": args.rule}
     if args.action == "ramsey":
         xi = ordinal.parse(args.xi)
         col = verify.parse_coloring(args.coloring, "finsets")
         out = verify.ramsey_schreier_search(xi, args.max_n, col, args.target)
         report.update({"xi": str(xi), "max_n": args.max_n, "target": args.target})
-        code = _search_report(report, out)
+        _search_report(report, out)
     elif args.action == "pair-sweep":
-        rep = verify.ramsey_pair_sweep(args.max_n, args.target)
-        report.update(rep)
-        code = EXIT_FOUND if rep["all_have_witness"] else EXIT_EXHAUSTED
+        report.update(verify.ramsey_pair_sweep(args.max_n, args.target))
     elif args.action == "carlson":
         alph = _parse_alphabet(args.alphabet)
         xi = ordinal.parse(args.xi)
@@ -348,12 +332,10 @@ def _cmd_verify(args) -> int:
         stream = _parse_stream(args.stream, alph)
         out = verify.carlson_witness_search(xi, chi1, chi2, stream, args.depth)
         report.update({"xi": str(xi), "depth": args.depth})
-        code = _search_report(report, out)
+        _search_report(report, out)
     elif args.action == "hj":
         xi = ordinal.parse(args.xi)
-        rep = verify.hales_jewett_M(args.r, args.n, args.k, xi, args.mmax)
-        report.update(rep)
-        code = EXIT_FOUND if rep["M"] is not None else EXIT_EXHAUSTED
+        report.update(verify.hales_jewett_M(args.r, args.n, args.k, xi, args.mmax))
     elif args.action == "subspace":
         alph = _parse_alphabet(args.alphabet)
         xi = ordinal.parse(args.xi)
@@ -361,13 +343,11 @@ def _cmd_verify(args) -> int:
         stream = _parse_stream(args.stream, alph)
         out = verify.subspace_search(xi, chi, stream, args.depth)
         report.update({"xi": str(xi), "depth": args.depth})
-        code = _search_report(report, out)
+        _search_report(report, out)
     elif args.action == "nw":
         alph = _parse_alphabet(args.alphabet)
-        rep = verify.nw_fixture_check(args.fixture, alph, args.letters)
-        report.update(rep)
-        code = EXIT_FOUND if rep["consistent"] else EXIT_EXHAUSTED
-    return _emit(report, args, code)
+        report.update(verify.nw_fixture_check(args.fixture, alph, args.letters))
+    return report
 
 
 # --- options ---------------------------------------------------------------
@@ -384,7 +364,7 @@ OPTIONS = {
                         help="report label only: both limit rules give the same families; the engines walk 'fixed'")),
     ],
     "ordinal": [
-        ("action", dict(choices=["eval", "classify", "fixed-seq"])), ("expr", dict()),
+        ("action", dict(choices=["classify", "fixed-seq"])), ("expr", dict()),
         ("-n", dict(type=int, default=1)), ("--succ", dict(action="store_true")),
     ],
     "schreier": [
@@ -489,7 +469,12 @@ def main(argv=None) -> int:
         for dest, value in vars(args).items():
             if type(value) is int:
                 _count(dest.replace("_", "-"), value)
-        return args.handler(args)
+        report = args.handler(args)
+        command = f"{args.module} {args.action}" if "action" in args else args.module
+        report.update({"command": command, "schema_version": SCHEMA_VERSION})
+        answer = report[ANSWERS[command]] if command in ANSWERS else True
+        _emit(report, args.format)
+        return EXIT_EXHAUSTED if answer is None or answer is False else EXIT_FOUND
     except (BudgetExceeded, OracleUndecided) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -48,10 +48,14 @@ def read_report(fmt: str, out: str) -> dict:
 
 def run_cli(argv) -> Run:
     """`cli.main(argv)` in process, with its exit code, stdout and stderr;
-    a string argv is split on whitespace."""
+    a string argv is split on whitespace.  An argv that argparse refuses
+    gives argparse's own exit (2) and message."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv.split() if isinstance(argv, str) else argv)
+        try:
+            code = cli.main(argv.split() if isinstance(argv, str) else argv)
+        except SystemExit as exc:
+            code = exc.code
     return Run(code, out.getvalue(), err.getvalue())
 
 
@@ -107,7 +111,7 @@ def test_schreier_enumerate_and_transfer():
 
 
 def test_ordinal_commands():
-    run = run_cli(["ordinal", "eval", "w^2*3 + w + 5"])
+    run = run_cli(["ordinal", "classify", "w^2*3 + w + 5"])
     assert run.code == 0 and run.report["canonical"] == "w^2*3 + w + 5"
     assert run_cli("ordinal fixed-seq w^w -n 2 --succ").report["value"] == "w + 2"
     rep = run_cli("ordinal classify w+4").report
@@ -184,7 +188,7 @@ def test_handler_error_exit_code(exc, code, monkeypatch):
         err = f"internal error: {type(exc).__name__}: boom second line\n"
     else:
         err = f"error: {exc}\n"
-    assert run_cli("ordinal eval w") == (code, "", err)
+    assert run_cli("ordinal classify w") == (code, "", err)
 
 
 def test_verify_commands():
@@ -210,9 +214,9 @@ USAGE_ERRORS = {
     # (stopped before the parser recurses)
     "xi-not-normal-form": ("schreier mem --xi w+w --set {{1}}",
                            "terms not in strictly decreasing exponent order (at position 2)"),
-    "ordinal-incomplete": ("ordinal eval w^", "expected a number, 'w', or 'w^' (at position 2)"),
-    "tower-parens": ("ordinal eval " + "w^(" * 400 + "1" + ")" * 400, TOWER),
-    "tower-bare": ("ordinal eval " + "w^" * 1000, TOWER),
+    "ordinal-incomplete": ("ordinal classify w^", "expected a number, 'w', or 'w^' (at position 2)"),
+    "tower-parens": ("ordinal classify " + "w^(" * 400 + "1" + ")" * 400, TOWER),
+    "tower-bare": ("ordinal classify " + "w^" * 1000, TOWER),
     "tower-ramsey": ("verify ramsey --xi " + "w^" * 1000 + "0", TOWER),
     # a number that does not parse names the spec it came in
     "stream-e-x": ("words reduce --alphabet ab --seq (a) --stream e:x",
@@ -226,8 +230,8 @@ USAGE_ERRORS = {
     # a file that is not JSON is named, also one nested past the decoder's recursion limit
     "family-file-empty": ("family dichotomy --file {empty}", f"family file '{{empty}}' {NOT_JSON}"),
     "cbindex-family-empty": ("cbindex --family {empty}", f"family file '{{empty}}' {NOT_JSON}"),
-    "config-empty": ("--config {empty} ordinal eval w", f"config file '{{empty}}' {NOT_JSON}"),
-    "config-deep": ("--config {deep} ordinal eval w", f"config file '{{deep}}' {NESTED}"),
+    "config-empty": ("--config {empty} ordinal classify w", f"config file '{{empty}}' {NOT_JSON}"),
+    "config-deep": ("--config {deep} ordinal classify w", f"config file '{{deep}}' {NESTED}"),
     "family-file-deep": ("family tree --file {deep}", f"family file '{{deep}}' {NESTED}"),
     "cbindex-family-deep": ("cbindex --family {deep}", f"family file '{{deep}}' {NESTED}"),
     # a file that cannot be read
@@ -298,23 +302,6 @@ def test_reductions_of_the_empty_sequence():
     assert run.report["constant"] == [["()", []]] and run.report["variable"] == [["()", []]]
 
 
-def test_reports_embed_bounds():
-    rep = run_cli("verify pair-sweep --max-n 5").report
-    assert rep["colorings"] == 1024 and "max_n" in rep
-    assert rep["schema_version"] == 1
-
-
-def test_plain_and_csv_formats():
-    # every value is written as its JSON; csv doubles the quotes of a JSON string
-    code, out, _ = run_cli("--format plain ordinal eval w")
-    assert code == 0 and 'canonical: "w"\n' in out
-    code, out, _ = run_cli("--format csv schreier transfer --xi w -n 2")
-    assert code == 0 and out.splitlines() == [
-        "command,n,rule,schema_version,transfer_index,xi",
-        '"""schreier transfer""",2,"""fixed""",1,"""1""","""w"""',
-    ]
-
-
 def test_config_file_defaults(tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"max_n": 4}))
@@ -361,8 +348,8 @@ FLAG_ROWS = [pytest.param(module, name, kw, id=f"{module or 'top'}{name}") for m
              for name, kw in rows if name.startswith("-") and name != "--config"]
 # an argv that parses for each subcommand, with its required flags given
 PARSING_ARGV = {
-    None: ["ordinal", "eval", "w"],
-    "ordinal": ["ordinal", "eval", "w"],
+    None: ["ordinal", "classify", "w"],
+    "ordinal": ["ordinal", "classify", "w"],
     "schreier": ["schreier", "mem", "--xi", "w"],
     "words": ["words", "d", "--alphabet", "ab", "--seq", "(a)"],
     "wxi": ["wxi", "member", "--xi", "1", "--alphabet", "ab"],
@@ -386,15 +373,18 @@ def test_every_flag_row_is_a_config_key(module, name, kw, tmp_path, monkeypatch)
     else:
         value = "from-config"
     seen = []
-    monkeypatch.setattr(cli, f"_cmd_{module or 'ordinal'}", lambda args: seen.append(args) or 0)
+    # a report that answers yes for every action, so that the job exits 0
+    answered = dict.fromkeys(cli.ANSWERS.values(), True)
+    monkeypatch.setattr(cli, f"_cmd_{module or 'ordinal'}", lambda args: seen.append(args) or dict(answered))
     argv = PARSING_ARGV[module]
     cfgfile = tmp_path / "cfg.json"
     for key in {dest, name.lstrip("-")}:
         cfgfile.write_text(json.dumps({key: value}))
         if kw.get("required"):
             i = argv.index(name)
-            with pytest.raises(SystemExit):
-                run_cli(["--config", str(cfgfile), *argv[:i], *argv[i + 2:]])
+            code, out, err = run_cli(["--config", str(cfgfile), *argv[:i], *argv[i + 2:]])
+            assert (code, out) == (cli.EXIT_USAGE, "")
+            assert err.endswith(f" error: the following arguments are required: {name}\n"), err
         else:
             assert run_cli(["--config", str(cfgfile), *argv]).code == 0
             assert vars(seen.pop())[dest] == value, key
@@ -764,20 +754,24 @@ def _flags(required=(), **options):
     return st.tuples(*parts).map(lambda got: [token for part in got for token in part])
 
 
-def _command(module, actions, required=()):
-    return st.tuples(st.sampled_from(actions), _flags(required, **FLAGS[module])).map(
+# each subcommand's actions, as its action row in the option table lists them
+ACTIONS = {module: kw["choices"] for module, rows in cli.OPTIONS.items() for name, kw in rows if name == "action"}
+
+
+def _command(module, required=()):
+    return st.tuples(st.sampled_from(ACTIONS[module]), _flags(required, **FLAGS[module])).map(
         lambda t: [module, t[0], *t[1]])
 
 
 COMMANDS = st.one_of(
-    st.tuples(st.sampled_from(["eval", "classify", "fixed-seq"]), XI, _flags(**FLAGS["ordinal"]))
+    st.tuples(st.sampled_from(ACTIONS["ordinal"]), XI, _flags(**FLAGS["ordinal"]))
     .map(lambda t: ["ordinal", t[0], t[1], *t[2]]),
-    _command("schreier", ["mem", "decompose", "enumerate", "transfer"], ["--xi"]),
-    _command("words", ["reduce", "d", "reductions"], ["--alphabet", "--seq"]),
-    _command("wxi", ["member", "decompose", "enumerate"], ["--xi", "--alphabet"]),
-    _command("family", ["close", "kernel", "thin", "tree", "dichotomy"], ["--file"]),
+    _command("schreier", ["--xi"]),
+    _command("words", ["--alphabet", "--seq"]),
+    _command("wxi", ["--xi", "--alphabet"]),
+    _command("family", ["--file"]),
     _flags(["--family"], **FLAGS["cbindex"]).map(lambda flags: ["cbindex", *flags]),
-    _command("verify", ["ramsey", "pair-sweep", "carlson", "hj", "subspace", "nw"]),
+    _command("verify"),
 )
 # defaults past the small bounds above; a flag the command draws comes later and wins
 SMALL_DEFAULTS = {"verify": ["--stream", "e:4", "--letters", "4", "--mmax", "2"],

@@ -119,7 +119,7 @@ JOBS = {
     "schreier-transfer-tower": ("schreier transfer --xi w^1500 -n 2", 0),
     "schreier-transfer-limit-tower": ("schreier transfer --xi w^(w^w)*2+w^(w^2) -n 4", 0),
     "schreier-mem-room-cut": ("schreier mem --xi w^(w^(w^2)) --set {{3,4,5}}", 1),
-    "ordinal-eval": ("ordinal eval w^(w+1)*2+w*3+1", 0),
+    "ordinal-eval": ("ordinal classify w^(w+1)*2+w*3+1", 0),
     "ordinal-classify": ("ordinal classify w^2+3", 0),
     "ordinal-classify-limit": ("ordinal classify w^w*2+w", 0),
     "ordinal-fixed-seq": ("ordinal fixed-seq w^(w+1) -n 3", 0),
@@ -179,11 +179,34 @@ def test_a_golden_file_is_compared_byte_for_byte(tmp_path, family_paths):
     assert run_job("words-d", family_paths) != expected("words-d", tmp_path)
 
 
+# each subcommand and action of the option table, as a report's "command" names it
+ACTIONS = {f"{module} {action}" for module, rows in cli.OPTIONS.items()
+           for flag, kw in rows if flag == "action" for action in kw["choices"]}
+
+
 def test_every_cli_action_has_a_golden_job():
-    actions = {(module, action) for module, rows in cli.OPTIONS.items()
-               for flag, kw in rows if flag == "action" for action in kw["choices"]}
-    pairs = {pair for argv, _ in JOBS.values() for pair in zip(argv.split(), argv.split()[1:])}
-    assert actions - pairs == set()
+    pairs = {" ".join(pair) for argv, _ in JOBS.values() for pair in zip(argv.split(), argv.split()[1:])}
+    assert ACTIONS - pairs == set()
+
+
+def test_answers_decide_every_golden_exit_code():
+    # each key of cli.ANSWERS is an action, every golden report of a keyed
+    # action holds its field, and a job exits 1 exactly when that field is
+    # false or null; a job with no report is an error (exit 2 or 3)
+    assert set(cli.ANSWERS) <= ACTIONS
+    for name, (argv, code) in JOBS.items():
+        out = expected(name)[1]
+        if not out:
+            assert code in (2, 3), name
+            continue
+        tokens = argv.split()
+        report = read_report(tokens[tokens.index("--format") + 1] if "--format" in tokens else "json", out)
+        field = cli.ANSWERS.get(report["command"])
+        if field is None:
+            assert code == 0, name
+        else:
+            assert field in report, name
+            assert code == (1 if report[field] is None or report[field] is False else 0), name
 
 
 @pytest.mark.parametrize("name", sorted(n for n in JOBS if JOBS[n][1] in (0, 1)))
