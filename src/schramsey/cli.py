@@ -1,8 +1,8 @@
 """Command-line surface.
 
-One subcommand per module; every report is a single JSON object (or its
-values' JSON in plain lines or a csv row) that embeds the truncation
-bounds used, so no output can be read as an infinitary claim.
+One subcommand per module; every report is one JSON object, keys sorted,
+on one line of stdout, and it embeds the truncation bounds used, so no
+output can be read as an infinitary claim.
 
 Each handler maps the parsed arguments to a report; `main` stamps the
 report's `command` and `schema_version`, writes it, and reads the exit
@@ -113,22 +113,6 @@ def _read_json(path: str, what: str):
         raise ValueError(str(exc)) from None
     except (ValueError, RecursionError) as exc:  # nested past the decoder's recursion limit
         raise ValueError(f"{what} {path!r} is not JSON: {exc}") from None
-
-
-def _emit(report: dict, fmt: str) -> None:
-    """The report as one JSON object, or by sorted key with each value's
-    JSON: a `key: <JSON>` line each (plain), or a header and one row (csv)."""
-    if fmt == "json":
-        sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
-        return
-    keys = sorted(report)
-    values = [json.dumps(report[k], sort_keys=True) for k in keys]
-    if fmt == "plain":
-        sys.stdout.writelines(f"{k}: {v}\n" for k, v in zip(keys, values))
-    else:
-        import csv
-
-        csv.writer(sys.stdout, lineterminator="\n").writerows([keys, values])
 
 
 def _search_report(report: dict, out: verify.SearchOutcome) -> None:
@@ -359,7 +343,6 @@ def _cmd_verify(args) -> dict:
 OPTIONS = {
     None: [
         ("--config", dict(help="JSON file with default option values")),
-        ("--format", dict(choices=["json", "plain", "csv"], default="json")),
         ("--rule", dict(choices=["fixed", "succ"], default="fixed",
                         help="report label only: both limit rules give the same families; the engines walk 'fixed'")),
     ],
@@ -473,7 +456,7 @@ def main(argv=None) -> int:
         command = f"{args.module} {args.action}" if "action" in args else args.module
         report.update({"command": command, "schema_version": SCHEMA_VERSION})
         answer = report[ANSWERS[command]] if command in ANSWERS else True
-        _emit(report, args.format)
+        sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
         return EXIT_EXHAUSTED if answer is None or answer is False else EXIT_FOUND
     except (BudgetExceeded, OracleUndecided) as exc:
         print(f"error: {exc}", file=sys.stderr)

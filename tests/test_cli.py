@@ -4,7 +4,6 @@ stop (exit 3, the table of `test_unbounded_walks_stop_at_their_budget`).
 `run_cli` is the one in-process runner, here and in tests/test_golden.py."""
 
 import contextlib
-import csv
 import io
 import json
 import re
@@ -29,21 +28,6 @@ class Run(NamedTuple):
     @property
     def report(self) -> dict:
         return json.loads(self.out)
-
-
-def read_report(fmt: str, out: str) -> dict:
-    """The report a run wrote under `--format fmt`, each value read back
-    from its JSON: a `key: <JSON>` line each (plain), or exactly one
-    header and one row of equal length (csv)."""
-    if fmt == "json":
-        return json.loads(out)
-    if fmt == "plain":
-        pairs = [line.split(": ", 1) for line in out.splitlines()]
-    else:
-        header, row = csv.reader(io.StringIO(out))
-        assert len(header) == len(row)
-        pairs = zip(header, row)
-    return {k: json.loads(v) for k, v in pairs}
 
 
 def run_cli(argv) -> Run:
@@ -206,9 +190,9 @@ NESTED = "is not JSON: maximum recursion depth exceeded while decoding a JSON ar
 FAMILY_SHAPE = 'a family file is an object with an "alphabet" list, a "side" and a "members" list'
 
 # Each input that is refused before any answer: its argv, and its one line
-# of stderr after "error: ", or a pattern for that line where the OS words
-# it.  Both are formatted with the paths of FILES, so a literal brace is
-# doubled.
+# of stderr after "error: ", or a pattern for that line where the OS or
+# the Python version words it.  Both are formatted with the paths of FILES,
+# so a literal brace is doubled.
 USAGE_ERRORS = {
     # an ordinal that does not parse, or is nested past the tower-depth cap
     # (stopped before the parser recurses)
@@ -283,6 +267,9 @@ USAGE_ERRORS = {
                                "stream exhausted while consuming a member"),
     "wxi-base-horizon": ("wxi member --alphabet ab --base list:a_,_b,__,__,_ --xi 1 --side c --seq (aa,ab,aa,aa,a,a)",
                          "stream list:a_,_b,__,__,_ has horizon 5"),
+    # the removed --format: argparse reads its value as the subcommand
+    "format-removed": ("--format csv schreier enumerate --xi w",
+                       re.compile(r"argument module: invalid choice: 'csv' \(choose from [^\n]*\)")),
 }
 
 
@@ -290,6 +277,9 @@ USAGE_ERRORS = {
 def test_bad_input_is_a_usage_error(argv, message, files):
     code, out, err = run_cli([a.format(**files) for a in argv.split()])
     assert (code, out) == (cli.EXIT_USAGE, "")
+    # argparse's own refusal is its usage lines, then one `schramsey: error:` line
+    if err.startswith("usage: schramsey "):
+        err = err[err.index("\nschramsey: error: ") + len("\nschramsey: "):]
     if isinstance(message, str):
         assert err == f"error: {message.format(**files)}\n"
     else:
@@ -324,12 +314,14 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     cases = [
         ({"threads": 8}, "error: unknown config key 'threads'\n"),
         ({"max_nn": 3}, "error: unknown config key 'max_nn'\n"),
+        # the removed `format`: every report is its JSON object
+        ({"format": "json"}, "error: unknown config key 'format'\n"),
         ({"threads": 8, "max-nn": 3}, "error: unknown config keys 'max-nn', 'threads'\n"),
         ([1, 2], "error: config file must hold a JSON object\n"),
         # values pass the type and choice checks of their flags
         ({"max_n": 3.5}, "error: config key 'max_n' takes an integer, got 3.5\n"),
         ({"max_n": True}, "error: config key 'max_n' takes an integer, got true\n"),
-        ({"format": "xml"}, "error: config key 'format' takes one of 'json', 'plain', 'csv', got 'xml'\n"),
+        ({"closure": "xml"}, "error: config key 'closure' takes one of 'star', 'hereditary', got 'xml'\n"),
         # only a flag's value can come from a file
         ({"help": True}, "error: unknown config key 'help'\n"),
         ({"config": "x"}, "error: unknown config key 'config'\n"),
@@ -567,10 +559,6 @@ LAYER_JOBS = {
     "ordinal": (["ordinal", "classify", "w^2+3"], {"ordinal"}),
     "schreier": (["schreier", "enumerate", "--xi", "w^2", "--max-n", "6"], {"ordinal", "schreier"}),
     "words": (["words", "d", "--alphabet", "ab", "--seq", "(ab,a)"], {"words"}),
-    # plain and csv render through the one encoder, which loads no layer
-    "words-plain": (["--format", "plain", "words", "d", "--alphabet", "ab", "--seq", "(ab,a)"], {"words"}),
-    "schreier-csv": (["--format", "csv", "schreier", "enumerate", "--xi", "w", "--max-n", "6"],
-                     {"ordinal", "schreier"}),
     "wxi": (["wxi", "enumerate", "--xi", "1", "--alphabet", "ab", "--letters", "4"],
             {"ordinal", "schreier", "words", "wxi"}),
     "family": (["family", "tree", "--file", "{tree}"], {"words", "families"}),
@@ -720,8 +708,7 @@ SWITCH = st.just(None)  # a flag that takes no value
 # the values drawn for each flag, by subcommand (None: the top level): one
 # entry per flag row of the option table, so that no option skips the fuzz
 FLAGS = {
-    None: {"--config": CONFIG, "--format": st.sampled_from(["json", "plain", "csv"]),
-           "--rule": st.sampled_from(["fixed", "succ"])},
+    None: {"--config": CONFIG, "--rule": st.sampled_from(["fixed", "succ"])},
     "ordinal": {"-n": _small(4), "--succ": SWITCH},
     "schreier": {"--xi": XI, "--set": SET, "--stream": FINITE_STREAM, "--max-n": _small(9), "-n": _small(4)},
     "words": {"--alphabet": ALPHABET, "--seq": SEQ, "--stream": STREAM},
