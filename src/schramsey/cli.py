@@ -103,16 +103,19 @@ def _count(name: str, value: int) -> int:
     return value
 
 
-def _read_json(path: str, what: str):
-    """The JSON value in a file; a file that cannot be read or decoded is
+def _read_family(path: str):
+    """The family in a JSON file; a file that cannot be read or decoded is
     a usage error, and one that is not JSON names its path."""
+    from . import families
+
     try:
         with open(path) as fh:
-            return json.load(fh)
+            value = json.load(fh)
     except OSError as exc:
         raise ValueError(str(exc)) from None
     except (ValueError, RecursionError) as exc:  # nested past the decoder's recursion limit
-        raise ValueError(f"{what} {path!r} is not JSON: {exc}") from None
+        raise ValueError(f"family file {path!r} is not JSON: {exc}") from None
+    return families.family_from_json(value)
 
 
 def _search_report(report: dict, out: verify.SearchOutcome) -> None:
@@ -240,7 +243,7 @@ def _cmd_wxi(args) -> dict:
 def _cmd_family(args) -> dict:
     from . import families, words
 
-    fam = families.family_from_json(_read_json(args.file, "family file"))
+    fam = _read_family(args.file)
     report = {"members": len(fam.members), "side": fam.side}
     if args.action == "close":
         closed = families.star_closure(fam) if args.closure == "star" else families.hereditary_closure(fam)
@@ -274,9 +277,7 @@ def _cmd_cbindex(args) -> dict:
         letters = max_len if args.seed_letters is None else args.seed_letters
         fam = cbindex.length_truncation_family(alph, args.side_full, max_len, letters)
     else:
-        from . import families
-
-        f = families.family_from_json(_read_json(args.family, "family file"))
+        f = _read_family(args.family)
         fam = cbindex.explicit_cb_family(f.alph, f.side, f.members)
     stream = _parse_stream(args.stream, fam.alph)
     mode, _, param = args.oracle.partition(":")
@@ -337,12 +338,10 @@ def _cmd_verify(args) -> dict:
 # --- options ---------------------------------------------------------------
 
 # Every argument of the top level (key None) and of each subcommand, one
-# row each: its name and argparse's own keywords.  `build_parser` adds the
-# rows, and `_config_defaults` takes a flag row's dest as a `--config` key
-# and checks its value by the row's keywords.
+# row each: its name and argparse's own keywords, which `build_parser`
+# hands to argparse, so argparse alone reads and checks every argument.
 OPTIONS = {
     None: [
-        ("--config", dict(help="JSON file with default option values")),
         ("--rule", dict(choices=["fixed", "succ"], default="fixed",
                         help="report label only: both limit rules give the same families; the engines walk 'fixed'")),
     ],
@@ -391,14 +390,8 @@ OPTIONS = {
 }
 
 
-def _dest(name: str) -> str:
-    return name.lstrip("-").replace("-", "_")
-
-
-def build_parser(defaults=None) -> argparse.ArgumentParser:
-    """The parser of every row of OPTIONS, with `defaults` (by dest) in
-    place of the flag rows' own, so explicit flags still win."""
-    defaults = defaults or {}
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every row of OPTIONS."""
     top = argparse.ArgumentParser(prog="schramsey")
     sub = top.add_subparsers(dest="module", required=True)
     for module, rows in OPTIONS.items():
@@ -407,47 +400,14 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
             p = sub.add_parser(module)
             p.set_defaults(handler=globals()[f"_cmd_{module}"])  # looked up at each build, not at import
         for name, kw in rows:
-            if name.startswith("-") and _dest(name) in defaults:
-                kw = {**kw, "default": defaults[_dest(name)]}
             p.add_argument(name, **kw)
     return top
-
-
-def _config_defaults(path: str) -> dict:
-    """The values of the `--config` file at path, by dest.  Each key must
-    name a flag row, and each value pass the checks its flag's value
-    would for every row of that dest: a switch takes true or false, an
-    integer option an integer, any other option a string, and an option
-    with choices one of them."""
-    values = _read_json(path, "config file")
-    if not isinstance(values, dict):
-        raise ValueError("config file must hold a JSON object")
-    # only a flag's value can come from a file: not --config or a positional
-    flags = [(_dest(name), kw) for rows in OPTIONS.values() for name, kw in rows
-             if name.startswith("-") and name != "--config"]
-    unknown = sorted(k for k in values if k.replace("-", "_") not in {dest for dest, _ in flags})
-    if unknown:
-        raise ValueError(f"unknown config key{'s' if len(unknown) > 1 else ''} {', '.join(map(repr, unknown))}")
-    # a key may belong to several subcommands; its value must suit each
-    for key, value in values.items():
-        for kw in [kw for dest, kw in flags if dest == key.replace("-", "_")]:
-            kind = bool if kw.get("action") == "store_true" else kw.get("type", str)
-            if type(value) is not kind:
-                expected = {bool: "true or false", int: "an integer"}.get(kind, "a string")
-                raise ValueError(f"config key {key!r} takes {expected}, got {json.dumps(value)}")
-            choices = kw.get("choices")
-            if choices is not None and value not in choices:
-                raise ValueError(f"config key {key!r} takes one of {', '.join(map(repr, choices))}, got {value!r}")
-    return {k.replace("-", "_"): v for k, v in values.items()}
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        # argparse finds the --config path under any spelling it accepts
         args = build_parser().parse_args(argv)
-        if args.config:
-            args = build_parser(_config_defaults(args.config)).parse_args(argv)
         # every integer option counts something, so none may be negative
         for dest, value in vars(args).items():
             if type(value) is int:

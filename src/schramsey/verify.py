@@ -210,8 +210,9 @@ def _backtrack(root, children, depth: int):
     `depth` steps below root, where `children(node)` yields each child in
     order, or None for a child cut at a color clash.  Returns that leaf
     (None when the search is exhausted), the number of children tried, and
-    the number of children cut at each level 0..depth."""
-    tried, cuts = 0, [0] * (depth + 1)
+    the number of children cut at each level it reached, by level, so a
+    depth beyond its reach costs nothing."""
+    tried, cuts = 0, {}
 
     def walk(node, level: int):
         nonlocal tried
@@ -220,7 +221,7 @@ def _backtrack(root, children, depth: int):
         for child in children(node):
             tried += 1
             if child is None:
-                cuts[level + 1] += 1
+                cuts[level + 1] = cuts.get(level + 1, 0) + 1
             elif (leaf := walk(child, level + 1)) is not None:
                 return leaf
         return None
@@ -423,7 +424,7 @@ def carlson_witness_search(xi: Ordinal, chi1, chi2, stream: VarWordStream, depth
 
     leaf, _tried, cuts = _backtrack(((), 0, [{} for _ in sides]), children, depth)
     # a cut at level l decides the per_step^(depth - l) leaves below it
-    visited = (leaf is not None) + sum(c * per_step ** (depth - level) for level, c in enumerate(cuts))
+    visited = (leaf is not None) + sum(c * per_step ** (depth - level) for level, c in cuts.items())
     if leaf is None:
         return SearchOutcome(None, visited, per_step**depth)
     u, _end, frontiers = leaf

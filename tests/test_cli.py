@@ -45,8 +45,8 @@ def run_cli(argv) -> Run:
 
 TREE = {"alphabet": ["a", "b"], "side": "constant", "members": [[], ["a"], ["a", "b"]]}
 
-# files by name, which argv tables name as {name}: families, configs, and
-# files that are not one
+# files by name, which argv tables name as {name}: families, and files
+# that are not one
 FILES = {
     "tree": json.dumps(TREE),
     "var": json.dumps({"alphabet": ["a", "b"], "side": "variable", "members": [[], ["_"], ["_", "a_"]]}),
@@ -54,8 +54,6 @@ FILES = {
     "empty": "",
     "deep": "[" * 100_000 + "]" * 100_000,
     "shape": json.dumps([["a"]]),
-    "config": json.dumps({"max_n": 4, "letters": 3}),
-    "config_key": json.dumps({"threads": 2}),
     "symbol": json.dumps({"alphabet": ["ab", "c"], "side": "constant", "members": [["c"]]}),
     "no_alphabet": json.dumps({"side": "constant", "members": [["a"]]}),
     "member_3": json.dumps({"alphabet": ["a", "b"], "side": "constant", "members": [["a"], 3]}),
@@ -214,8 +212,6 @@ USAGE_ERRORS = {
     # a file that is not JSON is named, also one nested past the decoder's recursion limit
     "family-file-empty": ("family dichotomy --file {empty}", f"family file '{{empty}}' {NOT_JSON}"),
     "cbindex-family-empty": ("cbindex --family {empty}", f"family file '{{empty}}' {NOT_JSON}"),
-    "config-empty": ("--config {empty} ordinal classify w", f"config file '{{empty}}' {NOT_JSON}"),
-    "config-deep": ("--config {deep} ordinal classify w", f"config file '{{deep}}' {NESTED}"),
     "family-file-deep": ("family tree --file {deep}", f"family file '{{deep}}' {NESTED}"),
     "cbindex-family-deep": ("cbindex --family {deep}", f"family file '{{deep}}' {NESTED}"),
     # a file that cannot be read
@@ -267,9 +263,17 @@ USAGE_ERRORS = {
                                "stream exhausted while consuming a member"),
     "wxi-base-horizon": ("wxi member --alphabet ab --base list:a_,_b,__,__,_ --xi 1 --side c --seq (aa,ab,aa,aa,a,a)",
                          "stream list:a_,_b,__,__,_ has horizon 5"),
-    # the removed --format: argparse reads its value as the subcommand
+    # a required flag left out, for each subcommand that has one
+    "schreier-no-xi": ("schreier mem --set {{1}}", "the following arguments are required: --xi"),
+    "words-no-alphabet-seq": ("words d", "the following arguments are required: --alphabet, --seq"),
+    "wxi-no-xi-alphabet": ("wxi member --seq (a)", "the following arguments are required: --xi, --alphabet"),
+    "family-no-file": ("family tree", "the following arguments are required: --file"),
+    "cbindex-no-family": ("cbindex --oracle exact", "the following arguments are required: --family"),
+    # the removed --format and --config: argparse reads their value as the subcommand
     "format-removed": ("--format csv schreier enumerate --xi w",
                        re.compile(r"argument module: invalid choice: 'csv' \(choose from [^\n]*\)")),
+    "config-removed": ("--config {tree} ordinal classify w",
+                       re.compile(r"argument module: invalid choice: '[^'\n]*tree\.json' \(choose from [^\n]*\)")),
 }
 
 
@@ -277,9 +281,10 @@ USAGE_ERRORS = {
 def test_bad_input_is_a_usage_error(argv, message, files):
     code, out, err = run_cli([a.format(**files) for a in argv.split()])
     assert (code, out) == (cli.EXIT_USAGE, "")
-    # argparse's own refusal is its usage lines, then one `schramsey: error:` line
+    # argparse's own refusal is its usage lines, then one `schramsey: error:`
+    # line, or `schramsey <module>: error:` from a subcommand's parser
     if err.startswith("usage: schramsey "):
-        err = err[err.index("\nschramsey: error: ") + len("\nschramsey: "):]
+        err = err[err.index("error: ", err.rindex("\nschramsey")):]
     if isinstance(message, str):
         assert err == f"error: {message.format(**files)}\n"
     else:
@@ -290,114 +295,6 @@ def test_reductions_of_the_empty_sequence():
     run = run_cli("words reductions --alphabet ab --seq ()")
     assert run.code == 0
     assert run.report["constant"] == [["()", []]] and run.report["variable"] == [["()", []]]
-
-
-def test_config_file_defaults(tmp_path):
-    cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"max_n": 4}))
-    assert run_cli(["--config", str(cfgfile), *"schreier enumerate --xi w".split()]).report["max_n"] == 4
-
-
-@pytest.mark.parametrize("flag", ["--config"[:i] for i in range(3, 9)])
-@pytest.mark.parametrize("joined", [False, True], ids=["spaced", "joined"])
-def test_config_file_loads_under_every_spelling(flag, joined, tmp_path):
-    # argparse accepts any unambiguous prefix of --config, as --x F or --x=F
-    cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"max_n": 4}))
-    spelled = [f"{flag}={cfgfile}"] if joined else [flag, str(cfgfile)]
-    run = run_cli([*spelled, "schreier", "enumerate", "--xi", "w"])
-    assert (run.code, run.report["max_n"], run.report["count"]) == (0, 4, 3)
-
-
-def test_config_file_rejects_unknown_keys(tmp_path):
-    # the removed `threads` and a misspelled `max_n` are usage errors, not silent drops
-    cases = [
-        ({"threads": 8}, "error: unknown config key 'threads'\n"),
-        ({"max_nn": 3}, "error: unknown config key 'max_nn'\n"),
-        # the removed `format`: every report is its JSON object
-        ({"format": "json"}, "error: unknown config key 'format'\n"),
-        ({"threads": 8, "max-nn": 3}, "error: unknown config keys 'max-nn', 'threads'\n"),
-        ([1, 2], "error: config file must hold a JSON object\n"),
-        # values pass the type and choice checks of their flags
-        ({"max_n": 3.5}, "error: config key 'max_n' takes an integer, got 3.5\n"),
-        ({"max_n": True}, "error: config key 'max_n' takes an integer, got true\n"),
-        ({"closure": "xml"}, "error: config key 'closure' takes one of 'star', 'hereditary', got 'xml'\n"),
-        # only a flag's value can come from a file
-        ({"help": True}, "error: unknown config key 'help'\n"),
-        ({"config": "x"}, "error: unknown config key 'config'\n"),
-        ({"module": "ordinal"}, "error: unknown config key 'module'\n"),
-        ({"action": "enumerate"}, "error: unknown config key 'action'\n"),
-        ({"expr": "w"}, "error: unknown config key 'expr'\n"),
-    ]
-    for data, message in cases:
-        cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps(data))
-        assert run_cli(["--config", str(cfgfile), *"schreier enumerate --xi w".split()]) == (2, "", message), data
-
-
-# every flag row of the option table but --config, with its subcommand (None: the top level)
-FLAG_ROWS = [pytest.param(module, name, kw, id=f"{module or 'top'}{name}") for module, rows in cli.OPTIONS.items()
-             for name, kw in rows if name.startswith("-") and name != "--config"]
-# an argv that parses for each subcommand, with its required flags given
-PARSING_ARGV = {
-    None: ["ordinal", "classify", "w"],
-    "ordinal": ["ordinal", "classify", "w"],
-    "schreier": ["schreier", "mem", "--xi", "w"],
-    "words": ["words", "d", "--alphabet", "ab", "--seq", "(a)"],
-    "wxi": ["wxi", "member", "--xi", "1", "--alphabet", "ab"],
-    "family": ["family", "close", "--file", "fam.json"],
-    "cbindex": ["cbindex", "--family", "len:1"],
-    "verify": ["verify", "hj"],
-}
-
-
-@pytest.mark.parametrize("module, name, kw", FLAG_ROWS)
-def test_every_flag_row_is_a_config_key(module, name, kw, tmp_path, monkeypatch):
-    # the row's dest, spelled with _ or with -, sets the flag's default;
-    # a required flag stays required
-    dest = name.lstrip("-").replace("-", "_")
-    if kw.get("action") == "store_true":
-        value = True
-    elif "choices" in kw:
-        value = kw["choices"][-1]
-    elif kw.get("type") is int:
-        value = (kw.get("default") or 0) + 5
-    else:
-        value = "from-config"
-    seen = []
-    # a report that answers yes for every action, so that the job exits 0
-    answered = dict.fromkeys(cli.ANSWERS.values(), True)
-    monkeypatch.setattr(cli, f"_cmd_{module or 'ordinal'}", lambda args: seen.append(args) or dict(answered))
-    argv = PARSING_ARGV[module]
-    cfgfile = tmp_path / "cfg.json"
-    for key in {dest, name.lstrip("-")}:
-        cfgfile.write_text(json.dumps({key: value}))
-        if kw.get("required"):
-            i = argv.index(name)
-            code, out, err = run_cli(["--config", str(cfgfile), *argv[:i], *argv[i + 2:]])
-            assert (code, out) == (cli.EXIT_USAGE, "")
-            assert err.endswith(f" error: the following arguments are required: {name}\n"), err
-        else:
-            assert run_cli(["--config", str(cfgfile), *argv]).code == 0
-            assert vars(seen.pop())[dest] == value, key
-
-
-@pytest.mark.parametrize("module, name, kw", FLAG_ROWS)
-def test_every_flag_row_checks_its_config_value(module, name, kw, tmp_path):
-    dest = name.lstrip("-").replace("-", "_")
-    if kw.get("action") == "store_true":
-        cases = [(1, "true or false, got 1")]
-    elif kw.get("type") is int:
-        cases = [("4", 'an integer, got "4"'), (3.5, "an integer, got 3.5")]
-    else:
-        cases = [(3, "a string, got 3")]
-    if "choices" in kw:
-        cases.append(("bogus", f"one of {', '.join(map(repr, kw['choices']))}, got 'bogus'"))
-    cfgfile = tmp_path / "cfg.json"
-    for value, message in cases:
-        cfgfile.write_text(json.dumps({dest: value}))
-        run = run_cli(["--config", str(cfgfile), *PARSING_ARGV[module]])
-        assert run == (2, "", f"error: config key {dest!r} takes {message}\n")
 
 
 def test_mono_set_checker_budget_stops_fast():
@@ -700,7 +597,6 @@ COLORING = _mostly(
 )
 # a file of FILES by @name
 FAMILY = _mostly(st.sampled_from(["@tree", "@var"]), st.sampled_from(["@empty", "@deep", "@shape", "@missing"]))
-CONFIG = _mostly(st.just("@config"), st.sampled_from(["@config_key", "@deep", "@empty", "@shape", "@missing"]))
 
 
 SWITCH = st.just(None)  # a flag that takes no value
@@ -708,7 +604,7 @@ SWITCH = st.just(None)  # a flag that takes no value
 # the values drawn for each flag, by subcommand (None: the top level): one
 # entry per flag row of the option table, so that no option skips the fuzz
 FLAGS = {
-    None: {"--config": CONFIG, "--rule": st.sampled_from(["fixed", "succ"])},
+    None: {"--rule": st.sampled_from(["fixed", "succ"])},
     "ordinal": {"-n": _small(4), "--succ": SWITCH},
     "schreier": {"--xi": XI, "--set": SET, "--stream": FINITE_STREAM, "--max-n": _small(9), "-n": _small(4)},
     "words": {"--alphabet": ALPHABET, "--seq": SEQ, "--stream": STREAM},

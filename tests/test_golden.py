@@ -97,6 +97,8 @@ JOBS = {
     "verify-ramsey": ("verify ramsey --xi 2 --max-n 8 --coloring min_mod:2 --target 4", 0),
     "verify-ramsey-none": ("verify ramsey --xi 2 --max-n 7 --coloring min_mod:2 --target 6", 1),
     "verify-ramsey-3": ("verify ramsey --xi 2 --max-n 6 --coloring min_mod:2 --target 3", 0),
+    # a target past --max-n is exhausted at once, however large
+    "verify-ramsey-target-past-n": ("verify ramsey --max-n 6 --target 99999999999", 1),
     "verify-pair-sweep-5": ("verify pair-sweep --max-n 5", 1),
     "verify-pair-sweep-6": ("verify pair-sweep --max-n 6", 0),
     "error-letter": ("words d --alphabet ab --seq (ac)", 2),
