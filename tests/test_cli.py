@@ -297,6 +297,76 @@ def test_reductions_of_the_empty_sequence():
     assert run.report["constant"] == [["()", []]] and run.report["variable"] == [["()", []]]
 
 
+# every flag row of the option table, with its subcommand (None: the top level)
+FLAG_ROWS = [pytest.param(module, name, kw, id=f"{module or 'top'}{name}") for module, rows in cli.OPTIONS.items()
+             for name, kw in rows if name.startswith("-")]
+# an argv that parses for each subcommand, with its required flags given
+PARSING_ARGV = {
+    None: ["ordinal", "classify", "w"],
+    "ordinal": ["ordinal", "classify", "w"],
+    "schreier": ["schreier", "mem", "--xi", "w"],
+    "words": ["words", "d", "--alphabet", "ab", "--seq", "(a)"],
+    "wxi": ["wxi", "member", "--xi", "1", "--alphabet", "ab"],
+    "family": ["family", "close", "--file", "fam.json"],
+    "cbindex": ["cbindex", "--family", "len:1"],
+    "verify": ["verify", "hj"],
+}
+
+
+def _with_flag(module, given):
+    # a top-level flag goes before the subcommand, a subcommand's flag after it
+    argv = PARSING_ARGV[module]
+    return [*given, *argv] if module is None else [*argv, *given]
+
+
+@pytest.mark.parametrize("module, name, kw", FLAG_ROWS)
+def test_every_flag_row_is_a_config_key(module, name, kw, monkeypatch):
+    # each flag row is a key of the job's configuration, which argv alone
+    # sets: the flag sets its row's dest, and a required flag left out is a
+    # usage error
+    dest = name.lstrip("-").replace("-", "_")
+    if kw.get("action") == "store_true":
+        value, given = True, [name]
+    else:
+        if "choices" in kw:
+            value = kw["choices"][-1]
+        elif kw.get("type") is int:
+            value = (kw.get("default") or 0) + 5
+        else:
+            value = "from-argv"
+        given = [name, str(value)]
+    seen = []
+    # a report that answers yes for every action, so that the job exits 0
+    answered = dict.fromkeys(cli.ANSWERS.values(), True)
+    monkeypatch.setattr(cli, f"_cmd_{module or 'ordinal'}", lambda args: seen.append(args) or dict(answered))
+    assert run_cli(_with_flag(module, given)).code == 0
+    assert vars(seen.pop())[dest] == value
+    if kw.get("required"):
+        argv = PARSING_ARGV[module]
+        i = argv.index(name)
+        code, out, err = run_cli([*argv[:i], *argv[i + 2:]])
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err.endswith(f" error: the following arguments are required: {name}\n"), err
+
+
+@pytest.mark.parametrize("module, name, kw", FLAG_ROWS)
+def test_every_flag_row_checks_its_config_value(module, name, kw):
+    # argparse checks each flag's value against its row's type and choices
+    if kw.get("action") == "store_true":
+        cases = [(_with_flag(module, [f"{name}=1"]), "ignored explicit argument '1'")]
+    else:
+        # at the top level, the subcommand after the flag would be its value
+        cases = [([name] if module is None else _with_flag(module, [name]), "expected one argument")]
+    if kw.get("type") is int:
+        cases.append((_with_flag(module, [name, "3.5"]), "invalid int value: '3.5'"))
+    if "choices" in kw:
+        cases.append((_with_flag(module, [name, "bogus"]), "invalid choice: 'bogus' (choose from "))
+    for argv, message in cases:
+        code, out, err = run_cli(argv)
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert f" error: argument {name}: {message}" in err.splitlines()[-1], err
+
+
 def test_mono_set_checker_budget_stops_fast():
     # the search answers at once; walking the 2^22 subsets of L would not
     start = time.perf_counter()
