@@ -134,6 +134,23 @@ def _search_report(report: dict, out: verify.SearchOutcome) -> None:
     )
 
 
+def _dumps(report: dict) -> str:
+    """The report as one line of JSON, keys sorted.  A Schreier listing's
+    runs are written byte for byte as json.dumps writes their members:
+    each prefix rendered once, each tail joined from digit strings."""
+    if report["command"] != "schreier enumerate":
+        return json.dumps(report, sort_keys=True)
+    from itertools import combinations
+
+    digits = [str(x) for x in range(report["max_n"] + 1)]
+    listing = []
+    for prefix, lo, owed in report["members"]:
+        head = "[" + ", ".join([digits[x] for x in prefix]) + (", " if prefix and owed else "")
+        listing.append(head + ("], " + head).join(map(", ".join, combinations(digits[lo:], owed))) + "]")
+    before, _, after = json.dumps({**report, "members": None}, sort_keys=True).partition('"members": null')
+    return f'{before}"members": [{", ".join(listing)}]{after}'
+
+
 # The report field that holds the yes/no answer of each action that has
 # one, by command: a job exits 1 when that field is false or null, and 0
 # otherwise (also when its action has no such field).
@@ -180,8 +197,11 @@ def _cmd_schreier(args) -> dict:
         seg = schreier.initial_segment(xi, stream)
         report.update({"stream": stream, "initial_segment": seg})
     elif args.action == "enumerate":
-        ms = schreier.enumerate_members(xi, args.max_n)
-        report.update({"max_n": args.max_n, "count": len(ms), "members": ms})
+        from math import comb
+
+        runs = schreier.member_runs(xi, args.max_n)
+        count = sum(comb(args.max_n - lo + 1, owed) for _, lo, owed in runs)
+        report.update({"max_n": args.max_n, "count": count, "members": runs})
     elif args.action == "transfer":
         report.update({"n": args.n, "transfer_index": str(schreier.transfer_index(xi, args.n))})
     return report
@@ -416,7 +436,7 @@ def main(argv=None) -> int:
         command = f"{args.module} {args.action}" if "action" in args else args.module
         report.update({"command": command, "schema_version": SCHEMA_VERSION})
         answer = report[ANSWERS[command]] if command in ANSWERS else True
-        sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
+        sys.stdout.write(_dumps(report) + "\n")
         return EXIT_EXHAUSTED if answer is None or answer is False else EXIT_FOUND
     except (BudgetExceeded, OracleUndecided) as exc:
         print(f"error: {exc}", file=sys.stderr)

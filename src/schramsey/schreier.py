@@ -22,8 +22,9 @@ first, and a successor lam + k first owes k singletons.  One step,
 singleton, reading the case split off the exponent each time (nothing
 is cached), and leaves eta_x, the index that A_xi transfers to above x
 (A_xi(x) = A_(xi_x), criterion 03).  Membership and enumeration feed it
-the elements of a set, enumeration keeps the dead states (eta, lo), and
-the transfer index is the eta that one `_take` of n leaves.
+the elements of a set, enumeration keeps its dead states (eta, lo) and
+its tails as runs, and the transfer index is the eta that one `_take`
+of n leaves.
 
 Iterating the approximating sequence down to a successor (`succ` in
 `SchreierConfig`) defines the same families: a walk consults l[n] only
@@ -163,26 +164,28 @@ def mem(xi: Ordinal, s) -> bool:
     return _consume(xi, t, 0) == len(t)
 
 
-def enumerate_members(xi: Ordinal, max_n: int, min_n: int = 1) -> tuple[FinSet, ...]:
-    """All members of A_xi contained in {min_n..max_n}, in lexicographic
-    order; agrees pointwise with mem.
+def member_runs(xi: Ordinal, max_n: int, min_n: int = 1) -> tuple[tuple[FinSet, int, int], ...]:
+    """The members of A_xi inside {min_n..max_n} as runs (prefix, lo, owed),
+    in lexicographic order: each stands for the members prefix + c, c in
+    combinations(range(lo, max_n + 1), owed).
 
     Membership's walk, branched over each next element x in ascending
-    order.  Once the residual is finite, the rest of a member is any
-    choice of that many later elements.  A state (eta, lo), the residual
+    order; once the residual is finite, the rest of a member is any choice
+    of that many later elements, one run.  A state (eta, lo), the residual
     ordinal and the next element, that completed no member is kept in
     `dead` for this call and not walked again."""
     if max_n > MAX_ENUM_GROUND:
         raise BudgetExceeded("enumeration ground set reaches", max_n, MAX_ENUM_GROUND, f"xi={xi}")
-    out: list[FinSet] = []
+    runs: list[tuple[FinSet, int, int]] = []
     dead: set[tuple] = set()
 
     def walk(pending: list, lo: int, prefix: FinSet) -> bool:
         if not pending or not pending[0][0]:  # eta is finite: that many singletons
-            before = len(out)
             owed = pending[0][1] if pending else 0
-            out.extend(prefix + rest for rest in combinations(range(lo, max_n + 1), owed))
-            return len(out) > before
+            if owed > max_n - lo + 1:
+                return False
+            runs.append((prefix, lo, owed))
+            return True
         key = (tuple(pending), lo)
         if key in dead:
             return False
@@ -195,8 +198,13 @@ def enumerate_members(xi: Ordinal, max_n: int, min_n: int = 1) -> tuple[FinSet, 
             dead.add(key)
         return found
 
-    walk(list(xi), min_n, ())
-    return tuple(out)
+    walk(list(xi), min(min_n, max_n + 1), ())  # above max_n no element is left either way
+    return tuple(runs)
+
+
+def enumerate_members(xi: Ordinal, max_n: int, min_n: int = 1) -> tuple[FinSet, ...]:
+    """All members of A_xi inside {min_n..max_n}, in lexicographic order: `member_runs` expanded."""
+    return tuple(p + c for p, lo, owed in member_runs(xi, max_n, min_n) for c in combinations(range(lo, max_n + 1), owed))
 
 
 # --- transfer --------------------------------------------------------------

@@ -331,7 +331,8 @@ def ramsey_pair_sweep(max_n: int, target: int = 3) -> dict:
                              noun="pairs", unit="pairs")
     pairs = list(combinations(range(1, max_n + 1), 2))
     triple_masks = []
-    for trip in combinations(range(1, max_n + 1), target):
+    # past max_n no target-set exists, and combinations would allocate `target` indices
+    for trip in combinations(range(1, max_n + 1), target) if target <= max_n else ():
         mask = 0
         for p in combinations(trip, 2):
             mask |= 1 << pairs.index(p)

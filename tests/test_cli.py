@@ -17,7 +17,9 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schramsey import cli, errors, verify
+from schramsey import cli, errors, ordinal, schreier, verify
+
+from test_schreier import small_indices
 
 
 class Run(NamedTuple):
@@ -90,6 +92,23 @@ def test_schreier_enumerate_and_transfer():
     assert run.code == 0 and run.report["members"] == [[1], [2, 3], [2, 4]]
     run = run_cli("schreier transfer --xi w -n 3")
     assert run.code == 0 and run.report["transfer_index"] == "2"
+
+
+def expanded_report(xi, max_n, rule="fixed") -> str:
+    """The stdout of `schreier enumerate` as json.dumps writes its report
+    with the member tuples expanded."""
+    members = schreier.enumerate_members(xi, max_n)
+    report = {"command": "schreier enumerate", "count": len(members), "max_n": max_n, "members": members,
+              "rule": rule, "schema_version": cli.SCHEMA_VERSION, "xi": str(xi)}
+    return json.dumps(report, sort_keys=True) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_indices(), st.integers(0, 14), st.sampled_from(["fixed", "succ"]))
+def test_enumerate_writes_the_expanded_listing(xi, max_n, rule):
+    # the listing is written from the walk's runs, byte for byte
+    run = run_cli(["--rule", rule, "schreier", "enumerate", "--xi", str(xi), "--max-n", str(max_n)])
+    assert run == (cli.EXIT_FOUND, expanded_report(xi, max_n, rule), "")
 
 
 def test_ordinal_commands():
@@ -581,6 +600,7 @@ def test_largest_report_arrives_whole_through_the_exit_freeze():
     assert len(lines) == 1
     rep = json.loads(lines[0])
     assert rep["count"] == 21181 == len(rep["members"])
+    assert proc.stdout == expanded_report(ordinal.parse("w^w"), 20)
 
 
 # --- coloring specs ---------------------------------------------------------

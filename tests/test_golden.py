@@ -101,6 +101,8 @@ JOBS = {
     "verify-ramsey-target-past-n": ("verify ramsey --max-n 6 --target 99999999999", 1),
     "verify-pair-sweep-5": ("verify pair-sweep --max-n 5", 1),
     "verify-pair-sweep-6": ("verify pair-sweep --max-n 6", 0),
+    # no target-set fits in {1..max_n}: every coloring defeats, however large the target
+    "verify-pair-sweep-target-past-n": ("verify pair-sweep --max-n 4 --target 99999999999", 1),
     "error-letter": ("words d --alphabet ab --seq (ac)", 2),
     "error-horizon": ("words reduce --alphabet ab --seq (ab,ab) --stream e:3", 2),
     "error-mismatch": ("wxi member --xi 1 --alphabet ab --side c --seq (bb,a) --base pat:a_;_:6", 1),
@@ -114,6 +116,8 @@ JOBS = {
     "schreier-enumerate-plain-succ": ("--rule succ schreier enumerate --xi w^w --max-n 8", 0),
     "schreier-enumerate-csv": ("schreier enumerate --xi 0 --max-n 3", 0),
     "schreier-enumerate-csv-succ": ("--rule succ schreier enumerate --xi w+2 --max-n 6", 0),
+    # an empty family: no member of A_(w*3+3) fits in {1..24}
+    "schreier-enumerate-empty": ("schreier enumerate --xi w*3+3 --max-n 24", 0),
     "schreier-mem": ("schreier mem --xi w^2 --set {{2,3,4,5,6,7}}", 0),
     "schreier-mem-no": ("--rule succ schreier mem --xi w^2 --set {{2,3,4,5,6}}", 1),
     "schreier-decompose": ("schreier decompose --xi w*2 --stream {{2,3,5,7,8,9,10,11,12}}", 0),

@@ -2,6 +2,8 @@ import hashlib
 import json
 import random
 import tracemalloc
+from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -324,3 +326,17 @@ def test_walks_agree_with_independent_paths(xi, rule, s, n, lo):
         assert o.parse(str(xin)) == xin  # a normal form: the parser refuses any other
         rhs = tuple(m for m in sch.enumerate_members(xin, GROUND) if not m or m[0] > n)
         assert shifted_members(members, n) == rhs
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_indices(), st.integers(0, 14), st.integers(1, 3))
+def test_runs_expand_to_the_members(xi, max_n, min_n):
+    # each run (prefix, lo, owed) stands for prefix + c, c an owed-subset
+    # of {lo..max_n}; a run that stands for no member is never kept
+    runs = sch.member_runs(xi, max_n, min_n)
+    expanded = tuple(p + c for p, lo, owed in runs for c in combinations(range(lo, max_n + 1), owed))
+    members = sch.enumerate_members(xi, max_n, min_n)
+    want = tuple(m for m in reference_members(xi, max_n, "fixed") if not m or m[0] >= min_n)
+    assert expanded == members == want
+    assert sum(comb(max_n - lo + 1, owed) for _, lo, owed in runs) == len(members)
+    assert all(owed <= max_n - lo + 1 for _, lo, owed in runs)
